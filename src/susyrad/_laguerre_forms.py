@@ -2,17 +2,20 @@
 
 Both families are a power times a decaying exponential times a Sonine-Laguerre
 polynomial; derivatives up to third order come from the product rule with the
-polynomial derivative identity, never from finite differences.
+polynomial derivative identity, never from finite differences.  Each form also
+bounds its own magnitude in closed form (`log_envelope`), which fixes the
+quadrature cutoff (`tail_cutoff`) without sampling the waveform.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError
-from .specfun import SonineLaguerre, eval_sonine_laguerre
+from .specfun import SonineLaguerre, envelope_cutoff, eval_sonine_laguerre, laguerre_envelope_log
 
 
 def _poly_derivative_chain(degree, order):
@@ -68,6 +71,29 @@ def _triple_product_derivatives(u, w, z, order):
     )
 
 
+class _LaguerreEnvelope:
+    """log |norm| + exponent log x - decay(x) + log L_degree^(order)(-t(x)) >= log |value(x)|.
+
+    A form supplies _decay_and_argument(x) -> (decay, t) and
+    _envelope_decreasing_from(), past which the envelope falls.
+    """
+
+    def log_envelope(self, x):
+        arr = _check_positive_argument(x)
+        decay, t = self._decay_and_argument(arr)
+        return (
+            self.log_norm
+            + self.exponent * np.log(arr)
+            - decay
+            + laguerre_envelope_log(self.degree, self.order, t)
+        )
+
+    @cached_property
+    def tail_cutoff(self) -> float:
+        """Quadrature cutoff of |value|**2 under the package's decay policy."""
+        return envelope_cutoff(self.log_envelope, self._envelope_decreasing_from())
+
+
 def _power_stack(x, exponent):
     u0 = np.power(x, exponent)
     u1 = exponent * np.power(x, exponent - 1.0)
@@ -76,7 +102,7 @@ def _power_stack(x, exponent):
     return (u0, u1, u2, u3)
 
 
-class ExponentialLaguerreForm:
+class ExponentialLaguerreForm(_LaguerreEnvelope):
     """norm * x**exponent * exp(-x/(2*scale)) * L_degree^(order)(x/scale)."""
 
     def __init__(self, scale, exponent, degree, order):
@@ -99,7 +125,16 @@ class ExponentialLaguerreForm:
             + math.log(2.0 * self.degree + self.order + 1.0)
             - math.lgamma(self.degree + 1.0)
         )
-        self.norm = math.exp(-0.5 * log_sq)
+        self.log_norm = -0.5 * log_sq
+        self.norm = math.exp(self.log_norm)
+
+    def _decay_and_argument(self, arr):
+        return arr / (2.0 * self.scale), arr / self.scale
+
+    def _envelope_decreasing_from(self):
+        # every envelope term x**(exponent+p) exp(-x/(2 scale)), p <= degree,
+        # falls once x >= 2 scale (exponent + p)
+        return 2.0 * self.scale * (self.exponent + self.degree)
 
     def _derivative(self, x, order):
         arr = _check_positive_argument(x)
@@ -127,7 +162,7 @@ class ExponentialLaguerreForm:
         return self._derivative(x, 3)
 
 
-class GaussianLaguerreForm:
+class GaussianLaguerreForm(_LaguerreEnvelope):
     """norm * x**exponent * exp(-x**2/2) * L_degree^(order)(x**2)."""
 
     def __init__(self, exponent, degree, order):
@@ -144,7 +179,17 @@ class GaussianLaguerreForm:
             - math.log(2.0)
             - math.lgamma(self.degree + 1.0)
         )
-        self.norm = math.exp(-0.5 * log_sq)
+        self.log_norm = -0.5 * log_sq
+        self.norm = math.exp(self.log_norm)
+
+    def _decay_and_argument(self, arr):
+        t = arr * arr
+        return 0.5 * t, t
+
+    def _envelope_decreasing_from(self):
+        # every envelope term x**(exponent+2p) exp(-x**2/2), p <= degree,
+        # falls once x**2 >= exponent + 2p
+        return math.sqrt(self.exponent + 2.0 * self.degree)
 
     def _derivative(self, x, order):
         arr = _check_positive_argument(x)

@@ -46,7 +46,8 @@ def _build(builder):
 
 
 def _emit(record, fmt, out_path):
-    text = record.render(fmt)
+    # rendering refuses non-finite numbers; that is a fatal error, not a traceback
+    text = _build(lambda: record.render(fmt))
     if out_path is None:
         click.echo(text, nl=False)
     else:

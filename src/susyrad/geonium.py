@@ -17,7 +17,7 @@ import numpy as np
 from scipy import constants as _codata
 
 from . import maps, oscillator
-from .errors import AdmissibilityError, StabilityError
+from .errors import AdmissibilityError, StabilityError, VerificationError
 from .qdt import AnharmonicModel
 
 
@@ -122,7 +122,11 @@ def coulomb_to_geonium(principal: int, angular: int) -> tuple[int, int]:
         )
     big_d, big_n, big_l = solved.target
     formula = (2 * principal - 1, 2 * angular + 1)
-    assert big_d == 2 and (big_n, big_l) == formula, "map module disagrees with closed form"
+    if big_d != 2 or (big_n, big_l) != formula:
+        raise VerificationError(
+            f"map module gives {solved.target} for (3, {principal}, {angular}), "
+            f"closed form gives (2, {formula[0]}, {formula[1]})"
+        )
     return formula
 
 

@@ -5,6 +5,13 @@ order a > -1, evaluated by the three-term recurrence in the degree.  A direct
 alternating-sum evaluator with compensated accumulation is kept alongside as a
 reference oracle; it is exact for small degrees but loses digits once the
 terms grow, which is exactly why the recurrence is the production path.
+
+Quadrature comes in two shapes that share one node-doubling loop:
+`integrate_half_line` / `inner_product` take arbitrary callables and find
+their cutoff by probing the integrand, while `gram_matrix` integrates every
+pairwise product of a family on one shared panel node set up to a cutoff the
+caller supplies.  For the Laguerre forms that cutoff comes from the closed-form
+envelope `laguerre_envelope_log` through `envelope_cutoff`, without sampling.
 """
 
 from __future__ import annotations
@@ -27,8 +34,12 @@ _SCHEMES = (SCHEME_ADAPTIVE_PANEL, SCHEME_HALF_LINE)
 # fractional q > -1 is confined to panels of negligible measure.
 _PANEL_LEVELS = 40
 _MAX_NODE_DOUBLINGS = 6
+_TAIL_START = 8.0
 _TAIL_DOUBLINGS = 22
 _TAIL_DROP = 1e-18
+# the decay test looks at T, 1.1 T and 1.3 T so one zero of the integrand
+# cannot pass for decay
+_TAIL_PROBES = np.array([1.0, 1.1, 1.3])
 
 
 @dataclass(frozen=True)
@@ -108,6 +119,29 @@ def sonine_laguerre_direct_sum(poly: SonineLaguerre, x: float) -> float:
     return float(total)
 
 
+def laguerre_envelope_log(degree: int, order: float, t):
+    """log L_n^(a)(-t) for t >= 0, a bound on log|L_n^(a)(t)|.
+
+    Coefficient p of L_n^(a) is (-1)**p C(n+a, n-p)/p!, and C(n+a, n-p) > 0
+    for a > -1, so flipping the sign of t turns every term positive and the sum
+    dominates |L_n^(a)(t)|.  The sum is taken in the log domain (coefficient
+    ratios (n-p)/((a+p+1)(p+1)), then log-sum-exp), so it stays finite at any
+    degree.
+    """
+    arr = np.asarray(t, dtype=float)
+    p = np.arange(degree)
+    log_coeff = math.lgamma(degree + order + 1.0) - math.lgamma(degree + 1.0) - math.lgamma(order + 1.0)
+    log_coeff = np.concatenate(
+        [[log_coeff], log_coeff + np.cumsum(np.log((degree - p) / ((order + p + 1.0) * (p + 1.0))))]
+    )
+    with np.errstate(divide="ignore"):
+        log_t = np.log(arr)
+    powers = np.arange(degree + 1).reshape((-1,) + (1,) * arr.ndim)
+    terms = log_coeff.reshape(powers.shape) + np.where(powers > 0, powers * log_t, 0.0)
+    peak = terms.max(axis=0)
+    return peak + np.log(np.sum(np.exp(terms - peak), axis=0))
+
+
 def gamma_ratio(numerator: float, denominator: float) -> float:
     """G(numerator)/G(denominator) through log-gamma; both arguments > 0."""
     if numerator <= 0.0 or denominator <= 0.0:
@@ -120,10 +154,13 @@ class Quadrature:
     """Half-line integration policy.
 
     scheme is one of 'adaptive-panel' (default; graded Gauss-Legendre panels
-    on (0, T] with node doubling) or 'generalized-half-line' (fixed
-    Gauss-Laguerre rule; fast path for integrands decaying at least like
-    exp(-x)).  node_count is the per-panel point count at the first
-    refinement, respectively the rule size.
+    on (0, T] with node doubling) or 'generalized-half-line' (Gauss-Laguerre
+    rule of node_count and 2*node_count points; fast path for integrands
+    decaying at least like exp(-x)).  node_count is the per-panel point count
+    at the first refinement, respectively the smaller rule size.  Either scheme
+    raises ConvergenceError when successive estimates still differ by more
+    than target_rel_tol.  `gram_matrix` takes the adaptive-panel policy and
+    applies the tolerance to every entry of the matrix.
     """
 
     scheme: str = SCHEME_ADAPTIVE_PANEL
@@ -143,6 +180,20 @@ class Quadrature:
 class QuadratureResult:
     value: float
     converged: bool
+    node_count: int
+    last_change: float
+
+
+@dataclass(frozen=True)
+class GramResult:
+    """Pairwise inner products of a family, with the effort that produced them.
+
+    node_count is the converged per-panel point count and last_change the
+    largest entry change at the final doubling.
+    """
+
+    matrix: np.ndarray
+    cutoff: float
     node_count: int
     last_change: float
 
@@ -171,7 +222,7 @@ def _vectorized(fn):
 
 def _tail_cutoff(fn):
     """Smallest doubling of T = 8 past which the integrand has died off."""
-    t = 8.0
+    t = _TAIL_START
     peak = 0.0
     last_probe = (math.inf, math.inf)
     for _ in range(_TAIL_DOUBLINGS):
@@ -180,7 +231,7 @@ def _tail_cutoff(fn):
         vals = vals[np.isfinite(vals)]
         if vals.size:
             peak = max(peak, float(vals.max()))
-        probes = np.abs(np.asarray(fn(np.array([t, 1.1 * t, 1.3 * t])), dtype=float))
+        probes = np.abs(np.asarray(fn(t * _TAIL_PROBES), dtype=float))
         last_probe = (float(probes.max()), peak)
         if np.all(probes <= _TAIL_DROP * peak + 1e-300):
             return t
@@ -191,20 +242,70 @@ def _tail_cutoff(fn):
     )
 
 
+def envelope_cutoff(log_bound, decreasing_from: float) -> float:
+    """Cutoff for a unit-norm function known only through a bound on its magnitude.
+
+    log_bound(x) returns log B(x) with B >= |f| pointwise, and B decreases for
+    x >= decreasing_from.  The policy is the one `_tail_cutoff` applies to
+    sampled values, with the bound standing in for |f|**2's samples: the
+    smallest T = 8 * 2**j past decreasing_from at which B**2 <= 1e-18 / T at
+    T, 1.1 T and 1.3 T.  1/T is the mean of |f|**2 on (0, T] once the norm
+    has gathered there, and the peak is never below the mean, so a T that
+    passes here passes the sampled test too whenever the samples catch the
+    peak.  Nothing of f is sampled.
+    """
+    start = _TAIL_START
+    while start < decreasing_from:
+        start *= 2.0
+    # every candidate T is tested in one call to the bound
+    cutoffs = start * 2.0 ** np.arange(_TAIL_DOUBLINGS)
+    probes = np.asarray(log_bound(cutoffs[:, None] * _TAIL_PROBES), dtype=float)
+    limits = 0.5 * np.log(_TAIL_DROP / cutoffs)
+    passed = np.all(probes <= limits[:, None], axis=1)
+    if not passed.any():
+        raise ConvergenceError(
+            f"envelope has not decayed below {_TAIL_DROP:g} of the mean by x = {cutoffs[-1]:g}",
+            estimates=(float(probes[-1].max()), float(limits[-1])),
+        )
+    return float(cutoffs[np.argmax(passed)])
+
+
 def _panel_edges(cutoff):
     edges = [0.0]
     edges.extend(cutoff * 2.0 ** (j - _PANEL_LEVELS) for j in range(1, _PANEL_LEVELS + 1))
     return np.asarray(edges)
 
 
-def _composite(fn, edges, points):
+def _panel_rule(edges, points):
+    """Flat nodes and weights of the composite Gauss-Legendre rule on edges."""
     x, w = _gauss_legendre(points)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = mid[:, None] + half[:, None] * x[None, :]
     weights = half[:, None] * w[None, :]
-    vals = np.asarray(fn(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    return float(np.sum(weights * vals)), float(np.sum(weights * np.abs(vals)))
+    return nodes.ravel(), weights.ravel()
+
+
+def _refine(estimate, points, doublings, tol, what):
+    """Double the node count until successive estimates agree.
+
+    estimate(points) returns (value, scale) with value a float or an array;
+    the loop stops once every entry moves by at most tol * scale and returns
+    (value, points, largest change).  When the doubling budget runs out it
+    raises ConvergenceError carrying the last two estimates.
+    """
+    value = estimate(points)[0]
+    for _ in range(doublings):
+        prev = value
+        points *= 2
+        value, scale = estimate(points)
+        change = np.abs(value - prev)
+        if np.all(change <= tol * np.maximum(scale, 1e-300)):
+            return value, points, float(np.max(change))
+    raise ConvergenceError(
+        f"{what} did not settle within the node-doubling budget",
+        estimates=(prev, value),
+    )
 
 
 def integrate_half_line(fn, quad: Quadrature | None = None) -> QuadratureResult:
@@ -221,21 +322,17 @@ def integrate_half_line(fn, quad: Quadrature | None = None) -> QuadratureResult:
         return _half_line(fn, quad)
 
     edges = _panel_edges(_tail_cutoff(fn))
-    prev = None
-    points = quad.node_count
-    for _ in range(_MAX_NODE_DOUBLINGS + 1):
-        value, absolute = _composite(fn, edges, points)
-        if prev is not None:
-            change = abs(value - prev)
-            scale = max(abs(value), 1e-2 * absolute, 1e-300)
-            if change <= quad.target_rel_tol * scale:
-                return QuadratureResult(value, True, points, change)
-        prev = value
-        points *= 2
-    raise ConvergenceError(
-        "panel quadrature did not settle within the node-doubling budget",
-        estimates=(prev, value),
+
+    def estimate(points):
+        nodes, weights = _panel_rule(edges, points)
+        vals = weights * np.asarray(fn(nodes), dtype=float)
+        value = float(np.sum(vals))
+        return value, max(abs(value), 1e-2 * float(np.sum(np.abs(vals))))
+
+    value, points, change = _refine(
+        estimate, quad.node_count, _MAX_NODE_DOUBLINGS, quad.target_rel_tol, "panel quadrature"
     )
+    return QuadratureResult(value, True, points, change)
 
 
 def _half_line(fn, quad):
@@ -243,23 +340,46 @@ def _half_line(fn, quad):
         x, w = np.polynomial.laguerre.laggauss(points)
         # w_i ~ exp(-x_i); recombine in log space so large nodes cannot overflow
         logw = np.log(w) + x
-        return float(np.sum(np.exp(logw) * np.asarray(fn(x), dtype=float)))
+        value = float(np.sum(np.exp(logw) * np.asarray(fn(x), dtype=float)))
+        return value, abs(value)
 
-    coarse = rule(quad.node_count)
-    fine = rule(2 * quad.node_count)
-    change = abs(fine - coarse)
-    scale = max(abs(fine), 1e-300)
-    return QuadratureResult(fine, change <= quad.target_rel_tol * scale, 2 * quad.node_count, change)
+    value, points, change = _refine(
+        rule, quad.node_count, 1, quad.target_rel_tol, "generalized half-line rule"
+    )
+    return QuadratureResult(value, True, points, change)
 
 
 def inner_product(f, g, quad: Quadrature | None = None) -> float:
-    """L2 inner product of f and g on (0, inf)."""
+    """L2 inner product of f and g on (0, inf); raises ConvergenceError if unsettled."""
     fv = _vectorized(f)
     gv = _vectorized(g)
-    result = integrate_half_line(lambda t: fv(t) * gv(t), quad)
-    if not result.converged:
-        raise ConvergenceError(
-            "inner product did not converge under the requested policy",
-            estimates=(result.value - result.last_change, result.value),
-        )
-    return result.value
+    return integrate_half_line(lambda t: fv(t) * gv(t), quad).value
+
+
+def gram_matrix(fns, cutoff: float, quad: Quadrature | None = None) -> GramResult:
+    """All pairwise L2 inner products of fns on (0, cutoff] at once.
+
+    Every function takes an array of nodes and is evaluated once per
+    refinement on the shared graded panel nodes, giving V (functions x nodes);
+    then G = (V w) V^T and the scale is A = (|V| w) |V|^T.  The per-panel
+    node count doubles until every entry satisfies
+    |G - G_prev| <= target_rel_tol * max(|G|, 1e-2 A), the rule
+    `integrate_half_line` applies to a single integral.  The cutoff is taken
+    as given: the caller vouches that every product has decayed past it.
+    """
+    quad = quad or Quadrature()
+    if quad.scheme != SCHEME_ADAPTIVE_PANEL:
+        raise DomainError(f"gram_matrix needs the {SCHEME_ADAPTIVE_PANEL!r} scheme")
+    edges = _panel_edges(cutoff)
+
+    def estimate(points):
+        nodes, weights = _panel_rule(edges, points)
+        v = np.vstack([np.asarray(fn(nodes), dtype=float) for fn in fns])
+        mag = np.abs(v)
+        matrix = (v * weights) @ v.T
+        return matrix, np.maximum(np.abs(matrix), 1e-2 * ((mag * weights) @ mag.T))
+
+    matrix, points, change = _refine(
+        estimate, quad.node_count, _MAX_NODE_DOUBLINGS, quad.target_rel_tol, "Gram matrix"
+    )
+    return GramResult(matrix, float(cutoff), points, change)

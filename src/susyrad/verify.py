@@ -150,15 +150,9 @@ def check_radial_residuals() -> CheckResult:
 # --- criterion 3 -----------------------------------------------------------
 
 
-def _gram_defect(states):
-    n = len(states)
-    worst = 0.0
-    for a in range(n):
-        for b in range(a, n):
-            overlap = specfun.inner_product(states[a], states[b])
-            target = 1.0 if a == b else 0.0
-            worst = max(worst, abs(overlap - target))
-    return worst
+def _gram(states):
+    """Gram matrix of one family on shared nodes, cut off where the forms say."""
+    return specfun.gram_matrix(states, max(state._form.tail_cutoff for state in states))
 
 
 def orthonormality_families():
@@ -181,14 +175,22 @@ def orthonormality_families():
     return fams
 
 
+def _span(values, fmt):
+    lo, hi = min(values), max(values)
+    return format(lo, fmt) if lo == hi else f"{lo:{fmt}}-{hi:{fmt}}"
+
+
 def check_orthonormality() -> CheckResult:
     def body():
-        worst = 0.0
-        total = 0
-        for _, states in orthonormality_families():
-            worst = max(worst, _gram_defect(states))
-            total += len(states)
-        return worst, f"{total} states across {len(orthonormality_families())} families"
+        families = orthonormality_families()
+        grams = [_gram(states) for _, states in families]
+        worst = max(float(np.max(np.abs(g.matrix - np.eye(len(g.matrix))))) for g in grams)
+        total = sum(len(states) for _, states in families)
+        return worst, (
+            f"{total} states across {len(families)} families; "
+            f"cutoff {_span([g.cutoff for g in grams], 'g')}; "
+            f"{_span([g.node_count for g in grams], 'd')} nodes/panel"
+        )
 
     return _run(3, "orthonormality", 1e-8, body, runtime_limit=60.0)
 

@@ -12,7 +12,9 @@ from click.testing import CliRunner
 from scipy import constants as codata
 
 import susyrad
+from susyrad import reports
 from susyrad.cli import main
+from susyrad.output import OutputRecord
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -182,6 +184,28 @@ class TestWavefunction:
         result = runner.invoke(main, ["wavefunction", "--family", "hydrogen", "--dim", "4"])
         assert result.exit_code == 1
         assert "three-dimensional" in result.output
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_render_error_is_fatal_without_traceback(self, runner, monkeypatch, fmt):
+        def with_nan(*args, **kwargs):
+            return OutputRecord("wavefunction", {}, ["r", "amplitude"], [{"r": 1.0, "amplitude": math.nan}])
+
+        monkeypatch.setattr(reports, "wavefunction_record", with_nan)
+        result = runner.invoke(main, ["wavefunction", "--format", fmt])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: non-finite number in row[0].amplitude: nan" in result.output
+
+    def test_large_state_exits_cleanly(self, runner):
+        # either finite amplitudes or a one-line error, never a traceback
+        result = runner.invoke(
+            main,
+            ["wavefunction", "--n", "160", "--l", "150", "--grid-max", "1e5", "--format", "json"],
+        )
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        if result.exit_code:
+            assert result.exit_code == 1
+            assert result.output.startswith("Error: ")
 
     def test_oscillator_state(self, runner):
         result = runner.invoke(

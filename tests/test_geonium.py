@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import constants as codata
 
-from susyrad.errors import AdmissibilityError, StabilityError
+from susyrad import maps
+from susyrad.errors import AdmissibilityError, StabilityError, VerificationError
 from susyrad.geonium import (
     ELECTRON,
     PROTON,
@@ -130,6 +132,18 @@ class TestGeoniumMap:
     )
     def test_closed_form(self, n, l, expected):
         assert coulomb_to_geonium(n, l) == expected
+
+    def test_map_disagreement_raises(self, monkeypatch):
+        solve = maps.solve_map_parameters
+
+        def skewed(*args, **kwargs):
+            spec = solve(*args, **kwargs)
+            d, n, l = spec.target
+            return dataclasses.replace(spec, target=(d, n + 2, l))
+
+        monkeypatch.setattr(maps, "solve_map_parameters", skewed)
+        with pytest.raises(VerificationError, match="closed form"):
+            coulomb_to_geonium(2, 1)
 
     def test_inadmissible_source(self):
         with pytest.raises(AdmissibilityError):

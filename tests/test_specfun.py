@@ -1,9 +1,12 @@
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
 
+from susyrad import coulomb, oscillator, specfun, verify
 from susyrad.errors import ConvergenceError, DomainError
 from susyrad.specfun import (
     Quadrature,
@@ -11,8 +14,10 @@ from susyrad.specfun import (
     eval_sonine_laguerre,
     eval_sonine_laguerre_derivative,
     gamma_ratio,
+    gram_matrix,
     inner_product,
     integrate_half_line,
+    laguerre_envelope_log,
     sonine_laguerre_direct_sum,
 )
 
@@ -200,6 +205,22 @@ class TestQuadrature:
         fast = integrate_half_line(lambda t: t * t * np.exp(-2.0 * t), quad)
         assert fast.value == pytest.approx(result.value, rel=1e-8)
 
+    def test_fast_path_raises_when_unsettled(self):
+        # 8 and 16 Gauss-Laguerre nodes give 7.773 and 7.995 for the exact 8
+        quad = Quadrature(scheme="generalized-half-line")
+        with pytest.raises(ConvergenceError) as info:
+            integrate_half_line(lambda t: np.exp(-t / 8.0), quad)
+        coarse, fine = info.value.estimates
+        assert coarse == pytest.approx(7.7732, rel=1e-4)
+        assert fine == pytest.approx(7.9953, rel=1e-4)
+
+    def test_unsettled_estimates_are_the_last_two(self):
+        quad = Quadrature(target_rel_tol=1e-13)
+        with pytest.raises(ConvergenceError) as info:
+            integrate_half_line(lambda t: np.cos(3000.0 * t) * np.exp(-t / 30.0), quad)
+        previous, last = info.value.estimates
+        assert previous != last
+
     def test_non_convergence_raises_with_estimates(self):
         quad = Quadrature(target_rel_tol=1e-13)
         with pytest.raises(ConvergenceError) as info:
@@ -211,3 +232,87 @@ class TestQuadrature:
         g = lambda t: (1.0 - t) * np.exp(-t / 2.0)
         quad = Quadrature()
         assert inner_product(f, g, quad) == pytest.approx(inner_product(g, f, quad), rel=1e-12)
+
+
+FAMILIES = verify.orthonormality_families()
+FAMILY_STATES = [
+    pytest.param(state, id=f"{name} n={state.principal}") for name, states in FAMILIES for state in states
+]
+LARGE_STATES = [
+    pytest.param(coulomb.CoulombState(3, 40, l), id=f"coulomb d=3 n=40 l={l}") for l in (0, 10, 39)
+] + [
+    pytest.param(oscillator.OscillatorState(3, 80, l), id=f"oscillator D=3 N=80 L={l}") for l in (0, 40, 80)
+]
+
+
+class TestLaguerreEnvelope:
+    @pytest.mark.parametrize("n", [0, 1, 4, 15])
+    @pytest.mark.parametrize("order", ORDER_GRID)
+    def test_is_the_polynomial_at_negative_argument(self, n, order):
+        t = np.array([0.0, 0.01, 1.0, 10.0, 50.0])
+        expected = np.log(eval_genlaguerre(n, order, -t))
+        np.testing.assert_allclose(laguerre_envelope_log(n, order, t), expected, rtol=1e-12, atol=1e-13)
+
+    def test_finite_at_large_degree(self):
+        values = laguerre_envelope_log(400, 0.5, np.array([1e-300, 1.0, 1e6, 1e15]))
+        assert np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("state", FAMILY_STATES + LARGE_STATES)
+    def test_form_cutoff_covers_sampled_cutoff(self, state):
+        sampled = specfun._tail_cutoff(lambda t: state.value(t) ** 2)
+        assert state._form.tail_cutoff >= sampled
+
+    @pytest.mark.parametrize("state", FAMILY_STATES[::4] + LARGE_STATES)
+    def test_envelope_bounds_the_waveform(self, state):
+        form = state._form
+        grid = np.concatenate(
+            [np.geomspace(1e-6, 1.0, 500), np.linspace(1.0, 2.0 * form.tail_cutoff, 4000)]
+        )
+        bound = np.exp(form.log_envelope(grid))
+        assert np.all(np.abs(form.value(grid)) <= bound * (1.0 + 1e-12))
+
+
+class TestGramMatrix:
+    @pytest.mark.parametrize(("name", "states"), FAMILIES, ids=[name for name, _ in FAMILIES])
+    def test_matches_pairwise_inner_products(self, name, states):
+        gram = verify._gram(states)
+        for a, left in enumerate(states):
+            for b, right in enumerate(states[a:], start=a):
+                pairwise = inner_product(left, right)
+                assert abs(gram.matrix[a, b] - pairwise) <= 1e-12, (a, b)
+                assert abs(gram.matrix[b, a] - pairwise) <= 1e-12, (b, a)
+
+    def test_unmeetable_tolerance_raises_with_two_estimates(self):
+        fns = [lambda t: np.cos(3000.0 * t) * np.exp(-t / 30.0), lambda t: np.exp(-t / 30.0)]
+        with pytest.raises(ConvergenceError) as info:
+            gram_matrix(fns, 2048.0, Quadrature(target_rel_tol=1e-13))
+        previous, last = info.value.estimates
+        assert previous.shape == last.shape == (2, 2)
+        assert not np.array_equal(previous, last)
+
+    def test_refuses_the_half_line_scheme(self):
+        with pytest.raises(DomainError):
+            gram_matrix([np.exp], 16.0, Quadrature(scheme="generalized-half-line"))
+
+    def test_orthonormality_check_uses_no_pairwise_quadrature(self, monkeypatch):
+        calls = Counter()
+        for name in ("integrate_half_line", "inner_product", "_tail_cutoff"):
+            original = getattr(specfun, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(specfun, name, counted)
+        result = verify.check_orthonormality()
+        assert result.passed and result.value <= 1e-13
+        assert sum(calls.values()) == 0
+        # the counters are live: the per-pair path would have shown up
+        specfun.inner_product(lambda t: np.exp(-t), lambda t: np.exp(-t))
+        assert calls == Counter(inner_product=1, integrate_half_line=1, _tail_cutoff=1)
+
+    def test_orthonormality_detail_reports_quadrature_effort(self):
+        detail = verify.check_orthonormality().detail
+        assert re.fullmatch(
+            r"64 states across 11 families; cutoff 16-1024; \d+(-\d+)? nodes/panel", detail
+        ), detail
