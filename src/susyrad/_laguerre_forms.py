@@ -2,7 +2,9 @@
 
 Both families are a power times a decaying exponential times a Sonine-Laguerre
 polynomial; derivatives up to third order come from the product rule with the
-polynomial derivative identity, never from finite differences.  Each form also
+polynomial derivative identity, never from finite differences.  A call builds
+each factor's derivative stack only up to the order it asks for, so `value`
+runs one Laguerre recurrence and `second_derivative` three.  Each form also
 bounds its own magnitude in closed form (`log_envelope`), which fixes the
 quadrature cutoff (`tail_cutoff`) without sampling the waveform.
 """
@@ -47,8 +49,13 @@ def _check_positive_argument(x):
     return arr
 
 
+def _first(order, *terms):
+    """Build the first order + 1 of the zero-argument term builders."""
+    return [term() for term in terms[: order + 1]]
+
+
 def _triple_product_derivatives(u, w, z, order):
-    """Derivatives of u*w*z given per-factor derivative stacks u[j], w[j], z[j]."""
+    """Derivative of u*w*z given per-factor stacks u[j], w[j], z[j] for j <= order."""
     if order == 0:
         return u[0] * w[0] * z[0]
     if order == 1:
@@ -94,12 +101,14 @@ class _LaguerreEnvelope:
         return envelope_cutoff(self.log_envelope, self._envelope_decreasing_from())
 
 
-def _power_stack(x, exponent):
-    u0 = np.power(x, exponent)
-    u1 = exponent * np.power(x, exponent - 1.0)
-    u2 = exponent * (exponent - 1.0) * np.power(x, exponent - 2.0)
-    u3 = exponent * (exponent - 1.0) * (exponent - 2.0) * np.power(x, exponent - 3.0)
-    return (u0, u1, u2, u3)
+def _power_stack(x, exponent, order):
+    # u_j = exponent (exponent - 1) ... (exponent - j + 1) x**(exponent - j)
+    stack = [np.power(x, exponent)]
+    coeff = 1.0
+    for j in range(1, order + 1):
+        coeff *= exponent - (j - 1)
+        stack.append(coeff * np.power(x, exponent - j))
+    return stack
 
 
 class ExponentialLaguerreForm(_LaguerreEnvelope):
@@ -138,14 +147,18 @@ class ExponentialLaguerreForm(_LaguerreEnvelope):
 
     def _derivative(self, x, order):
         arr = _check_positive_argument(x)
-        u = _power_stack(arr, self.exponent)
+        u = _power_stack(arr, self.exponent, order)
         w0 = np.exp(-arr / (2.0 * self.scale))
         rate = -1.0 / (2.0 * self.scale)
-        w = (w0, rate * w0, rate * rate * w0, rate**3 * w0)
+        w = _first(
+            order, lambda: w0, lambda: rate * w0, lambda: rate * rate * w0, lambda: rate**3 * w0
+        )
         t = arr / self.scale
-        p = [_poly_values(self._chain, t, j) for j in range(4)]
+        p = [_poly_values(self._chain, t, j) for j in range(order + 1)]
         inv = 1.0 / self.scale
-        z = (p[0], p[1] * inv, p[2] * inv * inv, p[3] * inv**3)
+        z = _first(
+            order, lambda: p[0], lambda: p[1] * inv, lambda: p[2] * inv * inv, lambda: p[3] * inv**3
+        )
         out = self.norm * _triple_product_derivatives(u, w, z, order)
         return float(out) if np.ndim(x) == 0 else out
 
@@ -193,16 +206,23 @@ class GaussianLaguerreForm(_LaguerreEnvelope):
 
     def _derivative(self, x, order):
         arr = _check_positive_argument(x)
-        u = _power_stack(arr, self.exponent)
+        u = _power_stack(arr, self.exponent, order)
         w0 = np.exp(-0.5 * arr * arr)
-        w = (w0, -arr * w0, (arr * arr - 1.0) * w0, (3.0 * arr - arr**3) * w0)
+        w = _first(
+            order,
+            lambda: w0,
+            lambda: -arr * w0,
+            lambda: (arr * arr - 1.0) * w0,
+            lambda: (3.0 * arr - arr**3) * w0,
+        )
         t = arr * arr
-        p = [_poly_values(self._chain, t, j) for j in range(4)]
-        z = (
-            p[0],
-            2.0 * arr * p[1],
-            2.0 * p[1] + 4.0 * t * p[2],
-            12.0 * arr * p[2] + 8.0 * arr**3 * p[3],
+        p = [_poly_values(self._chain, t, j) for j in range(order + 1)]
+        z = _first(
+            order,
+            lambda: p[0],
+            lambda: 2.0 * arr * p[1],
+            lambda: 2.0 * p[1] + 4.0 * t * p[2],
+            lambda: 12.0 * arr * p[2] + 8.0 * arr**3 * p[3],
         )
         out = self.norm * _triple_product_derivatives(u, w, z, order)
         return float(out) if np.ndim(x) == 0 else out

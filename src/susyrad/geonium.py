@@ -14,11 +14,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants as _codata
 
 from . import maps, oscillator
 from .errors import AdmissibilityError, StabilityError, VerificationError
 from .qdt import AnharmonicModel
+
+
+# CODATA 2022 (SI): e and h are exact by definition; equal to scipy.constants
+ELEMENTARY_CHARGE = 1.602176634e-19
+ELECTRON_MASS = 9.1093837139e-31
+PROTON_MASS = 1.67262192595e-27
+HBAR = 6.62607015e-34 / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -28,8 +34,8 @@ class ParticlePreset:
     mass: float
 
 
-ELECTRON = ParticlePreset("electron", -_codata.elementary_charge, _codata.electron_mass)
-PROTON = ParticlePreset("proton", _codata.elementary_charge, _codata.proton_mass)
+ELECTRON = ParticlePreset("electron", -ELEMENTARY_CHARGE, ELECTRON_MASS)
+PROTON = ParticlePreset("proton", ELEMENTARY_CHARGE, PROTON_MASS)
 
 PRESETS = {"electron": ELECTRON, "proton": PROTON}
 
@@ -180,7 +186,7 @@ def geonium_energy(level: GeoniumLevel) -> float:
 
 def geonium_energy_si(level: GeoniumLevel, config: TrapConfig) -> float:
     """Level energy in joules: quanta times hbar * w_c."""
-    return level.energy * _codata.hbar * trap_frequencies(config).cyclotron
+    return level.energy * HBAR * trap_frequencies(config).cyclotron
 
 
 def susy_tower_spectra(angular: int, count: int):

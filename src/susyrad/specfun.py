@@ -70,9 +70,18 @@ def _recurrence(n, a, x):
     if n == 0:
         return ones
     prev = ones
-    cur = a + 1.0 - x
+    cur = np.empty_like(x)
+    np.subtract(a + 1.0, x, out=cur)
+    nxt = np.empty_like(x)
+    # in place: a fresh 2e4-point temporary is past glibc's mmap threshold, so mmapped every step
     for k in range(1, n):
-        prev, cur = cur, ((2.0 * k + a + 1.0 - x) * cur - (k + a) * prev) / (k + 1.0)
+        # ((2k + a + 1 - x) * cur - (k + a) * prev) / (k + 1), operation by operation
+        np.subtract(2.0 * k + a + 1.0, x, out=nxt)
+        nxt *= cur
+        prev *= k + a
+        nxt -= prev
+        nxt /= k + 1.0
+        prev, cur, nxt = cur, nxt, prev
     return cur
 
 

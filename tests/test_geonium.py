@@ -1,11 +1,15 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import constants as codata
 
-from susyrad import maps
+from susyrad import geonium, maps
 from susyrad.errors import AdmissibilityError, StabilityError, VerificationError
 from susyrad.geonium import (
     ELECTRON,
@@ -23,6 +27,8 @@ from susyrad.geonium import (
 from susyrad.maps import solve_map_parameters, verify_map_identity
 from susyrad.specfun import inner_product
 
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
 
 def _electron_config(B=5.0, V=None, d=1e-2):
     if V is None:
@@ -36,6 +42,21 @@ class TestPresets:
         assert ELECTRON.mass == codata.electron_mass
         assert PROTON.charge == codata.elementary_charge
         assert PROTON.mass == codata.proton_mass
+        assert geonium.HBAR == codata.hbar
+
+    def test_cli_import_loads_no_scipy(self):
+        probe = "import sys, susyrad.cli; print(susyrad.cli.__file__); print('scipy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        module_file, scipy_loaded = proc.stdout.splitlines()
+        assert Path(module_file).resolve().is_relative_to(SRC_DIR)
+        assert scipy_loaded == "False"
 
     def test_unknown_species(self):
         with pytest.raises(AdmissibilityError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
 
-from susyrad import coulomb, oscillator, specfun, verify
+from susyrad import _laguerre_forms, coulomb, oscillator, specfun, verify
 from susyrad.errors import ConvergenceError, DomainError
 from susyrad.specfun import (
     Quadrature,
@@ -316,3 +316,157 @@ class TestGramMatrix:
         assert re.fullmatch(
             r"64 states across 11 families; cutoff 16-1024; \d+(-\d+)? nodes/panel", detail
         ), detail
+
+
+def _allocating_recurrence(n, a, x):
+    """The recurrence as one expression per step, allocating its temporaries."""
+    ones = np.ones_like(x)
+    if n == 0:
+        return ones
+    prev = ones
+    cur = a + 1.0 - x
+    for k in range(1, n):
+        prev, cur = cur, ((2.0 * k + a + 1.0 - x) * cur - (k + a) * prev) / (k + 1.0)
+    return cur
+
+
+class TestInPlaceRecurrence:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 80])
+    @pytest.mark.parametrize("a", [-0.5, 0.0, 2.7])
+    @pytest.mark.parametrize(
+        "x",
+        [np.array(3.5), np.array([3.5]), np.linspace(0.0, 400.0, 20000)],
+        ids=["0-d", "1-element", "2e4-points"],
+    )
+    def test_bitwise_equal_to_allocating_form(self, n, a, x):
+        got = specfun._recurrence(n, a, x)
+        want = _allocating_recurrence(n, a, x)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_bitwise_equal_through_overflow(self):
+        x = np.geomspace(1e-3, 1e300, 2000)
+        with np.errstate(all="ignore"):
+            got = specfun._recurrence(80, 150.0, x)
+            want = _allocating_recurrence(80, 150.0, x)
+        assert not np.all(np.isfinite(want))
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_zero_dimensional_input_through_public_api(self):
+        assert eval_sonine_laguerre(SonineLaguerre(1, 0.5), np.float64(2.0)) == -0.5
+        assert eval_sonine_laguerre(SonineLaguerre(5, 0.5), np.array(2.0)) == float(
+            _allocating_recurrence(5, 0.5, np.array(2.0))
+        )
+
+    def test_does_not_write_to_its_argument(self):
+        x = np.linspace(0.0, 10.0, 50)
+        kept = x.copy()
+        specfun._recurrence(7, 0.5, x)
+        assert np.array_equal(x, kept)
+
+
+def _full_triple_product(u, w, z, order):
+    """Product rule for u*w*z from complete four-entry stacks."""
+    if order == 0:
+        return u[0] * w[0] * z[0]
+    if order == 1:
+        return u[1] * w[0] * z[0] + u[0] * w[1] * z[0] + u[0] * w[0] * z[1]
+    if order == 2:
+        return (
+            u[2] * w[0] * z[0]
+            + u[0] * w[2] * z[0]
+            + u[0] * w[0] * z[2]
+            + 2.0 * (u[1] * w[1] * z[0] + u[1] * w[0] * z[1] + u[0] * w[1] * z[1])
+        )
+    return (
+        u[3] * w[0] * z[0]
+        + u[0] * w[3] * z[0]
+        + u[0] * w[0] * z[3]
+        + 3.0 * (u[2] * w[1] * z[0] + u[2] * w[0] * z[1])
+        + 3.0 * (u[1] * w[2] * z[0] + u[0] * w[2] * z[1])
+        + 3.0 * (u[1] * w[0] * z[2] + u[0] * w[1] * z[2])
+        + 6.0 * u[1] * w[1] * z[1]
+    )
+
+
+def _full_stack_derivative(form, arr, order):
+    """Every factor's stack built to third order, whatever order is asked for."""
+    q = form.exponent
+    u = (
+        np.power(arr, q),
+        q * np.power(arr, q - 1.0),
+        q * (q - 1.0) * np.power(arr, q - 2.0),
+        q * (q - 1.0) * (q - 2.0) * np.power(arr, q - 3.0),
+    )
+    if isinstance(form, _laguerre_forms.ExponentialLaguerreForm):
+        w0 = np.exp(-arr / (2.0 * form.scale))
+        rate = -1.0 / (2.0 * form.scale)
+        w = (w0, rate * w0, rate * rate * w0, rate**3 * w0)
+        t = arr / form.scale
+        p = [_laguerre_forms._poly_values(form._chain, t, j) for j in range(4)]
+        inv = 1.0 / form.scale
+        z = (p[0], p[1] * inv, p[2] * inv * inv, p[3] * inv**3)
+    else:
+        w0 = np.exp(-0.5 * arr * arr)
+        w = (w0, -arr * w0, (arr * arr - 1.0) * w0, (3.0 * arr - arr**3) * w0)
+        t = arr * arr
+        p = [_laguerre_forms._poly_values(form._chain, t, j) for j in range(4)]
+        z = (
+            p[0],
+            2.0 * arr * p[1],
+            2.0 * p[1] + 4.0 * t * p[2],
+            12.0 * arr * p[2] + 8.0 * arr**3 * p[3],
+        )
+    return form.norm * _full_triple_product(u, w, z, order)
+
+
+_DERIVATIVES = ("value", "derivative", "second_derivative", "third_derivative")
+
+_FORMS = {
+    "exponential-d1": lambda: _laguerre_forms.ExponentialLaguerreForm(0.75, 1.0, 1, 1.0),
+    "exponential-d5": lambda: _laguerre_forms.ExponentialLaguerreForm(2.5, 1.5, 5, 2.0),
+    "exponential-fractional": lambda: _laguerre_forms.ExponentialLaguerreForm(1.1, 1.3, 4, 1.6),
+    "exponential-d40": lambda: coulomb.CoulombState(3, 51, 10)._form,
+    "exponential-overflow": lambda: coulomb.CoulombState(3, 160, 150)._form,
+    "gaussian-d0": lambda: _laguerre_forms.GaussianLaguerreForm(1.5, 0, 1.0),
+    "gaussian-d2": lambda: _laguerre_forms.GaussianLaguerreForm(0.5, 2, 0.0),
+    "gaussian-fractional": lambda: _laguerre_forms.GaussianLaguerreForm(0.83, 3, 0.33),
+    "gaussian-d40": lambda: oscillator.OscillatorState(3, 84, 4)._form,
+}
+
+
+class TestDerivativeOrderSelection:
+    @pytest.mark.parametrize("form_id", sorted(_FORMS))
+    @pytest.mark.parametrize("order", range(4))
+    def test_equals_full_stack_product_rule(self, form_id, order):
+        form = _FORMS[form_id]()
+        grid = np.concatenate([np.linspace(1e-3, 60.0, 20000), np.geomspace(1e-3, 1e6, 300)])
+        with np.errstate(all="ignore"):
+            got = getattr(form, _DERIVATIVES[order])(grid)
+            want = _full_stack_derivative(form, grid, order)
+            scalar = getattr(form, _DERIVATIVES[order])(2.5)
+            scalar_want = float(_full_stack_derivative(form, np.asarray(2.5), order))
+        assert np.array_equal(got, want, equal_nan=True)
+        assert scalar == scalar_want or (math.isnan(scalar) and math.isnan(scalar_want))
+
+    @pytest.mark.parametrize(
+        "state",
+        [coulomb.CoulombState(3, 6, 1), oscillator.OscillatorState(2, 9, 1)],
+        ids=["coulomb-degree4", "oscillator-degree4"],
+    )
+    def test_each_order_runs_only_its_recurrences(self, state, monkeypatch):
+        calls = Counter()
+        original = _laguerre_forms.eval_sonine_laguerre
+
+        def counted(poly, x):
+            calls["recurrence"] += 1
+            return original(poly, x)
+
+        monkeypatch.setattr(_laguerre_forms, "eval_sonine_laguerre", counted)
+        assert state._form.degree >= 3
+        grid = np.linspace(0.1, 5.0, 7)
+        for order, name in enumerate(_DERIVATIVES):
+            calls.clear()
+            getattr(state, name)(grid)
+            assert calls["recurrence"] == order + 1, name
