@@ -12,7 +12,6 @@ from .config import ModelConfig, load_config, parse_config
 from .coulomb import (
     CoulombState,
     coulomb_energy,
-    eval_coulomb_state,
     eval_hydrogen_R,
     gamma_shift,
 )
@@ -33,7 +32,6 @@ from .geonium import (
     TrapConfig,
     TrapFrequencies,
     coulomb_to_geonium,
-    geonium_energy,
     geonium_energy_si,
     susy_operating_point,
     susy_tower_spectra,
@@ -48,7 +46,7 @@ from .maps import (
     solve_map_parameters,
     verify_map_identity,
 )
-from .oscillator import OscillatorState, eval_oscillator_state, oscillator_energy
+from .oscillator import OscillatorState, oscillator_energy
 from .oscillator import partner_spectra as oscillator_partner_spectra
 from .qdt import (
     AnharmonicModel,
@@ -77,7 +75,6 @@ from .susy import (
     SusyPair,
     apply_operator,
     apply_supercharge,
-    build_susy_pair,
     coulomb_superpotential,
     oscillator_superpotential,
 )
@@ -120,19 +117,15 @@ __all__ = [
     "apply_supercharge",
     "breaking_potential_coulomb",
     "breaking_potential_oscillator",
-    "build_susy_pair",
     "coulomb_energy",
     "coulomb_partner_spectra",
     "coulomb_superpotential",
     "coulomb_to_geonium",
     "enumerate_admissible_targets",
-    "eval_coulomb_state",
     "eval_hydrogen_R",
-    "eval_oscillator_state",
     "eval_sonine_laguerre",
     "eval_sonine_laguerre_derivative",
     "gamma_shift",
-    "geonium_energy",
     "geonium_energy_si",
     "illustrative_defect_model",
     "inner_product",

@@ -17,7 +17,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .specfun import SonineLaguerre, envelope_cutoff, eval_sonine_laguerre, laguerre_envelope_log
+from .specfun import (
+    SonineLaguerre,
+    envelope_cutoff,
+    eval_sonine_laguerre,
+    laguerre_envelope_log,
+    positive_grid,
+)
 
 
 def _poly_derivative_chain(degree, order):
@@ -38,15 +44,6 @@ def _poly_values(chain, t, j):
         return np.zeros_like(t)
     val = eval_sonine_laguerre(card, t)
     return -val if j % 2 else val
-
-
-def _check_positive_argument(x):
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("radial coordinate must be finite")
-    if np.any(arr <= 0.0):
-        raise DomainError("radial coordinate must be positive")
-    return arr
 
 
 def _first(order, *terms):
@@ -78,15 +75,64 @@ def _triple_product_derivatives(u, w, z, order):
     )
 
 
-class _LaguerreEnvelope:
-    """log |norm| + exponent log x - decay(x) + log L_degree^(order)(-t(x)) >= log |value(x)|.
+def _power_stack(x, exponent, order):
+    # u_j = exponent (exponent - 1) ... (exponent - j + 1) x**(exponent - j)
+    stack = [np.power(x, exponent)]
+    coeff = 1.0
+    for j in range(1, order + 1):
+        coeff *= exponent - (j - 1)
+        stack.append(coeff * np.power(x, exponent - j))
+    return stack
 
-    A form supplies _decay_and_argument(x) -> (decay, t) and
+
+class _LaguerreForm:
+    """norm * x**exponent * w(x) * L_degree^(order)(t(x)) under the product rule.
+
+    A form's __init__ passes exponent, degree and order up and sets its
+    normalization with _set_norm(log norm**-2).  It supplies
+    _factor_stacks(x, order) -> (w, z), the derivative stacks of the
+    exponential and polynomial factors up to order; for the envelope,
+    _decay_and_argument(x) -> (decay, t) with w = exp(-decay); and
     _envelope_decreasing_from(), past which the envelope falls.
     """
 
+    def __init__(self, exponent, degree, order):
+        if not (exponent > 0.0):
+            raise DomainError(f"power exponent must be positive, got {exponent!r}")
+        self.exponent = float(exponent)
+        self.degree = int(degree)
+        self.order = float(order)
+        self._chain = _poly_derivative_chain(self.degree, self.order)
+
+    def _set_norm(self, log_sq):
+        self.log_norm = -0.5 * log_sq
+        self.norm = math.exp(self.log_norm)
+
+    def _poly_stack(self, t, order):
+        return [_poly_values(self._chain, t, j) for j in range(order + 1)]
+
+    def _derivative(self, x, order):
+        arr = positive_grid(x)
+        u = _power_stack(arr, self.exponent, order)
+        w, z = self._factor_stacks(arr, order)
+        out = self.norm * _triple_product_derivatives(u, w, z, order)
+        return float(out) if np.ndim(x) == 0 else out
+
+    def value(self, x):
+        return self._derivative(x, 0)
+
+    def derivative(self, x):
+        return self._derivative(x, 1)
+
+    def second_derivative(self, x):
+        return self._derivative(x, 2)
+
+    def third_derivative(self, x):
+        return self._derivative(x, 3)
+
     def log_envelope(self, x):
-        arr = _check_positive_argument(x)
+        """log |norm| + exponent log x - decay(x) + log L_degree^(order)(-t(x)) >= log |value(x)|."""
+        arr = positive_grid(x)
         decay, t = self._decay_and_argument(arr)
         return (
             self.log_norm
@@ -101,41 +147,24 @@ class _LaguerreEnvelope:
         return envelope_cutoff(self.log_envelope, self._envelope_decreasing_from())
 
 
-def _power_stack(x, exponent, order):
-    # u_j = exponent (exponent - 1) ... (exponent - j + 1) x**(exponent - j)
-    stack = [np.power(x, exponent)]
-    coeff = 1.0
-    for j in range(1, order + 1):
-        coeff *= exponent - (j - 1)
-        stack.append(coeff * np.power(x, exponent - j))
-    return stack
-
-
-class ExponentialLaguerreForm(_LaguerreEnvelope):
+class ExponentialLaguerreForm(_LaguerreForm):
     """norm * x**exponent * exp(-x/(2*scale)) * L_degree^(order)(x/scale)."""
 
     def __init__(self, scale, exponent, degree, order):
         if not (scale > 0.0):
             raise DomainError(f"exponential scale must be positive, got {scale!r}")
-        if not (exponent > 0.0):
-            raise DomainError(f"power exponent must be positive, got {exponent!r}")
         self.scale = float(scale)
-        self.exponent = float(exponent)
-        self.degree = int(degree)
-        self.order = float(order)
-        self._chain = _poly_derivative_chain(self.degree, self.order)
+        super().__init__(exponent, degree, order)
         # unit-L2-norm constant; requires 2*exponent == order + 1, which every
         # state family in this package satisfies by construction
         if not math.isclose(2.0 * self.exponent, self.order + 1.0, rel_tol=0.0, abs_tol=1e-12):
             raise DomainError("form violates the 2q = order + 1 normalization relation")
-        log_sq = (
+        self._set_norm(
             (self.order + 2.0) * math.log(self.scale)
             + math.lgamma(self.degree + self.order + 1.0)
             + math.log(2.0 * self.degree + self.order + 1.0)
             - math.lgamma(self.degree + 1.0)
         )
-        self.log_norm = -0.5 * log_sq
-        self.norm = math.exp(self.log_norm)
 
     def _decay_and_argument(self, arr):
         return arr / (2.0 * self.scale), arr / self.scale
@@ -145,55 +174,32 @@ class ExponentialLaguerreForm(_LaguerreEnvelope):
         # falls once x >= 2 scale (exponent + p)
         return 2.0 * self.scale * (self.exponent + self.degree)
 
-    def _derivative(self, x, order):
-        arr = _check_positive_argument(x)
-        u = _power_stack(arr, self.exponent, order)
+    def _factor_stacks(self, arr, order):
         w0 = np.exp(-arr / (2.0 * self.scale))
         rate = -1.0 / (2.0 * self.scale)
         w = _first(
             order, lambda: w0, lambda: rate * w0, lambda: rate * rate * w0, lambda: rate**3 * w0
         )
-        t = arr / self.scale
-        p = [_poly_values(self._chain, t, j) for j in range(order + 1)]
+        p = self._poly_stack(arr / self.scale, order)
         inv = 1.0 / self.scale
         z = _first(
             order, lambda: p[0], lambda: p[1] * inv, lambda: p[2] * inv * inv, lambda: p[3] * inv**3
         )
-        out = self.norm * _triple_product_derivatives(u, w, z, order)
-        return float(out) if np.ndim(x) == 0 else out
-
-    def value(self, x):
-        return self._derivative(x, 0)
-
-    def derivative(self, x):
-        return self._derivative(x, 1)
-
-    def second_derivative(self, x):
-        return self._derivative(x, 2)
-
-    def third_derivative(self, x):
-        return self._derivative(x, 3)
+        return w, z
 
 
-class GaussianLaguerreForm(_LaguerreEnvelope):
+class GaussianLaguerreForm(_LaguerreForm):
     """norm * x**exponent * exp(-x**2/2) * L_degree^(order)(x**2)."""
 
     def __init__(self, exponent, degree, order):
-        if not (exponent > 0.0):
-            raise DomainError(f"power exponent must be positive, got {exponent!r}")
-        self.exponent = float(exponent)
-        self.degree = int(degree)
-        self.order = float(order)
-        self._chain = _poly_derivative_chain(self.degree, self.order)
+        super().__init__(exponent, degree, order)
         if not math.isclose(self.exponent, self.order + 0.5, rel_tol=0.0, abs_tol=1e-12):
             raise DomainError("form violates the q = order + 1/2 normalization relation")
-        log_sq = (
+        self._set_norm(
             math.lgamma(self.degree + self.order + 1.0)
             - math.log(2.0)
             - math.lgamma(self.degree + 1.0)
         )
-        self.log_norm = -0.5 * log_sq
-        self.norm = math.exp(self.log_norm)
 
     def _decay_and_argument(self, arr):
         t = arr * arr
@@ -204,9 +210,7 @@ class GaussianLaguerreForm(_LaguerreEnvelope):
         # falls once x**2 >= exponent + 2p
         return math.sqrt(self.exponent + 2.0 * self.degree)
 
-    def _derivative(self, x, order):
-        arr = _check_positive_argument(x)
-        u = _power_stack(arr, self.exponent, order)
+    def _factor_stacks(self, arr, order):
         w0 = np.exp(-0.5 * arr * arr)
         w = _first(
             order,
@@ -216,7 +220,7 @@ class GaussianLaguerreForm(_LaguerreEnvelope):
             lambda: (3.0 * arr - arr**3) * w0,
         )
         t = arr * arr
-        p = [_poly_values(self._chain, t, j) for j in range(order + 1)]
+        p = self._poly_stack(t, order)
         z = _first(
             order,
             lambda: p[0],
@@ -224,17 +228,4 @@ class GaussianLaguerreForm(_LaguerreEnvelope):
             lambda: 2.0 * p[1] + 4.0 * t * p[2],
             lambda: 12.0 * arr * p[2] + 8.0 * arr**3 * p[3],
         )
-        out = self.norm * _triple_product_derivatives(u, w, z, order)
-        return float(out) if np.ndim(x) == 0 else out
-
-    def value(self, x):
-        return self._derivative(x, 0)
-
-    def derivative(self, x):
-        return self._derivative(x, 1)
-
-    def second_derivative(self, x):
-        return self._derivative(x, 2)
-
-    def third_derivative(self, x):
-        return self._derivative(x, 3)
+        return w, z

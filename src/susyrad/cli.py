@@ -13,8 +13,9 @@ from dataclasses import asdict
 from fractions import Fraction
 
 import click
+import numpy as np
 
-from . import __version__, geonium, reports
+from . import __version__, geonium, maps, reports
 from . import verify as verify_suite
 from .config import load_config
 from .errors import (
@@ -40,7 +41,10 @@ _FATAL = (
 
 def _build(builder):
     try:
-        return builder()
+        # an overflow shows up as a non-finite number that rendering refuses with a
+        # typed error, so numpy's warnings about it would only repeat that on stderr
+        with np.errstate(all="ignore"):
+            return builder()
     except _FATAL as exc:
         raise click.ClickException(str(exc)) from exc
 
@@ -86,15 +90,11 @@ def _config_option(fn):
 
 
 def _load_model(family, config_path, dimension):
-    if family == "defect":
-        if config_path is None:
-            raise ConfigError("the defect family needs --config (or $SUSYRAD_CONFIG)")
-        return load_config(config_path).defect_model(dimension)
-    if family == "anharmonic":
-        if config_path is None:
-            raise ConfigError("the anharmonic family needs --config (or $SUSYRAD_CONFIG)")
-        return load_config(config_path).anharmonic_model(dimension)
-    return None
+    if family not in ("defect", "anharmonic"):
+        return None
+    if config_path is None:
+        raise ConfigError(f"the {family} family needs --config (or $SUSYRAD_CONFIG)")
+    return load_config(config_path).model(family, dimension)
 
 
 @click.group()
@@ -193,16 +193,7 @@ def _lambda_values(lam_spec, lam_range, mode):
     if ".." not in lam_range:
         raise AdmissibilityError(f"--lambda-range wants lo..hi, got {lam_range!r}")
     lo_text, hi_text = lam_range.split("..", 1)
-    lo, hi = Fraction(lo_text.strip()), Fraction(hi_text.strip())
-    if hi < lo:
-        raise AdmissibilityError(f"empty range {lam_range!r}")
-    step = Fraction(1, 2) if mode == "broken" else Fraction(1)
-    values = []
-    lam = lo
-    while lam <= hi:
-        values.append(lam)
-        lam += step
-    return values
+    return maps.lambda_candidates(Fraction(lo_text.strip()), Fraction(hi_text.strip()), mode)
 
 
 @main.command("map")
@@ -241,18 +232,6 @@ def _trap_flag_options(fn):
         help="Preset particle (electron or proton); ignored when charge and mass are given.",
     )(fn)
     return fn
-
-
-def _charge_mass(species, charge, mass):
-    if charge is not None and mass is not None:
-        return float(charge), float(mass)
-    preset = geonium.PRESETS.get(species)
-    if preset is None:
-        raise AdmissibilityError(f"unknown species {species!r}; give --charge and --mass")
-    return (
-        preset.charge if charge is None else float(charge),
-        preset.mass if mass is None else float(mass),
-    )
 
 
 def _trap_config_from(b_field, voltage, length, species, charge, mass, config_path, required):
@@ -306,7 +285,7 @@ def operating_point(b_field, length, species, charge, mass, fmt, out_path):
     """Voltage at which the trap's two ladders become degenerate."""
 
     def builder():
-        e, m = _charge_mass(species, charge, mass)
+        e, m = geonium.charge_and_mass(species, charge, mass)
         return reports.trap_operating_point_record(b_field, length, e, m)
 
     _emit(_build(builder), fmt, out_path)

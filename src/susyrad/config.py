@@ -24,9 +24,15 @@ from .qdt import AnharmonicModel, DefectModel
 
 FORMAT_VERSION = 1
 
-_DEFECT_KEYS = {"dimension", "l", "n", "delta", "shift"}
-_ANHARMONIC_KEYS = {"dimension", "L", "N", "Delta", "shift"}
-_TRAP_KEYS = {"B_tesla", "V_volt", "d_meter", "species", "e_coulomb", "m_kg"}
+# model section -> (model class, angular key, principal key, table value key)
+_MODEL_SECTIONS = {
+    "defect": (DefectModel, "l", "n", "delta"),
+    "anharmonic": (AnharmonicModel, "L", "N", "Delta"),
+}
+_SECTION_KEYS = {
+    section: {"dimension", "shift", *keys} for section, (_, *keys) in _MODEL_SECTIONS.items()
+}
+_SECTION_KEYS["trap"] = {"B_tesla", "V_volt", "d_meter", "species", "e_coulomb", "m_kg"}
 
 
 @dataclass(frozen=True)
@@ -51,7 +57,7 @@ def parse_config(text: str) -> list[ConfigRecord]:
             if not version_seen:
                 raise ConfigError("format_version must appear before the first section")
             name = line[1:-1].strip()
-            if name not in ("defect", "anharmonic", "trap"):
+            if name not in _SECTION_KEYS:
                 raise ConfigError(f"line {lineno}: unknown section {name!r}")
             current = ConfigRecord(section=name, line=lineno, fields={})
             records.append(current)
@@ -74,12 +80,7 @@ def parse_config(text: str) -> list[ConfigRecord]:
             continue
         if key in current.fields:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{current.section}]")
-        allowed = {
-            "defect": _DEFECT_KEYS,
-            "anharmonic": _ANHARMONIC_KEYS,
-            "trap": _TRAP_KEYS,
-        }[current.section]
-        if key not in allowed:
+        if key not in _SECTION_KEYS[current.section]:
             raise ConfigError(f"line {lineno}: key {key!r} not valid in [{current.section}]")
         current.fields[key] = value
     if not version_seen:
@@ -118,47 +119,34 @@ class ModelConfig:
     def _dimensions(self, section):
         return sorted({_as_int(r, "dimension") for r in self.records if r.section == section})
 
-    def defect_model(self, dimension: int | None = None) -> DefectModel:
-        dims = self._dimensions("defect")
+    def model(self, section: str, dimension: int | None = None):
+        """The DefectModel or AnharmonicModel built from one model section's records."""
+        model_class, l_key, n_key, value_key = _MODEL_SECTIONS[section]
+        dims = self._dimensions(section)
         if not dims:
-            raise ConfigError("no [defect] records in configuration")
+            raise ConfigError(f"no [{section}] records in configuration")
         if dimension is None:
             if len(dims) > 1:
-                raise ConfigError(f"defect records for several dimensions {dims}; pick one")
-            dimension = dims[0]
-        defects: dict = {}
-        shifts: dict = {}
-        for record in self.records:
-            if record.section != "defect" or _as_int(record, "dimension") != dimension:
-                continue
-            l = _as_int(record, "l")
-            key = (l, _as_int(record, "n")) if "n" in record.fields else l
-            defects[key] = _as_float(record, "delta")
-            shifts[l] = _as_int(record, "shift")
-        if not defects:
-            raise ConfigError(f"no [defect] records for dimension {dimension}")
-        return DefectModel(dimension, defects, shifts)
-
-    def anharmonic_model(self, dimension: int | None = None) -> AnharmonicModel:
-        dims = self._dimensions("anharmonic")
-        if not dims:
-            raise ConfigError("no [anharmonic] records in configuration")
-        if dimension is None:
-            if len(dims) > 1:
-                raise ConfigError(f"anharmonic records for several dimensions {dims}; pick one")
+                raise ConfigError(f"{section} records for several dimensions {dims}; pick one")
             dimension = dims[0]
         table: dict = {}
         shifts: dict = {}
         for record in self.records:
-            if record.section != "anharmonic" or _as_int(record, "dimension") != dimension:
+            if record.section != section or _as_int(record, "dimension") != dimension:
                 continue
-            big_l = _as_int(record, "L")
-            key = (big_l, _as_int(record, "N")) if "N" in record.fields else big_l
-            table[key] = _as_float(record, "Delta")
-            shifts[big_l] = _as_int(record, "shift")
+            l = _as_int(record, l_key)
+            key = (l, _as_int(record, n_key)) if n_key in record.fields else l
+            table[key] = _as_float(record, value_key)
+            shifts[l] = _as_int(record, "shift")
         if not table:
-            raise ConfigError(f"no [anharmonic] records for dimension {dimension}")
-        return AnharmonicModel(dimension, table, shifts)
+            raise ConfigError(f"no [{section}] records for dimension {dimension}")
+        return model_class(dimension, table, shifts)
+
+    def defect_model(self, dimension: int | None = None) -> DefectModel:
+        return self.model("defect", dimension)
+
+    def anharmonic_model(self, dimension: int | None = None) -> AnharmonicModel:
+        return self.model("anharmonic", dimension)
 
     def trap(self) -> TrapConfig:
         for record in self.records:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import maps, oscillator
 from .errors import AdmissibilityError, StabilityError, VerificationError
-from .qdt import AnharmonicModel
+from .oscillator import OscillatorState
 
 
 # CODATA 2022 (SI): e and h are exact by definition; equal to scipy.constants
@@ -64,9 +64,8 @@ class TrapConfig:
             )
 
 
-def trap_config(magnetic_field, electrode_voltage, trap_length, species="electron",
-                charge=None, mass=None) -> TrapConfig:
-    """Build a TrapConfig from a named preset or explicit charge and mass."""
+def charge_and_mass(species="electron", charge=None, mass=None) -> tuple[float, float]:
+    """A named preset's charge and mass, each replaced by an explicit value when given."""
     if charge is None or mass is None:
         try:
             preset = PRESETS[species]
@@ -76,12 +75,19 @@ def trap_config(magnetic_field, electrode_voltage, trap_length, species="electro
             ) from None
         charge = preset.charge if charge is None else charge
         mass = preset.mass if mass is None else mass
+    return float(charge), float(mass)
+
+
+def trap_config(magnetic_field, electrode_voltage, trap_length, species="electron",
+                charge=None, mass=None) -> TrapConfig:
+    """Build a TrapConfig from a named preset or explicit charge and mass."""
+    charge, mass = charge_and_mass(species, charge, mass)
     return TrapConfig(
         magnetic_field=float(magnetic_field),
         electrode_voltage=float(electrode_voltage),
         trap_length=float(trap_length),
-        charge=float(charge),
-        mass=float(mass),
+        charge=charge,
+        mass=mass,
     )
 
 
@@ -174,14 +180,9 @@ class GeoniumLevel:
         """Quanta of hbar*w at the operating point: N* + 1."""
         return self.modified_principal + 1.0
 
-    def state(self):
+    def state(self) -> OscillatorState:
         """The underlying D = 2 anharmonic radial state."""
-        model = AnharmonicModel(2, {self.angular: self.anharmonicity}, {self.angular: 0})
-        return model.state(self.principal, self.angular)
-
-
-def geonium_energy(level: GeoniumLevel) -> float:
-    return level.energy
+        return OscillatorState(2, self.principal, self.angular, anharmonicity=self.anharmonicity)
 
 
 def geonium_energy_si(level: GeoniumLevel, config: TrapConfig) -> float:

@@ -11,13 +11,15 @@ sqrt(Y) times the target state, and the constant is measured, not asserted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .coulomb import CoulombState, gamma_shift
 from .errors import AdmissibilityError, VerificationError
-from .qdt import AnharmonicModel, DefectModel
+from .oscillator import OscillatorState
 
 _INTEGRALITY_TOL = 1e-9
 _NODE_EXCLUSION = 1e-6
@@ -98,7 +100,7 @@ def solve_map_parameters(
     violations = []
     lam_frac = _snap_half_integer(lam)
     if lam_frac is None:
-        violations.append(f"lambda = {lam!r} is not an integer or half-integer")
+        violations.append(f"lambda = {lam} is not an integer or half-integer")
         return ConstraintReport(tuple(violations))
     if mode == "exact" and lam_frac.denominator != 1:
         violations.append(f"lambda = {lam_frac} is not an integer in exact mode")
@@ -123,8 +125,7 @@ def solve_map_parameters(
         return ConstraintReport(tuple(violations))
 
     big_d, big_n, big_l = int(round(big_d)), int(round(big_n)), int(round(big_l))
-    gamma = (d - 3) / 2.0
-    big_gamma = (big_d - 3) / 2.0
+    gamma = gamma_shift(d)
     l_star = l + i - delta
     big_l_star = big_l + 2.0 * I - 2.0 * Delta
 
@@ -146,10 +147,10 @@ def solve_map_parameters(
         violations.append(f"source l*+gamma+1 = {l_star + gamma + 1.0:g} is not positive")
     if not (n - delta + gamma > 0.0):
         violations.append(f"source n*+gamma = {n - delta + gamma:g} is not positive")
-    if big_d >= 2 and not (big_l_star + big_gamma + 1.0 > 0.0):
-        violations.append(
-            f"target L*+Gamma+1 = {big_l_star + big_gamma + 1.0:g} is not positive"
-        )
+    if big_d >= 2:
+        target_bound = big_l_star + gamma_shift(big_d) + 1.0
+        if not (target_bound > 0.0):
+            violations.append(f"target L*+Gamma+1 = {target_bound:g} is not positive")
     if violations:
         return ConstraintReport(tuple(violations))
 
@@ -183,16 +184,12 @@ class MapVerification:
         return int(np.sum(~self.included))
 
 
-def _source_state(spec: MapSpec):
-    d, n, l = spec.source
-    model = DefectModel(d, {l: spec.delta_defect}, {l: spec.shift_i})
-    return model.state(n, l)
+def _source_state(spec: MapSpec) -> CoulombState:
+    return CoulombState(*spec.source, delta=spec.delta_defect, shift=spec.shift_i)
 
 
-def _target_state(spec: MapSpec):
-    big_d, big_n, big_l = spec.target
-    model = AnharmonicModel(big_d, {big_l: spec.anharmonicity}, {big_l: spec.shift_I})
-    return model.state(big_n, big_l)
+def _target_state(spec: MapSpec) -> OscillatorState:
+    return OscillatorState(*spec.target, anharmonicity=spec.anharmonicity, shift=spec.shift_I)
 
 
 def verify_map_identity(spec: MapSpec, grid=None) -> MapVerification:
@@ -234,6 +231,24 @@ def verify_map_identity(spec: MapSpec, grid=None) -> MapVerification:
     )
 
 
+def lambda_candidates(lo, hi, mode: str = "exact") -> list[Fraction]:
+    """The lambda grid on [lo, hi]: integers in exact mode, half-integers otherwise.
+
+    The grid starts at its first point >= lo; an empty grid raises.
+    """
+    step = Fraction(1) if mode == "exact" else Fraction(1, 2)
+    lam = math.ceil(Fraction(lo) / step) * step
+    candidates = []
+    while lam <= hi:
+        candidates.append(lam)
+        lam += step
+    if not candidates:
+        raise AdmissibilityError(
+            f"no candidate lambda values in [{float(lo):g}, {float(hi):g}]"
+        )
+    return candidates
+
+
 def enumerate_admissible_targets(
     source,
     lambda_range,
@@ -245,22 +260,12 @@ def enumerate_admissible_targets(
 ):
     """All admissible MapSpecs with lambda scanned over [lo, hi].
 
-    Exact mode scans integers; broken mode scans half-integer steps.  Raises
-    on an empty candidate set; inadmissible candidates are silently skipped
-    (their reports are available through solve_map_parameters).
+    The candidates come from lambda_candidates, so an empty grid raises;
+    inadmissible candidates are silently skipped (their reports are available
+    through solve_map_parameters).
     """
-    lo, hi = float(lambda_range[0]), float(lambda_range[1])
-    step = Fraction(1) if mode == "exact" else Fraction(1, 2)
-    start = Fraction(int(np.ceil(lo / float(step)))) * step
-    candidates = []
-    lam = start
-    while float(lam) <= hi + 1e-12:
-        candidates.append(lam)
-        lam += step
-    if not candidates:
-        raise AdmissibilityError(f"no candidate lambda values in [{lo:g}, {hi:g}]")
     specs = []
-    for lam in candidates:
+    for lam in lambda_candidates(*lambda_range, mode=mode):
         solved = solve_map_parameters(source, lam, mode=mode, delta=delta, i=i, Delta=Delta, I=I)
         if isinstance(solved, MapSpec):
             specs.append(solved)

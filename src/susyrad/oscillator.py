@@ -2,71 +2,88 @@
 
 Same bookkeeping as the Coulomb family: Gamma = (D-3)/2 folds the dimension
 into the radial equation, and only N - L even is admissible (the polynomial
-degree is (N-L)/2).  Operator-side eigenvalues are 2E.
+degree is (N-L)/2).  Operator-side eigenvalues are 2E.  An anharmonicity and
+an integer shift replace (N, L) by starred numbers in the same functional
+form; the anharmonic model in `qdt` supplies them from a table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from ._laguerre_forms import GaussianLaguerreForm
+from .coulomb import check_shift, gamma_shift
 from .errors import AdmissibilityError, ParityError
 from .susy import RadialOperator
 
 
-def _validate_dimension(dimension):
-    if not isinstance(dimension, (int, np.integer)) or dimension < 2:
-        raise AdmissibilityError(f"dimension must be an integer >= 2, got {dimension!r}")
+def check_anharmonicity(value, name="anharmonicity"):
+    if not (value >= 0.0):
+        raise AdmissibilityError(f"{name} must be >= 0, got {value!r}")
 
 
-def gamma_shift(dimension: int) -> float:
-    _validate_dimension(dimension)
-    return (dimension - 3) / 2.0
+def check_quantum_numbers(principal, angular):
+    """0 <= L <= N with N - L even."""
+    if not isinstance(principal, (int, np.integer)) or principal < 0:
+        raise AdmissibilityError(f"principal number must be >= 0, got {principal!r}")
+    if not isinstance(angular, (int, np.integer)) or not (0 <= angular <= principal):
+        raise AdmissibilityError(
+            f"angular number must satisfy 0 <= L <= N, got L={angular!r} N={principal!r}"
+        )
+    if (principal - angular) % 2:
+        raise ParityError(f"N - L must be even, got N={principal} L={angular}")
 
 
 def oscillator_energy(dimension: int, principal: int) -> float:
     """E = (2N + 2Gamma + 3)/2 in the family's dimensionless units."""
-    _validate_dimension(dimension)
+    gamma = gamma_shift(dimension)
     if not isinstance(principal, (int, np.integer)) or principal < 0:
         raise AdmissibilityError(f"principal number must be an integer >= 0, got {principal!r}")
-    return (2.0 * principal + 2.0 * gamma_shift(dimension) + 3.0) / 2.0
+    return (2.0 * principal + 2.0 * gamma + 3.0) / 2.0
 
 
-@dataclass(frozen=True)
 class OscillatorState:
-    dimension: int
-    principal: int
-    angular: int
+    """Oscillator-form state with N* = N - 2 Delta and L* = L + 2 shift - 2 Delta.
 
-    def __post_init__(self):
-        _validate_dimension(self.dimension)
-        if not isinstance(self.principal, (int, np.integer)) or self.principal < 0:
-            raise AdmissibilityError(f"principal number must be >= 0, got {self.principal!r}")
-        if not isinstance(self.angular, (int, np.integer)) or not (
-            0 <= self.angular <= self.principal
-        ):
+    The anharmonicity Delta is >= 0 and the shift an integer >= 0; both
+    default to zero, which is the exact family.
+    """
+
+    def __init__(self, dimension: int, principal: int, angular: int, anharmonicity: float = 0.0,
+                 shift: int = 0):
+        gamma = gamma_shift(dimension)
+        check_anharmonicity(anharmonicity)
+        check_shift(shift)
+        check_quantum_numbers(principal, angular)
+        self.dimension, self.principal, self.angular = dimension, principal, angular
+        self._set_starred(gamma, float(anharmonicity), int(shift))
+
+    def _set_starred(self, g, anharmonicity, shift):
+        """Check and store the starred numbers; AnharmonicState calls this after its lookups."""
+        n, l = self.principal, self.angular
+        degree = (n - l) // 2 - shift
+        if degree < 0:
             raise AdmissibilityError(
-                f"angular number must satisfy 0 <= L <= N, got L={self.angular!r} N={self.principal!r}"
+                f"polynomial degree (N-L)/2 - I = {degree} is negative for N={n} L={l} I={shift}"
             )
-        if (self.principal - self.angular) % 2:
-            raise ParityError(
-                f"N - L must be even, got N={self.principal} L={self.angular}"
+        n_star = n - 2.0 * anharmonicity
+        l_star = l + 2.0 * shift - 2.0 * anharmonicity
+        if not (l_star + g + 1.0 > 0.0):
+            raise AdmissibilityError(
+                f"L*+Gamma+1 = {l_star + g + 1.0:g} must be positive (normalizability)"
             )
-
-    @property
-    def gamma(self) -> float:
-        return gamma_shift(self.dimension)
+        self.anharmonicity, self.shift, self.gamma = anharmonicity, shift, g
+        self.n_star, self.l_star, self.degree = n_star, l_star, degree
 
     @cached_property
     def _form(self) -> GaussianLaguerreForm:
         g = self.gamma
         return GaussianLaguerreForm(
-            exponent=self.angular + g + 1.0,
-            degree=(self.principal - self.angular) // 2,
-            order=self.angular + g + 0.5,
+            exponent=self.l_star + g + 1.0,
+            degree=self.degree,
+            order=self.l_star + g + 0.5,
         )
 
     @property
@@ -75,7 +92,7 @@ class OscillatorState:
 
     @property
     def energy(self) -> float:
-        return oscillator_energy(self.dimension, self.principal)
+        return (2.0 * self.n_star + 2.0 * self.gamma + 3.0) / 2.0
 
     def value(self, y):
         return self._form.value(y)
@@ -92,7 +109,7 @@ class OscillatorState:
         return self._form.third_derivative(y)
 
     def operator(self) -> RadialOperator:
-        lg = self.angular + self.gamma
+        lg = self.l_star + self.gamma
         return RadialOperator(
             coulomb_strength=0.0,
             oscillator_strength=1.0,
@@ -102,10 +119,6 @@ class OscillatorState:
     def operator_eigenvalue(self) -> float:
         """The bracket equation carries 2E."""
         return 2.0 * self.energy
-
-
-def eval_oscillator_state(state: OscillatorState, y):
-    return state.value(y)
 
 
 def partner_spectra(dimension: int, angular: int, count: int):

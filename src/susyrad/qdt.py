@@ -9,19 +9,20 @@ between the starred and unstarred radial operators plus the eigenvalue
 bookkeeping constant, so the unstarred operator with the breaking potential
 added has the starred functions as eigenfunctions at the rigid bracket
 eigenvalue; the physical level shift lives in the starred decay scale.
+
+The models are tables keyed by the angular number; the starred numbers, their
+admissibility and the states themselves belong to `CoulombState` and
+`OscillatorState`, which take delta (Delta) and the shift directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
-from ._laguerre_forms import ExponentialLaguerreForm, GaussianLaguerreForm
-from .coulomb import gamma_shift
-from .errors import AdmissibilityError, ParityError
-from .susy import RadialOperator
+from .coulomb import CoulombState, check_defect, check_shift, gamma_shift
+from .errors import AdmissibilityError
+from .oscillator import OscillatorState, check_anharmonicity, check_quantum_numbers
+from .specfun import positive_grid
 
 
 def _normalize_table(table, kind, value_check):
@@ -33,144 +34,70 @@ def _normalize_table(table, kind, value_check):
             lkey = (int(key[0]), int(key[1]))
         else:
             lkey = int(key)
-        value_check(key, value)
-        out[lkey] = value
+        value_check(value, f"{kind} for {key!r}")
+        out[lkey] = float(value)
     return out
+
+
+def _shift_table(shifts):
+    for key, value in shifts.items():
+        check_shift(value, f"shift for {key!r}")
+    return {int(k): int(v) for k, v in shifts.items()}
+
+
+def _lookup(table, kind, symbol, angular, principal=None):
+    """The (angular, principal) entry when the table has one, else the angular entry."""
+    if principal is not None and (int(angular), int(principal)) in table:
+        return table[(int(angular), int(principal))]
+    try:
+        return table[int(angular)]
+    except KeyError:
+        raise AdmissibilityError(f"no {kind} entry for {symbol}={angular}") from None
 
 
 class DefectModel:
     """Defect table keyed by l (asymptotic) or (l, n), plus integer shifts by l."""
 
     def __init__(self, dimension: int, defects: dict, shifts: dict):
-        if not isinstance(dimension, (int, np.integer)) or dimension < 2:
-            raise AdmissibilityError(f"dimension must be an integer >= 2, got {dimension!r}")
+        self.gamma = gamma_shift(dimension)
         self.dimension = int(dimension)
-        self.gamma = gamma_shift(self.dimension)
-
-        def check_delta(key, value):
-            if not (0.0 <= value < 1.0):
-                raise AdmissibilityError(f"defect for {key!r} must lie in [0, 1), got {value!r}")
-
-        def check_shift(key, value):
-            if not isinstance(value, (int, np.integer)) or value < 0:
-                raise AdmissibilityError(f"shift for {key!r} must be an integer >= 0, got {value!r}")
-
-        self.defect_table = _normalize_table(defects, "defect", check_delta)
-        for key, value in shifts.items():
-            check_shift(key, value)
-        self.integer_shift_table = {int(k): int(v) for k, v in shifts.items()}
+        self.defect_table = _normalize_table(defects, "defect", check_defect)
+        self.integer_shift_table = _shift_table(shifts)
 
     def delta(self, angular: int, principal: int | None = None) -> float:
         """n-specific value when present, else the asymptotic l entry."""
-        if principal is not None and (int(angular), int(principal)) in self.defect_table:
-            return float(self.defect_table[(int(angular), int(principal))])
-        try:
-            return float(self.defect_table[int(angular)])
-        except KeyError:
-            raise AdmissibilityError(f"no defect entry for l={angular}") from None
+        return _lookup(self.defect_table, "defect", "l", angular, principal)
 
     def shift(self, angular: int) -> int:
-        try:
-            return self.integer_shift_table[int(angular)]
-        except KeyError:
-            raise AdmissibilityError(f"no shift entry for l={angular}") from None
+        return _lookup(self.integer_shift_table, "shift", "l", angular)
 
     def state(self, principal: int, angular: int) -> "DefectState":
         return DefectState(self, principal, angular)
 
 
-def _defect_numbers(model: DefectModel, principal: int, angular: int):
-    n, l = int(principal), int(angular)
-    if n < 1:
-        raise AdmissibilityError(f"principal number must be >= 1, got {principal!r}")
-    if l < 0:
-        raise AdmissibilityError(f"angular number must be >= 0, got {angular!r}")
-    delta = model.delta(l, n)
-    shift = model.shift(l)
-    if n - l - shift - 1 < 0:
-        raise AdmissibilityError(
-            f"polynomial degree n-l-i-1 = {n - l - shift - 1} is negative for n={n} l={l} i={shift}"
-        )
-    n_star = n - delta
-    l_star = l + shift - delta
-    if not (l_star + model.gamma + 1.0 > 0.0):
-        raise AdmissibilityError(
-            f"l*+gamma+1 = {l_star + model.gamma + 1.0:g} must be positive (normalizability)"
-        )
-    if not (n_star + model.gamma > 0.0):
-        raise AdmissibilityError(
-            f"n*+gamma = {n_star + model.gamma:g} must be positive (bound-state scale)"
-        )
-    return delta, shift, n_star, l_star
-
-
-class DefectState:
+class DefectState(CoulombState):
     """Coulomb-form state with starred quantum numbers from a DefectModel."""
 
     def __init__(self, model: DefectModel, principal: int, angular: int):
+        # checks before the table lookups, in the order and wording the model has always used
+        n, l = int(principal), int(angular)
+        if n < 1:
+            raise AdmissibilityError(f"principal number must be >= 1, got {principal!r}")
+        if l < 0:
+            raise AdmissibilityError(f"angular number must be >= 0, got {angular!r}")
         self.model = model
-        self.principal = int(principal)
-        self.angular = int(angular)
-        self.delta, self.shift, self.n_star, self.l_star = _defect_numbers(
-            model, principal, angular
-        )
+        self.dimension, self.principal, self.angular = model.dimension, n, l
+        self._set_starred(model.gamma, model.delta(l, n), model.shift(l))
 
-    @property
-    def gamma(self) -> float:
-        return self.model.gamma
-
-    @cached_property
-    def _form(self) -> ExponentialLaguerreForm:
-        g = self.gamma
-        return ExponentialLaguerreForm(
-            scale=self.n_star + g,
-            exponent=self.l_star + g + 1.0,
-            degree=self.principal - self.angular - self.shift - 1,
-            order=2.0 * self.l_star + 2.0 * g + 1.0,
-        )
-
-    @property
-    def normalization(self) -> float:
-        return self._form.norm
-
-    @property
-    def energy(self) -> float:
-        return -1.0 / (2.0 * (self.n_star + self.gamma) ** 2)
-
-    def value(self, y):
-        return self._form.value(y)
-
-    __call__ = value
-
-    def derivative(self, y):
-        return self._form.derivative(y)
-
-    def second_derivative(self, y):
-        return self._form.second_derivative(y)
-
-    def third_derivative(self, y):
-        return self._form.third_derivative(y)
-
-    def operator(self) -> RadialOperator:
-        lg = self.l_star + self.gamma
-        return RadialOperator(
-            coulomb_strength=1.0,
-            oscillator_strength=0.0,
-            centrifugal=lg * (lg + 1.0),
-        )
-
-    def operator_eigenvalue(self) -> float:
-        return 0.5 * self.energy
-
-
-def eval_defect_state(state: DefectState, y):
-    return state.value(y)
+    # perfbench/tracer.py wraps the eval methods in each state class's own __dict__
+    value, __call__ = CoulombState.value, CoulombState.__call__
+    derivative, second_derivative = CoulombState.derivative, CoulombState.second_derivative
+    third_derivative = CoulombState.third_derivative
 
 
 def rydberg_energy(model: DefectModel, principal: int, angular: int) -> float:
     """E = -1/(2 (n* + gamma)^2) for the model's starred principal number."""
-    _, _, n_star, _ = _defect_numbers(model, principal, angular)
-    return -1.0 / (2.0 * (n_star + model.gamma) ** 2)
+    return DefectState(model, principal, angular).energy
 
 
 def breaking_potential_coulomb(model: DefectModel, principal: int, angular: int, y):
@@ -179,15 +106,13 @@ def breaking_potential_coulomb(model: DefectModel, principal: int, angular: int,
     Centrifugal part [(l*+g)(l*+g+1) - (l+g)(l+g+1)]/y^2 plus the eigenvalue
     bookkeeping constant [(n+g)^2 - (n*+g)^2] / (4 (n+g)^2 (n*+g)^2).
     """
-    _, _, n_star, l_star = _defect_numbers(model, principal, angular)
-    g = model.gamma
-    arr = np.asarray(y, dtype=float)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise AdmissibilityError("y grid must be strictly positive and finite")
-    lg_star = l_star + g
+    state = DefectState(model, principal, angular)
+    g = state.gamma
+    arr = positive_grid(y)
+    lg_star = state.l_star + g
     lg = angular + g
     nu = principal + g
-    nu_star = n_star + g
+    nu_star = state.n_star + g
     out = (lg_star * (lg_star + 1.0) - lg * (lg + 1.0)) / arr**2 + (
         nu**2 - nu_star**2
     ) / (4.0 * nu**2 * nu_star**2)
@@ -198,132 +123,38 @@ class AnharmonicModel:
     """Anharmonicity table keyed by L (asymptotic) or (L, N), plus shifts by L."""
 
     def __init__(self, dimension: int, anharmonicities: dict, shifts: dict):
-        if not isinstance(dimension, (int, np.integer)) or dimension < 2:
-            raise AdmissibilityError(f"dimension must be an integer >= 2, got {dimension!r}")
+        self.gamma = gamma_shift(dimension)
         self.dimension = int(dimension)
-        self.gamma = gamma_shift(self.dimension)
-
-        def check_delta(key, value):
-            if not (value >= 0.0):
-                raise AdmissibilityError(
-                    f"anharmonicity for {key!r} must be >= 0, got {value!r}"
-                )
-
-        def check_shift(key, value):
-            if not isinstance(value, (int, np.integer)) or value < 0:
-                raise AdmissibilityError(f"shift for {key!r} must be an integer >= 0, got {value!r}")
-
-        self.anharmonicity_table = _normalize_table(anharmonicities, "anharmonicity", check_delta)
-        for key, value in shifts.items():
-            check_shift(key, value)
-        self.integer_shift_table = {int(k): int(v) for k, v in shifts.items()}
+        self.anharmonicity_table = _normalize_table(
+            anharmonicities, "anharmonicity", check_anharmonicity
+        )
+        self.integer_shift_table = _shift_table(shifts)
 
     def anharmonicity(self, angular: int, principal: int | None = None) -> float:
-        if principal is not None and (int(angular), int(principal)) in self.anharmonicity_table:
-            return float(self.anharmonicity_table[(int(angular), int(principal))])
-        try:
-            return float(self.anharmonicity_table[int(angular)])
-        except KeyError:
-            raise AdmissibilityError(f"no anharmonicity entry for L={angular}") from None
+        """N-specific value when present, else the asymptotic L entry."""
+        return _lookup(self.anharmonicity_table, "anharmonicity", "L", angular, principal)
 
     def shift(self, angular: int) -> int:
-        try:
-            return self.integer_shift_table[int(angular)]
-        except KeyError:
-            raise AdmissibilityError(f"no shift entry for L={angular}") from None
+        return _lookup(self.integer_shift_table, "shift", "L", angular)
 
     def state(self, principal: int, angular: int) -> "AnharmonicState":
         return AnharmonicState(self, principal, angular)
 
 
-def _anharmonic_numbers(model: AnharmonicModel, principal: int, angular: int):
-    n, l = int(principal), int(angular)
-    if n < 0:
-        raise AdmissibilityError(f"principal number must be >= 0, got {principal!r}")
-    if not (0 <= l <= n):
-        raise AdmissibilityError(f"angular number must satisfy 0 <= L <= N, got L={l} N={n}")
-    if (n - l) % 2:
-        raise ParityError(f"N - L must be even, got N={n} L={l}")
-    delta = model.anharmonicity(l, n)
-    shift = model.shift(l)
-    degree = (n - l) // 2 - shift
-    if degree < 0:
-        raise AdmissibilityError(
-            f"polynomial degree (N-L)/2 - I = {degree} is negative for N={n} L={l} I={shift}"
-        )
-    n_star = n - 2.0 * delta
-    l_star = l + 2.0 * shift - 2.0 * delta
-    if not (l_star + model.gamma + 1.0 > 0.0):
-        raise AdmissibilityError(
-            f"L*+Gamma+1 = {l_star + model.gamma + 1.0:g} must be positive (normalizability)"
-        )
-    return delta, shift, n_star, l_star, degree
-
-
-class AnharmonicState:
+class AnharmonicState(OscillatorState):
     """Oscillator-form state with starred quantum numbers from an AnharmonicModel."""
 
     def __init__(self, model: AnharmonicModel, principal: int, angular: int):
+        n, l = int(principal), int(angular)
+        check_quantum_numbers(n, l)
         self.model = model
-        self.principal = int(principal)
-        self.angular = int(angular)
-        (
-            self.anharmonicity,
-            self.shift,
-            self.n_star,
-            self.l_star,
-            self.degree,
-        ) = _anharmonic_numbers(model, principal, angular)
+        self.dimension, self.principal, self.angular = model.dimension, n, l
+        self._set_starred(model.gamma, model.anharmonicity(l, n), model.shift(l))
 
-    @property
-    def gamma(self) -> float:
-        return self.model.gamma
-
-    @cached_property
-    def _form(self) -> GaussianLaguerreForm:
-        g = self.gamma
-        return GaussianLaguerreForm(
-            exponent=self.l_star + g + 1.0,
-            degree=self.degree,
-            order=self.l_star + g + 0.5,
-        )
-
-    @property
-    def normalization(self) -> float:
-        return self._form.norm
-
-    @property
-    def energy(self) -> float:
-        return (2.0 * self.n_star + 2.0 * self.gamma + 3.0) / 2.0
-
-    def value(self, y):
-        return self._form.value(y)
-
-    __call__ = value
-
-    def derivative(self, y):
-        return self._form.derivative(y)
-
-    def second_derivative(self, y):
-        return self._form.second_derivative(y)
-
-    def third_derivative(self, y):
-        return self._form.third_derivative(y)
-
-    def operator(self) -> RadialOperator:
-        lg = self.l_star + self.gamma
-        return RadialOperator(
-            coulomb_strength=0.0,
-            oscillator_strength=1.0,
-            centrifugal=lg * (lg + 1.0),
-        )
-
-    def operator_eigenvalue(self) -> float:
-        return 2.0 * self.energy
-
-
-def eval_anharmonic_state(state: AnharmonicState, y):
-    return state.value(y)
+    # perfbench/tracer.py wraps the eval methods in each state class's own __dict__
+    value, __call__ = OscillatorState.value, OscillatorState.__call__
+    derivative, second_derivative = OscillatorState.derivative, OscillatorState.second_derivative
+    third_derivative = OscillatorState.third_derivative
 
 
 def breaking_potential_oscillator(model: AnharmonicModel, principal: int, angular: int, y):
@@ -332,14 +163,12 @@ def breaking_potential_oscillator(model: AnharmonicModel, principal: int, angula
     Centrifugal part [(L*+G)(L*+G+1) - (L+G)(L+G+1)]/Y^2 plus the constant
     2(N - N*) = 4*Delta from the eigenvalue bookkeeping.
     """
-    _, _, n_star, l_star, _ = _anharmonic_numbers(model, principal, angular)
-    g = model.gamma
-    arr = np.asarray(y, dtype=float)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise AdmissibilityError("Y grid must be strictly positive and finite")
-    lg_star = l_star + g
+    state = AnharmonicState(model, principal, angular)
+    g = state.gamma
+    arr = positive_grid(y)
+    lg_star = state.l_star + g
     lg = angular + g
-    out = (lg_star * (lg_star + 1.0) - lg * (lg + 1.0)) / arr**2 + 2.0 * (principal - n_star)
+    out = (lg_star * (lg_star + 1.0) - lg * (lg + 1.0)) / arr**2 + 2.0 * (principal - state.n_star)
     return float(out) if np.ndim(y) == 0 else out
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import coulomb, geonium, maps, oscillator, qdt, susy
+from . import coulomb, geonium, maps, oscillator, susy
 from .errors import AdmissibilityError
 from .output import Diagnostic, OutputRecord
 
@@ -53,25 +53,17 @@ def _state_factory(family, dimension, model):
         return lambda n, l: coulomb.CoulombState(dimension, n, l)
     if family == "oscillator":
         return lambda n, l: oscillator.OscillatorState(dimension, n, l)
-    if family == "defect":
+    if family in ("defect", "anharmonic"):
         if model is None:
-            raise AdmissibilityError("defect family requires a model configuration")
-        return model.state
-    if family == "anharmonic":
-        if model is None:
-            raise AdmissibilityError("anharmonic family requires a model configuration")
+            raise AdmissibilityError(f"{family} family requires a model configuration")
         return model.state
     raise AdmissibilityError(f"unknown family {family!r}")
-
-
-def _oscillator_side(family):
-    return family in OSCILLATOR_SIDE
 
 
 def spectrum_record(family, dimension, n_values, l_values, model=None) -> OutputRecord:
     """Energy table over the (n, l) grid; inadmissible rows carry an error."""
     make = _state_factory(family, dimension, model)
-    upper = _oscillator_side(family)
+    upper = family in OSCILLATOR_SIDE
     n_key, l_key = ("N", "L") if upper else ("n", "l")
     columns = [n_key, l_key, f"{n_key}_star", f"{l_key}_star", "energy", "error"]
     rows = []
@@ -80,12 +72,8 @@ def spectrum_record(family, dimension, n_values, l_values, model=None) -> Output
             row = {n_key: n, l_key: l}
             try:
                 state = make(n, l)
-                if family in ("defect", "anharmonic"):
-                    row[f"{n_key}_star"] = state.n_star
-                    row[f"{l_key}_star"] = state.l_star
-                else:
-                    row[f"{n_key}_star"] = float(n)
-                    row[f"{l_key}_star"] = float(l)
+                row[f"{n_key}_star"] = state.n_star
+                row[f"{l_key}_star"] = state.l_star
                 row["energy"] = state.energy
             except AdmissibilityError as exc:
                 row["error"] = str(exc)
@@ -123,10 +111,10 @@ def wavefunction_record(family, dimension, n, l, grid_min, grid_max, points, mod
         state = make(n, l)
         values = state.value(grid)
         residual = _relative_residual(state, grid)
-        coord = "Y" if _oscillator_side(family) else "y"
+        coord = "Y" if family in OSCILLATOR_SIDE else "y"
 
     rows = [{coord: float(x), "amplitude": float(v)} for x, v in zip(grid, values)]
-    upper = family != "hydrogen" and _oscillator_side(family)
+    upper = family in OSCILLATOR_SIDE
     n_key, l_key = ("N", "L") if upper else ("n", "l")
     return OutputRecord(
         command="wavefunction",
@@ -151,25 +139,22 @@ def wavefunction_record(family, dimension, n, l, grid_min, grid_max, points, mod
 def default_wavefunction_grid(family, dimension, n):
     if family == "hydrogen":
         return 0.1, max(10.0, 10.0 * n), 200
-    if _oscillator_side(family):
+    if family in OSCILLATOR_SIDE:
         return 0.05, 6.0, 200
-    gamma = (dimension - 3) / 2.0
-    return 0.05, max(30.0, 20.0 * (n + gamma)), 200
+    return 0.05, max(30.0, 20.0 * (n + coulomb.gamma_shift(dimension))), 200
 
 
 def susy_pair_record(family, dimension, angular, grid_min=0.1, grid_max=12.0, points=120) -> OutputRecord:
     """Partner potentials on a grid plus the shift-identity and annihilation checks."""
     if family == "coulomb":
-        gamma = coulomb.gamma_shift(dimension)
-        u = susy.coulomb_superpotential(angular, gamma)
+        u = susy.coulomb_superpotential(angular, coulomb.gamma_shift(dimension))
         ground = coulomb.CoulombState(dimension, angular + 1, angular)
     elif family == "oscillator":
-        gamma = oscillator.gamma_shift(dimension)
-        u = susy.oscillator_superpotential(angular, gamma)
+        u = susy.oscillator_superpotential(angular, coulomb.gamma_shift(dimension))
         ground = oscillator.OscillatorState(dimension, angular, angular)
     else:
         raise AdmissibilityError(f"susy-pair supports coulomb or oscillator, got {family!r}")
-    pair = susy.build_susy_pair(u)
+    pair = susy.SusyPair(u)
     grid = np.linspace(grid_min, grid_max, points)
     vp = pair.v_plus(grid)
     vm = pair.v_minus(grid)

@@ -65,6 +65,16 @@ def _check_argument(x):
     return arr
 
 
+def positive_grid(x):
+    """x as a float array, refused unless every point is finite and positive."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("radial coordinate must be finite")
+    if np.any(arr <= 0.0):
+        raise DomainError("radial coordinate must be positive")
+    return arr
+
+
 def _recurrence(n, a, x):
     ones = np.ones_like(x)
     if n == 0:

@@ -13,16 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, DomainError
-
-
-def _positive_grid(x):
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("grid must be finite")
-    if np.any(arr <= 0.0):
-        raise DomainError("grid must be strictly positive")
-    return arr
+from .errors import AdmissibilityError
+from .specfun import positive_grid
 
 
 @dataclass(frozen=True)
@@ -40,17 +32,17 @@ class Superpotential:
             raise AdmissibilityError("power_coeff must be positive for a confining pair")
 
     def u(self, x):
-        arr = _positive_grid(x)
+        arr = positive_grid(x)
         out = self.power_coeff * arr**self.power + self.log_coeff * np.log(arr)
         return float(out) if np.ndim(x) == 0 else out
 
     def u_prime(self, x):
-        arr = _positive_grid(x)
+        arr = positive_grid(x)
         out = self.power_coeff * self.power * arr ** (self.power - 1) + self.log_coeff / arr
         return float(out) if np.ndim(x) == 0 else out
 
     def u_double_prime(self, x):
-        arr = _positive_grid(x)
+        arr = positive_grid(x)
         out = (
             self.power_coeff * self.power * (self.power - 1) * arr ** (self.power - 2)
             - self.log_coeff / arr**2
@@ -58,7 +50,7 @@ class Superpotential:
         return float(out) if np.ndim(x) == 0 else out
 
     def u_third_derivative(self, x):
-        arr = _positive_grid(x)
+        arr = positive_grid(x)
         # x**(p-3) term vanishes for p in {1, 2} only when p == 1; p == 2 gives 0 too
         # since p*(p-1)*(p-2) == 0 for both admissible powers
         out = 2.0 * self.log_coeff / arr**3
@@ -146,11 +138,6 @@ class SusyPair:
         )
 
 
-def build_susy_pair(superpotential: Superpotential) -> SusyPair:
-    """Assemble the partner pair; the superpotential constructor enforces a > 0."""
-    return SusyPair(superpotential)
-
-
 @dataclass(frozen=True)
 class RadialOperator:
     """-d^2/dx^2 - c/x + w*x**2 + centrifugal/x**2 + constant_shift.
@@ -171,7 +158,7 @@ class RadialOperator:
             )
 
     def potential(self, x):
-        arr = _positive_grid(x)
+        arr = positive_grid(x)
         out = (
             -self.coulomb_strength / arr
             + self.oscillator_strength * arr**2
@@ -187,7 +174,7 @@ def apply_operator(op: RadialOperator, psi, x_grid, eigenvalue: float | None = N
     psi must expose analytic value() and second_derivative(); finite
     differences are never used here.
     """
-    grid = _positive_grid(x_grid)
+    grid = positive_grid(x_grid)
     val = np.asarray(psi.value(grid), dtype=float)
     curv = np.asarray(psi.second_derivative(grid), dtype=float)
     res = -curv + op.potential(grid) * val
@@ -198,7 +185,7 @@ def apply_operator(op: RadialOperator, psi, x_grid, eigenvalue: float | None = N
 
 def apply_supercharge(superpotential: Superpotential, psi, x_grid):
     """Pointwise psi' + (U'/2) psi on the grid."""
-    grid = _positive_grid(x_grid)
+    grid = positive_grid(x_grid)
     return np.asarray(psi.derivative(grid), dtype=float) + 0.5 * np.asarray(
         superpotential.u_prime(grid), dtype=float
     ) * np.asarray(psi.value(grid), dtype=float)
@@ -219,7 +206,7 @@ class SuperchargeImage:
         return apply_supercharge(self.superpotential, self.psi, x)
 
     def derivative(self, x):
-        grid = _positive_grid(x)
+        grid = positive_grid(x)
         w = 0.5 * np.asarray(self.superpotential.u_prime(grid))
         wp = 0.5 * np.asarray(self.superpotential.u_double_prime(grid))
         return (
@@ -229,7 +216,7 @@ class SuperchargeImage:
         )
 
     def second_derivative(self, x):
-        grid = _positive_grid(x)
+        grid = positive_grid(x)
         w = 0.5 * np.asarray(self.superpotential.u_prime(grid))
         wp = 0.5 * np.asarray(self.superpotential.u_double_prime(grid))
         wpp = 0.5 * np.asarray(self.superpotential.u_third_derivative(grid))

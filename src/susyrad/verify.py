@@ -205,7 +205,7 @@ def check_susy_structure() -> CheckResult:
         for d in (2, 3, 4, 5, 6):
             g = coulomb.gamma_shift(d)
             for l in range(4):
-                pair = susy.build_susy_pair(susy.coulomb_superpotential(l, g))
+                pair = susy.SusyPair(susy.coulomb_superpotential(l, g))
                 expected = 2.0 * (l + g + 1.0) / grid**2
                 shift_defect = max(
                     shift_defect,
@@ -213,9 +213,9 @@ def check_susy_structure() -> CheckResult:
                 )
         ygrid = np.linspace(0.1, 6.0, 160)
         for d in (2, 3, 4, 6):
-            g = oscillator.gamma_shift(d)
+            g = coulomb.gamma_shift(d)
             for l in range(4):
-                pair = susy.build_susy_pair(susy.oscillator_superpotential(l, g))
+                pair = susy.SusyPair(susy.oscillator_superpotential(l, g))
                 diff = pair.v_minus(ygrid) - pair.v_plus(ygrid)
                 # full difference is U'' = 2 + 2(L+Gamma+1)/Y^2; the printed
                 # partner identity gives the 1/Y^2 coefficient only
@@ -243,7 +243,7 @@ def check_susy_structure() -> CheckResult:
                     ),
                 )
         for d in (2, 3, 4, 6):
-            g = oscillator.gamma_shift(d)
+            g = coulomb.gamma_shift(d)
             for l in range(4):
                 u = susy.oscillator_superpotential(l, g)
                 ground = oscillator.OscillatorState(d, l, l)
@@ -258,7 +258,7 @@ def check_susy_structure() -> CheckResult:
             return 1.0, f"ground-state annihilation residual {annihilation:.3e}"
 
         intertwine = 0.0
-        pair = susy.build_susy_pair(susy.coulomb_superpotential(0, 0.0))
+        pair = susy.SusyPair(susy.coulomb_superpotential(0, 0.0))
         h_minus = pair.minus_operator()
         wgrid = np.linspace(0.2, 40.0, 200)
         for n in range(2, 5):

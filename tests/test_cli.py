@@ -18,6 +18,15 @@ from susyrad.output import OutputRecord
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
+
+def _run_from_src(*args):
+    """python -m <args> in a fresh interpreter with the uninstalled source tree first."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
 CONFIG_TEXT = """\
 format_version = 1
 
@@ -207,6 +216,15 @@ class TestWavefunction:
             assert result.exit_code == 1
             assert result.output.startswith("Error: ")
 
+    def test_large_state_stderr_is_the_error_alone(self):
+        # overflow inside the evaluation surfaces as render's typed error, not as numpy warnings
+        proc = _run_from_src(
+            "susyrad", "wavefunction", "--n", "160", "--l", "150", "--grid-max", "1e5"
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "Error: non-finite number in row[1].amplitude: nan\n"
+
     def test_oscillator_state(self, runner):
         result = runner.invoke(
             main,
@@ -289,6 +307,24 @@ class TestMap:
         assert (rows[0]["D"], rows[0]["N"], rows[0]["L"]) == (4, 0, 0)
         assert (rows[1]["D"], rows[1]["N"], rows[1]["L"]) == (2, 1, 1)
         assert "below 2" in rows[2]["violations"]
+
+    def test_broken_range_starts_on_the_half_integer_grid(self, runner):
+        result = runner.invoke(
+            main, ["map", "--d", "3", "--n", "3", "--l", "1", "--mode", "broken",
+                   "--lambda-range", "1/4..3/2", "--Delta", "0.25", "--format", "json"]
+        )
+        assert result.exit_code == 0
+        rows = json.loads(result.output)["rows"]
+        assert [row["lambda"] for row in rows] == [0.5, 1.0, 1.5]
+        assert (rows[0]["D"], rows[0]["N"], rows[0]["L"]) == (3, 5, 3)
+
+    def test_rejected_lambda_is_printed_as_a_fraction(self, runner):
+        result = runner.invoke(
+            main, ["map", "--d", "3", "--n", "1", "--l", "0", "--lambda", "1/4", "--format", "json"]
+        )
+        assert result.exit_code == 0
+        violations = json.loads(result.output)["rows"][0]["violations"]
+        assert violations == "lambda = 1/4 is not an integer or half-integer"
 
     def test_broken_quarter_integer(self, runner):
         result = runner.invoke(
@@ -381,6 +417,17 @@ class TestTrap:
         assert result.exit_code == 0
         assert json.loads(result.output)["rows"][0]["V_volt"] > 0.0
 
+    @pytest.mark.parametrize(
+        "extra", [["--B", "5.0", "--V", "1.0", "--d", "0.01"], ["--B", "5.0", "--d", "0.01"]]
+    )
+    def test_one_unknown_species_message(self, runner, extra):
+        verb = "frequencies" if "--V" in extra else "operating-point"
+        result = runner.invoke(main, ["trap", verb, *extra, "--species", "muon"])
+        assert result.exit_code == 1
+        assert result.output == (
+            "Error: unknown species 'muon'; give explicit charge and mass\n"
+        )
+
     def test_levels_quanta_only(self, runner):
         result = runner.invoke(
             main, ["trap", "levels", "--L", "1", "--N-max", "7", "--format", "json"]
@@ -463,17 +510,7 @@ class TestOutputHandling:
 
     @pytest.mark.parametrize("module", ["susyrad", "susyrad.cli"])
     def test_version_as_module_from_src(self, module):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(SRC_DIR), env.get("PYTHONPATH")])
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", module, "--version"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
+        proc = _run_from_src(module, "--version")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"susyrad, version {susyrad.__version__}\n"
 

@@ -6,7 +6,6 @@ import pytest
 from susyrad.coulomb import (
     CoulombState,
     coulomb_energy,
-    eval_coulomb_state,
     eval_hydrogen_R,
     gamma_shift,
     partner_spectra,
@@ -184,10 +183,3 @@ class TestPartnerSpectra:
         with pytest.raises(AdmissibilityError):
             partner_spectra(3, 0, 0)
 
-
-class TestEvalHelper:
-    def test_matches_method(self):
-        s = CoulombState(3, 2, 1)
-        ys = np.linspace(0.1, 10.0, 20)
-        assert np.array_equal(eval_coulomb_state(s, ys), s.value(ys))
-        assert eval_coulomb_state(s, 2.0) == s.value(2.0)

@@ -17,7 +17,6 @@ from susyrad.geonium import (
     GeoniumLevel,
     TrapConfig,
     coulomb_to_geonium,
-    geonium_energy,
     geonium_energy_si,
     susy_operating_point,
     susy_tower_spectra,
@@ -183,7 +182,7 @@ class TestGeoniumLevel:
     def test_rigid_ladder(self):
         assert GeoniumLevel(1, 1).energy == 2.0
         assert GeoniumLevel(0, 0).energy == 1.0
-        assert geonium_energy(GeoniumLevel(5, 3)) == 6.0
+        assert GeoniumLevel(5, 3).energy == 6.0
 
     def test_anharmonic_shift(self):
         lvl = GeoniumLevel(3, 1, anharmonicity=0.05)

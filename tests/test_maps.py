@@ -10,6 +10,7 @@ from susyrad.maps import (
     MapSpec,
     default_verification_grid,
     enumerate_admissible_targets,
+    lambda_candidates,
     solve_map_parameters,
     verify_map_identity,
 )
@@ -209,6 +210,17 @@ class TestEnumerate:
         specs = enumerate_admissible_targets((3, 1, 0), (0, 1), mode="broken", Delta=0.25)
         lams = {s.lam for s in specs}
         assert Fraction(1, 2) in lams
+
+    @pytest.mark.parametrize(
+        "lo, hi, mode, expected",
+        [(0, 2, "exact", [0, 1, 2]), (-2, 1, "exact", [-2, -1, 0, 1]),
+         (0.6, 2.5, "exact", [1, 2]), (Fraction(1, 4), Fraction(3, 2), "broken", [0.5, 1, 1.5]),
+         (-1, 0, "broken", [-1, -0.5, 0]), (0.3, 0.5, "broken", [0.5])],
+    )
+    def test_candidate_grid(self, lo, hi, mode, expected):
+        got = lambda_candidates(lo, hi, mode)
+        assert got == [Fraction(v) for v in expected]
+        assert all(isinstance(lam, Fraction) for lam in got)
 
     def test_empty_window_raises(self):
         with pytest.raises(AdmissibilityError):

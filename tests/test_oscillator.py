@@ -6,7 +6,6 @@ import pytest
 from susyrad.errors import AdmissibilityError, DomainError, ParityError
 from susyrad.oscillator import (
     OscillatorState,
-    eval_oscillator_state,
     gamma_shift,
     oscillator_energy,
     partner_spectra,
@@ -141,13 +140,6 @@ class TestPartnerSpectra:
     def test_count_validation(self):
         with pytest.raises(AdmissibilityError):
             partner_spectra(3, 0, 0)
-
-
-class TestEvalHelper:
-    def test_matches_method(self):
-        s = OscillatorState(4, 3, 1)
-        ys = np.linspace(0.2, 4.0, 15)
-        assert np.array_equal(eval_oscillator_state(s, ys), s.value(ys))
 
 
 class TestGammaShift:

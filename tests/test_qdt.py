@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from susyrad.coulomb import CoulombState, coulomb_energy
-from susyrad.errors import AdmissibilityError, ParityError
+from susyrad.errors import AdmissibilityError, DomainError, ParityError
 from susyrad.oscillator import OscillatorState, oscillator_energy
 from susyrad.qdt import (
     AnharmonicModel,
@@ -13,8 +13,6 @@ from susyrad.qdt import (
     DefectState,
     breaking_potential_coulomb,
     breaking_potential_oscillator,
-    eval_anharmonic_state,
-    eval_defect_state,
     illustrative_defect_model,
     rydberg_energy,
 )
@@ -136,10 +134,6 @@ class TestDefectState:
         assert np.max(np.abs(s.value(GRID) - rigid.value(GRID))) < 1e-14
         assert s.energy == rigid.energy
 
-    def test_eval_helper(self):
-        s = _model().state(2, 0)
-        assert np.array_equal(eval_defect_state(s, GRID), s.value(GRID))
-
     def test_direct_construction(self):
         s = DefectState(_model(), 2, 0)
         assert s.principal == 2 and s.angular == 0
@@ -173,7 +167,7 @@ class TestBreakingPotentialCoulomb:
         assert np.max(np.abs(res)) / np.max(np.abs(s.value(GRID))) < 1e-8
 
     def test_grid_domain(self):
-        with pytest.raises(AdmissibilityError):
+        with pytest.raises(DomainError):
             breaking_potential_coulomb(_model(), 2, 0, 0.0)
 
 
@@ -243,11 +237,6 @@ class TestAnharmonicState:
         s = self._model(0.1).state(2, 0)
         assert s.operator_eigenvalue() == pytest.approx(2.0 * s.energy, rel=1e-15)
 
-    def test_eval_helper(self):
-        s = self._model().state(2, 0)
-        grid = np.linspace(0.1, 5.0, 30)
-        assert np.array_equal(eval_anharmonic_state(s, grid), s.value(grid))
-
     def test_direct_construction(self):
         s = AnharmonicState(self._model(), 2, 0)
         assert s.degree == 1
@@ -281,5 +270,63 @@ class TestBreakingPotentialOscillator:
 
     def test_grid_domain(self):
         m = AnharmonicModel(3, anharmonicities={0: 0.1}, shifts={0: 0})
-        with pytest.raises(AdmissibilityError):
+        with pytest.raises(DomainError):
             breaking_potential_oscillator(m, 0, 0, np.array([1.0, -1.0]))
+
+
+def _raw(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestStarredArguments:
+    """The state classes take the starred numbers directly, as the models supply them."""
+
+    @pytest.mark.parametrize(
+        "d, n, l, delta, shift",
+        [(3, 2, 0, 0.4, 1), (2, 5, 1, 0.45, 0), (4, 7, 2, 0.93, 2), (6, 40, 3, 0.125, 5),
+         (3, 120, 60, 0.05, 0), (5, 1, 0, 0.0, 0)],
+    )
+    def test_coulomb_side_matches_model(self, d, n, l, delta, shift):
+        direct = CoulombState(d, n, l, delta=delta, shift=shift)
+        via_model = DefectModel(d, {l: delta}, {l: shift}).state(n, l)
+        grid = np.linspace(0.05, 30.0 * (n + 1), 400)
+        for name in ("value", "derivative", "second_derivative", "third_derivative"):
+            assert _raw(getattr(direct, name)(grid)) == _raw(getattr(via_model, name)(grid)), name
+        assert _raw(direct.energy) == _raw(via_model.energy)
+        assert (direct.n_star, direct.l_star) == (via_model.n_star, via_model.l_star)
+
+    @pytest.mark.parametrize(
+        "d, n, l, anharmonicity, shift",
+        [(3, 2, 0, 0.1, 1), (2, 3, 1, 0.3, 0), (4, 8, 2, 0.7, 2), (6, 41, 3, 0.25, 6),
+         (3, 200, 0, 0.05, 0), (2, 0, 0, 0.0, 0)],
+    )
+    def test_oscillator_side_matches_model(self, d, n, l, anharmonicity, shift):
+        direct = OscillatorState(d, n, l, anharmonicity=anharmonicity, shift=shift)
+        via_model = AnharmonicModel(d, {l: anharmonicity}, {l: shift}).state(n, l)
+        grid = np.linspace(0.05, 6.0 + 1.5 * np.sqrt(n), 400)
+        for name in ("value", "derivative", "second_derivative", "third_derivative"):
+            assert _raw(getattr(direct, name)(grid)) == _raw(getattr(via_model, name)(grid)), name
+        assert _raw(direct.energy) == _raw(via_model.energy)
+        assert (direct.n_star, direct.l_star) == (via_model.n_star, via_model.l_star)
+
+    @pytest.mark.parametrize("kwargs", [{"delta": 1.0}, {"delta": -0.1}, {"delta": float("nan")},
+                                        {"shift": -1}, {"shift": 0.5}])
+    def test_coulomb_side_rejects_out_of_range(self, kwargs):
+        with pytest.raises(AdmissibilityError):
+            CoulombState(3, 4, 1, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"anharmonicity": -0.1}, {"anharmonicity": float("nan")},
+                                        {"shift": -1}, {"shift": 1.0}])
+    def test_oscillator_side_rejects_out_of_range(self, kwargs):
+        with pytest.raises(AdmissibilityError):
+            OscillatorState(3, 4, 0, **kwargs)
+
+    def test_starred_admissibility_applies_to_direct_arguments(self):
+        with pytest.raises(AdmissibilityError, match="polynomial degree n-l-i-1"):
+            CoulombState(3, 2, 1, shift=1)
+        with pytest.raises(AdmissibilityError, match="normalizability"):
+            CoulombState(2, 2, 0, delta=0.6)
+        with pytest.raises(AdmissibilityError, match=r"polynomial degree \(N-L\)/2 - I"):
+            OscillatorState(3, 2, 0, shift=2)
+        with pytest.raises(AdmissibilityError, match="normalizability"):
+            OscillatorState(2, 2, 0, anharmonicity=0.3)

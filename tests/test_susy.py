@@ -7,9 +7,9 @@ from susyrad.susy import (
     RadialOperator,
     SuperchargeImage,
     Superpotential,
+    SusyPair,
     apply_operator,
     apply_supercharge,
-    build_susy_pair,
     coulomb_superpotential,
     oscillator_superpotential,
 )
@@ -61,14 +61,14 @@ class TestSuperpotential:
 
 class TestPartnerPotentials:
     def test_hydrogen_s_wave_closed_forms(self):
-        pair = build_susy_pair(coulomb_superpotential(0, 0.0))
+        pair = SusyPair(coulomb_superpotential(0, 0.0))
         v_plus = 0.25 - 1.0 / GRID
         v_minus = 0.25 - 1.0 / GRID + 2.0 / GRID**2
         assert np.max(np.abs(pair.v_plus(GRID) - v_plus)) < 1e-12
         assert np.max(np.abs(pair.v_minus(GRID) - v_minus)) < 1e-12
 
     def test_oscillator_closed_forms(self):
-        pair = build_susy_pair(oscillator_superpotential(0, 0.0))
+        pair = SusyPair(oscillator_superpotential(0, 0.0))
         grid = np.linspace(0.05, 6.0, 200)
         assert np.max(np.abs(pair.v_plus(grid) - (grid**2 - 3.0))) < 1e-12
         assert np.max(np.abs(pair.v_minus(grid) - (grid**2 - 1.0 + 2.0 / grid**2))) < 1e-12
@@ -76,7 +76,7 @@ class TestPartnerPotentials:
     @pytest.mark.parametrize("angular", [0, 1, 2, 3])
     def test_flat_space_partner_difference(self, angular):
         # difference is 2(l+1)/y^2, twice the naive half-integer guess
-        pair = build_susy_pair(coulomb_superpotential(angular, 0.0))
+        pair = SusyPair(coulomb_superpotential(angular, 0.0))
         diff = pair.v_minus(GRID) - pair.v_plus(GRID)
         assert np.max(np.abs(diff - 2.0 * (angular + 1.0) / GRID**2)) < 1e-12
         assert np.max(np.abs(diff - (2.0 * angular + 1.0) / GRID**2)) > 1.0
@@ -85,7 +85,7 @@ class TestPartnerPotentials:
     @pytest.mark.parametrize("angular", [0, 2])
     def test_shifted_partner_difference(self, dimension, angular):
         gamma = coulomb.gamma_shift(dimension)
-        pair = build_susy_pair(coulomb_superpotential(angular, gamma))
+        pair = SusyPair(coulomb_superpotential(angular, gamma))
         diff = pair.v_minus(GRID) - pair.v_plus(GRID)
         expected = 2.0 * (angular + gamma + 1.0) / GRID**2
         assert np.max(np.abs(diff - expected)) < 1e-12
@@ -96,7 +96,7 @@ class TestPartnerPotentials:
         # full difference is U'' = 2 + 2(L+Gamma+1)/Y^2; the constant rides on
         # the energy-zero convention and the 1/Y^2 part carries the tower shift
         gamma = oscillator.gamma_shift(dimension)
-        pair = build_susy_pair(oscillator_superpotential(angular, gamma))
+        pair = SusyPair(oscillator_superpotential(angular, gamma))
         grid = np.linspace(0.05, 6.0, 200)
         diff = pair.v_minus(grid) - pair.v_plus(grid)
         expected = 2.0 + 2.0 * (angular + gamma + 1.0) / grid**2
@@ -106,16 +106,16 @@ class TestPartnerPotentials:
         assert np.max(np.abs(coeff - 2.0 * (angular + gamma + 1.0))) < 1e-12
 
     def test_partner_shift_equals_u_double_prime(self):
-        pair = build_susy_pair(oscillator_superpotential(2, 0.5))
+        pair = SusyPair(oscillator_superpotential(2, 0.5))
         assert np.max(
             np.abs(pair.partner_shift(GRID) - pair.superpotential.u_double_prime(GRID))
         ) < 1e-15
 
     def test_shift_coefficients(self):
-        coul = build_susy_pair(coulomb_superpotential(1, 0.0))
+        coul = SusyPair(coulomb_superpotential(1, 0.0))
         assert coul.shift_constant == 0.0
         assert coul.centrifugal_shift_coeff == 4.0
-        osc = build_susy_pair(oscillator_superpotential(1, 0.5))
+        osc = SusyPair(oscillator_superpotential(1, 0.5))
         assert osc.shift_constant == 2.0
         assert osc.centrifugal_shift_coeff == 5.0
 
@@ -127,23 +127,23 @@ class TestPartnerPotentials:
     )
     def test_operators_match_pointwise_potentials(self, u):
         # the assembled RadialOperator must agree with direct V+- evaluation
-        pair = build_susy_pair(u)
+        pair = SusyPair(u)
         grid = np.linspace(0.1, 20.0, 150)
         assert np.max(np.abs(pair.plus_operator().potential(grid) - pair.v_plus(grid))) < 1e-12
         assert np.max(np.abs(pair.minus_operator().potential(grid) - pair.v_minus(grid))) < 1e-12
 
     def test_energy_zero_offsets(self):
-        coul = build_susy_pair(coulomb_superpotential(0, 0.0))
+        coul = SusyPair(coulomb_superpotential(0, 0.0))
         assert coul.energy_zero_offset == pytest.approx(0.25)
-        osc = build_susy_pair(oscillator_superpotential(0, 0.0))
+        osc = SusyPair(oscillator_superpotential(0, 0.0))
         assert osc.energy_zero_offset == pytest.approx(-3.0)
-        osc2 = build_susy_pair(oscillator_superpotential(1, 0.5))
+        osc2 = SusyPair(oscillator_superpotential(1, 0.5))
         assert osc2.energy_zero_offset == pytest.approx(-(2.0 * 1 + 2.0 * 0.5 + 3.0))
 
     def test_ground_eigenvalue_of_plus_operator_is_zero(self):
         for pair, ground in [
-            (build_susy_pair(coulomb_superpotential(0, 0.0)), coulomb.CoulombState(3, 1, 0)),
-            (build_susy_pair(oscillator_superpotential(1, 0.0)), oscillator.OscillatorState(3, 1, 1)),
+            (SusyPair(coulomb_superpotential(0, 0.0)), coulomb.CoulombState(3, 1, 0)),
+            (SusyPair(oscillator_superpotential(1, 0.0)), oscillator.OscillatorState(3, 1, 1)),
         ]:
             grid = np.linspace(0.2, 10.0, 80)
             res = apply_operator(pair.plus_operator(), ground, grid, 0.0)
@@ -219,7 +219,7 @@ class TestSupercharge:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_intertwining_hydrogen_tower(self, n):
         # A maps the l=0 tower onto the l=1 tower at the same shifted eigenvalue
-        pair = build_susy_pair(coulomb_superpotential(0, 0.0))
+        pair = SusyPair(coulomb_superpotential(0, 0.0))
         psi = coulomb.CoulombState(3, n, 0)
         image = SuperchargeImage(pair.superpotential, psi)
         grid = np.linspace(0.2, 40.0, 250)
@@ -229,7 +229,7 @@ class TestSupercharge:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_image_proportional_to_partner_state(self, n):
-        pair = build_susy_pair(coulomb_superpotential(0, 0.0))
+        pair = SusyPair(coulomb_superpotential(0, 0.0))
         image = SuperchargeImage(pair.superpotential, coulomb.CoulombState(3, n, 0))
         partner = coulomb.CoulombState(3, n, 1)
         grid = np.linspace(0.4, 18.0, 50)
@@ -237,7 +237,7 @@ class TestSupercharge:
         assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-10
 
     def test_image_derivatives_match_finite_differences(self):
-        pair = build_susy_pair(coulomb_superpotential(0, 0.0))
+        pair = SusyPair(coulomb_superpotential(0, 0.0))
         image = SuperchargeImage(pair.superpotential, coulomb.CoulombState(3, 3, 0))
         xs = np.linspace(0.8, 12.0, 9)
         h = 1e-6
