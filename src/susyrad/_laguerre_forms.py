@@ -4,9 +4,12 @@ Both families are a power times a decaying exponential times a Sonine-Laguerre
 polynomial; derivatives up to third order come from the product rule with the
 polynomial derivative identity, never from finite differences.  A call builds
 each factor's derivative stack only up to the order it asks for, so `value`
-runs one Laguerre recurrence and `second_derivative` three.  Each form also
-bounds its own magnitude in closed form (`log_envelope`), which fixes the
-quadrature cutoff (`tail_cutoff`) without sampling the waveform.
+runs one Laguerre recurrence and `second_derivative` three; a residual takes
+both from one order-two build (`value_and_second_derivative`).  The public
+methods check their grid once and everything below them takes the checked
+array; the polynomial chain checks its own argument once for all its cards.
+Each form also bounds its own magnitude in closed form (`log_envelope`), which
+fixes the quadrature cutoff (`tail_cutoff`) without sampling the waveform.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ import numpy as np
 from .errors import DomainError
 from .specfun import (
     SonineLaguerre,
+    _check_argument,
+    _recurrence,
     envelope_cutoff,
-    eval_sonine_laguerre,
     laguerre_envelope_log,
     positive_grid,
 )
@@ -38,11 +42,11 @@ def _poly_derivative_chain(degree, order):
 
 
 def _poly_values(chain, t, j):
-    # d^j/dt^j L_k^(a)(t) = (-1)^j L_{k-j}^(a+j)(t)
+    # d^j/dt^j L_k^(a)(t) = (-1)^j L_{k-j}^(a+j)(t); t is already checked
     card = chain[j]
     if card is None:
         return np.zeros_like(t)
-    val = eval_sonine_laguerre(card, t)
+    val = _recurrence(card.degree, float(card.order), t)
     return -val if j % 2 else val
 
 
@@ -109,14 +113,29 @@ class _LaguerreForm:
         self.norm = math.exp(self.log_norm)
 
     def _poly_stack(self, t, order):
+        # x/scale or x*x can overflow on a finite grid, so the argument is checked
+        # here, once for the whole chain
+        t = _check_argument(t)
         return [_poly_values(self._chain, t, j) for j in range(order + 1)]
+
+    def _stacks(self, arr, order):
+        """(u, w, z) up to order on a checked grid."""
+        u = _power_stack(arr, self.exponent, order)
+        w, z = self._factor_stacks(arr, order)
+        return u, w, z
 
     def _derivative(self, x, order):
         arr = positive_grid(x)
-        u = _power_stack(arr, self.exponent, order)
-        w, z = self._factor_stacks(arr, order)
-        out = self.norm * _triple_product_derivatives(u, w, z, order)
+        out = self.norm * _triple_product_derivatives(*self._stacks(arr, order), order)
         return float(out) if np.ndim(x) == 0 else out
+
+    def value_and_second_derivative(self, arr):
+        """(value, second derivative) on a checked grid array from one order-two build."""
+        stacks = self._stacks(arr, 2)
+        return (
+            self.norm * _triple_product_derivatives(*stacks, 0),
+            self.norm * _triple_product_derivatives(*stacks, 2),
+        )
 
     def value(self, x):
         return self._derivative(x, 0)

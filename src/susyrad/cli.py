@@ -9,6 +9,7 @@ carried inside the record and never abort a sweep.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -182,18 +183,33 @@ def susy_pair(family, dimension, angular, grid_min, grid_max, points, fmt, out_p
     _emit(_build(builder), fmt, out_path)
 
 
+def _parse_lambda(text):
+    """One lambda as an exact fraction; 2*lambda must be a finite float for the map solver."""
+    text = text.strip()
+    try:
+        value = Fraction(text)
+        finite = math.isfinite(2.0 * float(value))
+    except ValueError as exc:  # not a number at all: keep the parser's own message
+        raise AdmissibilityError(str(exc)) from exc
+    except (ZeroDivisionError, OverflowError):
+        finite = False
+    if not finite:
+        raise AdmissibilityError(f"lambda {text!r} is out of range (2*lambda must be a finite float)")
+    return value
+
+
 def _lambda_values(lam_spec, lam_range, mode):
     if (lam_spec is None) == (lam_range is None):
         raise AdmissibilityError("give exactly one of --lambda or --lambda-range")
     if lam_spec is not None:
-        values = [Fraction(part.strip()) for part in lam_spec.split(",") if part.strip()]
+        values = [_parse_lambda(part) for part in lam_spec.split(",") if part.strip()]
         if not values:
             raise AdmissibilityError(f"no lambda values in {lam_spec!r}")
         return values
     if ".." not in lam_range:
         raise AdmissibilityError(f"--lambda-range wants lo..hi, got {lam_range!r}")
     lo_text, hi_text = lam_range.split("..", 1)
-    return maps.lambda_candidates(Fraction(lo_text.strip()), Fraction(hi_text.strip()), mode)
+    return maps.lambda_candidates(_parse_lambda(lo_text), _parse_lambda(hi_text), mode)
 
 
 @main.command("map")

@@ -119,6 +119,10 @@ class CoulombState:
     def third_derivative(self, y):
         return self._form.third_derivative(y)
 
+    def _value_and_second_derivative(self, grid):
+        """Both from one build of the stacks, on a grid positive_grid has checked."""
+        return self._form.value_and_second_derivative(grid)
+
     def operator(self) -> RadialOperator:
         lg = self.l_star + self.gamma
         return RadialOperator(

@@ -11,6 +11,7 @@ import numpy as np
 from . import coulomb, geonium, maps, oscillator, susy
 from .errors import AdmissibilityError
 from .output import Diagnostic, OutputRecord
+from .specfun import positive_grid
 
 RESIDUAL_TOL = 1e-8
 SHIFT_IDENTITY_TOL = 1e-12
@@ -43,9 +44,10 @@ def _count_nodes(values):
 
 
 def _relative_residual(state, grid):
-    res = susy.apply_operator(state.operator(), state, grid, state.operator_eigenvalue())
-    scale = np.max(np.abs(state.value(grid)))
-    return float(np.max(np.abs(res)) / scale)
+    res, val = susy.residual_and_value(
+        state.operator(), state, positive_grid(grid), state.operator_eigenvalue()
+    )
+    return float(np.max(np.abs(res)) / np.max(np.abs(val)))
 
 
 def _state_factory(family, dimension, model):

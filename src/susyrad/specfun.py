@@ -112,30 +112,33 @@ def eval_sonine_laguerre_derivative(poly: SonineLaguerre, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def sonine_laguerre_direct_sum(poly: SonineLaguerre, x: float) -> float:
-    """Direct alternating-sum evaluation (reference oracle).
+def sonine_laguerre_direct_sum(poly: SonineLaguerre, x):
+    """Direct power-series evaluation (reference oracle), scalar or array x >= 0.
 
-    Term p is (-x)**p / (p! (n-p)!) times the product (a+p+1)...(a+n), which
-    makes every term rational in the binary values of the order and x.  The
-    sum is therefore carried in exact rational arithmetic and rounded once at
-    the end: float accumulation, even compensated, cannot survive the ~13
-    digits of cancellation near the top of the zero region (n=15, x=10).
-    Intended for cross-checks at small degree only; cost grows as n**2.
+    The coefficient c_p = (-1)**p (a+p+1)...(a+n) / (p! (n-p)!) of x**p is
+    rational in the binary value of the order; the coefficients are built once
+    per call, downward from c_n = (-1)**n / n! by c_{p-1} = -c_p (a+p) p / (n-p+1).
+    Each point is summed by Horner's rule in exact rational arithmetic and
+    rounded once at the end: float accumulation, even compensated, cannot
+    survive the ~13 digits of cancellation near the top of the zero region
+    (n=15, x=10).  Intended for cross-checks at small degree only.
     """
-    n = poly.degree
-    xv = float(x)
-    if xv < 0.0 or not math.isfinite(xv):
+    xs = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xs)) or np.any(xs < 0.0):
         raise DomainError("argument must be finite and non-negative")
+    n = poly.degree
     a = Fraction(float(poly.order))
-    xq = Fraction(xv)
-    total = Fraction(0)
-    for p in range(n + 1):
-        rising = Fraction(1)
-        for j in range(p + 1, n + 1):
-            rising *= a + j
-        term = rising * xq**p / (math.factorial(p) * math.factorial(n - p))
-        total += -term if p % 2 else term
-    return float(total)
+    coeffs = [Fraction((-1) ** n, math.factorial(n))]  # c_n, c_{n-1}, ..., c_0
+    for p in range(n, 0, -1):
+        coeffs.append(-coeffs[-1] * (a + p) * p / (n - p + 1))
+    out = np.empty(xs.shape)
+    for idx, xv in np.ndenumerate(xs):
+        xq = Fraction(float(xv))
+        total = coeffs[0]
+        for c in coeffs[1:]:
+            total = total * xq + c
+        out[idx] = float(total)
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def laguerre_envelope_log(degree: int, order: float, t):

@@ -158,14 +158,16 @@ class RadialOperator:
             )
 
     def potential(self, x):
-        arr = positive_grid(x)
-        out = (
+        out = self._potential(positive_grid(x))
+        return float(out) if np.ndim(x) == 0 else out
+
+    def _potential(self, arr):
+        return (
             -self.coulomb_strength / arr
             + self.oscillator_strength * arr**2
             + self.centrifugal / arr**2
             + self.constant_shift
         )
-        return float(out) if np.ndim(x) == 0 else out
 
 
 def apply_operator(op: RadialOperator, psi, x_grid, eigenvalue: float | None = None):
@@ -174,13 +176,25 @@ def apply_operator(op: RadialOperator, psi, x_grid, eigenvalue: float | None = N
     psi must expose analytic value() and second_derivative(); finite
     differences are never used here.
     """
-    grid = positive_grid(x_grid)
-    val = np.asarray(psi.value(grid), dtype=float)
-    curv = np.asarray(psi.second_derivative(grid), dtype=float)
-    res = -curv + op.potential(grid) * val
+    return residual_and_value(op, psi, positive_grid(x_grid), eigenvalue)[0]
+
+
+def residual_and_value(op: RadialOperator, psi, grid, eigenvalue: float | None = None):
+    """(residual, value of psi) as in apply_operator, on a grid positive_grid has checked.
+
+    A state supplies value and second derivative from one build of its stacks;
+    any other psi is asked for each.
+    """
+    shared = getattr(psi, "_value_and_second_derivative", None)
+    if shared is not None:
+        val, curv = shared(grid)
+    else:
+        val = np.asarray(psi.value(grid), dtype=float)
+        curv = np.asarray(psi.second_derivative(grid), dtype=float)
+    res = -curv + op._potential(grid) * val
     if eigenvalue is not None:
         res = res - eigenvalue * val
-    return res
+    return res, val
 
 
 def apply_supercharge(superpotential: Superpotential, psi, x_grid):

@@ -353,6 +353,26 @@ class TestMap:
         assert result.exit_code == 1
         assert "lo..hi" in result.output
 
+    @pytest.mark.parametrize(
+        "flag, text",
+        [("--lambda", "1/0"), ("--lambda", "1e308"), ("--lambda-range", "0..1/0")],
+        ids=["zero-denominator", "overflowing", "range-zero-denominator"],
+    )
+    def test_unrepresentable_lambda_is_one_error_line(self, runner, flag, text):
+        result = runner.invoke(main, ["map", "--d", "3", "--n", "2", "--l", "1", flag, text])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        bad = text.split("..")[-1]
+        assert result.stderr == (
+            f"Error: lambda '{bad}' is out of range (2*lambda must be a finite float)\n"
+        )
+
+    def test_unparsable_lambda_keeps_its_message(self, runner):
+        result = runner.invoke(main, ["map", "--d", "3", "--n", "2", "--l", "1", "--lambda", "abc"])
+        assert result.exit_code == 1
+        assert result.stderr == "Error: Invalid literal for Fraction: 'abc'\n"
+
     def test_invalid_source_is_fatal(self, runner):
         result = runner.invoke(
             main, ["map", "--d", "1", "--n", "1", "--l", "0", "--lambda", "1"]

@@ -4,7 +4,9 @@ Each case runs through click's CliRunner from inside tests/golden/ (so the
 config file is passed by its relative name) and must reproduce the committed
 stdout, stderr and exit code byte for byte.  numpy RuntimeWarnings are
 silenced while a case runs: they report on evaluation, not on what the
-program prints.  A changed golden file needs a stated reason in CHANGES.md.
+program prints.  Wall-clock ``"seconds"`` fields (the `verify` report) are
+masked, since they are the only output that varies between runs.  A changed
+golden file needs a stated reason in CHANGES.md.
 
 Regenerate the files with ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -71,9 +74,11 @@ CASES = [
     ("trap_levels_proton_csv",
      ["trap", "levels", "--L", "1", "--Delta", "0.1", "--B", "5.0", "--V", "12.0", "--d", "0.01",
       "--species", "proton"]),
+    ("verify_json", ["verify", "--format", "json"]),
 ]
 
 _SUFFIXES = (".out", ".err")  # stdout, stderr; a file is absent when its stream is empty
+_SECONDS = re.compile(r'"seconds": [^,\n]+')
 
 
 @contextlib.contextmanager
@@ -93,7 +98,11 @@ def _run(argv):
         warnings.simplefilter("ignore", RuntimeWarning)
         with _inside(GOLDEN_DIR):
             result = runner.invoke(main, argv)
-    return result.exit_code, result.stdout, result.stderr
+    return result.exit_code, _mask(result.stdout), result.stderr
+
+
+def _mask(text):
+    return _SECONDS.sub('"seconds": "masked"', text)
 
 
 def _expected(name):

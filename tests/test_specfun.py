@@ -1,12 +1,14 @@
 import math
 import re
+import sys
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
 
-from susyrad import _laguerre_forms, coulomb, oscillator, specfun, verify
+from susyrad import _laguerre_forms, coulomb, oscillator, reports, specfun, susy, verify
 from susyrad.errors import ConvergenceError, DomainError
 from susyrad.specfun import (
     Quadrature,
@@ -457,16 +459,168 @@ class TestDerivativeOrderSelection:
     )
     def test_each_order_runs_only_its_recurrences(self, state, monkeypatch):
         calls = Counter()
-        original = _laguerre_forms.eval_sonine_laguerre
+        original = _laguerre_forms._recurrence
 
-        def counted(poly, x):
+        def counted(n, a, x):
             calls["recurrence"] += 1
-            return original(poly, x)
+            return original(n, a, x)
 
-        monkeypatch.setattr(_laguerre_forms, "eval_sonine_laguerre", counted)
+        monkeypatch.setattr(_laguerre_forms, "_recurrence", counted)
         assert state._form.degree >= 3
         grid = np.linspace(0.1, 5.0, 7)
         for order, name in enumerate(_DERIVATIVES):
             calls.clear()
             getattr(state, name)(grid)
             assert calls["recurrence"] == order + 1, name
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    """Count calls of module.name at every susyrad module that binds it."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("susyrad") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+
+
+def _residual_states(monkeypatch):
+    """Every (state, grid) whose residual check_radial_residuals measures."""
+    seen = []
+    original = reports._relative_residual
+
+    def recording(state, grid):
+        seen.append((state, grid))
+        return original(state, grid)
+
+    monkeypatch.setattr(reports, "_relative_residual", recording)
+    assert verify.check_radial_residuals().passed
+    monkeypatch.undo()
+    return seen
+
+
+class TestSharedResidualStack:
+    def test_shared_stack_equals_separate_calls(self, monkeypatch):
+        seen = _residual_states(monkeypatch)
+        assert len(seen) == 464
+        for state, grid in seen:
+            value, curvature = state._value_and_second_derivative(specfun.positive_grid(grid))
+            assert np.array_equal(value, state.value(grid))
+            assert np.array_equal(curvature, state.second_derivative(grid))
+
+    def test_relative_residual_equals_apply_operator(self, monkeypatch):
+        for state, grid in _residual_states(monkeypatch)[::7]:
+            res = susy.apply_operator(state.operator(), state, grid, state.operator_eigenvalue())
+            want = float(np.max(np.abs(res)) / np.max(np.abs(state.value(grid))))
+            assert reports._relative_residual(state, grid) == want
+
+    @pytest.mark.parametrize(
+        "state",
+        [coulomb.CoulombState(3, 6, 1), oscillator.OscillatorState(2, 9, 1)],
+        ids=["coulomb-degree4", "oscillator-degree4"],
+    )
+    def test_one_grid_check_and_three_recurrences(self, state, monkeypatch):
+        calls = Counter()
+        for name in ("positive_grid", "_check_argument", "_recurrence"):
+            _count_calls(monkeypatch, specfun, name, calls)
+        reports._relative_residual(state, np.linspace(0.1, 5.0, 9))
+        assert calls == Counter(positive_grid=1, _check_argument=1, _recurrence=3)
+
+    def test_public_entry_points_still_check_the_grid(self):
+        state = coulomb.CoulombState(3, 2, 1)
+        for bad, message in (([1.0, 0.0], "positive"), ([1.0, math.nan], "finite")):
+            for call in (
+                lambda: state.value(bad),
+                lambda: state.second_derivative(bad),
+                lambda: state.operator().potential(bad),
+                lambda: susy.apply_operator(state.operator(), state, bad),
+                lambda: reports._relative_residual(state, bad),
+            ):
+                with pytest.raises(DomainError, match=f"radial coordinate must be {message}"):
+                    call()
+
+
+def _per_term_direct_sum(poly, x):
+    """The direct sum as it was first written: every rising product rebuilt per term."""
+    n = poly.degree
+    a = Fraction(float(poly.order))
+    xq = Fraction(float(x))
+    total = Fraction(0)
+    for p in range(n + 1):
+        rising = Fraction(1)
+        for j in range(p + 1, n + 1):
+            rising *= a + j
+        term = rising * xq**p / (math.factorial(p) * math.factorial(n - p))
+        total += -term if p % 2 else term
+    return float(total)
+
+
+class TestLaguerreOracle:
+    def test_horner_sum_equals_per_term_sum(self):
+        assert tuple(verify._ORACLE_SUM_POINTS) == POINT_GRID
+        points = 0
+        for n in range(16):
+            for order in ORDER_GRID:
+                poly = SonineLaguerre(n, order)
+                got = sonine_laguerre_direct_sum(poly, verify._ORACLE_SUM_POINTS)
+                want = [_per_term_direct_sum(poly, x) for x in verify._ORACLE_SUM_POINTS]
+                assert got.tolist() == want
+                points += len(want)
+        assert points == 320
+
+    def test_scalar_and_array_sums_agree(self):
+        poly = SonineLaguerre(7, 1.3)
+        xs = np.array([[0.0, 0.25], [3.0, 40.0]])
+        got = sonine_laguerre_direct_sum(poly, xs)
+        assert got.shape == xs.shape
+        assert isinstance(sonine_laguerre_direct_sum(poly, 3.0), float)
+        assert got[1, 0] == sonine_laguerre_direct_sum(poly, 3.0) == _per_term_direct_sum(poly, 3.0)
+
+    @pytest.mark.parametrize("bad", [-0.5, math.inf, math.nan, [1.0, -1.0]])
+    def test_sum_refuses_bad_points(self, bad):
+        with pytest.raises(DomainError, match="finite and non-negative"):
+            sonine_laguerre_direct_sum(SonineLaguerre(3, 0.5), bad)
+
+    def test_one_recurrence_per_degree_order_and_identity(self, monkeypatch):
+        calls = Counter()
+        for name in ("eval_sonine_laguerre", "eval_sonine_laguerre_derivative",
+                     "sonine_laguerre_direct_sum"):
+            _count_calls(monkeypatch, specfun, name, calls)
+        result = verify.check_laguerre_oracle()
+        assert result.passed
+        # 16 degrees x 5 orders for the sum identity, 5 x 4 for the derivative identity
+        assert calls == Counter(
+            eval_sonine_laguerre=80 + 20, sonine_laguerre_direct_sum=80,
+            eval_sonine_laguerre_derivative=20,
+        )
+
+    def test_detail_equals_pointwise_oracle(self):
+        worst = 0.0
+        for n in range(16):
+            for order in ORDER_GRID:
+                poly = SonineLaguerre(n, order)
+                for x in POINT_GRID:
+                    reference = _per_term_direct_sum(poly, x)
+                    got = eval_sonine_laguerre(poly, x)
+                    worst = max(worst, abs(got - reference) / max(abs(reference), 1.0))
+        deriv = 0.0
+        for n in (0, 1, 2, 5, 9):
+            for order in (-0.5, 0.0, 1.0, 2.7):
+                poly = SonineLaguerre(n, order)
+                for x in (0.5, 1.0, 5.0, 20.0):
+                    exact = eval_sonine_laguerre_derivative(poly, x)
+                    step = 1e-6 * max(1.0, abs(x))
+                    coarse = (
+                        eval_sonine_laguerre(poly, x + step) - eval_sonine_laguerre(poly, x - step)
+                    ) / (2.0 * step)
+                    fine = (
+                        eval_sonine_laguerre(poly, x + step / 2.0)
+                        - eval_sonine_laguerre(poly, x - step / 2.0)
+                    ) / step
+                    numeric = (4.0 * fine - coarse) / 3.0
+                    deriv = max(deriv, abs(exact - numeric) / max(abs(exact), 1.0))
+        detail = verify.check_laguerre_oracle().detail
+        assert detail == f"sum agreement {worst:.2e} (tol 1e-10), derivative {deriv:.2e} (tol 1e-7)"
