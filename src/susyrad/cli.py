@@ -19,25 +19,10 @@ import numpy as np
 from . import __version__, geonium, maps, reports
 from . import verify as verify_suite
 from .config import load_config
-from .errors import (
-    AdmissibilityError,
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    StabilityError,
-    VerificationError,
-)
+from .errors import AdmissibilityError, ConfigError, ConvergenceError, VerificationError
 
-_FATAL = (
-    AdmissibilityError,
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    StabilityError,
-    VerificationError,
-    ValueError,
-    OSError,
-)
+# every AdmissibilityError, ConfigError, DomainError and StabilityError is a ValueError
+_FATAL = (ValueError, OSError, ConvergenceError, VerificationError)
 
 
 def _build(builder):

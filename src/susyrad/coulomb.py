@@ -38,6 +38,16 @@ def check_shift(value, name="shift"):
         raise AdmissibilityError(f"{name} must be an integer >= 0, got {value!r}")
 
 
+def check_quantum_numbers(principal, angular):
+    """n >= 1 and 0 <= l <= n - 1."""
+    if not isinstance(principal, (int, np.integer)) or principal < 1:
+        raise AdmissibilityError(f"principal number must be >= 1, got {principal!r}")
+    if not isinstance(angular, (int, np.integer)) or not (0 <= angular <= principal - 1):
+        raise AdmissibilityError(
+            f"angular number must satisfy 0 <= l <= n-1, got l={angular!r} n={principal!r}"
+        )
+
+
 def coulomb_energy(dimension: int, principal: int) -> float:
     """E = -1/(2 (n + gamma)^2); independent of the angular number."""
     gamma = gamma_shift(dimension)
@@ -58,12 +68,7 @@ class CoulombState:
         gamma = gamma_shift(dimension)
         check_defect(delta)
         check_shift(shift)
-        if not isinstance(principal, (int, np.integer)) or principal < 1:
-            raise AdmissibilityError(f"principal number must be >= 1, got {principal!r}")
-        if not isinstance(angular, (int, np.integer)) or not (0 <= angular <= principal - 1):
-            raise AdmissibilityError(
-                f"angular number must satisfy 0 <= l <= n-1, got l={angular!r} n={principal!r}"
-            )
+        check_quantum_numbers(principal, angular)
         self.dimension, self.principal, self.angular = dimension, principal, angular
         self._set_starred(gamma, float(delta), int(shift))
 
@@ -138,11 +143,8 @@ class CoulombState:
 
 def eval_hydrogen_R(principal: int, angular: int, r):
     """Three-dimensional R_nl(r), normalized so the integral of R^2 r^2 dr is 1."""
+    check_quantum_numbers(principal, angular)
     n, l = principal, angular
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise AdmissibilityError(f"principal number must be >= 1, got {n!r}")
-    if not isinstance(l, (int, np.integer)) or not (0 <= l <= n - 1):
-        raise AdmissibilityError(f"angular number must satisfy 0 <= l <= n-1, got {l!r}")
     arr = positive_grid(r)
     prefactor = (2.0 / n**2) * math.exp(0.5 * (math.lgamma(n - l) - math.lgamma(n + l + 1)))
     t = 2.0 * arr / n

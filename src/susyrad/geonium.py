@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import maps, oscillator
 from .errors import AdmissibilityError, StabilityError, VerificationError
 from .oscillator import OscillatorState
@@ -144,32 +142,17 @@ def coulomb_to_geonium(principal: int, angular: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class GeoniumLevel:
-    """One level of the two-dimensional trap tower, possibly anharmonic."""
+    """One level of the two-dimensional trap tower, possibly anharmonic.
+
+    Admissible exactly when its D = 2 state is; that state raises otherwise.
+    """
 
     principal: int
     angular: int
     anharmonicity: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.principal, (int, np.integer)) or self.principal < 0:
-            raise AdmissibilityError(f"N must be an integer >= 0, got {self.principal!r}")
-        if not isinstance(self.angular, (int, np.integer)) or not (
-            0 <= self.angular <= self.principal
-        ):
-            raise AdmissibilityError(
-                f"L must satisfy 0 <= L <= N, got L={self.angular!r} N={self.principal!r}"
-            )
-        if (self.principal - self.angular) % 2:
-            raise AdmissibilityError(
-                f"N - L must be even, got N={self.principal} L={self.angular}"
-            )
-        if not (self.anharmonicity >= 0.0):
-            raise AdmissibilityError(f"anharmonicity must be >= 0, got {self.anharmonicity!r}")
-        # L* + Gamma + 1 > 0 with Gamma = -1/2 and I = 0
-        if not (self.angular - 2.0 * self.anharmonicity + 0.5 > 0.0):
-            raise AdmissibilityError(
-                f"anharmonicity {self.anharmonicity:g} too large: L - 2*Delta + 1/2 must be positive"
-            )
+        self.state()
 
     @property
     def modified_principal(self) -> float:

@@ -17,9 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coulomb import CoulombState, gamma_shift
+from .coulomb import CoulombState, check_defect, check_shift
 from .errors import AdmissibilityError, VerificationError
-from .oscillator import OscillatorState
+from .oscillator import OscillatorState, check_anharmonicity
 
 _INTEGRALITY_TOL = 1e-9
 _NODE_EXCLUSION = 1e-6
@@ -57,15 +57,13 @@ def _near_integer(value):
     return abs(value - round(value)) <= _INTEGRALITY_TOL
 
 
-def _validate_source(source):
-    d, n, l = source
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise AdmissibilityError(f"source dimension must be an integer >= 2, got {d!r}")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise AdmissibilityError(f"source principal number must be >= 1, got {n!r}")
-    if not isinstance(l, (int, np.integer)) or not (0 <= l <= n - 1):
-        raise AdmissibilityError(f"source angular number must satisfy 0 <= l <= n-1, got {l!r}")
-    return int(d), int(n), int(l)
+def _violations(prefix, state_class, *args, **kwargs):
+    """The state's own admissibility error as a one-item list, or no items."""
+    try:
+        state_class(*args, **kwargs)
+    except AdmissibilityError as exc:
+        return [prefix + str(exc)]
+    return []
 
 
 def solve_map_parameters(
@@ -83,29 +81,25 @@ def solve_map_parameters(
     unknown mode); admissibility and integrality failures are reported, never
     raised, so sweeps can continue.
     """
-    d, n, l = _validate_source(source)
+    d, n, l = source
+    CoulombState(d, n, l)
+    d, n, l = int(d), int(n), int(l)
     if mode not in ("exact", "broken"):
         raise AdmissibilityError(f"mode must be 'exact' or 'broken', got {mode!r}")
-    if not (0.0 <= delta < 1.0):
-        raise AdmissibilityError(f"delta must lie in [0, 1), got {delta!r}")
-    if not (Delta >= 0.0):
-        raise AdmissibilityError(f"Delta must be >= 0, got {Delta!r}")
-    if not isinstance(i, (int, np.integer)) or i < 0:
-        raise AdmissibilityError(f"i must be an integer >= 0, got {i!r}")
-    if not isinstance(I, (int, np.integer)) or I < 0:
-        raise AdmissibilityError(f"I must be an integer >= 0, got {I!r}")
+    check_defect(delta, "delta")
+    check_anharmonicity(Delta, "Delta")
+    check_shift(i, "i")
+    check_shift(I, "I")
     if mode == "exact" and (delta != 0.0 or Delta != 0.0 or i != 0 or I != 0):
         raise AdmissibilityError("exact mode takes no breaking parameters")
 
-    violations = []
     lam_frac = _snap_half_integer(lam)
     if lam_frac is None:
-        violations.append(f"lambda = {lam} is not an integer or half-integer")
-        return ConstraintReport(tuple(violations))
+        return ConstraintReport((f"lambda = {lam} is not an integer or half-integer",))
     if mode == "exact" and lam_frac.denominator != 1:
-        violations.append(f"lambda = {lam_frac} is not an integer in exact mode")
-        return ConstraintReport(tuple(violations))
+        return ConstraintReport((f"lambda = {lam_frac} is not an integer in exact mode",))
 
+    violations = []
     lam_f = float(lam_frac)
     spread = 2.0 * (Delta - delta)
     if mode == "broken" and not _near_integer(spread + lam_f):
@@ -125,32 +119,13 @@ def solve_map_parameters(
         return ConstraintReport(tuple(violations))
 
     big_d, big_n, big_l = int(round(big_d)), int(round(big_n)), int(round(big_l))
-    gamma = gamma_shift(d)
-    l_star = l + i - delta
-    big_l_star = big_l + 2.0 * I - 2.0 * Delta
-
     if big_d < 2:
         violations.append(f"target dimension D = {big_d} is below 2")
-    if big_n < 0:
-        violations.append(f"target principal number N = {big_n} is negative")
-    if big_l < 0:
-        violations.append(f"target angular number L = {big_l} is negative")
-    if (big_n - big_l) % 2:
-        violations.append(f"target N - L = {big_n - big_l} is odd")
-    if n - l - i - 1 < 0:
-        violations.append(f"source polynomial degree n-l-i-1 = {n - l - i - 1} is negative")
-    if big_n >= 0 and big_l >= 0 and (big_n - big_l) // 2 - I < 0:
-        violations.append(
-            f"target polynomial degree (N-L)/2 - I = {(big_n - big_l) // 2 - I} is negative"
-        )
-    if not (l_star + gamma + 1.0 > 0.0):
-        violations.append(f"source l*+gamma+1 = {l_star + gamma + 1.0:g} is not positive")
-    if not (n - delta + gamma > 0.0):
-        violations.append(f"source n*+gamma = {n - delta + gamma:g} is not positive")
+    violations += _violations("source ", CoulombState, d, n, l, delta=delta, shift=i)
     if big_d >= 2:
-        target_bound = big_l_star + gamma_shift(big_d) + 1.0
-        if not (target_bound > 0.0):
-            violations.append(f"target L*+Gamma+1 = {target_bound:g} is not positive")
+        violations += _violations(
+            "target ", OscillatorState, big_d, big_n, big_l, anharmonicity=Delta, shift=I
+        )
     if violations:
         return ConstraintReport(tuple(violations))
 

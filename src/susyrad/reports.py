@@ -43,6 +43,15 @@ def _count_nodes(values):
     return int(np.sum(np.sign(live[:-1]) * np.sign(live[1:]) < 0))
 
 
+def _linear_grid(grid_min, grid_max, points):
+    """points evenly spaced values from grid_min to grid_max, with 0 < min < max."""
+    if not (0.0 < grid_min < grid_max):
+        raise AdmissibilityError("grid bounds must satisfy 0 < min < max")
+    if points < 2:
+        raise AdmissibilityError("need at least 2 grid points")
+    return np.linspace(grid_min, grid_max, points)
+
+
 def _relative_residual(state, grid):
     res, val = susy.residual_and_value(
         state.operator(), state, positive_grid(grid), state.operator_eigenvalue()
@@ -95,11 +104,7 @@ def spectrum_record(family, dimension, n_values, l_values, model=None) -> Output
 
 def wavefunction_record(family, dimension, n, l, grid_min, grid_max, points, model=None) -> OutputRecord:
     """Amplitude table plus residual and node-count diagnostics."""
-    if not (0.0 < grid_min < grid_max):
-        raise AdmissibilityError("grid bounds must satisfy 0 < min < max")
-    if points < 2:
-        raise AdmissibilityError("need at least 2 grid points")
-    grid = np.linspace(grid_min, grid_max, points)
+    grid = _linear_grid(grid_min, grid_max, points)
 
     if family == "hydrogen":
         if dimension != 3:
@@ -157,7 +162,7 @@ def susy_pair_record(family, dimension, angular, grid_min=0.1, grid_max=12.0, po
     else:
         raise AdmissibilityError(f"susy-pair supports coulomb or oscillator, got {family!r}")
     pair = susy.SusyPair(u)
-    grid = np.linspace(grid_min, grid_max, points)
+    grid = _linear_grid(grid_min, grid_max, points)
     vp = pair.v_plus(grid)
     vm = pair.v_minus(grid)
     rows = [

@@ -24,14 +24,9 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-SCHEME_ADAPTIVE_PANEL = "adaptive-panel"
-SCHEME_HALF_LINE = "generalized-half-line"
-
-_SCHEMES = (SCHEME_ADAPTIVE_PANEL, SCHEME_HALF_LINE)
-
-# Panel geometry for the adaptive scheme: the integration window (0, T] is
-# split into geometrically graded panels so endpoint behaviour x**q with
-# fractional q > -1 is confined to panels of negligible measure.
+# Panel geometry: the integration window (0, T] is split into geometrically
+# graded panels so endpoint behaviour x**q with fractional q > -1 is confined
+# to panels of negligible measure.
 _PANEL_LEVELS = 40
 _MAX_NODE_DOUBLINGS = 6
 _TAIL_START = 8.0
@@ -159,7 +154,9 @@ def laguerre_envelope_log(degree: int, order: float, t):
     with np.errstate(divide="ignore"):
         log_t = np.log(arr)
     powers = np.arange(degree + 1).reshape((-1,) + (1,) * arr.ndim)
-    terms = log_coeff.reshape(powers.shape) + np.where(powers > 0, powers * log_t, 0.0)
+    # where= leaves the constant term at 0 instead of forming 0 * log(0) = NaN at t = 0
+    scaled = np.multiply(powers, log_t, out=np.zeros(powers.shape[:1] + arr.shape), where=powers > 0)
+    terms = log_coeff.reshape(powers.shape) + scaled
     peak = terms.max(axis=0)
     return peak + np.log(np.sum(np.exp(terms - peak), axis=0))
 
@@ -173,25 +170,18 @@ def gamma_ratio(numerator: float, denominator: float) -> float:
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Half-line integration policy.
+    """Half-line integration policy: graded Gauss-Legendre panels with node doubling.
 
-    scheme is one of 'adaptive-panel' (default; graded Gauss-Legendre panels
-    on (0, T] with node doubling) or 'generalized-half-line' (Gauss-Laguerre
-    rule of node_count and 2*node_count points; fast path for integrands
-    decaying at least like exp(-x)).  node_count is the per-panel point count
-    at the first refinement, respectively the smaller rule size.  Either scheme
-    raises ConvergenceError when successive estimates still differ by more
-    than target_rel_tol.  `gram_matrix` takes the adaptive-panel policy and
-    applies the tolerance to every entry of the matrix.
+    node_count is the per-panel point count at the first refinement.
+    Integration raises ConvergenceError when successive estimates still differ
+    by more than target_rel_tol; `gram_matrix` applies the tolerance to every
+    entry of the matrix.
     """
 
-    scheme: str = SCHEME_ADAPTIVE_PANEL
     node_count: int = 8
     target_rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise DomainError(f"unknown quadrature scheme {self.scheme!r}")
         if self.node_count < 2:
             raise DomainError("node_count must be at least 2")
         if not (self.target_rel_tol > 0.0):
@@ -308,8 +298,8 @@ def _panel_rule(edges, points):
     return nodes.ravel(), weights.ravel()
 
 
-def _refine(estimate, points, doublings, tol, what):
-    """Double the node count until successive estimates agree.
+def _refine(estimate, points, tol, what):
+    """Double the node count, at most _MAX_NODE_DOUBLINGS times, until successive estimates agree.
 
     estimate(points) returns (value, scale) with value a float or an array;
     the loop stops once every entry moves by at most tol * scale and returns
@@ -317,7 +307,7 @@ def _refine(estimate, points, doublings, tol, what):
     raises ConvergenceError carrying the last two estimates.
     """
     value = estimate(points)[0]
-    for _ in range(doublings):
+    for _ in range(_MAX_NODE_DOUBLINGS):
         prev = value
         points *= 2
         value, scale = estimate(points)
@@ -333,16 +323,12 @@ def _refine(estimate, points, doublings, tol, what):
 def integrate_half_line(fn, quad: Quadrature | None = None) -> QuadratureResult:
     """Integrate fn over (0, inf) under the given policy.
 
-    The adaptive scheme doubles the per-panel node count until the estimate
-    moves by less than target_rel_tol (relative to the integral scale), and
-    raises ConvergenceError carrying the last two estimates if the doubling
-    budget runs out.
+    The per-panel node count doubles until the estimate moves by less than
+    target_rel_tol (relative to the integral scale); ConvergenceError carries
+    the last two estimates if the doubling budget runs out.
     """
     quad = quad or Quadrature()
     fn = _vectorized(fn)
-    if quad.scheme == SCHEME_HALF_LINE:
-        return _half_line(fn, quad)
-
     edges = _panel_edges(_tail_cutoff(fn))
 
     def estimate(points):
@@ -351,23 +337,7 @@ def integrate_half_line(fn, quad: Quadrature | None = None) -> QuadratureResult:
         value = float(np.sum(vals))
         return value, max(abs(value), 1e-2 * float(np.sum(np.abs(vals))))
 
-    value, points, change = _refine(
-        estimate, quad.node_count, _MAX_NODE_DOUBLINGS, quad.target_rel_tol, "panel quadrature"
-    )
-    return QuadratureResult(value, True, points, change)
-
-
-def _half_line(fn, quad):
-    def rule(points):
-        x, w = np.polynomial.laguerre.laggauss(points)
-        # w_i ~ exp(-x_i); recombine in log space so large nodes cannot overflow
-        logw = np.log(w) + x
-        value = float(np.sum(np.exp(logw) * np.asarray(fn(x), dtype=float)))
-        return value, abs(value)
-
-    value, points, change = _refine(
-        rule, quad.node_count, 1, quad.target_rel_tol, "generalized half-line rule"
-    )
+    value, points, change = _refine(estimate, quad.node_count, quad.target_rel_tol, "panel quadrature")
     return QuadratureResult(value, True, points, change)
 
 
@@ -390,8 +360,6 @@ def gram_matrix(fns, cutoff: float, quad: Quadrature | None = None) -> GramResul
     as given: the caller vouches that every product has decayed past it.
     """
     quad = quad or Quadrature()
-    if quad.scheme != SCHEME_ADAPTIVE_PANEL:
-        raise DomainError(f"gram_matrix needs the {SCHEME_ADAPTIVE_PANEL!r} scheme")
     edges = _panel_edges(cutoff)
 
     def estimate(points):
@@ -401,7 +369,5 @@ def gram_matrix(fns, cutoff: float, quad: Quadrature | None = None) -> GramResul
         matrix = (v * weights) @ v.T
         return matrix, np.maximum(np.abs(matrix), 1e-2 * ((mag * weights) @ mag.T))
 
-    matrix, points, change = _refine(
-        estimate, quad.node_count, _MAX_NODE_DOUBLINGS, quad.target_rel_tol, "Gram matrix"
-    )
+    matrix, points, change = _refine(estimate, quad.node_count, quad.target_rel_tol, "Gram matrix")
     return GramResult(matrix, float(cutoff), points, change)

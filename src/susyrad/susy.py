@@ -51,8 +51,7 @@ class Superpotential:
 
     def u_third_derivative(self, x):
         arr = positive_grid(x)
-        # x**(p-3) term vanishes for p in {1, 2} only when p == 1; p == 2 gives 0 too
-        # since p*(p-1)*(p-2) == 0 for both admissible powers
+        # the power term's third derivative p*(p-1)*(p-2) x**(p-3) is zero for p in {1, 2}
         out = 2.0 * self.log_coeff / arr**3
         return float(out) if np.ndim(x) == 0 else out
 

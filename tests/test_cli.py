@@ -271,6 +271,24 @@ class TestSusyPair:
         result = runner.invoke(main, ["susy-pair", "--family", "defect"])
         assert result.exit_code == 2  # not a valid Choice value
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--grid-min", "5", "--grid-max", "1"], "grid bounds must satisfy 0 < min < max"),
+            (["--points", "1"], "need at least 2 grid points"),
+            (["--points", "0"], "need at least 2 grid points"),
+        ],
+        ids=["descending", "one-point", "no-points"],
+    )
+    def test_grid_rule_matches_wavefunction(self, runner, args, message):
+        result = runner.invoke(main, ["susy-pair", *args])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"Error: {message}"]
+        wave = runner.invoke(main, ["wavefunction", *args])
+        assert wave.exit_code == 1
+        assert wave.output.splitlines() == [f"Error: {message}"]
+
 
 class TestMap:
     def test_exact_single_lambda(self, runner):
@@ -482,7 +500,7 @@ class TestTrap:
         assert result.exit_code == 0
         rows = json.loads(result.output)["rows"]
         assert len(rows) == 3
-        assert all("too large" in row["error"] for row in rows)
+        assert all("normalizability" in row["error"] for row in rows)
         # one unit up in L the same Delta is admissible again
         result = runner.invoke(
             main,

@@ -163,8 +163,6 @@ class TestGammaRatio:
 class TestQuadrature:
     def test_validation(self):
         with pytest.raises(DomainError):
-            Quadrature(scheme="simpson")
-        with pytest.raises(DomainError):
             Quadrature(node_count=1)
         with pytest.raises(DomainError):
             Quadrature(target_rel_tol=0.0)
@@ -200,21 +198,6 @@ class TestQuadrature:
     def test_gaussian_weight(self):
         result = integrate_half_line(lambda t: t * t * np.exp(-t * t), Quadrature())
         assert result.value == pytest.approx(math.sqrt(math.pi) / 4.0, rel=1e-10)
-
-    def test_fast_path_scheme(self):
-        quad = Quadrature(scheme="generalized-half-line", node_count=48)
-        result = integrate_half_line(lambda t: t * t * np.exp(-2.0 * t), Quadrature())
-        fast = integrate_half_line(lambda t: t * t * np.exp(-2.0 * t), quad)
-        assert fast.value == pytest.approx(result.value, rel=1e-8)
-
-    def test_fast_path_raises_when_unsettled(self):
-        # 8 and 16 Gauss-Laguerre nodes give 7.773 and 7.995 for the exact 8
-        quad = Quadrature(scheme="generalized-half-line")
-        with pytest.raises(ConvergenceError) as info:
-            integrate_half_line(lambda t: np.exp(-t / 8.0), quad)
-        coarse, fine = info.value.estimates
-        assert coarse == pytest.approx(7.7732, rel=1e-4)
-        assert fine == pytest.approx(7.9953, rel=1e-4)
 
     def test_unsettled_estimates_are_the_last_two(self):
         quad = Quadrature(target_rel_tol=1e-13)
@@ -291,10 +274,6 @@ class TestGramMatrix:
         previous, last = info.value.estimates
         assert previous.shape == last.shape == (2, 2)
         assert not np.array_equal(previous, last)
-
-    def test_refuses_the_half_line_scheme(self):
-        with pytest.raises(DomainError):
-            gram_matrix([np.exp], 16.0, Quadrature(scheme="generalized-half-line"))
 
     def test_orthonormality_check_uses_no_pairwise_quadrature(self, monkeypatch):
         calls = Counter()
