@@ -1,13 +1,13 @@
-"""Internal radial waveform evaluators shared by the state families.
+"""The radial closed forms that `CoulombState` and `OscillatorState` subclass.
 
-Both families are a power times a decaying exponential times a Sonine-Laguerre
+Each is a power times a decaying exponential times a Sonine-Laguerre
 polynomial; derivatives up to third order come from the product rule with the
 polynomial derivative identity, never from finite differences.  A call builds
 each factor's derivative stack only up to the order it asks for, so `value`
 runs one Laguerre recurrence and `second_derivative` three; a residual takes
 both from one order-two build (`value_and_second_derivative`).  The public
 methods check their grid once and everything below them takes the checked
-array; the polynomial chain checks its own argument once for all its cards.
+array.  The polynomial cards and the normalization are built on first use.
 Each form also bounds its own magnitude in closed form (`log_envelope`), which
 fixes the quadrature cutoff (`tail_cutoff`) without sampling the waveform.
 """
@@ -28,17 +28,6 @@ from .specfun import (
     laguerre_envelope_log,
     positive_grid,
 )
-
-
-def _poly_derivative_chain(degree, order):
-    """L, L', L'', L''' as SonineLaguerre cards (None once the degree runs out)."""
-    chain = [SonineLaguerre(degree, order)]
-    for j in range(1, 4):
-        if degree - j < 0:
-            chain.append(None)
-        else:
-            chain.append(SonineLaguerre(degree - j, order + j))
-    return chain
 
 
 def _poly_values(chain, t, j):
@@ -92,9 +81,9 @@ def _power_stack(x, exponent, order):
 class _LaguerreForm:
     """norm * x**exponent * w(x) * L_degree^(order)(t(x)) under the product rule.
 
-    A form's __init__ passes exponent, degree and order up and sets its
-    normalization with _set_norm(log norm**-2).  It supplies
-    _factor_stacks(x, order) -> (w, z), the derivative stacks of the
+    A form's __init__ passes exponent, degree and order up.  It supplies
+    _log_inverse_square_norm() -> log norm**-2, checked and computed on first
+    use; _factor_stacks(x, order) -> (w, z), the derivative stacks of the
     exponential and polynomial factors up to order; for the envelope,
     _decay_and_argument(x) -> (decay, t) with w = exp(-decay); and
     _envelope_decreasing_from(), past which the envelope falls.
@@ -106,11 +95,24 @@ class _LaguerreForm:
         self.exponent = float(exponent)
         self.degree = int(degree)
         self.order = float(order)
-        self._chain = _poly_derivative_chain(self.degree, self.order)
 
-    def _set_norm(self, log_sq):
-        self.log_norm = -0.5 * log_sq
-        self.norm = math.exp(self.log_norm)
+    @cached_property
+    def _chain(self):
+        """L, L', L'', L''' as SonineLaguerre cards (None once the degree runs out)."""
+        n, a = self.degree, self.order
+        return [SonineLaguerre(n - j, a + j) if j == 0 or j <= n else None for j in range(4)]
+
+    @cached_property
+    def log_norm(self) -> float:
+        return -0.5 * self._log_inverse_square_norm()
+
+    @cached_property
+    def norm(self) -> float:
+        return math.exp(self.log_norm)
+
+    @property
+    def normalization(self) -> float:
+        return self.norm
 
     def _poly_stack(self, t, order):
         # x/scale or x*x can overflow on a finite grid, so the argument is checked
@@ -167,18 +169,20 @@ class _LaguerreForm:
 
 
 class ExponentialLaguerreForm(_LaguerreForm):
-    """norm * x**exponent * exp(-x/(2*scale)) * L_degree^(order)(x/scale)."""
+    """norm * x**exponent * exp(-x/(2*scale)) * L_degree^(order)(x/scale); the Coulomb form."""
 
     def __init__(self, scale, exponent, degree, order):
         if not (scale > 0.0):
             raise DomainError(f"exponential scale must be positive, got {scale!r}")
         self.scale = float(scale)
         super().__init__(exponent, degree, order)
+
+    def _log_inverse_square_norm(self):
         # unit-L2-norm constant; requires 2*exponent == order + 1, which every
         # state family in this package satisfies by construction
         if not math.isclose(2.0 * self.exponent, self.order + 1.0, rel_tol=0.0, abs_tol=1e-12):
             raise DomainError("form violates the 2q = order + 1 normalization relation")
-        self._set_norm(
+        return (
             (self.order + 2.0) * math.log(self.scale)
             + math.lgamma(self.degree + self.order + 1.0)
             + math.log(2.0 * self.degree + self.order + 1.0)
@@ -208,13 +212,15 @@ class ExponentialLaguerreForm(_LaguerreForm):
 
 
 class GaussianLaguerreForm(_LaguerreForm):
-    """norm * x**exponent * exp(-x**2/2) * L_degree^(order)(x**2)."""
+    """norm * x**exponent * exp(-x**2/2) * L_degree^(order)(x**2); the oscillator form."""
 
-    def __init__(self, exponent, degree, order):
-        super().__init__(exponent, degree, order)
+    # perfbench/tracer.py wraps each form's own __init__
+    __init__ = _LaguerreForm.__init__
+
+    def _log_inverse_square_norm(self):
         if not math.isclose(self.exponent, self.order + 0.5, rel_tol=0.0, abs_tol=1e-12):
             raise DomainError("form violates the q = order + 1/2 normalization relation")
-        self._set_norm(
+        return (
             math.lgamma(self.degree + self.order + 1.0)
             - math.log(2.0)
             - math.lgamma(self.degree + 1.0)

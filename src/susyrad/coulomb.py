@@ -11,7 +11,6 @@ defect model in `qdt` supplies them from a table.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +55,7 @@ def coulomb_energy(dimension: int, principal: int) -> float:
     return -1.0 / (2.0 * (principal + gamma) ** 2)
 
 
-class CoulombState:
+class CoulombState(ExponentialLaguerreForm):
     """Coulomb-form state with starred numbers n* = n - delta, l* = l + shift - delta.
 
     The quantum defect delta lies in [0, 1) and the shift is an integer >= 0;
@@ -75,9 +74,10 @@ class CoulombState:
     def _set_starred(self, g, delta, shift):
         """Check and store the starred numbers; DefectState calls this after its lookups."""
         n, l = self.principal, self.angular
-        if n - l - shift - 1 < 0:
+        degree = n - l - shift - 1
+        if degree < 0:
             raise AdmissibilityError(
-                f"polynomial degree n-l-i-1 = {n - l - shift - 1} is negative for n={n} l={l} i={shift}"
+                f"polynomial degree n-l-i-1 = {degree} is negative for n={n} l={l} i={shift}"
             )
         n_star = n - delta
         l_star = l + shift - delta
@@ -91,42 +91,17 @@ class CoulombState:
             )
         self.delta, self.shift, self.gamma = delta, shift, g
         self.n_star, self.l_star = n_star, l_star
-
-    @cached_property
-    def _form(self) -> ExponentialLaguerreForm:
-        g = self.gamma
-        return ExponentialLaguerreForm(
-            scale=self.n_star + g,
-            exponent=self.l_star + g + 1.0,
-            degree=self.principal - self.angular - self.shift - 1,
-            order=2.0 * self.l_star + 2.0 * g + 1.0,
-        )
-
-    @property
-    def normalization(self) -> float:
-        return self._form.norm
+        super().__init__(n_star + g, l_star + g + 1.0, degree, 2.0 * l_star + 2.0 * g + 1.0)
 
     @property
     def energy(self) -> float:
         return -1.0 / (2.0 * (self.n_star + self.gamma) ** 2)
 
-    def value(self, y):
-        return self._form.value(y)
-
-    __call__ = value
-
-    def derivative(self, y):
-        return self._form.derivative(y)
-
-    def second_derivative(self, y):
-        return self._form.second_derivative(y)
-
-    def third_derivative(self, y):
-        return self._form.third_derivative(y)
-
-    def _value_and_second_derivative(self, grid):
-        """Both from one build of the stacks, on a grid positive_grid has checked."""
-        return self._form.value_and_second_derivative(grid)
+    # perfbench/tracer.py wraps the eval methods in each state class's own __dict__
+    value = __call__ = ExponentialLaguerreForm.value
+    derivative = ExponentialLaguerreForm.derivative
+    second_derivative = ExponentialLaguerreForm.second_derivative
+    third_derivative = ExponentialLaguerreForm.third_derivative
 
     def operator(self) -> RadialOperator:
         lg = self.l_star + self.gamma

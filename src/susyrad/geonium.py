@@ -95,12 +95,24 @@ class TrapFrequencies:
     axial: float
 
 
+def _in_float_range(name, compute):
+    """compute(), refused by name when it, or a square inside it, over- or underflows."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not (0.0 < abs(value) < math.inf):
+        raise AdmissibilityError(f"{name} is out of float range for this trap")
+    return value
+
+
 def trap_frequencies(config: TrapConfig) -> TrapFrequencies:
     """Angular frequencies in rad/s; the config guarantees e*V > 0."""
-    w_c = abs(config.charge * config.magnetic_field) / config.mass
-    w_z = math.sqrt(
-        config.charge * config.electrode_voltage / (config.mass * config.trap_length**2)
-    )
+    e, m = config.charge, config.mass
+    w_c = _in_float_range("cyclotron frequency", lambda: abs(e * config.magnetic_field) / m)
+    w_z = _in_float_range("axial frequency", lambda: math.sqrt(
+        e * config.electrode_voltage / (m * config.trap_length**2)
+    ))
     return TrapFrequencies(cyclotron=w_c, axial=w_z)
 
 
@@ -119,7 +131,10 @@ def susy_operating_point(magnetic_field: float, trap_length: float, charge: floa
         raise AdmissibilityError(f"mass must be positive, got {mass!r}")
     if charge == 0.0 or not math.isfinite(charge):
         raise AdmissibilityError("charge must be nonzero and finite")
-    return charge * magnetic_field**2 * trap_length**2 / mass
+    return _in_float_range(
+        "operating-point voltage e B^2 d^2 / m",
+        lambda: charge * magnetic_field**2 * trap_length**2 / mass,
+    )
 
 
 def coulomb_to_geonium(principal: int, angular: int) -> tuple[int, int]:

@@ -12,7 +12,7 @@ sqrt(Y) times the target state, and the constant is measured, not asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -23,11 +23,13 @@ from .oscillator import OscillatorState, check_anharmonicity
 
 _INTEGRALITY_TOL = 1e-9
 _NODE_EXCLUSION = 1e-6
+# upper bound on one sweep's lambda grid, checked before the grid is built
+MAX_LAMBDA_CANDIDATES = 10_000
 
 
 @dataclass(frozen=True)
 class MapSpec:
-    """Solved map: lambda, breaking parameters, and both (dim, n, l) triples."""
+    """Solved map: lambda, breaking parameters, both (dim, n, l) triples and their states."""
 
     lam: Fraction
     delta_defect: float
@@ -36,6 +38,8 @@ class MapSpec:
     shift_I: int
     source: tuple[int, int, int]
     target: tuple[int, int, int]
+    source_state: CoulombState = field(compare=False, repr=False)
+    target_state: OscillatorState = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -46,24 +50,23 @@ class ConstraintReport:
 
 
 def _snap_half_integer(lam):
-    value = float(lam)
-    doubled = round(2.0 * value)
-    if abs(2.0 * value - doubled) > _INTEGRALITY_TOL:
+    doubled = 2.0 * float(lam)
+    if not _near_integer(doubled):
         return None
-    return Fraction(int(doubled), 2)
+    return Fraction(round(doubled), 2)
 
 
 def _near_integer(value):
-    return abs(value - round(value)) <= _INTEGRALITY_TOL
+    """Within the integrality tolerance of an integer; inf and nan are not integers."""
+    return math.isfinite(value) and abs(value - round(value)) <= _INTEGRALITY_TOL
 
 
-def _violations(prefix, state_class, *args, **kwargs):
-    """The state's own admissibility error as a one-item list, or no items."""
+def _admitted(prefix, state_class, *args, **kwargs):
+    """(state, []) or, when the state refuses, (None, [its error message under prefix])."""
     try:
-        state_class(*args, **kwargs)
+        return state_class(*args, **kwargs), []
     except AdmissibilityError as exc:
-        return [prefix + str(exc)]
-    return []
+        return None, [prefix + str(exc)]
 
 
 def solve_map_parameters(
@@ -82,7 +85,7 @@ def solve_map_parameters(
     raised, so sweeps can continue.
     """
     d, n, l = source
-    CoulombState(d, n, l)
+    plain = CoulombState(d, n, l)
     d, n, l = int(d), int(n), int(l)
     if mode not in ("exact", "broken"):
         raise AdmissibilityError(f"mode must be 'exact' or 'broken', got {mode!r}")
@@ -121,11 +124,16 @@ def solve_map_parameters(
     big_d, big_n, big_l = int(round(big_d)), int(round(big_n)), int(round(big_l))
     if big_d < 2:
         violations.append(f"target dimension D = {big_d} is below 2")
-    violations += _violations("source ", CoulombState, d, n, l, delta=delta, shift=i)
+    if delta == 0.0 and i == 0:
+        src = plain
+    else:
+        src, refused = _admitted("source ", CoulombState, d, n, l, delta=delta, shift=i)
+        violations += refused
     if big_d >= 2:
-        violations += _violations(
+        tgt, refused = _admitted(
             "target ", OscillatorState, big_d, big_n, big_l, anharmonicity=Delta, shift=I
         )
+        violations += refused
     if violations:
         return ConstraintReport(tuple(violations))
 
@@ -137,6 +145,8 @@ def solve_map_parameters(
         shift_I=int(I),
         source=(d, n, l),
         target=(big_d, big_n, big_l),
+        source_state=src,
+        target_state=tgt,
     )
 
 
@@ -159,14 +169,6 @@ class MapVerification:
         return int(np.sum(~self.included))
 
 
-def _source_state(spec: MapSpec) -> CoulombState:
-    return CoulombState(*spec.source, delta=spec.delta_defect, shift=spec.shift_i)
-
-
-def _target_state(spec: MapSpec) -> OscillatorState:
-    return OscillatorState(*spec.target, anharmonicity=spec.anharmonicity, shift=spec.shift_I)
-
-
 def verify_map_identity(spec: MapSpec, grid=None) -> MapVerification:
     """Measure v(nu* Y^2) / (sqrt(Y) V(Y)) on the grid.
 
@@ -180,8 +182,7 @@ def verify_map_identity(spec: MapSpec, grid=None) -> MapVerification:
     if np.any(grid <= 0.0):
         raise VerificationError("verification grid must be strictly positive")
 
-    src = _source_state(spec)
-    tgt = _target_state(spec)
+    src, tgt = spec.source_state, spec.target_state
     nu_star = src.n_star + src.gamma
     target_vals = tgt.value(grid)
     scale = np.max(np.abs(target_vals))
@@ -209,19 +210,21 @@ def verify_map_identity(spec: MapSpec, grid=None) -> MapVerification:
 def lambda_candidates(lo, hi, mode: str = "exact") -> list[Fraction]:
     """The lambda grid on [lo, hi]: integers in exact mode, half-integers otherwise.
 
-    The grid starts at its first point >= lo; an empty grid raises.
+    The grid starts at its first point >= lo; an empty grid, or one longer
+    than MAX_LAMBDA_CANDIDATES, raises.
     """
     step = Fraction(1) if mode == "exact" else Fraction(1, 2)
-    lam = math.ceil(Fraction(lo) / step) * step
-    candidates = []
-    while lam <= hi:
-        candidates.append(lam)
-        lam += step
-    if not candidates:
+    first, last = math.ceil(Fraction(lo) / step), math.floor(Fraction(hi) / step)
+    if last < first:
         raise AdmissibilityError(
             f"no candidate lambda values in [{float(lo):g}, {float(hi):g}]"
         )
-    return candidates
+    if last - first >= MAX_LAMBDA_CANDIDATES:
+        raise AdmissibilityError(
+            f"[{float(lo):g}, {float(hi):g}] holds more than the limit of "
+            f"{MAX_LAMBDA_CANDIDATES} lambda candidates"
+        )
+    return [k * step for k in range(first, last + 1)]
 
 
 def enumerate_admissible_targets(

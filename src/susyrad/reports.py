@@ -18,20 +18,30 @@ SHIFT_IDENTITY_TOL = 1e-12
 MAP_CONSTANCY_TOL = 1e-8
 FREQUENCY_MATCH_TOL = 1e-12
 
+# upper bounds on the counts a caller sets, checked before anything is allocated
+MAX_GRID_POINTS = 100_000
+MAX_TABLE_ROWS = 10_000
+
 COULOMB_SIDE = ("coulomb", "defect", "hydrogen")
 OSCILLATOR_SIDE = ("oscillator", "anharmonic")
 
 
 def parse_range(text: str) -> list[int]:
-    """'2' -> [2]; '1..4' -> [1, 2, 3, 4]."""
+    """'2' -> [2]; '1..4' -> [1, 2, 3, 4]; at most MAX_TABLE_ROWS values."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo, hi = int(lo), int(hi)
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
+        _check_rows(f"range {text!r}", hi - lo + 1)
         return list(range(lo, hi + 1))
     return [int(text)]
+
+
+def _check_rows(what, count):
+    if count > MAX_TABLE_ROWS:
+        raise AdmissibilityError(f"{what} has {count} rows; the limit is {MAX_TABLE_ROWS}")
 
 
 def _count_nodes(values):
@@ -49,6 +59,8 @@ def _linear_grid(grid_min, grid_max, points):
         raise AdmissibilityError("grid bounds must satisfy 0 < min < max")
     if points < 2:
         raise AdmissibilityError("need at least 2 grid points")
+    if points > MAX_GRID_POINTS:
+        raise AdmissibilityError(f"{points} grid points exceed the limit of {MAX_GRID_POINTS}")
     return np.linspace(grid_min, grid_max, points)
 
 
@@ -73,6 +85,7 @@ def _state_factory(family, dimension, model):
 
 def spectrum_record(family, dimension, n_values, l_values, model=None) -> OutputRecord:
     """Energy table over the (n, l) grid; inadmissible rows carry an error."""
+    _check_rows("the (n, l) sweep", len(n_values) * len(l_values))
     make = _state_factory(family, dimension, model)
     upper = family in OSCILLATOR_SIDE
     n_key, l_key = ("N", "L") if upper else ("n", "l")
@@ -188,7 +201,7 @@ def susy_pair_record(family, dimension, angular, grid_min=0.1, grid_max=12.0, po
     )
 
 
-def map_record(source, lam_values, mode="exact", delta=0.0, i=0, Delta=0.0, I=0, grid=None) -> OutputRecord:
+def map_record(source, lam_values, mode="exact", delta=0.0, i=0, Delta=0.0, I=0) -> OutputRecord:
     """One row per candidate lambda: solved target plus measured ratio data."""
     rows = []
     worst = 0.0
@@ -199,7 +212,7 @@ def map_record(source, lam_values, mode="exact", delta=0.0, i=0, Delta=0.0, I=0,
         if isinstance(solved, maps.ConstraintReport):
             row["violations"] = "; ".join(solved.violations)
         else:
-            check = maps.verify_map_identity(solved, grid)
+            check = maps.verify_map_identity(solved)
             big_d, big_n, big_l = solved.target
             row.update(
                 D=big_d,
@@ -294,6 +307,7 @@ def trap_operating_point_record(magnetic_field, trap_length, charge, mass) -> Ou
 
 def trap_levels_record(angular, n_max, anharmonicity=0.0, config=None) -> OutputRecord:
     """Geonium tower at fixed L; optional SI column when a trap config is given."""
+    _check_rows(f"the ladder L={angular}..N_max={n_max}", (n_max - angular) // 2 + 1)
     columns = ["N", "L", "Delta", "N_star", "energy_quanta", "error"]
     if config is not None:
         columns.insert(5, "energy_joule")

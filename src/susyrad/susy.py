@@ -184,7 +184,7 @@ def residual_and_value(op: RadialOperator, psi, grid, eigenvalue: float | None =
     A state supplies value and second derivative from one build of its stacks;
     any other psi is asked for each.
     """
-    shared = getattr(psi, "_value_and_second_derivative", None)
+    shared = getattr(psi, "value_and_second_derivative", None)
     if shared is not None:
         val, curv = shared(grid)
     else:

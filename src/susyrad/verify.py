@@ -154,7 +154,7 @@ def check_radial_residuals() -> CheckResult:
 
 def _gram(states):
     """Gram matrix of one family on shared nodes, cut off where the forms say."""
-    return specfun.gram_matrix(states, max(state._form.tail_cutoff for state in states))
+    return specfun.gram_matrix(states, max(state.tail_cutoff for state in states))
 
 
 def orthonormality_families():

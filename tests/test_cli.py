@@ -574,3 +574,81 @@ class TestVerify:
         text = target.read_text(encoding="utf-8")
         assert "9/9 checks passed" in text
         assert text.count("PASS") == 9
+
+
+def _one_error_line(result):
+    """A clean fatal exit: code 1, no traceback, one Error: line on stderr and nothing else."""
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.startswith("Error: ") and result.stderr.count("\n") == 1
+    return result.stderr
+
+
+class TestFiniteFlagsOutOfRange:
+    @pytest.mark.parametrize("delta", ["inf", "1e308"])
+    def test_map_overflowing_breaking_parameter_is_a_row_violation(self, runner, delta):
+        result = runner.invoke(
+            main, ["map", "--d", "3", "--n", "2", "--l", "0", "--mode", "broken",
+                   "--lambda", "1", "--Delta", delta, "--format", "json"]
+        )
+        if delta == "inf":  # the input itself is not a finite number, so rendering refuses it
+            assert _one_error_line(result) == "Error: non-finite number in inputs.Delta: inf\n"
+            return
+        assert result.exit_code == 0, result.output
+        violations = json.loads(result.output)["rows"][0]["violations"]
+        assert violations.startswith("2*(Delta - delta) + lambda = inf is not an integer")
+
+    @pytest.mark.parametrize("args", [["--B", "1e200", "--d", "0.01"], ["--B", "5", "--d", "1e200"]])
+    def test_operating_point_overflow(self, runner, args):
+        message = _one_error_line(runner.invoke(main, ["trap", "operating-point", *args]))
+        assert message == (
+            "Error: operating-point voltage e B^2 d^2 / m is out of float range for this trap\n"
+        )
+
+    @pytest.mark.parametrize("length", ["1e200", "1e-320"])
+    def test_frequencies_out_of_float_range(self, runner, length):
+        result = runner.invoke(
+            main, ["trap", "frequencies", "--B", "5", "--V", "12", "--d", length,
+                   "--species", "proton"]
+        )
+        assert _one_error_line(result) == (
+            "Error: axial frequency is out of float range for this trap\n"
+        )
+
+
+class TestCountLimits:
+    @pytest.mark.parametrize("verb", ["wavefunction", "susy-pair"])
+    def test_points(self, runner, verb):
+        over = reports.MAX_GRID_POINTS + 1
+        message = _one_error_line(runner.invoke(main, [verb, "--points", str(over)]))
+        assert message == (
+            f"Error: {over} grid points exceed the limit of {reports.MAX_GRID_POINTS}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "args, what",
+        [(["--n", "1..100000000"], "range '1..100000000' has 100000000"),
+         (["--n", "1..5000", "--l", "0..2"], "the (n, l) sweep has 15000")],
+        ids=["one-range", "product"],
+    )
+    def test_spectrum_sweep(self, runner, args, what):
+        message = _one_error_line(runner.invoke(main, ["spectrum", *args]))
+        assert message == f"Error: {what} rows; the limit is {reports.MAX_TABLE_ROWS}\n"
+
+    def test_spectrum_sweep_at_the_limit_runs(self, runner):
+        result = runner.invoke(main, ["spectrum", "--n", "1..2500", "--l", "0..3"])
+        assert result.exit_code == 0
+        assert len(_csv_rows(result.output)) == reports.MAX_TABLE_ROWS
+
+    def test_trap_ladder(self, runner):
+        result = runner.invoke(main, ["trap", "levels", "--N-max", str(10**30)])
+        assert "the limit is 10000" in _one_error_line(result)
+
+    def test_lambda_range(self, runner):
+        result = runner.invoke(
+            main, ["map", "--d", "3", "--n", "2", "--l", "0", "--lambda-range", "0..1e300"]
+        )
+        assert _one_error_line(result) == (
+            "Error: [0, 1e+300] holds more than the limit of 10000 lambda candidates\n"
+        )

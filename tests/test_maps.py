@@ -1,11 +1,15 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from susyrad import maps, reports
+from susyrad.coulomb import CoulombState
 from susyrad.errors import AdmissibilityError, VerificationError
 from susyrad.maps import (
+    MAX_LAMBDA_CANDIDATES,
     ConstraintReport,
     MapSpec,
     default_verification_grid,
@@ -14,7 +18,7 @@ from susyrad.maps import (
     solve_map_parameters,
     verify_map_identity,
 )
-from susyrad.oscillator import oscillator_energy
+from susyrad.oscillator import OscillatorState, oscillator_energy
 
 
 class TestSolveExact:
@@ -126,6 +130,60 @@ class TestSolveBroken:
         assert any("degree" in v for v in report.violations)
 
 
+class TestSolvedMapKeepsStates:
+    def _count_states(self, monkeypatch):
+        calls = Counter()
+        for cls in (CoulombState, OscillatorState):
+            def counted(*args, _cls=cls, **kwargs):
+                calls[_cls.__name__] += 1
+                return _cls(*args, **kwargs)
+
+            monkeypatch.setattr(maps, cls.__name__, counted)
+        return calls
+
+    def test_exact_lambda_builds_one_pair(self, monkeypatch):
+        calls = self._count_states(monkeypatch)
+        record = reports.map_record((3, 2, 0), [1])
+        assert record.rows[0]["N"] == 3
+        assert calls == Counter(CoulombState=1, OscillatorState=1)
+
+    def test_breaking_source_builds_one_more(self, monkeypatch):
+        calls = self._count_states(monkeypatch)
+        record = reports.map_record(
+            (3, 2, 0), [Fraction(1, 2)], mode="broken", delta=0.25, Delta=0.5
+        )
+        assert record.rows[0]["constancy_defect"] < 1e-8
+        assert calls == Counter(CoulombState=2, OscillatorState=1)
+
+    def test_states_are_the_solved_ones(self):
+        spec = solve_map_parameters((3, 3, 1), Fraction(1, 2), mode="broken", delta=0.3,
+                                    i=1, Delta=0.55, I=1)
+        assert (spec.source_state.n_star, spec.source_state.l_star) == (2.7, 1.7)
+        assert spec.source_state.shift == 1
+        assert (spec.target_state.principal, spec.target_state.angular) == spec.target[1:]
+        assert spec.target_state.anharmonicity == 0.55
+
+    def test_states_take_no_part_in_equality_or_repr(self):
+        first = solve_map_parameters((3, 2, 0), 1)
+        second = solve_map_parameters((3, 2, 0), 1)
+        assert first.source_state is not second.source_state
+        assert first == second
+        assert "state" not in repr(first)
+
+
+class TestNonFiniteBreaking:
+    @pytest.mark.parametrize("Delta", [math.inf, 1e308])
+    def test_overflowing_spread_is_a_violation(self, Delta):
+        report = solve_map_parameters((3, 2, 0), 1, mode="broken", Delta=Delta)
+        assert isinstance(report, ConstraintReport)
+        assert report.violations[0] == "2*(Delta - delta) + lambda = inf is not an integer"
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_non_finite_lambda_is_a_violation(self, lam):
+        report = solve_map_parameters((3, 2, 0), lam)
+        assert report.violations == (f"lambda = {lam} is not an integer or half-integer",)
+
+
 class TestVerifyIdentity:
     def test_ground_case_constant_half(self):
         # both sides are Y^{3/2} e^{-Y^2/2} up to norm constants sqrt(1/2)
@@ -221,6 +279,17 @@ class TestEnumerate:
         got = lambda_candidates(lo, hi, mode)
         assert got == [Fraction(v) for v in expected]
         assert all(isinstance(lam, Fraction) for lam in got)
+
+    @pytest.mark.parametrize("mode, first, span", [
+        ("exact", 1, MAX_LAMBDA_CANDIDATES),
+        ("broken", Fraction(1, 2), MAX_LAMBDA_CANDIDATES // 2),
+    ])
+    def test_grid_length_is_capped(self, mode, first, span):
+        assert len(lambda_candidates(first, span, mode)) == MAX_LAMBDA_CANDIDATES
+        with pytest.raises(AdmissibilityError, match="more than the limit"):
+            lambda_candidates(0, span, mode)
+        with pytest.raises(AdmissibilityError, match="more than the limit"):
+            lambda_candidates(0, Fraction(10) ** 300, mode)
 
     def test_empty_window_raises(self):
         with pytest.raises(AdmissibilityError):

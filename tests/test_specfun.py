@@ -245,11 +245,11 @@ class TestLaguerreEnvelope:
     @pytest.mark.parametrize("state", FAMILY_STATES + LARGE_STATES)
     def test_form_cutoff_covers_sampled_cutoff(self, state):
         sampled = specfun._tail_cutoff(lambda t: state.value(t) ** 2)
-        assert state._form.tail_cutoff >= sampled
+        assert state.tail_cutoff >= sampled
 
     @pytest.mark.parametrize("state", FAMILY_STATES[::4] + LARGE_STATES)
     def test_envelope_bounds_the_waveform(self, state):
-        form = state._form
+        form = state
         grid = np.concatenate(
             [np.geomspace(1e-6, 1.0, 500), np.linspace(1.0, 2.0 * form.tail_cutoff, 4000)]
         )
@@ -408,12 +408,12 @@ _FORMS = {
     "exponential-d1": lambda: _laguerre_forms.ExponentialLaguerreForm(0.75, 1.0, 1, 1.0),
     "exponential-d5": lambda: _laguerre_forms.ExponentialLaguerreForm(2.5, 1.5, 5, 2.0),
     "exponential-fractional": lambda: _laguerre_forms.ExponentialLaguerreForm(1.1, 1.3, 4, 1.6),
-    "exponential-d40": lambda: coulomb.CoulombState(3, 51, 10)._form,
-    "exponential-overflow": lambda: coulomb.CoulombState(3, 160, 150)._form,
+    "exponential-d40": lambda: coulomb.CoulombState(3, 51, 10),
+    "exponential-overflow": lambda: coulomb.CoulombState(3, 160, 150),
     "gaussian-d0": lambda: _laguerre_forms.GaussianLaguerreForm(1.5, 0, 1.0),
     "gaussian-d2": lambda: _laguerre_forms.GaussianLaguerreForm(0.5, 2, 0.0),
     "gaussian-fractional": lambda: _laguerre_forms.GaussianLaguerreForm(0.83, 3, 0.33),
-    "gaussian-d40": lambda: oscillator.OscillatorState(3, 84, 4)._form,
+    "gaussian-d40": lambda: oscillator.OscillatorState(3, 84, 4),
 }
 
 
@@ -445,7 +445,7 @@ class TestDerivativeOrderSelection:
             return original(n, a, x)
 
         monkeypatch.setattr(_laguerre_forms, "_recurrence", counted)
-        assert state._form.degree >= 3
+        assert state.degree >= 3
         grid = np.linspace(0.1, 5.0, 7)
         for order, name in enumerate(_DERIVATIVES):
             calls.clear()
@@ -486,7 +486,7 @@ class TestSharedResidualStack:
         seen = _residual_states(monkeypatch)
         assert len(seen) == 464
         for state, grid in seen:
-            value, curvature = state._value_and_second_derivative(specfun.positive_grid(grid))
+            value, curvature = state.value_and_second_derivative(specfun.positive_grid(grid))
             assert np.array_equal(value, state.value(grid))
             assert np.array_equal(curvature, state.second_derivative(grid))
 
