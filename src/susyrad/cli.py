@@ -1,13 +1,15 @@
 """Command-line front end.
 
-Every verb builds an OutputRecord through `reports` (so tests can exercise
-the identical code path in-process) and renders it as CSV or JSON.  Fatal
-problems exit nonzero through click; per-row admissibility failures are
-carried inside the record and never abort a sweep.
+Every record verb is a plain function that takes its flags and returns the
+OutputRecord `reports` builds (so tests can exercise the identical code path
+in-process); `_record_command` renders it as CSV or JSON and writes it.
+Fatal problems exit nonzero through click; per-row admissibility failures
+are carried inside the record and never abort a sweep.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict
@@ -25,43 +27,56 @@ from .errors import AdmissibilityError, ConfigError, ConvergenceError, Verificat
 _FATAL = (ValueError, OSError, ConvergenceError, VerificationError)
 
 
-def _build(builder):
+def _output_options(formats, noun, format_help=None):
+    """--format and --out, for a verb that prints or writes its text through `_write`."""
+    return [
+        click.Option(
+            ["--format", "fmt"],
+            type=click.Choice(formats),
+            default=formats[0],
+            show_default=True,
+            help=format_help,
+        ),
+        click.Option(
+            ["--out", "out_path"],
+            type=click.Path(dir_okay=False, writable=True),
+            default=None,
+            help=f"Write the {noun} to a file instead of stdout.",
+        ),
+    ]
+
+
+def _write(text, out_path):
+    if out_path is None:
+        click.echo(text, nl=False)
+        return
     try:
-        # an overflow shows up as a non-finite number that rendering refuses with a
-        # typed error, so numpy's warnings about it would only repeat that on stderr
-        with np.errstate(all="ignore"):
-            return builder()
-    except _FATAL as exc:
+        with open(out_path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
         raise click.ClickException(str(exc)) from exc
 
 
-def _emit(record, fmt, out_path):
-    # rendering refuses non-finite numbers; that is a fatal error, not a traceback
-    text = _build(lambda: record.render(fmt))
-    if out_path is None:
-        click.echo(text, nl=False)
-    else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _record_command(group, name=None):
+    """Register a verb that returns its OutputRecord; --format and --out render and write it."""
 
+    def decorate(verb):
+        @functools.wraps(verb)
+        def run(fmt, out_path, **flags):
+            try:
+                # an overflow shows up as a non-finite number that rendering refuses with a
+                # typed error, so numpy's warnings about it would only repeat that on stderr
+                with np.errstate(all="ignore"):
+                    text = verb(**flags).render(fmt)
+            except _FATAL as exc:
+                raise click.ClickException(str(exc)) from exc
+            _write(text, out_path)
 
-def _format_options(fn):
-    fn = click.option(
-        "--out",
-        "out_path",
-        type=click.Path(dir_okay=False, writable=True),
-        default=None,
-        help="Write the record to a file instead of stdout.",
-    )(fn)
-    fn = click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(["csv", "json"]),
-        default="csv",
-        show_default=True,
-        help="Output format.",
-    )(fn)
-    return fn
+        command = group.command(name)(run)
+        command.params += _output_options(["csv", "json"], "record", "Output format.")
+        return command
+
+    return decorate
 
 
 def _config_option(fn):
@@ -83,13 +98,20 @@ def _load_model(family, config_path, dimension):
     return load_config(config_path).model(family, dimension)
 
 
+def _check_quantum_numbers(**flags):
+    """Refuse a quantum-number, dimension or shift flag past reports.MAX_QUANTUM_NUMBER in size."""
+    for flag, value in flags.items():
+        if abs(value) > reports.MAX_QUANTUM_NUMBER:
+            raise AdmissibilityError(f"|--{flag}| exceeds the limit of {reports.MAX_QUANTUM_NUMBER}")
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="susyrad")
 def main():
     """Radial supersymmetry toolkit: spectra, states, partner pairs, maps, traps."""
 
 
-@main.command()
+@_record_command(main)
 @click.option(
     "--family",
     type=click.Choice(["coulomb", "oscillator", "defect", "anharmonic"]),
@@ -100,24 +122,18 @@ def main():
 @click.option("--n", "--N", "n_spec", default=None, help="Value or range, e.g. 2 or 1..6.")
 @click.option("--l", "--L", "l_spec", default=None, help="Value or range, e.g. 0 or 0..2.")
 @_config_option
-@_format_options
-def spectrum(family, dimension, n_spec, l_spec, config_path, fmt, out_path):
+def spectrum(family, dimension, n_spec, l_spec, config_path):
     """Energy table for one family over a quantum-number grid."""
-
-    def builder():
-        model = _load_model(family, config_path, dimension)
-        if n_spec is None:
-            default_n = "0..8" if family in reports.OSCILLATOR_SIDE else "1..20"
-        else:
-            default_n = n_spec
-        n_values = reports.parse_range(default_n)
-        l_values = reports.parse_range(l_spec if l_spec is not None else "0")
-        return reports.spectrum_record(family, dimension, n_values, l_values, model=model)
-
-    _emit(_build(builder), fmt, out_path)
+    if n_spec is None:
+        n_spec = "0..8" if family in reports.OSCILLATOR_SIDE else "1..20"
+    n_values = reports.parse_range(n_spec)
+    l_values = reports.parse_range(l_spec if l_spec is not None else "0")
+    _check_quantum_numbers(dim=dimension, n=max(n_values, key=abs), l=max(l_values, key=abs))
+    model = _load_model(family, config_path, dimension)
+    return reports.spectrum_record(family, dimension, n_values, l_values, model=model)
 
 
-@main.command()
+@_record_command(main)
 @click.option(
     "--family",
     type=click.Choice(["coulomb", "oscillator", "defect", "anharmonic", "hydrogen"]),
@@ -131,22 +147,18 @@ def spectrum(family, dimension, n_spec, l_spec, config_path, fmt, out_path):
 @click.option("--grid-max", type=float, default=None, help="Last grid point.")
 @click.option("--points", type=int, default=None, help="Number of grid points.")
 @_config_option
-@_format_options
-def wavefunction(family, dimension, n, l, grid_min, grid_max, points, config_path, fmt, out_path):
+def wavefunction(family, dimension, n, l, grid_min, grid_max, points, config_path):
     """Radial amplitude on a grid, with residual and node-count diagnostics."""
-
-    def builder():
-        model = _load_model(family, config_path, dimension)
-        lo, hi, count = reports.default_wavefunction_grid(family, dimension, n)
-        lo = lo if grid_min is None else grid_min
-        hi = hi if grid_max is None else grid_max
-        count = count if points is None else points
-        return reports.wavefunction_record(family, dimension, n, l, lo, hi, count, model=model)
-
-    _emit(_build(builder), fmt, out_path)
+    _check_quantum_numbers(dim=dimension, n=n, l=l)
+    model = _load_model(family, config_path, dimension)
+    lo, hi, count = reports.default_wavefunction_grid(family, dimension, n)
+    lo = lo if grid_min is None else grid_min
+    hi = hi if grid_max is None else grid_max
+    count = count if points is None else points
+    return reports.wavefunction_record(family, dimension, n, l, lo, hi, count, model=model)
 
 
-@main.command("susy-pair")
+@_record_command(main, "susy-pair")
 @click.option(
     "--family",
     type=click.Choice(["coulomb", "oscillator"]),
@@ -158,14 +170,10 @@ def wavefunction(family, dimension, n, l, grid_min, grid_max, points, config_pat
 @click.option("--grid-min", type=float, default=0.1, show_default=True)
 @click.option("--grid-max", type=float, default=12.0, show_default=True)
 @click.option("--points", type=int, default=120, show_default=True)
-@_format_options
-def susy_pair(family, dimension, angular, grid_min, grid_max, points, fmt, out_path):
+def susy_pair(family, dimension, angular, grid_min, grid_max, points):
     """Partner potentials V+ and V- on a grid, with the shift-identity check."""
-
-    def builder():
-        return reports.susy_pair_record(family, dimension, angular, grid_min, grid_max, points)
-
-    _emit(_build(builder), fmt, out_path)
+    _check_quantum_numbers(dim=dimension, l=angular)
+    return reports.susy_pair_record(family, dimension, angular, grid_min, grid_max, points)
 
 
 def _parse_lambda(text):
@@ -197,7 +205,7 @@ def _lambda_values(lam_spec, lam_range, mode):
     return maps.lambda_candidates(_parse_lambda(lo_text), _parse_lambda(hi_text), mode)
 
 
-@main.command("map")
+@_record_command(main, "map")
 @click.option("--d", "dimension", type=int, required=True, help="Source dimension.")
 @click.option("--n", type=int, required=True, help="Source principal number.")
 @click.option("--l", type=int, required=True, help="Source angular number.")
@@ -210,17 +218,13 @@ def _lambda_values(lam_spec, lam_range, mode):
 @click.option("--i", "small_i", type=int, default=0, show_default=True, help="Defect integer shift.")
 @click.option("--Delta", "big_delta", type=float, default=0.0, show_default=True, help="Anharmonicity.")
 @click.option("--I", "big_i", type=int, default=0, show_default=True, help="Anharmonic integer shift.")
-@_format_options
-def map_cmd(dimension, n, l, lam_spec, lam_range, mode, delta, small_i, big_delta, big_i, fmt, out_path):
+def map_cmd(dimension, n, l, lam_spec, lam_range, mode, delta, small_i, big_delta, big_i):
     """Solve Coulomb-to-oscillator maps and measure the identity on a grid."""
-
-    def builder():
-        lams = _lambda_values(lam_spec, lam_range, mode)
-        return reports.map_record(
-            (dimension, n, l), lams, mode=mode, delta=delta, i=small_i, Delta=big_delta, I=big_i
-        )
-
-    _emit(_build(builder), fmt, out_path)
+    lams = _lambda_values(lam_spec, lam_range, mode)
+    _check_quantum_numbers(d=dimension, n=n, l=l, i=small_i, I=big_i)
+    return reports.map_record(
+        (dimension, n, l), lams, mode=mode, delta=delta, i=small_i, Delta=big_delta, I=big_i
+    )
 
 
 def _trap_flag_options(fn):
@@ -235,22 +239,25 @@ def _trap_flag_options(fn):
     return fn
 
 
-def _trap_config_from(b_field, voltage, length, species, charge, mass, config_path, required):
+def _trap_options(fn):
+    """--B, --V, --d, the particle flags and --config: where a trap verb finds its trap."""
+    fn = _trap_flag_options(_config_option(fn))
+    fn = click.option("--d", "length", type=float, default=None, help="Trap length in meters.")(fn)
+    fn = click.option("--V", "voltage", type=float, default=None, help="Electrode voltage in volts.")(fn)
+    return click.option("--B", "b_field", type=float, default=None, help="Magnetic field in tesla.")(fn)
+
+
+def _trap_config(b_field, voltage, length, species, charge, mass, config_path):
+    """The trap the --B/--V/--d flags give, else the config's [trap] record, else None."""
     flags = (b_field, voltage, length)
     if any(flag is not None for flag in flags):
         if any(flag is None for flag in flags):
             raise ConfigError("give all of --B, --V and --d (or use --config)")
         return geonium.trap_config(b_field, voltage, length, species, charge, mass)
-    if config_path is not None:
-        try:
-            return load_config(config_path).trap()
-        except ConfigError:
-            if required:
-                raise
-            return None
-    if required:
-        raise ConfigError("trap parameters missing: give --B --V --d or --config")
-    return None
+    if config_path is None:
+        return None
+    config = load_config(config_path)
+    return config.trap() if config.has_trap() else None
 
 
 @main.group()
@@ -258,78 +265,41 @@ def trap():
     """Penning-trap frequencies, the matched operating point, and level tables."""
 
 
-@trap.command()
-@click.option("--B", "b_field", type=float, default=None, help="Magnetic field in tesla.")
-@click.option("--V", "voltage", type=float, default=None, help="Electrode voltage in volts.")
-@click.option("--d", "length", type=float, default=None, help="Trap length in meters.")
-@_trap_flag_options
-@_config_option
-@_format_options
-def frequencies(b_field, voltage, length, species, charge, mass, config_path, fmt, out_path):
+@_record_command(trap)
+@_trap_options
+def frequencies(**trap_flags):
     """Cyclotron and axial frequencies in rad/s and Hz."""
-
-    def builder():
-        config = _trap_config_from(
-            b_field, voltage, length, species, charge, mass, config_path, required=True
-        )
-        return reports.trap_frequencies_record(config)
-
-    _emit(_build(builder), fmt, out_path)
+    config = _trap_config(**trap_flags)
+    if config is None and trap_flags["config_path"] is None:
+        raise ConfigError("trap parameters missing: give --B --V --d or --config")
+    if config is None:
+        raise ConfigError("no [trap] record in configuration")
+    return reports.trap_frequencies_record(config)
 
 
-@trap.command("operating-point")
+@_record_command(trap, "operating-point")
 @click.option("--B", "b_field", type=float, required=True, help="Magnetic field in tesla.")
 @click.option("--d", "length", type=float, required=True, help="Trap length in meters.")
 @_trap_flag_options
-@_format_options
-def operating_point(b_field, length, species, charge, mass, fmt, out_path):
+def operating_point(b_field, length, species, charge, mass):
     """Voltage at which the trap's two ladders become degenerate."""
-
-    def builder():
-        e, m = geonium.charge_and_mass(species, charge, mass)
-        return reports.trap_operating_point_record(b_field, length, e, m)
-
-    _emit(_build(builder), fmt, out_path)
+    e, m = geonium.charge_and_mass(species, charge, mass)
+    return reports.trap_operating_point_record(b_field, length, e, m)
 
 
-@trap.command()
+@_record_command(trap)
 @click.option("--L", "--l", "angular", type=int, default=0, show_default=True)
 @click.option("--N-max", "--n-max", "n_max", type=int, default=12, show_default=True)
 @click.option("--Delta", "anharmonicity", type=float, default=0.0, show_default=True)
-@click.option("--B", "b_field", type=float, default=None, help="Magnetic field in tesla.")
-@click.option("--V", "voltage", type=float, default=None, help="Electrode voltage in volts.")
-@click.option("--d", "length", type=float, default=None, help="Trap length in meters.")
-@_trap_flag_options
-@_config_option
-@_format_options
-def levels(angular, n_max, anharmonicity, b_field, voltage, length, species, charge, mass,
-           config_path, fmt, out_path):
+@_trap_options
+def levels(angular, n_max, anharmonicity, **trap_flags):
     """Ladder of trap levels at fixed angular number; SI energies with a trap config."""
-
-    def builder():
-        config = _trap_config_from(
-            b_field, voltage, length, species, charge, mass, config_path, required=False
-        )
-        return reports.trap_levels_record(angular, n_max, anharmonicity, config=config)
-
-    _emit(_build(builder), fmt, out_path)
+    _check_quantum_numbers(L=angular)
+    config = _trap_config(**trap_flags)
+    return reports.trap_levels_record(angular, n_max, anharmonicity, config=config)
 
 
-@main.command()
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["table", "json"]),
-    default="table",
-    show_default=True,
-)
-@click.option(
-    "--out",
-    "out_path",
-    type=click.Path(dir_okay=False, writable=True),
-    default=None,
-    help="Write the report to a file instead of stdout.",
-)
+@main.command(params=_output_options(["table", "json"], "report"))
 def verify(fmt, out_path):
     """Run the full invariant suite and print one pass/fail line per criterion."""
     results = verify_suite.run_all()
@@ -350,11 +320,7 @@ def verify(fmt, out_path):
         passed = sum(result.passed for result in results)
         lines.append(f"{passed}/{len(results)} checks passed")
         text = "\n".join(lines) + "\n"
-    if out_path is None:
-        click.echo(text, nl=False)
-    else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _write(text, out_path)
     if not all(result.passed for result in results):
         raise SystemExit(1)
 

@@ -148,6 +148,9 @@ class ModelConfig:
     def anharmonic_model(self, dimension: int | None = None) -> AnharmonicModel:
         return self.model("anharmonic", dimension)
 
+    def has_trap(self) -> bool:
+        return any(record.section == "trap" for record in self.records)
+
     def trap(self) -> TrapConfig:
         for record in self.records:
             if record.section != "trap":
@@ -157,8 +160,8 @@ class ModelConfig:
                 charge = _as_float(record, "e_coulomb")
                 mass = _as_float(record, "m_kg")
             else:
-                charge = float(record.fields["e_coulomb"]) if "e_coulomb" in record.fields else None
-                mass = float(record.fields["m_kg"]) if "m_kg" in record.fields else None
+                charge = _as_float(record, "e_coulomb") if "e_coulomb" in record.fields else None
+                mass = _as_float(record, "m_kg") if "m_kg" in record.fields else None
             return trap_config(
                 magnetic_field=_as_float(record, "B_tesla"),
                 electrode_voltage=_as_float(record, "V_volt"),

@@ -21,6 +21,9 @@ FREQUENCY_MATCH_TOL = 1e-12
 # upper bounds on the counts a caller sets, checked before anything is allocated
 MAX_GRID_POINTS = 100_000
 MAX_TABLE_ROWS = 10_000
+# the CLI's bound on the size of a quantum number, dimension or integer shift: a huge one
+# overflows float arithmetic, and n sets the degree of the Laguerre recurrence
+MAX_QUANTUM_NUMBER = 10_000
 
 COULOMB_SIDE = ("coulomb", "defect", "hydrogen")
 OSCILLATOR_SIDE = ("oscillator", "anharmonic")

@@ -522,6 +522,39 @@ class TestTrap:
         assert rows[1]["energy_quanta"] == pytest.approx(3.9)
 
 
+class TestTrapConfigResolution:
+    """--B/--V/--d, else the config's [trap] record, else no trap; a broken config is fatal."""
+
+    BROKEN = {
+        "version": "format_version = 2\n[trap]\nB_tesla = 5.0\n",
+        "missing-d": "format_version = 1\n[trap]\nB_tesla = 5.0\nV_volt = -12.0\nspecies = electron\n",
+    }
+
+    @pytest.mark.parametrize("verb", [["levels", "--N-max", "2"], ["frequencies"]])
+    @pytest.mark.parametrize("name", sorted(BROKEN))
+    def test_broken_config_is_fatal(self, runner, tmp_path, verb, name):
+        path = tmp_path / "broken.cfg"
+        path.write_text(self.BROKEN[name], encoding="utf-8")
+        message = _one_error_line(runner.invoke(main, ["trap", *verb, "--config", str(path)]))
+        expected = "unsupported format_version" if name == "version" else "missing 'd_meter'"
+        assert expected in message
+
+    def test_levels_without_a_trap_record(self, runner, tmp_path):
+        path = tmp_path / "models.cfg"
+        path.write_text(CONFIG_TEXT[: CONFIG_TEXT.index("[trap]")], encoding="utf-8")
+        result = runner.invoke(main, ["trap", "levels", "--N-max", "2", "--config", str(path)])
+        assert result.exit_code == 0
+        assert list(_csv_rows(result.output)[0]) == [
+            "N", "L", "Delta", "N_star", "energy_quanta", "error"
+        ]
+        message = _one_error_line(runner.invoke(main, ["trap", "frequencies", "--config", str(path)]))
+        assert message == "Error: no [trap] record in configuration\n"
+
+    def test_frequencies_without_any_trap(self, runner):
+        message = _one_error_line(runner.invoke(main, ["trap", "frequencies"]))
+        assert message == "Error: trap parameters missing: give --B --V --d or --config\n"
+
+
 class TestOutputHandling:
     def test_out_writes_file(self, runner, tmp_path):
         target = tmp_path / "table.csv"
@@ -531,6 +564,12 @@ class TestOutputHandling:
         on_disk = target.read_text(encoding="utf-8")
         direct = runner.invoke(main, ["spectrum", "--n", "1..3"]).output
         assert on_disk == direct
+
+    @pytest.mark.parametrize("argv", [["spectrum"], ["trap", "levels"]])
+    def test_unwritable_out_is_one_error_line(self, runner, tmp_path, argv):
+        target = tmp_path / "absent" / "table.csv"
+        message = _one_error_line(runner.invoke(main, [*argv, "--out", str(target)]))
+        assert "No such file or directory" in message
 
     def test_version(self, runner):
         result = runner.invoke(main, ["--version"])
@@ -652,3 +691,27 @@ class TestCountLimits:
         assert _one_error_line(result) == (
             "Error: [0, 1e+300] holds more than the limit of 10000 lambda candidates\n"
         )
+
+    @pytest.mark.parametrize("verb", ["wavefunction", "spectrum"])
+    def test_huge_quantum_number(self, runner, verb):
+        # at 10**200 a degree-n recurrence never finishes and float(n) overflows
+        message = _one_error_line(runner.invoke(main, [verb, "--n", str(10**200)]))
+        assert message == f"Error: |--n| exceeds the limit of {reports.MAX_QUANTUM_NUMBER}\n"
+
+    BOUNDED = [
+        ["spectrum", "--dim"], ["spectrum", "--l"], ["wavefunction", "--dim"],
+        ["wavefunction", "--l"], ["susy-pair", "--dim"], ["susy-pair", "--l"],
+        ["map", "--n", "2", "--l", "0", "--lambda", "1", "--d"],
+        ["map", "--d", "3", "--l", "0", "--lambda", "1", "--n"],
+        ["map", "--d", "3", "--n", "2", "--lambda", "1", "--l"],
+        ["map", "--d", "3", "--n", "2", "--l", "0", "--lambda", "1", "--i"],
+        ["map", "--d", "3", "--n", "2", "--l", "0", "--lambda", "1", "--I"],
+        ["trap", "levels", "--L"],
+    ]
+
+    @pytest.mark.parametrize("argv", BOUNDED, ids=[f"{a[0]}{a[-1]}" for a in BOUNDED])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["above", "below"])
+    def test_quantum_number_limit(self, runner, argv, sign):
+        value = sign * (reports.MAX_QUANTUM_NUMBER + 1)
+        message = _one_error_line(runner.invoke(main, [*argv, str(value)]))
+        assert message == f"Error: |{argv[-1]}| exceeds the limit of {reports.MAX_QUANTUM_NUMBER}\n"

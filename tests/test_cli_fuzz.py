@@ -5,7 +5,7 @@ one typed `Error:` line (exit 1, or 2 for a flag click itself refuses); it
 never ends in a Python traceback.  Float draws include the values that break
 naive arithmetic (nan, the infinities, the float extremes, a subnormal, zero
 and negatives), count draws run past the limits in `reports` and `maps`, and
-quantum numbers stay at most 500.
+quantum numbers and dimensions run past `reports.MAX_QUANTUM_NUMBER`.
 """
 
 from __future__ import annotations
@@ -27,8 +27,10 @@ floats = st.one_of(st.floats(-20.0, 20.0, allow_nan=False), st.sampled_from(EXTR
 positive = st.one_of(st.floats(1e-3, 50.0), st.sampled_from(EXTREME))
 lower = st.one_of(st.floats(1e-3, 2.0), st.sampled_from(EXTREME))
 unit = st.one_of(st.floats(0.0, 0.99), st.sampled_from(EXTREME))
-quantum = st.one_of(st.integers(0, 6), st.integers(-2, 500))
-dims = st.one_of(st.integers(2, 6), st.integers(-1, 12))
+# 10**400 is too large for a float; the CLI refuses both it and the first value past its limit
+too_large = st.sampled_from([10**400, reports.MAX_QUANTUM_NUMBER + 1])
+quantum = st.one_of(st.integers(0, 6), st.integers(-2, 500), too_large)
+dims = st.one_of(st.integers(2, 6), st.integers(-1, 12), too_large)
 # small counts run; the others are past the limits and must be refused before allocating
 counts = st.one_of(
     st.integers(-2, 300),

@@ -186,6 +186,16 @@ class TestTrap:
         with pytest.raises(ConfigError, match="missing 'm_kg'"):
             ModelConfig(parse_config(text)).trap()
 
+    @pytest.mark.parametrize("key", ["e_coulomb", "m_kg"])
+    def test_bad_number_under_a_named_species(self, key):
+        text = (
+            "format_version = 1\n[trap]\nB_tesla = 5.0\nV_volt = -12.0\nd_meter = 0.01\n"
+            f"species = electron\n{key} = abc\n"
+        )
+        with pytest.raises(ConfigError) as info:
+            ModelConfig(parse_config(text)).trap()
+        assert str(info.value) == f"[trap] near line 2: {key!r} must be a number"
+
     def test_no_trap_record(self):
         cfg = ModelConfig(parse_config("format_version = 1\n"))
         with pytest.raises(ConfigError, match="no \\[trap\\]"):
