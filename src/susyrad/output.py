@@ -4,14 +4,33 @@ JSON floats use Python's shortest round-trip representation (at most 17
 significant digits, exact on re-parse); CSV floats carry 12 significant
 digits.  Every emitted number must be finite; NaN or infinity anywhere in a
 record is a bug upstream and raises here.
+
+Every cell is a scalar: the values of `inputs`, of each row and of each
+diagnostic are str, int, float, bool or None.  A list, tuple or dict cell
+raises a TypeError naming where it sits, in both formats.  The contract is
+what lets JSON encode a whole table with one call to the C encoder and then
+lay out `indent=2`'s line breaks by text replacement, which is exact only
+when no cell nests.  Both formats walk the record cell by cell only when
+something may be wrong (an unexpected cell type, an encoder error, or
+`nan`/`inf` in the CSV text); the walk then raises for the first bad cell.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+
+# exact types rendered without a walk; subclasses are walked, then rendered as their base
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_FLOAT = frozenset({float})
+
+# Separators only, no indent, so that encoding runs in the C encoder; the item separator
+# already carries the line break and indentation `indent=2` gives the entries of a
+# top-level dict (inputs) and of the dicts in a top-level list (rows, diagnostics).
+_DICT = json.JSONEncoder(allow_nan=False, separators=(",\n    ", ": "))
+_TABLE = json.JSONEncoder(allow_nan=False, separators=(",\n      ", ": "))
 
 
 @dataclass(frozen=True)
@@ -29,49 +48,74 @@ class OutputRecord:
     rows: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
 
-    def _check_finite(self):
-        def walk(value, where):
+    def _cells(self):
+        """(where, value) for every cell, in the order a check reports the first bad one."""
+        for key, value in self.inputs.items():
+            yield f"inputs.{key}", value
+        for idx, row in enumerate(self.rows):
+            for key, value in row.items():
+                yield f"row[{idx}].{key}", value
+        for diag in self.diagnostics:
+            yield f"diagnostic {diag.name}", diag.value
+            yield f"diagnostic {diag.name} tolerance", diag.tolerance
+
+    def _check_cells(self):
+        """Raise for the first cell that nests or is a non-finite float."""
+        for where, value in self._cells():
+            if isinstance(value, (list, tuple, dict)):
+                raise TypeError(f"{type(value).__name__} in {where}; record cells must be scalars")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"non-finite number in {where}: {value!r}")
-            if isinstance(value, dict):
-                for key, item in value.items():
-                    walk(item, f"{where}.{key}")
 
-        walk(self.inputs, "inputs")
-        for idx, row in enumerate(self.rows):
-            walk(row, f"row[{idx}]")
-        for diag in self.diagnostics:
-            walk(diag.value, f"diagnostic {diag.name}")
-            walk(diag.tolerance, f"diagnostic {diag.name} tolerance")
+    def _check_cell_types(self):
+        """Walk the record when any cell's type is not an exact scalar type."""
+        cells = chain(
+            self.inputs.values(),
+            chain.from_iterable(map(dict.values, self.rows)),
+            *((d.value, d.tolerance) for d in self.diagnostics),
+        )
+        if not _SCALARS.issuperset(map(type, cells)):
+            self._check_cells()
 
     def to_json(self) -> str:
-        self._check_finite()
-        payload = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "rows": self.rows,
-            "diagnostics": [
-                {"name": d.name, "value": d.value, "tolerance": d.tolerance}
-                for d in self.diagnostics
-            ],
-        }
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        """json.dumps(payload, indent=2, allow_nan=False) + "\\n", byte for byte."""
+        self._check_cell_types()
+        diagnostics = [
+            {"name": d.name, "value": d.value, "tolerance": d.tolerance} for d in self.diagnostics
+        ]
+        try:
+            command = _TABLE.encode(self.command)
+            inputs = _DICT.encode(self.inputs)
+            rows = _json_table(self.rows)
+            diags = _json_table(diagnostics)
+        except ValueError:
+            self._check_cells()
+            raise
+        if inputs != "{}":
+            inputs = "{\n    " + inputs[1:-1] + "\n  }"
+        return (
+            f'{{\n  "command": {command},\n  "inputs": {inputs},\n'
+            f'  "rows": {rows},\n  "diagnostics": {diags}\n}}\n'
+        )
 
     def to_csv(self) -> str:
-        self._check_finite()
-        out = io.StringIO()
-        out.write(f"# command: {self.command}\n")
-        for key in sorted(self.inputs):
-            out.write(f"# input: {key} = {_csv_cell(self.inputs[key])}\n")
-        out.write(",".join(str(c) for c in self.columns) + "\n")
-        for row in self.rows:
-            out.write(",".join(_csv_cell(row.get(c)) for c in self.columns) + "\n")
-        for diag in self.diagnostics:
-            out.write(
-                f"# diagnostic: {diag.name} = {_csv_cell(diag.value)} "
-                f"(tolerance {_csv_cell(diag.tolerance)})\n"
-            )
-        return out.getvalue()
+        self._check_cell_types()
+        rows = self.rows
+        columns = [_csv_column(list(map(dict.get, rows, repeat(c)))) for c in self.columns]
+        lines = [f"# command: {self.command}"]
+        lines += [f"# input: {key} = {_csv_cell(self.inputs[key])}" for key in sorted(self.inputs)]
+        lines.append(",".join(str(c) for c in self.columns))
+        lines += map(",".join, zip(*columns)) if columns else repeat("", len(rows))
+        lines += [
+            f"# diagnostic: {d.name} = {_csv_cell(d.value)} (tolerance {_csv_cell(d.tolerance)})"
+            for d in self.diagnostics
+        ]
+        lines.append("")
+        text = "\n".join(lines)
+        # a non-finite float prints as nan or inf; cells outside the columns are not printed
+        if "nan" in text or "inf" in text or not set().union(*rows).issubset(self.columns):
+            self._check_cells()
+        return text
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
@@ -79,6 +123,27 @@ class OutputRecord:
         if fmt == "csv":
             return self.to_csv()
         raise ValueError(f"unknown format {fmt!r}")
+
+
+def _json_table(dicts) -> str:
+    """A list of flat dicts as the value of a top-level key under indent=2.
+
+    The encoder writes `[{"a": 1,\\n      "b": 2},\\n      {...}]`.  A line break can
+    only come from a separator (strings escape theirs), and only a separator between
+    two dicts sits between `}` and `{`, so one replace breaks the dicts apart; a second
+    closes up the empty dicts it opened.
+    """
+    text = _TABLE.encode(dicts)
+    if text == "[]":
+        return text
+    text = "[\n    {\n      " + text[2:-2] + "\n    }\n  ]"
+    return text.replace("},\n      {", "\n    },\n    {\n      ").replace("{\n      \n    }", "{}")
+
+
+def _csv_column(cells) -> list:
+    if set(map(type, cells)) == _FLOAT:
+        return list(map(format, cells, repeat(".12g")))
+    return list(map(_csv_cell, cells))
 
 
 def _csv_cell(value) -> str:

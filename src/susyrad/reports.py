@@ -136,7 +136,7 @@ def wavefunction_record(family, dimension, n, l, grid_min, grid_max, points, mod
         residual = _relative_residual(state, grid)
         coord = "Y" if family in OSCILLATOR_SIDE else "y"
 
-    rows = [{coord: float(x), "amplitude": float(v)} for x, v in zip(grid, values)]
+    rows = [{coord: x, "amplitude": v} for x, v in zip(grid.tolist(), values.tolist())]
     upper = family in OSCILLATOR_SIDE
     n_key, l_key = ("N", "L") if upper else ("n", "l")
     return OutputRecord(
@@ -181,12 +181,13 @@ def susy_pair_record(family, dimension, angular, grid_min=0.1, grid_max=12.0, po
     grid = _linear_grid(grid_min, grid_max, points)
     vp = pair.v_plus(grid)
     vm = pair.v_minus(grid)
+    difference = vm - vp
     rows = [
-        {"x": float(x), "v_plus": float(a), "v_minus": float(b), "difference": float(b - a)}
-        for x, a, b in zip(grid, vp, vm)
+        {"x": x, "v_plus": a, "v_minus": b, "difference": diff}
+        for x, a, b, diff in zip(grid.tolist(), vp.tolist(), vm.tolist(), difference.tolist())
     ]
     shift_defect = float(
-        np.max(np.abs((vm - vp - pair.shift_constant) * grid**2 - pair.centrifugal_shift_coeff))
+        np.max(np.abs((difference - pair.shift_constant) * grid**2 - pair.centrifugal_shift_coeff))
     )
     annihilation = float(
         np.max(np.abs(susy.apply_supercharge(u, ground, grid)))

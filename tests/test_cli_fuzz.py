@@ -5,10 +5,14 @@ one typed `Error:` line (exit 1, or 2 for a flag click itself refuses); it
 never ends in a Python traceback.  Float draws include the values that break
 naive arithmetic (nan, the infinities, the float extremes, a subnormal, zero
 and negatives), count draws run past the limits in `reports` and `maps`, and
-quantum numbers and dimensions run past `reports.MAX_QUANTUM_NUMBER`.
+quantum numbers and dimensions run past `reports.MAX_QUANTUM_NUMBER`.  A record
+printed on exit 0 holds no non-finite number: rendering checks finiteness only
+when its fast path sees a sign of trouble, and this guards that from outside.
 """
 
 from __future__ import annotations
+
+import re
 
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -42,6 +46,13 @@ lambdas = st.one_of(
 )
 
 
+# nan or an infinity as Python or JSON spells it, standing alone as a field or a value
+NON_FINITE = re.compile(r"(?<![\w.])[-+]?(?:nan|inf(?:inity)?)(?![\w.])", re.IGNORECASE)
+# a map row's eighth and last column, `violations`, quotes the values that broke a
+# constraint, which may be infinite; the seven before it are numbers
+MAP_NUMBER_COLUMNS = 7
+
+
 def _text(value):
     return repr(value) if isinstance(value, float) else str(value)
 
@@ -65,6 +76,17 @@ def _invoke(argv):
     assert len(errors) <= 1, (argv, result.output)
     if result.exit_code == 0:
         assert not errors, (argv, result.output)
+        assert not NON_FINITE.search(_numeric_text(argv, result.output)), (argv, result.output)
+
+
+def _numeric_text(argv, output):
+    """The CSV record without the map violations text."""
+    if argv[0] != "map":
+        return output
+    return "\n".join(
+        line if line.startswith("#") else ",".join(line.split(",")[:MAP_NUMBER_COLUMNS])
+        for line in output.splitlines()
+    )
 
 
 def maybe(strategy):
