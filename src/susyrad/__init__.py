@@ -6,142 +6,77 @@ pairs their towers, symmetry-breaking quantum-defect and anharmonic models,
 parameter maps between the two sides, and the Penning-trap realization of
 the oscillator tower.  Everything is closed-form; the numerics exist to
 verify, not to solve.
+
+The public names below are re-exported lazily (PEP 562): `import susyrad`
+runs no submodule, and `susyrad.X` or `from susyrad import X` imports X's
+module on first use.
 """
 
-from .config import ModelConfig, load_config, parse_config
-from .coulomb import (
-    CoulombState,
-    coulomb_energy,
-    eval_hydrogen_R,
-    gamma_shift,
-)
-from .coulomb import partner_spectra as coulomb_partner_spectra
-from .errors import (
-    AdmissibilityError,
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    ParityError,
-    StabilityError,
-    VerificationError,
-)
-from .geonium import (
-    ELECTRON,
-    PROTON,
-    GeoniumLevel,
-    TrapConfig,
-    TrapFrequencies,
-    coulomb_to_geonium,
-    geonium_energy_si,
-    susy_operating_point,
-    susy_tower_spectra,
-    trap_config,
-    trap_frequencies,
-)
-from .maps import (
-    ConstraintReport,
-    MapSpec,
-    MapVerification,
-    enumerate_admissible_targets,
-    solve_map_parameters,
-    verify_map_identity,
-)
-from .oscillator import OscillatorState, oscillator_energy
-from .oscillator import partner_spectra as oscillator_partner_spectra
-from .qdt import (
-    AnharmonicModel,
-    AnharmonicState,
-    DefectModel,
-    DefectState,
-    breaking_potential_coulomb,
-    breaking_potential_oscillator,
-    illustrative_defect_model,
-    rydberg_energy,
-)
-from .specfun import (
-    Quadrature,
-    QuadratureResult,
-    SonineLaguerre,
-    eval_sonine_laguerre,
-    eval_sonine_laguerre_derivative,
-    inner_product,
-    integrate_half_line,
-    sonine_laguerre_direct_sum,
-)
-from .susy import (
-    RadialOperator,
-    SuperchargeImage,
-    Superpotential,
-    SusyPair,
-    apply_operator,
-    apply_supercharge,
-    coulomb_superpotential,
-    oscillator_superpotential,
-)
-from .verify import CheckResult, run_all
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityError",
-    "AnharmonicModel",
-    "AnharmonicState",
-    "CheckResult",
-    "ConfigError",
-    "ConstraintReport",
-    "ConvergenceError",
-    "CoulombState",
-    "DefectModel",
-    "DefectState",
-    "DomainError",
-    "ELECTRON",
-    "GeoniumLevel",
-    "MapSpec",
-    "MapVerification",
-    "ModelConfig",
-    "OscillatorState",
-    "PROTON",
-    "ParityError",
-    "Quadrature",
-    "QuadratureResult",
-    "RadialOperator",
-    "SonineLaguerre",
-    "StabilityError",
-    "SuperchargeImage",
-    "Superpotential",
-    "SusyPair",
-    "TrapConfig",
-    "TrapFrequencies",
-    "VerificationError",
-    "apply_operator",
-    "apply_supercharge",
-    "breaking_potential_coulomb",
-    "breaking_potential_oscillator",
-    "coulomb_energy",
-    "coulomb_partner_spectra",
-    "coulomb_superpotential",
-    "coulomb_to_geonium",
-    "enumerate_admissible_targets",
-    "eval_hydrogen_R",
-    "eval_sonine_laguerre",
-    "eval_sonine_laguerre_derivative",
-    "gamma_shift",
-    "geonium_energy_si",
-    "illustrative_defect_model",
-    "inner_product",
-    "integrate_half_line",
-    "load_config",
-    "oscillator_energy",
-    "oscillator_partner_spectra",
-    "oscillator_superpotential",
-    "parse_config",
-    "run_all",
-    "rydberg_energy",
-    "solve_map_parameters",
-    "sonine_laguerre_direct_sum",
-    "susy_operating_point",
-    "susy_tower_spectra",
-    "trap_config",
-    "trap_frequencies",
-    "verify_map_identity",
-]
+# public name -> (submodule, attribute)
+_EXPORTS = {
+    name: (module, name)
+    for module, names in (
+        ("config", "ModelConfig load_config parse_config"),
+        ("coulomb", "CoulombState coulomb_energy eval_hydrogen_R gamma_shift"),
+        (
+            "errors",
+            "AdmissibilityError ConfigError ConvergenceError DomainError ParityError"
+            " StabilityError VerificationError",
+        ),
+        (
+            "geonium",
+            "ELECTRON PROTON GeoniumLevel TrapConfig TrapFrequencies coulomb_to_geonium"
+            " geonium_energy_si susy_operating_point susy_tower_spectra trap_config"
+            " trap_frequencies",
+        ),
+        (
+            "maps",
+            "ConstraintReport MapSpec MapVerification enumerate_admissible_targets"
+            " solve_map_parameters verify_map_identity",
+        ),
+        ("oscillator", "OscillatorState oscillator_energy"),
+        (
+            "qdt",
+            "AnharmonicModel AnharmonicState DefectModel DefectState breaking_potential_coulomb"
+            " breaking_potential_oscillator illustrative_defect_model rydberg_energy",
+        ),
+        (
+            "specfun",
+            "Quadrature QuadratureResult SonineLaguerre eval_sonine_laguerre"
+            " eval_sonine_laguerre_derivative inner_product integrate_half_line"
+            " sonine_laguerre_direct_sum",
+        ),
+        (
+            "susy",
+            "RadialOperator SuperchargeImage Superpotential SusyPair apply_operator"
+            " apply_supercharge coulomb_superpotential oscillator_superpotential",
+        ),
+        ("verify", "CheckResult run_all"),
+    )
+    for name in names.split()
+}
+_EXPORTS["coulomb_partner_spectra"] = ("coulomb", "partner_spectra")
+_EXPORTS["oscillator_partner_spectra"] = ("oscillator", "partner_spectra")
+
+_SUBMODULES = frozenset({module for module, _ in _EXPORTS.values()} | {"output", "reports"})
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    # nothing is stored in the package namespace, so a name always reads what its
+    # module holds now, a patched or restored function included
+    if name in _EXPORTS:
+        module, attr = _EXPORTS[name]
+        return getattr(importlib.import_module(f"{__name__}.{module}"), attr)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

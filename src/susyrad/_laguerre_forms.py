@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-import numpy as np
-
+from ._np import np
 from .errors import DomainError
 from .specfun import (
     SonineLaguerre,

@@ -12,14 +12,13 @@ from __future__ import annotations
 import functools
 import json
 import math
+import warnings
 from dataclasses import asdict
 from fractions import Fraction
 
 import click
-import numpy as np
 
 from . import __version__, geonium, maps, reports
-from . import verify as verify_suite
 from .config import load_config
 from .errors import AdmissibilityError, ConfigError, ConvergenceError, VerificationError
 
@@ -65,8 +64,10 @@ def _record_command(group, name=None):
         def run(fmt, out_path, **flags):
             try:
                 # an overflow shows up as a non-finite number that rendering refuses with a
-                # typed error, so numpy's warnings about it would only repeat that on stderr
-                with np.errstate(all="ignore"):
+                # typed error, so numpy's warnings about it would only repeat that on stderr;
+                # a warnings filter, not np.errstate, so that a closed-form verb never loads numpy
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
                     text = verb(**flags).render(fmt)
             except _FATAL as exc:
                 raise click.ClickException(str(exc)) from exc
@@ -302,6 +303,8 @@ def levels(angular, n_max, anharmonicity, **trap_flags):
 @main.command(params=_output_options(["table", "json"], "report"))
 def verify(fmt, out_path):
     """Run the full invariant suite and print one pass/fail line per criterion."""
+    from . import verify as verify_suite  # the one verb that needs the suite and its grids
+
     results = verify_suite.run_all()
     if fmt == "json":
         text = json.dumps([asdict(result) for result in results], indent=2) + "\n"

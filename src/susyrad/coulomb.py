@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ._laguerre_forms import ExponentialLaguerreForm
+from ._np import is_integer, np
 from .errors import AdmissibilityError
 from .specfun import SonineLaguerre, eval_sonine_laguerre, positive_grid
 from .susy import RadialOperator
@@ -22,7 +21,7 @@ from .susy import RadialOperator
 
 def gamma_shift(dimension: int) -> float:
     """Gamma = (d - 3)/2 for an integer dimension d >= 2."""
-    if not isinstance(dimension, (int, np.integer)) or dimension < 2:
+    if not is_integer(dimension) or dimension < 2:
         raise AdmissibilityError(f"dimension must be an integer >= 2, got {dimension!r}")
     return (dimension - 3) / 2.0
 
@@ -33,15 +32,24 @@ def check_defect(value, name="defect"):
 
 
 def check_shift(value, name="shift"):
-    if not isinstance(value, (int, np.integer)) or value < 0:
+    if not is_integer(value) or value < 0:
         raise AdmissibilityError(f"{name} must be an integer >= 0, got {value!r}")
+
+
+def check_integer(value, name, minimum):
+    """value an integer >= minimum; a non-integer is refused as one."""
+    if not is_integer(value):
+        raise AdmissibilityError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if value < minimum:
+        raise AdmissibilityError(f"{name} must be >= {minimum}, got {value!r}")
 
 
 def check_quantum_numbers(principal, angular):
     """n >= 1 and 0 <= l <= n - 1."""
-    if not isinstance(principal, (int, np.integer)) or principal < 1:
-        raise AdmissibilityError(f"principal number must be >= 1, got {principal!r}")
-    if not isinstance(angular, (int, np.integer)) or not (0 <= angular <= principal - 1):
+    check_integer(principal, "principal number", 1)
+    if not is_integer(angular):
+        raise AdmissibilityError(f"angular number must be an integer, got l={angular!r}")
+    if not (0 <= angular <= principal - 1):
         raise AdmissibilityError(
             f"angular number must satisfy 0 <= l <= n-1, got l={angular!r} n={principal!r}"
         )
@@ -50,7 +58,7 @@ def check_quantum_numbers(principal, angular):
 def coulomb_energy(dimension: int, principal: int) -> float:
     """E = -1/(2 (n + gamma)^2); independent of the angular number."""
     gamma = gamma_shift(dimension)
-    if not isinstance(principal, (int, np.integer)) or principal < 1:
+    if not is_integer(principal) or principal < 1:
         raise AdmissibilityError(f"principal number must be an integer >= 1, got {principal!r}")
     return -1.0 / (2.0 * (principal + gamma) ** 2)
 

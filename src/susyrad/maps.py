@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
+from ._np import np
 from .coulomb import CoulombState, check_defect, check_shift
 from .errors import AdmissibilityError, VerificationError
 from .oscillator import OscillatorState, check_anharmonicity

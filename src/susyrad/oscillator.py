@@ -9,10 +9,9 @@ form; the anharmonic model in `qdt` supplies them from a table.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ._laguerre_forms import GaussianLaguerreForm
-from .coulomb import check_shift, gamma_shift
+from ._np import is_integer
+from .coulomb import check_integer, check_shift, gamma_shift
 from .errors import AdmissibilityError, ParityError
 from .susy import RadialOperator
 
@@ -24,9 +23,10 @@ def check_anharmonicity(value, name="anharmonicity"):
 
 def check_quantum_numbers(principal, angular):
     """0 <= L <= N with N - L even."""
-    if not isinstance(principal, (int, np.integer)) or principal < 0:
-        raise AdmissibilityError(f"principal number must be >= 0, got {principal!r}")
-    if not isinstance(angular, (int, np.integer)) or not (0 <= angular <= principal):
+    check_integer(principal, "principal number", 0)
+    if not is_integer(angular):
+        raise AdmissibilityError(f"angular number must be an integer, got L={angular!r}")
+    if not (0 <= angular <= principal):
         raise AdmissibilityError(
             f"angular number must satisfy 0 <= L <= N, got L={angular!r} N={principal!r}"
         )
@@ -37,7 +37,7 @@ def check_quantum_numbers(principal, angular):
 def oscillator_energy(dimension: int, principal: int) -> float:
     """E = (2N + 2Gamma + 3)/2 in the family's dimensionless units."""
     gamma = gamma_shift(dimension)
-    if not isinstance(principal, (int, np.integer)) or principal < 0:
+    if not is_integer(principal) or principal < 0:
         raise AdmissibilityError(f"principal number must be an integer >= 0, got {principal!r}")
     return (2.0 * principal + 2.0 * gamma + 3.0) / 2.0
 

@@ -17,9 +17,8 @@ admissibility and the states themselves belong to `CoulombState` and
 
 from __future__ import annotations
 
-import numpy as np
-
-from .coulomb import CoulombState, check_defect, check_shift, gamma_shift
+from ._np import np
+from .coulomb import CoulombState, check_defect, check_integer, check_shift, gamma_shift
 from .errors import AdmissibilityError
 from .oscillator import OscillatorState, check_anharmonicity, check_quantum_numbers
 from .specfun import positive_grid
@@ -79,12 +78,10 @@ class DefectState(CoulombState):
     """Coulomb-form state with starred quantum numbers from a DefectModel."""
 
     def __init__(self, model: DefectModel, principal: int, angular: int):
-        # checks before the table lookups, in the order and wording the model has always used
+        # checks before the table lookups and before int(), so a non-integer is refused, not truncated
+        check_integer(principal, "principal number", 1)
+        check_integer(angular, "angular number", 0)
         n, l = int(principal), int(angular)
-        if n < 1:
-            raise AdmissibilityError(f"principal number must be >= 1, got {principal!r}")
-        if l < 0:
-            raise AdmissibilityError(f"angular number must be >= 0, got {angular!r}")
         self.model = model
         self.dimension, self.principal, self.angular = model.dimension, n, l
         self._set_starred(model.gamma, model.delta(l, n), model.shift(l))
@@ -145,8 +142,8 @@ class AnharmonicState(OscillatorState):
     """Oscillator-form state with starred quantum numbers from an AnharmonicModel."""
 
     def __init__(self, model: AnharmonicModel, principal: int, angular: int):
+        check_quantum_numbers(principal, angular)
         n, l = int(principal), int(angular)
-        check_quantum_numbers(n, l)
         self.model = model
         self.dimension, self.principal, self.angular = model.dimension, n, l
         self._set_starred(model.gamma, model.anharmonicity(l, n), model.shift(l))

@@ -6,9 +6,10 @@ can use the exact code path the CLI uses without spawning a process.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from . import coulomb, geonium, maps, oscillator, susy
+from ._np import np
 from .errors import AdmissibilityError
 from .output import Diagnostic, OutputRecord
 from .specfun import positive_grid
@@ -56,15 +57,14 @@ def _count_nodes(values):
     return int(np.sum(np.sign(live[:-1]) * np.sign(live[1:]) < 0))
 
 
-def _linear_grid(grid_min, grid_max, points):
-    """points evenly spaced values from grid_min to grid_max, with 0 < min < max."""
+def _check_grid(grid_min, grid_max, points):
+    """Refuse a linear grid unless 0 < min < max and 2 <= points <= MAX_GRID_POINTS."""
     if not (0.0 < grid_min < grid_max):
         raise AdmissibilityError("grid bounds must satisfy 0 < min < max")
     if points < 2:
         raise AdmissibilityError("need at least 2 grid points")
     if points > MAX_GRID_POINTS:
         raise AdmissibilityError(f"{points} grid points exceed the limit of {MAX_GRID_POINTS}")
-    return np.linspace(grid_min, grid_max, points)
 
 
 def _relative_residual(state, grid):
@@ -119,19 +119,24 @@ def spectrum_record(family, dimension, n_values, l_values, model=None) -> Output
 
 
 def wavefunction_record(family, dimension, n, l, grid_min, grid_max, points, model=None) -> OutputRecord:
-    """Amplitude table plus residual and node-count diagnostics."""
-    grid = _linear_grid(grid_min, grid_max, points)
+    """Amplitude table plus residual and node-count diagnostics.
 
+    The grid and the state are checked before the grid is built, so a refused
+    input never reaches numpy.
+    """
+    _check_grid(grid_min, grid_max, points)
     if family == "hydrogen":
         if dimension != 3:
             raise AdmissibilityError("the hydrogen R family is three-dimensional")
+        # R_nl(r) is the d = 3 Coulomb state at y = 2r, so that state's residual stands for it
+        state = coulomb.CoulombState(3, n, l)
+        grid = np.linspace(grid_min, grid_max, points)
         values = coulomb.eval_hydrogen_R(n, l, grid)
-        residual_state = coulomb.CoulombState(3, n, l)
-        residual = _relative_residual(residual_state, 2.0 * grid)
+        residual = _relative_residual(state, 2.0 * grid)
         coord = "r"
     else:
-        make = _state_factory(family, dimension, model)
-        state = make(n, l)
+        state = _state_factory(family, dimension, model)(n, l)
+        grid = np.linspace(grid_min, grid_max, points)
         values = state.value(grid)
         residual = _relative_residual(state, grid)
         coord = "Y" if family in OSCILLATOR_SIDE else "y"
@@ -178,7 +183,8 @@ def susy_pair_record(family, dimension, angular, grid_min=0.1, grid_max=12.0, po
     else:
         raise AdmissibilityError(f"susy-pair supports coulomb or oscillator, got {family!r}")
     pair = susy.SusyPair(u)
-    grid = _linear_grid(grid_min, grid_max, points)
+    _check_grid(grid_min, grid_max, points)
+    grid = np.linspace(grid_min, grid_max, points)
     vp = pair.v_plus(grid)
     vm = pair.v_minus(grid)
     difference = vm - vp
@@ -257,12 +263,12 @@ def trap_frequencies_record(config) -> OutputRecord:
         {
             "quantity": "cyclotron",
             "angular_frequency_rad_s": freqs.cyclotron,
-            "frequency_hz": freqs.cyclotron / (2.0 * np.pi),
+            "frequency_hz": freqs.cyclotron / (2.0 * math.pi),
         },
         {
             "quantity": "axial",
             "angular_frequency_rad_s": freqs.axial,
-            "frequency_hz": freqs.axial / (2.0 * np.pi),
+            "frequency_hz": freqs.axial / (2.0 * math.pi),
         },
     ]
     return OutputRecord(

@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from ._np import is_integer, np
 from .errors import ConvergenceError, DomainError
 
 # Panel geometry: the integration window (0, T] is split into geometrically
@@ -34,7 +33,7 @@ _TAIL_DOUBLINGS = 22
 _TAIL_DROP = 1e-18
 # the decay test looks at T, 1.1 T and 1.3 T so one zero of the integrand
 # cannot pass for decay
-_TAIL_PROBES = np.array([1.0, 1.1, 1.3])
+_TAIL_PROBES = (1.0, 1.1, 1.3)
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,7 @@ class SonineLaguerre:
     order: float
 
     def __post_init__(self):
-        if not isinstance(self.degree, (int, np.integer)) or self.degree < 0:
+        if not is_integer(self.degree) or self.degree < 0:
             raise DomainError(f"degree must be a non-negative integer, got {self.degree!r}")
         if not (float(self.order) > -1.0):
             raise DomainError(f"order must exceed -1, got {self.order!r}")
@@ -243,7 +242,7 @@ def _tail_cutoff(fn):
         vals = vals[np.isfinite(vals)]
         if vals.size:
             peak = max(peak, float(vals.max()))
-        probes = np.abs(np.asarray(fn(t * _TAIL_PROBES), dtype=float))
+        probes = np.abs(np.asarray(fn(t * np.array(_TAIL_PROBES)), dtype=float))
         last_probe = (float(probes.max()), peak)
         if np.all(probes <= _TAIL_DROP * peak + 1e-300):
             return t
@@ -271,7 +270,7 @@ def envelope_cutoff(log_bound, decreasing_from: float) -> float:
         start *= 2.0
     # every candidate T is tested in one call to the bound
     cutoffs = start * 2.0 ** np.arange(_TAIL_DOUBLINGS)
-    probes = np.asarray(log_bound(cutoffs[:, None] * _TAIL_PROBES), dtype=float)
+    probes = np.asarray(log_bound(cutoffs[:, None] * np.array(_TAIL_PROBES)), dtype=float)
     limits = 0.5 * np.log(_TAIL_DROP / cutoffs)
     passed = np.all(probes <= limits[:, None], axis=1)
     if not passed.any():

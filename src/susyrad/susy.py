@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from .errors import AdmissibilityError
 from .specfun import positive_grid
 

@@ -15,9 +15,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import coulomb, geonium, maps, oscillator, qdt, reports, specfun, susy
+from ._np import np
 from .errors import AdmissibilityError, StabilityError
 
 _RNG_SEED = 20260826

@@ -221,3 +221,28 @@ def test_map_violations_carry_the_state_wording():
     )
     report = solve_map_parameters((3, 1, 0), -1)
     assert report.violations == ("target principal number must be >= 0, got -1",)
+
+
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        (lambda: CoulombState(3, 2.0, 0), "principal number must be an integer >= 1, got 2.0"),
+        (lambda: CoulombState(3, "2", 0), "principal number must be an integer >= 1, got '2'"),
+        (lambda: CoulombState(3, 2, 0.0), "angular number must be an integer, got l=0.0"),
+        (lambda: OscillatorState(3, 2.0, 0), "principal number must be an integer >= 0, got 2.0"),
+        (lambda: OscillatorState(3, 2, 0.0), "angular number must be an integer, got L=0.0"),
+        # an integer out of range keeps the wording map violations repeat
+        (lambda: CoulombState(3, 0, 0), "principal number must be >= 1, got 0"),
+        (lambda: OscillatorState(3, -1, 0), "principal number must be >= 0, got -1"),
+        (lambda: CoulombState(3, 2, 2), "angular number must satisfy 0 <= l <= n-1, got l=2 n=2"),
+    ],
+)
+def test_a_non_integer_is_refused_as_one(build, message):
+    with pytest.raises(AdmissibilityError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+def test_numpy_integers_are_integers():
+    assert CoulombState(np.int64(3), np.int64(2), np.int32(1)).energy == CoulombState(3, 2, 1).energy
+    assert OscillatorState(np.int16(3), np.uint8(2), np.int64(0)).energy == OscillatorState(3, 2, 0).energy

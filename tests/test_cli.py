@@ -19,12 +19,12 @@ from susyrad.output import OutputRecord
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
-def _run_from_src(*args):
-    """python -m <args> in a fresh interpreter with the uninstalled source tree first."""
+def _run_from_src(*args, options=()):
+    """python <options> -m <args> in a fresh interpreter with the uninstalled source tree first."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *options, "-m", *args], capture_output=True, text=True, env=env, timeout=120
     )
 
 CONFIG_TEXT = """\
@@ -216,10 +216,12 @@ class TestWavefunction:
             assert result.exit_code == 1
             assert result.output.startswith("Error: ")
 
-    def test_large_state_stderr_is_the_error_alone(self):
-        # overflow inside the evaluation surfaces as render's typed error, not as numpy warnings
+    @pytest.mark.parametrize("options", [(), ("-W", "error::RuntimeWarning")], ids=["default", "strict"])
+    def test_large_state_stderr_is_the_error_alone(self, options):
+        # overflow inside the evaluation surfaces as render's typed error, not as numpy warnings,
+        # also when the interpreter turns every RuntimeWarning into an error
         proc = _run_from_src(
-            "susyrad", "wavefunction", "--n", "160", "--l", "150", "--grid-max", "1e5"
+            "susyrad", "wavefunction", "--n", "160", "--l", "150", "--grid-max", "1e5", options=options
         )
         assert proc.returncode == 1
         assert proc.stdout == ""

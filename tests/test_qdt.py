@@ -138,6 +138,21 @@ class TestDefectState:
         s = DefectState(_model(), 2, 0)
         assert s.principal == 2 and s.angular == 0
 
+    # a non-integer is refused as one, not truncated by int() into another state
+    def test_fractional_principal_is_refused(self):
+        model = DefectModel(3, {0: 0.4}, {0: 0})
+        with pytest.raises(AdmissibilityError, match=r"principal number must be an integer >= 1, got 2\.5"):
+            model.state(2.5, 0)
+
+    def test_string_principal_is_refused(self):
+        model = DefectModel(3, {0: 0.4}, {0: 0})
+        with pytest.raises(AdmissibilityError, match="principal number must be an integer >= 1, got '3'"):
+            model.state("3", 0)
+
+    def test_numpy_integers_are_accepted(self):
+        model = DefectModel(3, {0: 0.4}, {0: 0})
+        assert model.state(np.int64(3), np.int32(0)).energy == model.state(3, 0).energy
+
 
 class TestBreakingPotentialCoulomb:
     def test_frozen_coefficients(self):
@@ -240,6 +255,10 @@ class TestAnharmonicState:
     def test_direct_construction(self):
         s = AnharmonicState(self._model(), 2, 0)
         assert s.degree == 1
+
+    def test_fractional_principal_is_refused(self):
+        with pytest.raises(AdmissibilityError, match=r"principal number must be an integer >= 0, got 2\.9"):
+            self._model().state(2.9, 0)
 
 
 class TestBreakingPotentialOscillator:
