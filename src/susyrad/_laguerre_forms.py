@@ -17,16 +17,10 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from ._np import np
+from ._np import _lazy_module, np
 from .errors import DomainError
-from .specfun import (
-    SonineLaguerre,
-    _check_argument,
-    _recurrence,
-    envelope_cutoff,
-    laguerre_envelope_log,
-    positive_grid,
-)
+
+specfun = _lazy_module(f"{__package__}.specfun")
 
 
 def _poly_values(chain, t, j):
@@ -34,7 +28,7 @@ def _poly_values(chain, t, j):
     card = chain[j]
     if card is None:
         return np.zeros_like(t)
-    val = _recurrence(card.degree, float(card.order), t)
+    val = specfun._recurrence(card.degree, float(card.order), t)
     return -val if j % 2 else val
 
 
@@ -99,7 +93,7 @@ class _LaguerreForm:
     def _chain(self):
         """L, L', L'', L''' as SonineLaguerre cards (None once the degree runs out)."""
         n, a = self.degree, self.order
-        return [SonineLaguerre(n - j, a + j) if j == 0 or j <= n else None for j in range(4)]
+        return [specfun.SonineLaguerre(n - j, a + j) if j == 0 or j <= n else None for j in range(4)]
 
     @cached_property
     def log_norm(self) -> float:
@@ -116,7 +110,7 @@ class _LaguerreForm:
     def _poly_stack(self, t, order):
         # x/scale or x*x can overflow on a finite grid, so the argument is checked
         # here, once for the whole chain
-        t = _check_argument(t)
+        t = specfun._check_argument(t)
         return [_poly_values(self._chain, t, j) for j in range(order + 1)]
 
     def _stacks(self, arr, order):
@@ -126,7 +120,7 @@ class _LaguerreForm:
         return u, w, z
 
     def _derivative(self, x, order):
-        arr = positive_grid(x)
+        arr = specfun.positive_grid(x)
         out = self.norm * _triple_product_derivatives(*self._stacks(arr, order), order)
         return float(out) if np.ndim(x) == 0 else out
 
@@ -152,19 +146,19 @@ class _LaguerreForm:
 
     def log_envelope(self, x):
         """log |norm| + exponent log x - decay(x) + log L_degree^(order)(-t(x)) >= log |value(x)|."""
-        arr = positive_grid(x)
+        arr = specfun.positive_grid(x)
         decay, t = self._decay_and_argument(arr)
         return (
             self.log_norm
             + self.exponent * np.log(arr)
             - decay
-            + laguerre_envelope_log(self.degree, self.order, t)
+            + specfun.laguerre_envelope_log(self.degree, self.order, t)
         )
 
     @cached_property
     def tail_cutoff(self) -> float:
         """Quadrature cutoff of |value|**2 under the package's decay policy."""
-        return envelope_cutoff(self.log_envelope, self._envelope_decreasing_from())
+        return specfun.envelope_cutoff(self.log_envelope, self._envelope_decreasing_from())
 
 
 class ExponentialLaguerreForm(_LaguerreForm):

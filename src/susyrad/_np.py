@@ -1,4 +1,4 @@
-"""How susyrad meets numpy without loading it.
+"""How susyrad meets numpy, and its own grid layer, without loading them.
 
 Energies, trap frequencies, admissibility and every error message are
 closed forms in plain Python floats; only evaluating a waveform on a grid
@@ -7,6 +7,18 @@ susyrad module registers numpy, and numpy's package body runs on the first
 attribute access, such as `np.linspace`.  Modules write `from ._np import np`
 and use it as usual, as long as nothing touches it while the module itself
 is being imported.
+
+The package binds its own layers the same way, with `_lazy_module`: the state
+modules and `reports` bind `specfun` or `susy`, `reports` and `cli` bind
+`maps` and `geonium`, `cli` binds `config`, `config` binds `geonium` and
+`geonium` binds `maps`.  A `from .specfun import X` would run specfun's body
+at import; `specfun.X` at the call runs it on first use.  So `spectrum`
+executes only the CLI, the records, the output and the state modules; the
+trap verbs add `geonium`; `--config` adds `config` and `qdt`; a grid verb adds
+`specfun` and `susy`, and `map` adds `specfun` and `maps`.  An import
+statement for a pending module (`import susyrad.specfun`, `from . import
+specfun`) runs its body, so the modules a closed form does without are
+reached only through these bindings.
 """
 
 from __future__ import annotations

@@ -18,12 +18,29 @@ from fractions import Fraction
 
 import click
 
-from . import __version__, geonium, maps, reports
-from .config import load_config
+from . import __version__, reports
+from ._np import _lazy_module
 from .errors import AdmissibilityError, ConfigError, ConvergenceError, VerificationError
+
+config, geonium, maps = (
+    _lazy_module(f"{__package__}.{name}") for name in ("config", "geonium", "maps")
+)
 
 # every AdmissibilityError, ConfigError, DomainError and StabilityError is a ValueError
 _FATAL = (ValueError, OSError, ConvergenceError, VerificationError)
+
+
+class _FiniteFloat(click.types.FloatParamType):
+    """A float flag; nan and the infinities are refused by the flag's name, as 'abc' is."""
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{value!r} is not a finite float.", param, ctx)
+        return number
+
+
+_FINITE_FLOAT = _FiniteFloat()
 
 
 def _output_options(formats, noun, format_help=None):
@@ -96,7 +113,7 @@ def _load_model(family, config_path, dimension):
         return None
     if config_path is None:
         raise ConfigError(f"the {family} family needs --config (or $SUSYRAD_CONFIG)")
-    return load_config(config_path).model(family, dimension)
+    return config.load_config(config_path).model(family, dimension)
 
 
 def _check_quantum_numbers(**flags):
@@ -144,8 +161,8 @@ def spectrum(family, dimension, n_spec, l_spec, config_path):
 @click.option("--dim", "dimension", type=int, default=3, show_default=True)
 @click.option("--n", "--N", "n", type=int, default=1, show_default=True)
 @click.option("--l", "--L", "l", type=int, default=0, show_default=True)
-@click.option("--grid-min", type=float, default=None, help="First grid point (> 0).")
-@click.option("--grid-max", type=float, default=None, help="Last grid point.")
+@click.option("--grid-min", type=_FINITE_FLOAT, default=None, help="First grid point (> 0).")
+@click.option("--grid-max", type=_FINITE_FLOAT, default=None, help="Last grid point.")
 @click.option("--points", type=int, default=None, help="Number of grid points.")
 @_config_option
 def wavefunction(family, dimension, n, l, grid_min, grid_max, points, config_path):
@@ -168,8 +185,8 @@ def wavefunction(family, dimension, n, l, grid_min, grid_max, points, config_pat
 )
 @click.option("--dim", "dimension", type=int, default=3, show_default=True)
 @click.option("--l", "--L", "angular", type=int, default=0, show_default=True)
-@click.option("--grid-min", type=float, default=0.1, show_default=True)
-@click.option("--grid-max", type=float, default=12.0, show_default=True)
+@click.option("--grid-min", type=_FINITE_FLOAT, default=0.1, show_default=True)
+@click.option("--grid-max", type=_FINITE_FLOAT, default=12.0, show_default=True)
 @click.option("--points", type=int, default=120, show_default=True)
 def susy_pair(family, dimension, angular, grid_min, grid_max, points):
     """Partner potentials V+ and V- on a grid, with the shift-identity check."""
@@ -215,9 +232,11 @@ def _lambda_values(lam_spec, lam_range, mode):
 @click.option(
     "--mode", type=click.Choice(["exact", "broken"]), default="exact", show_default=True
 )
-@click.option("--delta", type=float, default=0.0, show_default=True, help="Quantum defect.")
+@click.option("--delta", type=_FINITE_FLOAT, default=0.0, show_default=True, help="Quantum defect.")
 @click.option("--i", "small_i", type=int, default=0, show_default=True, help="Defect integer shift.")
-@click.option("--Delta", "big_delta", type=float, default=0.0, show_default=True, help="Anharmonicity.")
+@click.option(
+    "--Delta", "big_delta", type=_FINITE_FLOAT, default=0.0, show_default=True, help="Anharmonicity."
+)
 @click.option("--I", "big_i", type=int, default=0, show_default=True, help="Anharmonic integer shift.")
 def map_cmd(dimension, n, l, lam_spec, lam_range, mode, delta, small_i, big_delta, big_i):
     """Solve Coulomb-to-oscillator maps and measure the identity on a grid."""
@@ -229,8 +248,8 @@ def map_cmd(dimension, n, l, lam_spec, lam_range, mode, delta, small_i, big_delt
 
 
 def _trap_flag_options(fn):
-    fn = click.option("--mass", type=float, default=None, help="Mass in kilograms.")(fn)
-    fn = click.option("--charge", type=float, default=None, help="Charge in coulombs.")(fn)
+    fn = click.option("--mass", type=_FINITE_FLOAT, default=None, help="Mass in kilograms.")(fn)
+    fn = click.option("--charge", type=_FINITE_FLOAT, default=None, help="Charge in coulombs.")(fn)
     fn = click.option(
         "--species",
         default="electron",
@@ -243,9 +262,15 @@ def _trap_flag_options(fn):
 def _trap_options(fn):
     """--B, --V, --d, the particle flags and --config: where a trap verb finds its trap."""
     fn = _trap_flag_options(_config_option(fn))
-    fn = click.option("--d", "length", type=float, default=None, help="Trap length in meters.")(fn)
-    fn = click.option("--V", "voltage", type=float, default=None, help="Electrode voltage in volts.")(fn)
-    return click.option("--B", "b_field", type=float, default=None, help="Magnetic field in tesla.")(fn)
+    fn = click.option(
+        "--d", "length", type=_FINITE_FLOAT, default=None, help="Trap length in meters."
+    )(fn)
+    fn = click.option(
+        "--V", "voltage", type=_FINITE_FLOAT, default=None, help="Electrode voltage in volts."
+    )(fn)
+    return click.option(
+        "--B", "b_field", type=_FINITE_FLOAT, default=None, help="Magnetic field in tesla."
+    )(fn)
 
 
 def _trap_config(b_field, voltage, length, species, charge, mass, config_path):
@@ -257,8 +282,8 @@ def _trap_config(b_field, voltage, length, species, charge, mass, config_path):
         return geonium.trap_config(b_field, voltage, length, species, charge, mass)
     if config_path is None:
         return None
-    config = load_config(config_path)
-    return config.trap() if config.has_trap() else None
+    parsed = config.load_config(config_path)
+    return parsed.trap() if parsed.has_trap() else None
 
 
 @main.group()
@@ -279,8 +304,8 @@ def frequencies(**trap_flags):
 
 
 @_record_command(trap, "operating-point")
-@click.option("--B", "b_field", type=float, required=True, help="Magnetic field in tesla.")
-@click.option("--d", "length", type=float, required=True, help="Trap length in meters.")
+@click.option("--B", "b_field", type=_FINITE_FLOAT, required=True, help="Magnetic field in tesla.")
+@click.option("--d", "length", type=_FINITE_FLOAT, required=True, help="Trap length in meters.")
 @_trap_flag_options
 def operating_point(b_field, length, species, charge, mass):
     """Voltage at which the trap's two ladders become degenerate."""
@@ -291,7 +316,7 @@ def operating_point(b_field, length, species, charge, mass):
 @_record_command(trap)
 @click.option("--L", "--l", "angular", type=int, default=0, show_default=True)
 @click.option("--N-max", "--n-max", "n_max", type=int, default=12, show_default=True)
-@click.option("--Delta", "anharmonicity", type=float, default=0.0, show_default=True)
+@click.option("--Delta", "anharmonicity", type=_FINITE_FLOAT, default=0.0, show_default=True)
 @_trap_options
 def levels(angular, n_max, anharmonicity, **trap_flags):
     """Ladder of trap levels at fixed angular number; SI energies with a trap config."""

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._np import _lazy_module
 from .errors import ConfigError
-from .geonium import TrapConfig, trap_config
 from .qdt import AnharmonicModel, DefectModel
+
+geonium = _lazy_module(f"{__package__}.geonium")  # only a [trap] record needs it
 
 FORMAT_VERSION = 1
 
@@ -151,7 +153,7 @@ class ModelConfig:
     def has_trap(self) -> bool:
         return any(record.section == "trap" for record in self.records)
 
-    def trap(self) -> TrapConfig:
+    def trap(self) -> geonium.TrapConfig:
         for record in self.records:
             if record.section != "trap":
                 continue
@@ -162,7 +164,7 @@ class ModelConfig:
             else:
                 charge = _as_float(record, "e_coulomb") if "e_coulomb" in record.fields else None
                 mass = _as_float(record, "m_kg") if "m_kg" in record.fields else None
-            return trap_config(
+            return geonium.trap_config(
                 magnetic_field=_as_float(record, "B_tesla"),
                 electrode_voltage=_as_float(record, "V_volt"),
                 trap_length=_as_float(record, "d_meter"),

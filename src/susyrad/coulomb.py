@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 
 from ._laguerre_forms import ExponentialLaguerreForm
-from ._np import is_integer, np
+from ._np import _lazy_module, is_integer, np
 from .errors import AdmissibilityError
-from .specfun import SonineLaguerre, eval_sonine_laguerre, positive_grid
-from .susy import RadialOperator
+
+specfun = _lazy_module(f"{__package__}.specfun")
+susy = _lazy_module(f"{__package__}.susy")
 
 
 def gamma_shift(dimension: int) -> float:
@@ -111,9 +112,9 @@ class CoulombState(ExponentialLaguerreForm):
     second_derivative = ExponentialLaguerreForm.second_derivative
     third_derivative = ExponentialLaguerreForm.third_derivative
 
-    def operator(self) -> RadialOperator:
+    def operator(self) -> susy.RadialOperator:
         lg = self.l_star + self.gamma
-        return RadialOperator(
+        return susy.RadialOperator(
             coulomb_strength=1.0,
             oscillator_strength=0.0,
             centrifugal=lg * (lg + 1.0),
@@ -128,10 +129,10 @@ def eval_hydrogen_R(principal: int, angular: int, r):
     """Three-dimensional R_nl(r), normalized so the integral of R^2 r^2 dr is 1."""
     check_quantum_numbers(principal, angular)
     n, l = principal, angular
-    arr = positive_grid(r)
+    arr = specfun.positive_grid(r)
     prefactor = (2.0 / n**2) * math.exp(0.5 * (math.lgamma(n - l) - math.lgamma(n + l + 1)))
     t = 2.0 * arr / n
-    poly = eval_sonine_laguerre(SonineLaguerre(n - l - 1, 2 * l + 1), t)
+    poly = specfun.eval_sonine_laguerre(specfun.SonineLaguerre(n - l - 1, 2 * l + 1), t)
     out = prefactor * t**l * np.exp(-arr / n) * poly
     return float(out) if np.ndim(r) == 0 else out
 

@@ -13,9 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import maps, oscillator
+from . import oscillator
+from ._np import _lazy_module
 from .errors import AdmissibilityError, StabilityError, VerificationError
 from .oscillator import OscillatorState
+
+maps = _lazy_module(f"{__package__}.maps")  # only coulomb_to_geonium solves a map
 
 
 # CODATA 2022 (SI): e and h are exact by definition; equal to scipy.constants

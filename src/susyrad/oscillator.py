@@ -10,10 +10,11 @@ form; the anharmonic model in `qdt` supplies them from a table.
 from __future__ import annotations
 
 from ._laguerre_forms import GaussianLaguerreForm
-from ._np import is_integer
+from ._np import _lazy_module, is_integer
 from .coulomb import check_integer, check_shift, gamma_shift
 from .errors import AdmissibilityError, ParityError
-from .susy import RadialOperator
+
+susy = _lazy_module(f"{__package__}.susy")
 
 
 def check_anharmonicity(value, name="anharmonicity"):
@@ -86,9 +87,9 @@ class OscillatorState(GaussianLaguerreForm):
     second_derivative = GaussianLaguerreForm.second_derivative
     third_derivative = GaussianLaguerreForm.third_derivative
 
-    def operator(self) -> RadialOperator:
+    def operator(self) -> susy.RadialOperator:
         lg = self.l_star + self.gamma
-        return RadialOperator(
+        return susy.RadialOperator(
             coulomb_strength=0.0,
             oscillator_strength=1.0,
             centrifugal=lg * (lg + 1.0),

@@ -17,11 +17,12 @@ admissibility and the states themselves belong to `CoulombState` and
 
 from __future__ import annotations
 
-from ._np import np
+from ._np import _lazy_module, np
 from .coulomb import CoulombState, check_defect, check_integer, check_shift, gamma_shift
 from .errors import AdmissibilityError
 from .oscillator import OscillatorState, check_anharmonicity, check_quantum_numbers
-from .specfun import positive_grid
+
+specfun = _lazy_module(f"{__package__}.specfun")
 
 
 def _normalize_table(table, kind, value_check):
@@ -105,7 +106,7 @@ def breaking_potential_coulomb(model: DefectModel, principal: int, angular: int,
     """
     state = DefectState(model, principal, angular)
     g = state.gamma
-    arr = positive_grid(y)
+    arr = specfun.positive_grid(y)
     lg_star = state.l_star + g
     lg = angular + g
     nu = principal + g
@@ -162,7 +163,7 @@ def breaking_potential_oscillator(model: AnharmonicModel, principal: int, angula
     """
     state = AnharmonicState(model, principal, angular)
     g = state.gamma
-    arr = positive_grid(y)
+    arr = specfun.positive_grid(y)
     lg_star = state.l_star + g
     lg = angular + g
     out = (lg_star * (lg_star + 1.0) - lg * (lg + 1.0)) / arr**2 + 2.0 * (principal - state.n_star)

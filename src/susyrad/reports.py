@@ -8,11 +8,15 @@ from __future__ import annotations
 
 import math
 
-from . import coulomb, geonium, maps, oscillator, susy
-from ._np import np
+from . import coulomb, oscillator
+from ._np import _lazy_module, np
 from .errors import AdmissibilityError
 from .output import Diagnostic, OutputRecord
-from .specfun import positive_grid
+
+# bound, not executed: a verb runs the grid and map layers only when its record uses them
+geonium, maps, specfun, susy = (
+    _lazy_module(f"{__package__}.{name}") for name in ("geonium", "maps", "specfun", "susy")
+)
 
 RESIDUAL_TOL = 1e-8
 SHIFT_IDENTITY_TOL = 1e-12
@@ -69,7 +73,7 @@ def _check_grid(grid_min, grid_max, points):
 
 def _relative_residual(state, grid):
     res, val = susy.residual_and_value(
-        state.operator(), state, positive_grid(grid), state.operator_eigenvalue()
+        state.operator(), state, specfun.positive_grid(grid), state.operator_eigenvalue()
     )
     return float(np.max(np.abs(res)) / np.max(np.abs(val)))
 

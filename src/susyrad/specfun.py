@@ -50,8 +50,16 @@ class SonineLaguerre:
             raise DomainError(f"order must exceed -1, got {self.order!r}")
 
 
+def _float_array(x, what):
+    """x as a float array; a point float() refuses is a DomainError naming `what`."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} must be real: {exc}") from exc
+
+
 def _check_argument(x):
-    arr = np.asarray(x, dtype=float)
+    arr = _float_array(x, "argument")
     if not np.all(np.isfinite(arr)):
         raise DomainError("argument must be finite")
     if np.any(arr < 0.0):
@@ -60,8 +68,8 @@ def _check_argument(x):
 
 
 def positive_grid(x):
-    """x as a float array, refused unless every point is finite and positive."""
-    arr = np.asarray(x, dtype=float)
+    """x as a float array, refused unless every point is real, finite and positive."""
+    arr = _float_array(x, "radial coordinate")
     if not np.all(np.isfinite(arr)):
         raise DomainError("radial coordinate must be finite")
     if np.any(arr <= 0.0):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from scipy import constants as codata
@@ -633,8 +634,11 @@ class TestFiniteFlagsOutOfRange:
             main, ["map", "--d", "3", "--n", "2", "--l", "0", "--mode", "broken",
                    "--lambda", "1", "--Delta", delta, "--format", "json"]
         )
-        if delta == "inf":  # the input itself is not a finite number, so rendering refuses it
-            assert _one_error_line(result) == "Error: non-finite number in inputs.Delta: inf\n"
+        if delta == "inf":  # the flag itself is not a finite number, so click refuses it by name
+            assert result.exit_code == 2
+            assert result.stderr.endswith(
+                "Error: Invalid value for '--Delta': 'inf' is not a finite float.\n"
+            )
             return
         assert result.exit_code == 0, result.output
         violations = json.loads(result.output)["rows"][0]["violations"]
@@ -655,6 +659,38 @@ class TestFiniteFlagsOutOfRange:
         )
         assert _one_error_line(result) == (
             "Error: axial frequency is out of float range for this trap\n"
+        )
+
+
+def _float_options(group=main, path=()):
+    """(verb path, first flag) of every float option, the trap group's verbs included."""
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from _float_options(command, (*path, name))
+            continue
+        for param in command.params:
+            if isinstance(param.type, click.types.FloatParamType):
+                yield (*path, name), param.opts[0]
+
+
+FLOAT_OPTIONS = list(_float_options())
+
+
+class TestFiniteFloatFlags:
+    def test_every_float_flag_is_enumerated(self):
+        assert len(FLOAT_OPTIONS) == 21
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize(
+        ("verb", "flag"), FLOAT_OPTIONS, ids=[" ".join(v) + f" {f}" for v, f in FLOAT_OPTIONS]
+    )
+    def test_non_finite_value_is_a_usage_error_naming_the_flag(self, runner, verb, flag, text):
+        # refused while parsing, before any required flag is missed or any record is built
+        result = runner.invoke(main, [*verb, flag, text])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.endswith(
+            f"Error: Invalid value for '{flag}': '{text}' is not a finite float.\n"
         )
 
 

@@ -2,7 +2,8 @@
 
 Whatever the numbers, a verb either prints its record (exit 0) or stops with
 one typed `Error:` line (exit 1, or 2 for a flag click itself refuses); it
-never ends in a Python traceback.  Float draws include the values that break
+never ends in a Python traceback.  A nan or infinite float flag is one click
+refuses, by the flag's name.  Float draws include the values that break
 naive arithmetic (nan, the infinities, the float extremes, a subnormal, zero
 and negatives), count draws run past the limits in `reports` and `maps`, and
 quantum numbers and dimensions run past `reports.MAX_QUANTUM_NUMBER`.  A record
@@ -48,6 +49,10 @@ lambdas = st.one_of(
 
 # nan or an infinity as Python or JSON spells it, standing alone as a field or a value
 NON_FINITE = re.compile(r"(?<![\w.])[-+]?(?:nan|inf(?:inity)?)(?![\w.])", re.IGNORECASE)
+# the flags that take a float; map's --d takes an integer, and the map strategies draw only
+# integers for it
+FLOAT_FLAGS = {"--grid-min", "--grid-max", "--delta", "--Delta", "--B", "--V", "--d", "--charge",
+               "--mass"}
 # a map row's eighth and last column, `violations`, quotes the values that broke a
 # constraint, which may be infinite; the seven before it are numbers
 MAP_NUMBER_COLUMNS = 7
@@ -69,6 +74,12 @@ def _argv(*pairs):
 def _invoke(argv):
     result = CliRunner().invoke(main, argv)
     assert result.exit_code in (0, 1, 2), (argv, result.output)
+    # click parses flags in command-line order, so the first non-finite float flag is named
+    non_finite = [flag for flag, value in zip(argv, argv[1:])
+                  if flag in FLOAT_FLAGS and NON_FINITE.fullmatch(value)]
+    if non_finite:
+        assert result.exit_code == 2, (argv, result.output)
+        assert f"Error: Invalid value for '{non_finite[0]}'" in result.output, (argv, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         argv, repr(result.exception)
     )

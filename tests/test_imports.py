@@ -1,11 +1,12 @@
-"""The import surface: what `import susyrad` and each CLI verb load.
+"""The import surface: what `import susyrad` and each CLI verb execute.
 
 Closed-form verbs (energy tables, trap numbers) and every refused input run
-without executing numpy; only evaluating a waveform does.  Each probe runs in
-a fresh interpreter, since this test process has long since loaded numpy.
-A lazily bound numpy leaves an unexecuted `numpy` entry in sys.modules, so
-the probes look for the submodule its body imports first: `numpy._core` in
-numpy 2, `numpy.core` in numpy 1.
+without executing numpy or the grid layer (`specfun`, `susy`) or `maps`; only
+evaluating a waveform or solving a map does.  Each probe runs in a fresh
+interpreter, since this test process has long since loaded everything.  A
+lazily bound module sits in sys.modules as a pending
+`importlib.util._LazyModule` until its first attribute access runs its body,
+so a module counts as executed when it is in sys.modules and not pending.
 """
 
 import json
@@ -21,17 +22,22 @@ import susyrad
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 NUMPY_BODY = ("numpy._core", "numpy.core")
+# numpy and the package modules a closed-form verb can do without
+WATCHED = ("numpy", *(f"susyrad.{name}" for name in
+                      ("specfun", "susy", "maps", "geonium", "config", "qdt", "verify")))
 
 VERB_PROBE = f"""
-import json, sys
+import importlib.util, json, sys
 from susyrad.cli import main
 code = None
 try:
     main(args=sys.argv[1:], prog_name="susyrad")
 except SystemExit as exc:
     code = exc.code
-executed = any(name in sys.modules for name in {NUMPY_BODY!r})
-sys.stderr.write("\\n" + json.dumps({{"exit": code, "numpy_executed": executed}}) + "\\n")
+# type(), not isinstance(): any attribute read, __class__ included, runs a pending body
+executed = [name for name in {WATCHED!r}
+            if name in sys.modules and type(sys.modules[name]) is not importlib.util._LazyModule]
+sys.stderr.write("\\n" + json.dumps({{"exit": code, "executed": executed}}) + "\\n")
 """
 
 PACKAGE_PROBE = f"""
@@ -61,6 +67,17 @@ shift = 1
 """
 
 
+TRAP_CONFIG_TEXT = """\
+format_version = 1
+
+[trap]
+B_tesla = 5
+V_volt = 10
+d_meter = 0.01
+species = proton
+"""
+
+
 def _python(*args):
     env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
     return subprocess.run(
@@ -78,35 +95,49 @@ def _run_verb(*argv):
 @pytest.fixture(scope="module")
 def configs(tmp_path_factory):
     folder = tmp_path_factory.mktemp("configs")
-    good, bad = folder / "models.cfg", folder / "bad.cfg"
+    good, bad, trap = folder / "models.cfg", folder / "bad.cfg", folder / "trap.cfg"
     good.write_text(CONFIG_TEXT, encoding="utf-8")
     bad.write_text("[defect]\ndimension = 3\n", encoding="utf-8")
-    return {"good": str(good), "bad": str(bad)}
+    trap.write_text(TRAP_CONFIG_TEXT, encoding="utf-8")
+    return {"good": str(good), "bad": str(bad), "trap": str(trap)}
+
+
+CONFIG_LAYER = ["susyrad.config", "susyrad.qdt"]
+TRAP_LAYER = ["susyrad.geonium"]
 
 
 @pytest.mark.parametrize(
-    ("argv", "code"),
+    ("argv", "code", "executed"),
     [
-        (["spectrum"], 0),
-        (["spectrum", "--family", "defect", "--n", "1..4", "--config", "{good}"], 0),
-        (["trap", "frequencies", "--B", "5", "--V", "10", "--d", "0.01", "--species", "proton"], 0),
-        (["trap", "operating-point", "--B", "5", "--d", "0.01"], 0),
-        (["trap", "levels", "--N-max", "6"], 0),
-        (["spectrum", "--format", "xml"], 2),
-        (["spectrum", "--family", "defect", "--config", "{bad}"], 1),
+        (["spectrum"], 0, []),
+        (["spectrum", "--family", "defect", "--n", "1..4", "--config", "{good}"], 0, CONFIG_LAYER),
+        (["trap", "frequencies", "--B", "5", "--V", "10", "--d", "0.01", "--species", "proton"], 0,
+         TRAP_LAYER),
+        (["trap", "operating-point", "--B", "5", "--d", "0.01"], 0, TRAP_LAYER),
+        (["trap", "levels", "--N-max", "6"], 0, TRAP_LAYER),
+        (["trap", "levels", "--N-max", "6", "--config", "{trap}"], 0, TRAP_LAYER + CONFIG_LAYER),
+        (["spectrum", "--format", "xml"], 2, []),
+        (["trap", "levels", "--Delta", "nan"], 2, []),
+        (["spectrum", "--family", "defect", "--config", "{bad}"], 1, CONFIG_LAYER),
         # the state is refused before its grid is built
-        (["wavefunction", "--n", "3", "--l", "5"], 1),
+        (["wavefunction", "--n", "3", "--l", "5"], 1, []),
     ],
     ids=["spectrum", "defect-spectrum", "frequencies", "operating-point", "levels",
-         "usage-error", "config-error", "refused-state"],
+         "levels-config", "usage-error", "non-finite-flag", "config-error", "refused-state"],
 )
-def test_closed_form_verbs_never_execute_numpy(configs, argv, code):
+def test_closed_form_verbs_never_execute_numpy(configs, argv, code, executed):
     outcome = _run_verb(*(arg.format(**configs) for arg in argv))
-    assert outcome == {"exit": code, "numpy_executed": False}
+    assert outcome == {"exit": code, "executed": executed}
 
 
 def test_wavefunction_executes_numpy():
-    assert _run_verb("wavefunction", "--n", "3", "--l", "1") == {"exit": 0, "numpy_executed": True}
+    outcome = _run_verb("wavefunction", "--n", "3", "--l", "1")
+    assert outcome == {"exit": 0, "executed": ["numpy", "susyrad.specfun", "susyrad.susy"]}
+
+
+def test_map_executes_the_map_layer():
+    outcome = _run_verb("map", "--d", "3", "--n", "2", "--l", "0", "--lambda", "1")
+    assert outcome == {"exit": 0, "executed": ["numpy", "susyrad.specfun", "susyrad.maps"]}
 
 
 def test_package_import_runs_no_submodule():

@@ -66,6 +66,12 @@ class TestSonineLaguerre:
         with pytest.raises(DomainError):
             eval_sonine_laguerre(SonineLaguerre(2, 0.0), math.nan)
 
+    @pytest.mark.parametrize("bad", ["a", [1.0, "b"], 1j], ids=["string", "string-in-list", "complex"])
+    def test_non_real_argument_is_a_domain_error(self, bad):
+        for evaluate in (eval_sonine_laguerre, eval_sonine_laguerre_derivative):
+            with pytest.raises(DomainError, match="argument must be real"):
+                evaluate(SonineLaguerre(2, 0.0), bad)
+
     @pytest.mark.parametrize("degree", range(16))
     @pytest.mark.parametrize("order", ORDER_GRID)
     @pytest.mark.parametrize("x", POINT_GRID)
@@ -438,13 +444,14 @@ class TestDerivativeOrderSelection:
     )
     def test_each_order_runs_only_its_recurrences(self, state, monkeypatch):
         calls = Counter()
-        original = _laguerre_forms._recurrence
+        original = specfun._recurrence
 
         def counted(n, a, x):
             calls["recurrence"] += 1
             return original(n, a, x)
 
-        monkeypatch.setattr(_laguerre_forms, "_recurrence", counted)
+        # the forms look the recurrence up on specfun at each call
+        monkeypatch.setattr(specfun, "_recurrence", counted)
         assert state.degree >= 3
         grid = np.linspace(0.1, 5.0, 7)
         for order, name in enumerate(_DERIVATIVES):
@@ -510,9 +517,18 @@ class TestSharedResidualStack:
 
     def test_public_entry_points_still_check_the_grid(self):
         state = coulomb.CoulombState(3, 2, 1)
-        for bad, message in (([1.0, 0.0], "positive"), ([1.0, math.nan], "finite")):
+        for bad, message in (
+            ([1.0, 0.0], "positive"),
+            ([1.0, math.nan], "finite"),
+            # numpy's own ValueError and TypeError become the typed error
+            ("a", "real"),
+            ([1.0, "b"], "real"),
+            (1j, "real"),
+        ):
             for call in (
                 lambda: state.value(bad),
+                lambda: coulomb.CoulombState(3, 2, 0).value(bad),
+                lambda: coulomb.eval_hydrogen_R(2, 1, bad),
                 lambda: state.second_derivative(bad),
                 lambda: state.operator().potential(bad),
                 lambda: susy.apply_operator(state.operator(), state, bad),
