@@ -2,12 +2,13 @@
 
 Each is a power times a decaying exponential times a Sonine-Laguerre
 polynomial; derivatives up to third order come from the product rule with the
-polynomial derivative identity, never from finite differences.  A call builds
-each factor's derivative stack only up to the order it asks for, so `value`
-runs one Laguerre recurrence and `second_derivative` three; a residual takes
-both from one order-two build (`value_and_second_derivative`).  The public
-methods check their grid once and everything below them takes the checked
-array.  The polynomial cards and the normalization are built on first use.
+polynomial derivative identity, never from finite differences.  A form answers
+`derivatives(grid, orders)` on a grid `specfun.positive_grid` has checked: it
+builds each factor's derivative stack once, up to the highest order asked for,
+and returns the listed derivatives from it, so `value` runs one Laguerre
+recurrence and a residual's (0, 2) three.  The public pointwise methods check
+their grid once through `specfun.pointwise` and ask for one order.  The
+polynomial cards and the normalization are built on first use.
 Each form also bounds its own magnitude in closed form (`log_envelope`), which
 fixes the quadrature cutoff (`tail_cutoff`) without sampling the waveform.
 """
@@ -110,39 +111,29 @@ class _LaguerreForm:
     def _poly_stack(self, t, order):
         # x/scale or x*x can overflow on a finite grid, so the argument is checked
         # here, once for the whole chain
-        t = specfun._check_argument(t)
+        try:
+            t = specfun._check_argument(t)
+        except DomainError as exc:
+            raise DomainError("radial coordinate too large: its Laguerre argument overflows") from exc
         return [_poly_values(self._chain, t, j) for j in range(order + 1)]
 
-    def _stacks(self, arr, order):
-        """(u, w, z) up to order on a checked grid."""
-        u = _power_stack(arr, self.exponent, order)
-        w, z = self._factor_stacks(arr, order)
-        return u, w, z
-
-    def _derivative(self, x, order):
-        arr = specfun.positive_grid(x)
-        out = self.norm * _triple_product_derivatives(*self._stacks(arr, order), order)
-        return float(out) if np.ndim(x) == 0 else out
-
-    def value_and_second_derivative(self, arr):
-        """(value, second derivative) on a checked grid array from one order-two build."""
-        stacks = self._stacks(arr, 2)
-        return (
-            self.norm * _triple_product_derivatives(*stacks, 0),
-            self.norm * _triple_product_derivatives(*stacks, 2),
-        )
+    def derivatives(self, grid, orders):
+        """[d^k/dx^k for k in orders] on a grid positive_grid has checked, from one build."""
+        top = max(orders)
+        stacks = (_power_stack(grid, self.exponent, top), *self._factor_stacks(grid, top))
+        return [self.norm * _triple_product_derivatives(*stacks, k) for k in orders]
 
     def value(self, x):
-        return self._derivative(x, 0)
+        return specfun.pointwise(self.derivatives, x, 0)
 
     def derivative(self, x):
-        return self._derivative(x, 1)
+        return specfun.pointwise(self.derivatives, x, 1)
 
     def second_derivative(self, x):
-        return self._derivative(x, 2)
+        return specfun.pointwise(self.derivatives, x, 2)
 
     def third_derivative(self, x):
-        return self._derivative(x, 3)
+        return specfun.pointwise(self.derivatives, x, 3)
 
     def log_envelope(self, x):
         """log |norm| + exponent log x - decay(x) + log L_degree^(order)(-t(x)) >= log |value(x)|."""

@@ -51,11 +51,14 @@ class SonineLaguerre:
 
 
 def _float_array(x, what):
-    """x as a float array; a point float() refuses is a DomainError naming `what`."""
+    """x as a float array; a complex point, or one float() refuses, is a DomainError naming `what`."""
     try:
-        return np.asarray(x, dtype=float)
+        # a complex array would otherwise be cast to its real part with only a warning
+        if not np.iscomplexobj(x):
+            return np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{what} must be real: {exc}") from exc
+    raise DomainError(f"{what} must be real, got a complex value")
 
 
 def _check_argument(x):
@@ -75,6 +78,12 @@ def positive_grid(x):
     if np.any(arr <= 0.0):
         raise DomainError("radial coordinate must be positive")
     return arr
+
+
+def pointwise(derivatives, x, order):
+    """The order-th entry of derivatives(grid, orders) at x: one grid check, a float for a scalar."""
+    (out,) = derivatives(positive_grid(x), (order,))
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def _recurrence(n, a, x):
@@ -166,13 +175,6 @@ def laguerre_envelope_log(degree: int, order: float, t):
     terms = log_coeff.reshape(powers.shape) + scaled
     peak = terms.max(axis=0)
     return peak + np.log(np.sum(np.exp(terms - peak), axis=0))
-
-
-def gamma_ratio(numerator: float, denominator: float) -> float:
-    """G(numerator)/G(denominator) through log-gamma; both arguments > 0."""
-    if numerator <= 0.0 or denominator <= 0.0:
-        raise DomainError("gamma_ratio requires positive arguments")
-    return math.exp(math.lgamma(numerator) - math.lgamma(denominator))
 
 
 @dataclass(frozen=True)

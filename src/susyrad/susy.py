@@ -5,15 +5,21 @@ partner pair V+- = (U'/2)**2 -+ U''/2 and the first-order supercharge
 component psi -> psi' + (U'/2) psi.  The bosonic partner annihilates
 exp(-U/2); the fermionic spectrum is the bosonic one with the zero mode
 removed.
+
+Every function here, and every psi the operators act on, answers
+`derivatives(grid, orders)`: the listed derivatives on a grid `positive_grid`
+has checked, from one build.  A public call checks its grid once and asks for
+all it needs in one call; the pointwise methods go through `specfun.pointwise`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ._np import np
 from .errors import AdmissibilityError
-from .specfun import positive_grid
+from .specfun import pointwise, positive_grid
 
 
 @dataclass(frozen=True)
@@ -30,29 +36,29 @@ class Superpotential:
         if not (self.power_coeff > 0.0):
             raise AdmissibilityError("power_coeff must be positive for a confining pair")
 
+    def derivatives(self, grid, orders):
+        """[d^k U/dx^k for k in orders] on a grid positive_grid has checked."""
+        a, b, p = self.power_coeff, self.log_coeff, self.power
+        terms = (
+            lambda: a * grid**p + b * np.log(grid),
+            lambda: a * p * grid ** (p - 1) + b / grid,
+            lambda: a * p * (p - 1) * grid ** (p - 2) - b / grid**2,
+            # the power term's third derivative p*(p-1)*(p-2) x**(p-3) is zero for p in {1, 2}
+            lambda: 2.0 * b / grid**3,
+        )
+        return [terms[k]() for k in orders]
+
     def u(self, x):
-        arr = positive_grid(x)
-        out = self.power_coeff * arr**self.power + self.log_coeff * np.log(arr)
-        return float(out) if np.ndim(x) == 0 else out
+        return pointwise(self.derivatives, x, 0)
 
     def u_prime(self, x):
-        arr = positive_grid(x)
-        out = self.power_coeff * self.power * arr ** (self.power - 1) + self.log_coeff / arr
-        return float(out) if np.ndim(x) == 0 else out
+        return pointwise(self.derivatives, x, 1)
 
     def u_double_prime(self, x):
-        arr = positive_grid(x)
-        out = (
-            self.power_coeff * self.power * (self.power - 1) * arr ** (self.power - 2)
-            - self.log_coeff / arr**2
-        )
-        return float(out) if np.ndim(x) == 0 else out
+        return pointwise(self.derivatives, x, 2)
 
     def u_third_derivative(self, x):
-        arr = positive_grid(x)
-        # the power term's third derivative p*(p-1)*(p-2) x**(p-3) is zero for p in {1, 2}
-        out = 2.0 * self.log_coeff / arr**3
-        return float(out) if np.ndim(x) == 0 else out
+        return pointwise(self.derivatives, x, 3)
 
 
 def coulomb_superpotential(angular: int, gamma: float = 0.0) -> Superpotential:
@@ -78,13 +84,17 @@ class SusyPair:
         self.superpotential = superpotential
 
     def v_plus(self, x):
-        w = 0.5 * np.asarray(self.superpotential.u_prime(x))
-        out = w * w - 0.5 * np.asarray(self.superpotential.u_double_prime(x))
-        return float(out) if np.ndim(x) == 0 else out
+        return self._partner(x, -1.0)
 
     def v_minus(self, x):
-        w = 0.5 * np.asarray(self.superpotential.u_prime(x))
-        out = w * w + 0.5 * np.asarray(self.superpotential.u_double_prime(x))
+        return self._partner(x, +1.0)
+
+    def _partner(self, x, sign):
+        # W**2 + sign * U''/2 with W = U'/2, from one U'/U'' build
+        grid = positive_grid(x)
+        u1, u2 = self.superpotential.derivatives(grid, (1, 2))
+        w = 0.5 * u1
+        out = w * w + sign * (0.5 * u2)
         return float(out) if np.ndim(x) == 0 else out
 
     def partner_shift(self, x):
@@ -171,24 +181,15 @@ class RadialOperator:
 def apply_operator(op: RadialOperator, psi, x_grid, eigenvalue: float | None = None):
     """Residual (-psi'' + V psi) - eigenvalue*psi on a strictly positive grid.
 
-    psi must expose analytic value() and second_derivative(); finite
-    differences are never used here.
+    psi must answer derivatives(grid, orders) analytically; finite differences
+    are never used here.
     """
     return residual_and_value(op, psi, positive_grid(x_grid), eigenvalue)[0]
 
 
 def residual_and_value(op: RadialOperator, psi, grid, eigenvalue: float | None = None):
-    """(residual, value of psi) as in apply_operator, on a grid positive_grid has checked.
-
-    A state supplies value and second derivative from one build of its stacks;
-    any other psi is asked for each.
-    """
-    shared = getattr(psi, "value_and_second_derivative", None)
-    if shared is not None:
-        val, curv = shared(grid)
-    else:
-        val = np.asarray(psi.value(grid), dtype=float)
-        curv = np.asarray(psi.second_derivative(grid), dtype=float)
+    """(residual, value of psi) as in apply_operator, on a grid positive_grid has checked."""
+    val, curv = psi.derivatives(grid, (0, 2))
     res = -curv + op._potential(grid) * val
     if eigenvalue is not None:
         res = res - eigenvalue * val
@@ -197,44 +198,40 @@ def residual_and_value(op: RadialOperator, psi, grid, eigenvalue: float | None =
 
 def apply_supercharge(superpotential: Superpotential, psi, x_grid):
     """Pointwise psi' + (U'/2) psi on the grid."""
-    grid = positive_grid(x_grid)
-    return np.asarray(psi.derivative(grid), dtype=float) + 0.5 * np.asarray(
-        superpotential.u_prime(grid), dtype=float
-    ) * np.asarray(psi.value(grid), dtype=float)
+    return SuperchargeImage(superpotential, psi).value(x_grid)
 
 
 class SuperchargeImage:
     """The function A psi = psi' + (U'/2) psi with analytic derivatives.
 
-    Differentiating the product pulls in psi''' for the second derivative, so
-    psi must provide third_derivative().
+    Its k-th derivative is psi^(k+1) + sum_j C(k, j) W^(k-j) psi^(j) with
+    W = U'/2, so the second derivative pulls in psi'''; psi must answer
+    derivatives(grid, orders) up to third order.
     """
 
     def __init__(self, superpotential: Superpotential, psi):
         self.superpotential = superpotential
         self.psi = psi
 
+    def derivatives(self, grid, orders):
+        """[d^k/dx^k of A psi for k in orders] on a checked grid, from one psi and one U build."""
+        top = max(orders) + 1
+        psi = self.psi.derivatives(grid, range(top + 1))
+        w = [0.5 * du for du in self.superpotential.derivatives(grid, range(1, top + 1))]
+        out = []
+        for k in orders:
+            entry = psi[k + 1]
+            for j in range(k + 1):
+                c = math.comb(k, j)
+                entry = entry + (w[k - j] if c == 1 else c * w[k - j]) * psi[j]
+            out.append(entry)
+        return out
+
     def value(self, x):
-        return apply_supercharge(self.superpotential, self.psi, x)
+        return pointwise(self.derivatives, x, 0)
 
     def derivative(self, x):
-        grid = positive_grid(x)
-        w = 0.5 * np.asarray(self.superpotential.u_prime(grid))
-        wp = 0.5 * np.asarray(self.superpotential.u_double_prime(grid))
-        return (
-            np.asarray(self.psi.second_derivative(grid))
-            + wp * np.asarray(self.psi.value(grid))
-            + w * np.asarray(self.psi.derivative(grid))
-        )
+        return pointwise(self.derivatives, x, 1)
 
     def second_derivative(self, x):
-        grid = positive_grid(x)
-        w = 0.5 * np.asarray(self.superpotential.u_prime(grid))
-        wp = 0.5 * np.asarray(self.superpotential.u_double_prime(grid))
-        wpp = 0.5 * np.asarray(self.superpotential.u_third_derivative(grid))
-        return (
-            np.asarray(self.psi.third_derivative(grid))
-            + wpp * np.asarray(self.psi.value(grid))
-            + 2.0 * wp * np.asarray(self.psi.derivative(grid))
-            + w * np.asarray(self.psi.second_derivative(grid))
-        )
+        return pointwise(self.derivatives, x, 2)

@@ -8,13 +8,15 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from scipy import constants as codata
 
 import susyrad
-from susyrad import reports
+from susyrad import oscillator, reports
 from susyrad.cli import main
+from susyrad.errors import DomainError
 from susyrad.output import OutputRecord
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -291,6 +293,19 @@ class TestSusyPair:
         wave = runner.invoke(main, ["wavefunction", *args])
         assert wave.exit_code == 1
         assert wave.output.splitlines() == [f"Error: {message}"]
+
+    @pytest.mark.parametrize(
+        "verb", [["susy-pair"], ["wavefunction", "--N", "2"]], ids=["susy-pair", "wavefunction"]
+    )
+    def test_overflowing_oscillator_grid_names_the_coordinate(self, runner, verb):
+        # 1e160 is a finite flag whose square is not, inside the oscillator form
+        result = runner.invoke(main, [*verb, "--family", "oscillator", "--grid-max", "1e160"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        message = "radial coordinate too large: its Laguerre argument overflows"
+        assert result.output.splitlines() == [f"Error: {message}"]
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match=message):
+            oscillator.OscillatorState(3, 2, 0).value(1e160)
 
 
 class TestMap:

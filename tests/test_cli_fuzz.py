@@ -26,12 +26,16 @@ FUZZ = settings(derandomize=True, max_examples=60, deadline=None)
 # the trap verbs take a few milliseconds and have the most float flags to combine
 FUZZ_TRAP = settings(FUZZ, max_examples=200)
 
-EXTREME = [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 1e200, 1e-320, 0.0, -1.0]
+FINITE_EXTREME = [1e308, -1e308, 1e200, 1e-320, 0.0, -1.0]
+NON_FINITE_FLOATS = [float("nan"), float("inf"), float("-inf")]
+# click refuses nan and the infinities while parsing, so they are drawn rarely (about one flag
+# in 25): a trap verb has up to five float flags, and most of its examples must reach the verb
+EXTREME = st.sampled_from(FINITE_EXTREME * 6 + NON_FINITE_FLOATS)
 # each strategy mixes ordinary values, so records do get built, with the hostile ones
-floats = st.one_of(st.floats(-20.0, 20.0, allow_nan=False), st.sampled_from(EXTREME))
-positive = st.one_of(st.floats(1e-3, 50.0), st.sampled_from(EXTREME))
-lower = st.one_of(st.floats(1e-3, 2.0), st.sampled_from(EXTREME))
-unit = st.one_of(st.floats(0.0, 0.99), st.sampled_from(EXTREME))
+floats = st.one_of(st.floats(-20.0, 20.0, allow_nan=False), EXTREME)
+positive = st.one_of(st.floats(1e-3, 50.0), EXTREME)
+lower = st.one_of(st.floats(1e-3, 2.0), EXTREME)
+unit = st.one_of(st.floats(0.0, 0.99), EXTREME)
 # 10**400 is too large for a float; the CLI refuses both it and the first value past its limit
 too_large = st.sampled_from([10**400, reports.MAX_QUANTUM_NUMBER + 1])
 quantum = st.one_of(st.integers(0, 6), st.integers(-2, 500), too_large)

@@ -15,7 +15,6 @@ from susyrad.specfun import (
     SonineLaguerre,
     eval_sonine_laguerre,
     eval_sonine_laguerre_derivative,
-    gamma_ratio,
     gram_matrix,
     inner_product,
     integrate_half_line,
@@ -66,7 +65,11 @@ class TestSonineLaguerre:
         with pytest.raises(DomainError):
             eval_sonine_laguerre(SonineLaguerre(2, 0.0), math.nan)
 
-    @pytest.mark.parametrize("bad", ["a", [1.0, "b"], 1j], ids=["string", "string-in-list", "complex"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["a", [1.0, "b"], 1j, np.array([2.0 + 1.0j])],
+        ids=["string", "string-in-list", "complex", "complex-array"],
+    )
     def test_non_real_argument_is_a_domain_error(self, bad):
         for evaluate in (eval_sonine_laguerre, eval_sonine_laguerre_derivative):
             with pytest.raises(DomainError, match="argument must be real"):
@@ -149,21 +152,6 @@ class TestDerivative:
             assert eval_sonine_laguerre_derivative(poly, x) == pytest.approx(
                 -eval_sonine_laguerre(shifted, x), rel=1e-13, abs=1e-13
             )
-
-
-class TestGammaRatio:
-    def test_integer_ratio(self):
-        assert gamma_ratio(5.0, 3.0) == pytest.approx(12.0, rel=1e-14)
-
-    def test_half_integer_ratio(self):
-        # Gamma(5/2)/Gamma(1/2) = 3/4
-        assert gamma_ratio(2.5, 0.5) == pytest.approx(0.75, rel=1e-14)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            gamma_ratio(-1.0, 2.0)
-        with pytest.raises(DomainError):
-            gamma_ratio(2.0, 0.0)
 
 
 class TestQuadrature:
@@ -493,9 +481,35 @@ class TestSharedResidualStack:
         seen = _residual_states(monkeypatch)
         assert len(seen) == 464
         for state, grid in seen:
-            value, curvature = state.value_and_second_derivative(specfun.positive_grid(grid))
+            value, curvature = state.derivatives(specfun.positive_grid(grid), (0, 2))
             assert np.array_equal(value, state.value(grid))
             assert np.array_equal(curvature, state.second_derivative(grid))
+
+    def test_derivative_list_equals_public_methods(self, monkeypatch):
+        # the image's entries against the product rule written out by hand from psi's methods
+        for state, grid in _residual_states(monkeypatch):
+            checked = specfun.positive_grid(grid)
+            p = [np.asarray(getattr(state, name)(grid)) for name in _DERIVATIVES]
+            for got, want in zip(state.derivatives(checked, (0, 1, 2, 3)), p):
+                assert np.array_equal(got, want)
+            if isinstance(state, _laguerre_forms.ExponentialLaguerreForm):
+                u = susy.coulomb_superpotential(state.l_star, state.gamma)
+            else:
+                u = susy.oscillator_superpotential(state.l_star, state.gamma)
+            w, wp, wpp = (
+                0.5 * np.asarray(f(grid)) for f in (u.u_prime, u.u_double_prime, u.u_third_derivative)
+            )
+            hand = (
+                p[1] + w * p[0],
+                p[2] + wp * p[0] + w * p[1],
+                p[3] + wpp * p[0] + 2.0 * wp * p[1] + w * p[2],
+            )
+            image = susy.SuperchargeImage(u, state)
+            public = (image.value(grid), image.derivative(grid), image.second_derivative(grid))
+            for got, want, via_method in zip(image.derivatives(checked, (0, 1, 2)), hand, public):
+                assert np.array_equal(got, want)
+                assert np.array_equal(via_method, want)
+            assert np.array_equal(susy.apply_supercharge(u, state, grid), hand[0])
 
     def test_relative_residual_equals_apply_operator(self, monkeypatch):
         for state, grid in _residual_states(monkeypatch)[::7]:
@@ -524,6 +538,8 @@ class TestSharedResidualStack:
             ("a", "real"),
             ([1.0, "b"], "real"),
             (1j, "real"),
+            # a complex array is refused, not cast to its real part
+            (np.array([2.0 + 1.0j]), "real"),
         ):
             for call in (
                 lambda: state.value(bad),

@@ -24,6 +24,9 @@ class _Zero:
     derivative = value
     second_derivative = value
 
+    def derivatives(self, grid, orders):
+        return [self.value(grid) for _ in orders]
+
 
 class TestSuperpotential:
     def test_rejects_nonpositive_power_coeff(self):
