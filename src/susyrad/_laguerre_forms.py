@@ -6,9 +6,10 @@ polynomial derivative identity, never from finite differences.  A form answers
 `derivatives(grid, orders)` on a grid `specfun.positive_grid` has checked: it
 builds each factor's derivative stack once, up to the highest order asked for,
 and returns the listed derivatives from it, so `value` runs one Laguerre
-recurrence and a residual's (0, 2) three.  The public pointwise methods check
-their grid once through `specfun.pointwise` and ask for one order.  The
-polynomial cards and the normalization are built on first use.
+recurrence and a residual's (0, 2) three; the Laguerre argument is checked
+before any stack is formed.  The public pointwise methods check their grid
+once through `specfun.pointwise` and ask for one order.  The normalization is
+built on first use.
 Each form also bounds its own magnitude in closed form (`log_envelope`), which
 fixes the quadrature cutoff (`tail_cutoff`) without sampling the waveform.
 """
@@ -22,15 +23,6 @@ from ._np import _lazy_module, np
 from .errors import DomainError
 
 specfun = _lazy_module(f"{__package__}.specfun")
-
-
-def _poly_values(chain, t, j):
-    # d^j/dt^j L_k^(a)(t) = (-1)^j L_{k-j}^(a+j)(t); t is already checked
-    card = chain[j]
-    if card is None:
-        return np.zeros_like(t)
-    val = specfun._recurrence(card.degree, float(card.order), t)
-    return -val if j % 2 else val
 
 
 def _first(order, *terms):
@@ -77,10 +69,10 @@ class _LaguerreForm:
 
     A form's __init__ passes exponent, degree and order up.  It supplies
     _log_inverse_square_norm() -> log norm**-2, checked and computed on first
-    use; _factor_stacks(x, order) -> (w, z), the derivative stacks of the
-    exponential and polynomial factors up to order; for the envelope,
-    _decay_and_argument(x) -> (decay, t) with w = exp(-decay); and
-    _envelope_decreasing_from(), past which the envelope falls.
+    use; _decay_and_argument(x) -> (decay, t), the exponent and the argument;
+    _factor_stacks(x, t, w0, p, order) -> (w, z), the exponential's and the
+    polynomial's stacks up to order from w0 = exp(-decay) and the t-derivative
+    stack p; and _envelope_decreasing_from(), past which the envelope falls.
     """
 
     def __init__(self, exponent, degree, order):
@@ -89,12 +81,6 @@ class _LaguerreForm:
         self.exponent = float(exponent)
         self.degree = int(degree)
         self.order = float(order)
-
-    @cached_property
-    def _chain(self):
-        """L, L', L'', L''' as SonineLaguerre cards (None once the degree runs out)."""
-        n, a = self.degree, self.order
-        return [specfun.SonineLaguerre(n - j, a + j) if j == 0 or j <= n else None for j in range(4)]
 
     @cached_property
     def log_norm(self) -> float:
@@ -109,18 +95,27 @@ class _LaguerreForm:
         return self.norm
 
     def _poly_stack(self, t, order):
-        # x/scale or x*x can overflow on a finite grid, so the argument is checked
-        # here, once for the whole chain
+        # d^j/dt^j L_n^(a)(t) = (-1)^j L_{n-j}^(a+j)(t), zero once j > n; t is checked
+        # here, once for the whole stack
         try:
             t = specfun._check_argument(t)
         except DomainError as exc:
             raise DomainError("radial coordinate too large: its Laguerre argument overflows") from exc
-        return [_poly_values(self._chain, t, j) for j in range(order + 1)]
+        n, a = self.degree, self.order
+        stack = [specfun._recurrence(n - j, a + j, t) for j in range(min(order, n) + 1)]
+        stack[1::2] = [-p for p in stack[1::2]]
+        return stack + [np.zeros_like(t)] * (order - len(stack) + 1)
 
     def derivatives(self, grid, orders):
         """[d^k/dx^k for k in orders] on a grid positive_grid has checked, from one build."""
         top = max(orders)
-        stacks = (_power_stack(grid, self.exponent, top), *self._factor_stacks(grid, top))
+        # x/scale or x*x can overflow on a finite grid; the overflow is left as inf,
+        # which _poly_stack refuses before any other stack is formed
+        with np.errstate(over="ignore"):
+            decay, t = self._decay_and_argument(grid)
+        p = self._poly_stack(t, top)
+        w, z = self._factor_stacks(grid, t, np.exp(-decay), p, top)
+        stacks = (_power_stack(grid, self.exponent, top), w, z)
         return [self.norm * _triple_product_derivatives(*stacks, k) for k in orders]
 
     def value(self, x):
@@ -181,13 +176,11 @@ class ExponentialLaguerreForm(_LaguerreForm):
         # falls once x >= 2 scale (exponent + p)
         return 2.0 * self.scale * (self.exponent + self.degree)
 
-    def _factor_stacks(self, arr, order):
-        w0 = np.exp(-arr / (2.0 * self.scale))
+    def _factor_stacks(self, arr, t, w0, p, order):
         rate = -1.0 / (2.0 * self.scale)
         w = _first(
             order, lambda: w0, lambda: rate * w0, lambda: rate * rate * w0, lambda: rate**3 * w0
         )
-        p = self._poly_stack(arr / self.scale, order)
         inv = 1.0 / self.scale
         z = _first(
             order, lambda: p[0], lambda: p[1] * inv, lambda: p[2] * inv * inv, lambda: p[3] * inv**3
@@ -219,17 +212,14 @@ class GaussianLaguerreForm(_LaguerreForm):
         # falls once x**2 >= exponent + 2p
         return math.sqrt(self.exponent + 2.0 * self.degree)
 
-    def _factor_stacks(self, arr, order):
-        w0 = np.exp(-0.5 * arr * arr)
+    def _factor_stacks(self, arr, t, w0, p, order):
         w = _first(
             order,
             lambda: w0,
             lambda: -arr * w0,
-            lambda: (arr * arr - 1.0) * w0,
+            lambda: (t - 1.0) * w0,
             lambda: (3.0 * arr - arr**3) * w0,
         )
-        t = arr * arr
-        p = self._poly_stack(t, order)
         z = _first(
             order,
             lambda: p[0],

@@ -27,6 +27,8 @@ import importlib.util
 import numbers
 import sys
 
+from .errors import AdmissibilityError
+
 
 def _lazy_module(name):
     """sys.modules[name] if it is there, else a module whose body runs on first use."""
@@ -48,10 +50,19 @@ np = _lazy_module("numpy")
 
 
 def is_integer(value) -> bool:
-    """True for a Python int or a numpy integer.
+    """True for a Python int or a numpy integer that is exactly a float (|value| <= 2**53).
 
     numpy registers its integer types with numbers.Integral when it loads,
     so the check needs no numpy; the exact-int test comes first because the
-    ABC check costs about four times as much.
+    ABC check costs about four times as much.  A larger integer would round,
+    or overflow, in the float arithmetic of the closed forms.
     """
-    return isinstance(value, int) or isinstance(value, numbers.Integral)
+    return (isinstance(value, int) or isinstance(value, numbers.Integral)) and abs(value) <= 2**53
+
+
+def as_float(value, name, error=AdmissibilityError):
+    """float(value), refused as `error` naming `name` unless it is a real number in float range."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{name} must be a real number in float range, got {value!r}") from None

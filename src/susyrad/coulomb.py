@@ -59,8 +59,7 @@ def check_quantum_numbers(principal, angular):
 def coulomb_energy(dimension: int, principal: int) -> float:
     """E = -1/(2 (n + gamma)^2); independent of the angular number."""
     gamma = gamma_shift(dimension)
-    if not is_integer(principal) or principal < 1:
-        raise AdmissibilityError(f"principal number must be an integer >= 1, got {principal!r}")
+    check_integer(principal, "principal number", 1)
     return -1.0 / (2.0 * (principal + gamma) ** 2)
 
 
@@ -144,9 +143,9 @@ def partner_spectra(dimension: int, angular: int, count: int):
     construction of the energy-zero offset 1/(4 (l+gamma+1)^2); the fermionic
     tower is the l+1 family under the same offset.
     """
-    if count < 1:
-        raise AdmissibilityError("count must be at least 1")
     g = gamma_shift(dimension)
+    check_integer(angular, "angular number", 0)
+    check_integer(count, "count", 1)
     offset = 1.0 / (4.0 * (angular + g + 1.0) ** 2)
     bosonic = tuple(
         offset + 0.5 * coulomb_energy(dimension, n)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import oscillator
-from ._np import _lazy_module
+from ._np import _lazy_module, as_float
 from .errors import AdmissibilityError, StabilityError, VerificationError
 from .oscillator import OscillatorState
 
@@ -76,7 +76,7 @@ def charge_and_mass(species="electron", charge=None, mass=None) -> tuple[float, 
             ) from None
         charge = preset.charge if charge is None else charge
         mass = preset.mass if mass is None else mass
-    return float(charge), float(mass)
+    return as_float(charge, "charge"), as_float(mass, "mass")
 
 
 def trap_config(magnetic_field, electrode_voltage, trap_length, species="electron",
@@ -84,9 +84,9 @@ def trap_config(magnetic_field, electrode_voltage, trap_length, species="electro
     """Build a TrapConfig from a named preset or explicit charge and mass."""
     charge, mass = charge_and_mass(species, charge, mass)
     return TrapConfig(
-        magnetic_field=float(magnetic_field),
-        electrode_voltage=float(electrode_voltage),
-        trap_length=float(trap_length),
+        magnetic_field=as_float(magnetic_field, "magnetic field"),
+        electrode_voltage=as_float(electrode_voltage, "electrode voltage"),
+        trap_length=as_float(trap_length, "trap length"),
         charge=charge,
         mass=mass,
     )
@@ -132,7 +132,7 @@ def susy_operating_point(magnetic_field: float, trap_length: float, charge: floa
         raise AdmissibilityError(f"trap length must be positive, got {trap_length!r}")
     if not (mass > 0.0):
         raise AdmissibilityError(f"mass must be positive, got {mass!r}")
-    if charge == 0.0 or not math.isfinite(charge):
+    if charge == 0.0 or not math.isfinite(as_float(charge, "charge")):
         raise AdmissibilityError("charge must be nonzero and finite")
     return _in_float_range(
         "operating-point voltage e B^2 d^2 / m",

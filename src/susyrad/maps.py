@@ -15,10 +15,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._np import np
+from ._np import _lazy_module, np
 from .coulomb import CoulombState, check_defect, check_shift
 from .errors import AdmissibilityError, VerificationError
 from .oscillator import OscillatorState, check_anharmonicity
+
+specfun = _lazy_module(f"{__package__}.specfun")
 
 _INTEGRALITY_TOL = 1e-9
 _NODE_EXCLUSION = 1e-6
@@ -101,19 +103,18 @@ def solve_map_parameters(
     if mode == "exact" and lam_frac.denominator != 1:
         return ConstraintReport((f"lambda = {lam_frac} is not an integer in exact mode",))
 
+    # exact mode is broken mode with zero breaking: the spread and the shifts add 0.0, exactly
     violations = []
     lam_f = float(lam_frac)
     spread = 2.0 * (Delta - delta)
-    if mode == "broken" and not _near_integer(spread + lam_f):
+    if not _near_integer(spread + lam_f):
         violations.append(
             f"2*(Delta - delta) + lambda = {spread + lam_f:g} is not an integer"
         )
 
     big_d = 2.0 * d - 2.0 - 2.0 * lam_f
-    big_n = 2.0 * n - 2.0 + spread + lam_f if mode == "broken" else 2.0 * n - 2.0 + lam_f
-    big_l = (
-        2.0 * l + spread - 2.0 * (I - i) + lam_f if mode == "broken" else 2.0 * l + lam_f
-    )
+    big_n = 2.0 * n - 2.0 + spread + lam_f
+    big_l = 2.0 * l + spread - 2.0 * (I - i) + lam_f
     for name, value in (("D", big_d), ("N", big_n), ("L", big_l)):
         if not _near_integer(value):
             violations.append(f"target {name} = {value:g} is not an integer")
@@ -175,7 +176,8 @@ def verify_map_identity(spec: MapSpec, grid=None) -> MapVerification:
     are excluded and flagged rather than failing the check; the scale factor
     is the grid mean of the ratio over the included points.
     """
-    grid = default_verification_grid() if grid is None else np.asarray(grid, dtype=float)
+    grid = default_verification_grid() if grid is None else grid
+    grid = specfun._float_array(grid, "verification grid")
     if grid.ndim != 1 or grid.size < 2:
         raise VerificationError("verification grid must be one-dimensional with >= 2 points")
     if np.any(grid <= 0.0):
@@ -209,11 +211,19 @@ def verify_map_identity(spec: MapSpec, grid=None) -> MapVerification:
 def lambda_candidates(lo, hi, mode: str = "exact") -> list[Fraction]:
     """The lambda grid on [lo, hi]: integers in exact mode, half-integers otherwise.
 
-    The grid starts at its first point >= lo; an empty grid, or one longer
-    than MAX_LAMBDA_CANDIDATES, raises.
+    The grid starts at its first point >= lo; an end outside float range, an
+    empty grid, or one longer than MAX_LAMBDA_CANDIDATES, raises.
     """
     step = Fraction(1) if mode == "exact" else Fraction(1, 2)
-    first, last = math.ceil(Fraction(lo) / step), math.floor(Fraction(hi) / step)
+    try:
+        # int(): a numpy integer would keep int64 arithmetic inside the fraction
+        lo, hi = (Fraction(int(f.numerator), int(f.denominator)) for f in map(Fraction, (lo, hi)))
+        float(lo), float(hi)
+    except (TypeError, ValueError, OverflowError):
+        raise AdmissibilityError(
+            f"lambda window [{lo!r}, {hi!r}] must hold numbers in float range"
+        ) from None
+    first, last = math.ceil(lo / step), math.floor(hi / step)
     if last < first:
         raise AdmissibilityError(
             f"no candidate lambda values in [{float(lo):g}, {float(hi):g}]"

@@ -10,7 +10,7 @@ form; the anharmonic model in `qdt` supplies them from a table.
 from __future__ import annotations
 
 from ._laguerre_forms import GaussianLaguerreForm
-from ._np import _lazy_module, is_integer
+from ._np import _lazy_module, as_float, is_integer
 from .coulomb import check_integer, check_shift, gamma_shift
 from .errors import AdmissibilityError, ParityError
 
@@ -18,7 +18,7 @@ susy = _lazy_module(f"{__package__}.susy")
 
 
 def check_anharmonicity(value, name="anharmonicity"):
-    if not (value >= 0.0):
+    if not (as_float(value, name) >= 0.0):
         raise AdmissibilityError(f"{name} must be >= 0, got {value!r}")
 
 
@@ -38,8 +38,7 @@ def check_quantum_numbers(principal, angular):
 def oscillator_energy(dimension: int, principal: int) -> float:
     """E = (2N + 2Gamma + 3)/2 in the family's dimensionless units."""
     gamma = gamma_shift(dimension)
-    if not is_integer(principal) or principal < 0:
-        raise AdmissibilityError(f"principal number must be an integer >= 0, got {principal!r}")
+    check_integer(principal, "principal number", 0)
     return (2.0 * principal + 2.0 * gamma + 3.0) / 2.0
 
 
@@ -106,9 +105,9 @@ def partner_spectra(dimension: int, angular: int, count: int):
     Bosonic tower: 2E - (2L + 2Gamma + 3) over N = L, L+2, ...; fermionic
     tower: the L+1 family under the partner's constant 2L + 2Gamma + 1.
     """
-    if count < 1:
-        raise AdmissibilityError("count must be at least 1")
     g = gamma_shift(dimension)
+    check_integer(angular, "angular number", 0)
+    check_integer(count, "count", 1)
     base = 2.0 * angular + 2.0 * g
     bosonic = tuple(
         2.0 * oscillator_energy(dimension, angular + 2 * k) - (base + 3.0)

@@ -25,33 +25,29 @@ from .oscillator import OscillatorState, check_anharmonicity, check_quantum_numb
 specfun = _lazy_module(f"{__package__}.specfun")
 
 
-def _normalize_table(table, kind, value_check):
+def _normalize_table(table, kind, value_check, convert=float, pairs=True):
+    """Keys as l, or (l, n) where the table takes pairs; values checked, then converted."""
     out = {}
     for key, value in table.items():
-        if isinstance(key, tuple):
-            if len(key) != 2:
-                raise AdmissibilityError(f"{kind} key must be l or (l, n), got {key!r}")
-            lkey = (int(key[0]), int(key[1]))
-        else:
-            lkey = int(key)
+        try:
+            pair = pairs and isinstance(key, tuple) and len(key) == 2
+            lkey = (int(key[0]), int(key[1])) if pair else int(key)
+        except (TypeError, ValueError, OverflowError):
+            expected = "l or (l, n)" if pairs else "l"
+            raise AdmissibilityError(f"{kind} key must be {expected}, got {key!r}") from None
         value_check(value, f"{kind} for {key!r}")
-        out[lkey] = float(value)
+        out[lkey] = convert(value)
     return out
-
-
-def _shift_table(shifts):
-    for key, value in shifts.items():
-        check_shift(value, f"shift for {key!r}")
-    return {int(k): int(v) for k, v in shifts.items()}
 
 
 def _lookup(table, kind, symbol, angular, principal=None):
     """The (angular, principal) entry when the table has one, else the angular entry."""
-    if principal is not None and (int(angular), int(principal)) in table:
-        return table[(int(angular), int(principal))]
+    # keys are ints, so 2.5 or nan has no entry, where int() would truncate or raise
     try:
-        return table[int(angular)]
-    except KeyError:
+        if principal is not None and (angular, principal) in table:
+            return table[(angular, principal)]
+        return table[angular]
+    except (KeyError, TypeError):
         raise AdmissibilityError(f"no {kind} entry for {symbol}={angular}") from None
 
 
@@ -62,7 +58,7 @@ class DefectModel:
         self.gamma = gamma_shift(dimension)
         self.dimension = int(dimension)
         self.defect_table = _normalize_table(defects, "defect", check_defect)
-        self.integer_shift_table = _shift_table(shifts)
+        self.integer_shift_table = _normalize_table(shifts, "shift", check_shift, int, False)
 
     def delta(self, angular: int, principal: int | None = None) -> float:
         """n-specific value when present, else the asymptotic l entry."""
@@ -98,6 +94,16 @@ def rydberg_energy(model: DefectModel, principal: int, angular: int) -> float:
     return DefectState(model, principal, angular).energy
 
 
+def _breaking_potential(state, constant, y):
+    """[(l*+g)(l*+g+1) - (l+g)(l+g+1)]/y^2 plus the family's bookkeeping constant."""
+    g = state.gamma
+    arr = specfun.positive_grid(y)
+    lg_star = state.l_star + g
+    lg = state.angular + g
+    out = (lg_star * (lg_star + 1.0) - lg * (lg + 1.0)) / arr**2 + constant
+    return float(out) if np.ndim(y) == 0 else out
+
+
 def breaking_potential_coulomb(model: DefectModel, principal: int, angular: int, y):
     """Exact operator difference turning the (n, l) problem into the starred one.
 
@@ -105,16 +111,9 @@ def breaking_potential_coulomb(model: DefectModel, principal: int, angular: int,
     bookkeeping constant [(n+g)^2 - (n*+g)^2] / (4 (n+g)^2 (n*+g)^2).
     """
     state = DefectState(model, principal, angular)
-    g = state.gamma
-    arr = specfun.positive_grid(y)
-    lg_star = state.l_star + g
-    lg = angular + g
-    nu = principal + g
-    nu_star = state.n_star + g
-    out = (lg_star * (lg_star + 1.0) - lg * (lg + 1.0)) / arr**2 + (
-        nu**2 - nu_star**2
-    ) / (4.0 * nu**2 * nu_star**2)
-    return float(out) if np.ndim(y) == 0 else out
+    nu = state.principal + state.gamma
+    nu_star = state.n_star + state.gamma
+    return _breaking_potential(state, (nu**2 - nu_star**2) / (4.0 * nu**2 * nu_star**2), y)
 
 
 class AnharmonicModel:
@@ -126,7 +125,7 @@ class AnharmonicModel:
         self.anharmonicity_table = _normalize_table(
             anharmonicities, "anharmonicity", check_anharmonicity
         )
-        self.integer_shift_table = _shift_table(shifts)
+        self.integer_shift_table = _normalize_table(shifts, "shift", check_shift, int, False)
 
     def anharmonicity(self, angular: int, principal: int | None = None) -> float:
         """N-specific value when present, else the asymptotic L entry."""
@@ -162,12 +161,7 @@ def breaking_potential_oscillator(model: AnharmonicModel, principal: int, angula
     2(N - N*) = 4*Delta from the eigenvalue bookkeeping.
     """
     state = AnharmonicState(model, principal, angular)
-    g = state.gamma
-    arr = specfun.positive_grid(y)
-    lg_star = state.l_star + g
-    lg = angular + g
-    out = (lg_star * (lg_star + 1.0) - lg * (lg + 1.0)) / arr**2 + 2.0 * (principal - state.n_star)
-    return float(out) if np.ndim(y) == 0 else out
+    return _breaking_potential(state, 2.0 * (state.principal - state.n_star), y)
 
 
 def illustrative_defect_model(dimension: int = 3) -> DefectModel:

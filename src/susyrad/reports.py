@@ -30,7 +30,6 @@ MAX_TABLE_ROWS = 10_000
 # overflows float arithmetic, and n sets the degree of the Laguerre recurrence
 MAX_QUANTUM_NUMBER = 10_000
 
-COULOMB_SIDE = ("coulomb", "defect", "hydrogen")
 OSCILLATOR_SIDE = ("oscillator", "anharmonic")
 
 
@@ -199,10 +198,7 @@ def susy_pair_record(family, dimension, angular, grid_min=0.1, grid_max=12.0, po
     shift_defect = float(
         np.max(np.abs((difference - pair.shift_constant) * grid**2 - pair.centrifugal_shift_coeff))
     )
-    annihilation = float(
-        np.max(np.abs(susy.apply_supercharge(u, ground, grid)))
-        / np.max(np.abs(ground.value(grid)))
-    )
+    annihilation = susy.annihilation_residual(u, ground, grid)
     return OutputRecord(
         command="susy-pair",
         inputs={"family": family, "dimension": dimension, "angular": angular},

@@ -2,9 +2,9 @@
 
 The polynomials here are the generalized Laguerre family L_n^(a) with real
 order a > -1, evaluated by the three-term recurrence in the degree.  A direct
-alternating-sum evaluator with compensated accumulation is kept alongside as a
-reference oracle; it is exact for small degrees but loses digits once the
-terms grow, which is exactly why the recurrence is the production path.
+power-series evaluator in exact rational arithmetic is kept alongside as a
+reference oracle; it rounds once per point, but its cost grows fast with the
+degree, which is why the recurrence is the production path.
 
 Quadrature comes in two shapes that share one node-doubling loop:
 `integrate_half_line` / `inner_product` take arbitrary callables and find
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._np import is_integer, np
+from ._np import as_float, is_integer, np
 from .errors import ConvergenceError, DomainError
 
 # Panel geometry: the integration window (0, T] is split into geometrically
@@ -38,7 +38,7 @@ _TAIL_PROBES = (1.0, 1.1, 1.3)
 
 @dataclass(frozen=True)
 class SonineLaguerre:
-    """Polynomial identity card: degree n >= 0 and real order > -1."""
+    """Polynomial identity card: degree n >= 0 and finite real order > -1."""
 
     degree: int
     order: float
@@ -46,8 +46,8 @@ class SonineLaguerre:
     def __post_init__(self):
         if not is_integer(self.degree) or self.degree < 0:
             raise DomainError(f"degree must be a non-negative integer, got {self.degree!r}")
-        if not (float(self.order) > -1.0):
-            raise DomainError(f"order must exceed -1, got {self.order!r}")
+        if not (-1.0 < as_float(self.order, "order", DomainError) < math.inf):
+            raise DomainError(f"order must be finite and exceed -1, got {self.order!r}")
 
 
 def _float_array(x, what):
@@ -56,6 +56,8 @@ def _float_array(x, what):
         # a complex array would otherwise be cast to its real part with only a warning
         if not np.iscomplexobj(x):
             return np.asarray(x, dtype=float)
+    except OverflowError as exc:
+        raise DomainError(f"{what} is out of float range: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{what} must be real: {exc}") from exc
     raise DomainError(f"{what} must be real, got a complex value")
@@ -134,10 +136,10 @@ def sonine_laguerre_direct_sum(poly: SonineLaguerre, x):
     survive the ~13 digits of cancellation near the top of the zero region
     (n=15, x=10).  Intended for cross-checks at small degree only.
     """
-    xs = np.asarray(x, dtype=float)
+    xs = _float_array(x, "argument")
     if not np.all(np.isfinite(xs)) or np.any(xs < 0.0):
         raise DomainError("argument must be finite and non-negative")
-    n = poly.degree
+    n = int(poly.degree)  # a numpy degree would overflow int64 in the coefficients
     a = Fraction(float(poly.order))
     coeffs = [Fraction((-1) ** n, math.factorial(n))]  # c_n, c_{n-1}, ..., c_0
     for p in range(n, 0, -1):
@@ -148,7 +150,10 @@ def sonine_laguerre_direct_sum(poly: SonineLaguerre, x):
         total = coeffs[0]
         for c in coeffs[1:]:
             total = total * xq + c
-        out[idx] = float(total)
+        try:
+            out[idx] = float(total)
+        except OverflowError:
+            raise DomainError(f"L_{n}^({poly.order!r})({float(xv)!r}) is out of float range") from None
     return float(out) if np.ndim(x) == 0 else out
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._np import np
+from ._np import as_float, np
 from .errors import AdmissibilityError
 from .specfun import pointwise, positive_grid
 
@@ -33,7 +33,8 @@ class Superpotential:
     def __post_init__(self):
         if self.power not in (1, 2):
             raise AdmissibilityError(f"power must be 1 or 2, got {self.power!r}")
-        if not (self.power_coeff > 0.0):
+        as_float(self.log_coeff, "log_coeff")  # refused here, not at the first evaluation
+        if not (as_float(self.power_coeff, "power_coeff") > 0.0):
             raise AdmissibilityError("power_coeff must be positive for a confining pair")
 
     def derivatives(self, grid, orders):
@@ -63,7 +64,7 @@ class Superpotential:
 
 def coulomb_superpotential(angular: int, gamma: float = 0.0) -> Superpotential:
     """U(y) = y/(l+gamma+1) - 2(l+gamma+1) ln y for the attractive-1/y family."""
-    beta = angular + gamma + 1.0
+    beta = as_float(angular, "l") + as_float(gamma, "gamma") + 1.0
     if not (beta > 0.0):
         raise AdmissibilityError("l + gamma + 1 must be positive")
     return Superpotential(power_coeff=1.0 / beta, log_coeff=-2.0 * beta, power=1)
@@ -71,7 +72,7 @@ def coulomb_superpotential(angular: int, gamma: float = 0.0) -> Superpotential:
 
 def oscillator_superpotential(angular: int, gamma: float = 0.0) -> Superpotential:
     """U(Y) = Y**2 - 2(L+Gamma+1) ln Y for the quadratic family."""
-    beta = angular + gamma + 1.0
+    beta = as_float(angular, "L") + as_float(gamma, "Gamma") + 1.0
     if not (beta > 0.0):
         raise AdmissibilityError("L + Gamma + 1 must be positive")
     return Superpotential(power_coeff=1.0, log_coeff=-2.0 * beta, power=2)
@@ -199,6 +200,12 @@ def residual_and_value(op: RadialOperator, psi, grid, eigenvalue: float | None =
 def apply_supercharge(superpotential: Superpotential, psi, x_grid):
     """Pointwise psi' + (U'/2) psi on the grid."""
     return SuperchargeImage(superpotential, psi).value(x_grid)
+
+
+def annihilation_residual(superpotential: Superpotential, ground, x_grid) -> float:
+    """max |A psi0| / max |psi0| on the grid: zero when ground is the zero mode of U."""
+    image = np.max(np.abs(apply_supercharge(superpotential, ground, x_grid)))
+    return float(image / np.max(np.abs(ground.value(x_grid))))
 
 
 class SuperchargeImage:

@@ -7,7 +7,7 @@ import pytest
 
 from susyrad import maps, reports
 from susyrad.coulomb import CoulombState
-from susyrad.errors import AdmissibilityError, VerificationError
+from susyrad.errors import AdmissibilityError, DomainError, VerificationError
 from susyrad.maps import (
     MAX_LAMBDA_CANDIDATES,
     ConstraintReport,
@@ -251,6 +251,9 @@ class TestVerifyIdentity:
             verify_map_identity(spec, np.array([1.0]))
         with pytest.raises(VerificationError):
             verify_map_identity(spec, np.array([-1.0, 1.0]))
+        # a complex grid is refused, not measured at its real parts
+        with pytest.raises(DomainError, match="verification grid must be real"):
+            verify_map_identity(spec, np.array([0.5 + 1j, 1.0]))
 
 
 class TestEnumerate:

@@ -379,14 +379,14 @@ def _full_stack_derivative(form, arr, order):
         rate = -1.0 / (2.0 * form.scale)
         w = (w0, rate * w0, rate * rate * w0, rate**3 * w0)
         t = arr / form.scale
-        p = [_laguerre_forms._poly_values(form._chain, t, j) for j in range(4)]
+        p = form._poly_stack(t, 3)
         inv = 1.0 / form.scale
         z = (p[0], p[1] * inv, p[2] * inv * inv, p[3] * inv**3)
     else:
         w0 = np.exp(-0.5 * arr * arr)
         w = (w0, -arr * w0, (arr * arr - 1.0) * w0, (3.0 * arr - arr**3) * w0)
         t = arr * arr
-        p = [_laguerre_forms._poly_values(form._chain, t, j) for j in range(4)]
+        p = form._poly_stack(t, 3)
         z = (
             p[0],
             2.0 * arr * p[1],
@@ -446,6 +446,18 @@ class TestDerivativeOrderSelection:
             calls.clear()
             getattr(state, name)(grid)
             assert calls["recurrence"] == order + 1, name
+
+    @pytest.mark.parametrize(
+        "state, x",
+        [(oscillator.OscillatorState(3, 2, 0), 1e160), (oscillator.OscillatorState(3, 12, 10), 1e160),
+         (coulomb.CoulombState(2, 1, 0), 1.7e308)],
+        ids=["multiply", "power", "divide"],
+    )
+    def test_overflowing_argument_is_refused_before_any_warning(self, state, x):
+        # under pytest's error::RuntimeWarning a numpy overflow in any factor would surface
+        # instead; the argument is checked before the power, exponential or polynomial stacks
+        with pytest.raises(DomainError, match="its Laguerre argument overflows"):
+            state.value(x)
 
 
 def _count_calls(monkeypatch, module, name, calls):
@@ -590,9 +602,15 @@ class TestLaguerreOracle:
         assert isinstance(sonine_laguerre_direct_sum(poly, 3.0), float)
         assert got[1, 0] == sonine_laguerre_direct_sum(poly, 3.0) == _per_term_direct_sum(poly, 3.0)
 
-    @pytest.mark.parametrize("bad", [-0.5, math.inf, math.nan, [1.0, -1.0]])
-    def test_sum_refuses_bad_points(self, bad):
-        with pytest.raises(DomainError, match="finite and non-negative"):
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(-0.5, "finite and non-negative"), (math.inf, "finite and non-negative"),
+         (math.nan, "finite and non-negative"), ([1.0, -1.0], "finite and non-negative"),
+         (np.array([1.0 + 1j]), "argument must be real"), ("abc", "argument must be real")],
+        ids=["-0.5", "inf", "nan", "bad3", "complex-array", "string"],
+    )
+    def test_sum_refuses_bad_points(self, bad, message):
+        with pytest.raises(DomainError, match=message):
             sonine_laguerre_direct_sum(SonineLaguerre(3, 0.5), bad)
 
     def test_one_recurrence_per_degree_order_and_identity(self, monkeypatch):
