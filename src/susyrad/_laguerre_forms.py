@@ -2,14 +2,17 @@
 
 Each is a power times a decaying exponential times a Sonine-Laguerre
 polynomial; derivatives up to third order come from the product rule with the
-polynomial derivative identity, never from finite differences.  A form answers
-`derivatives(grid, orders)` on a grid `specfun.positive_grid` has checked: it
-builds each factor's derivative stack once, up to the highest order asked for,
-and returns the listed derivatives from it, so `value` runs one Laguerre
-recurrence and a residual's (0, 2) three; the Laguerre argument is checked
-before any stack is formed.  The public pointwise methods check their grid
-once through `specfun.pointwise` and ask for one order.  The normalization is
-built on first use.
+polynomial derivative identity, never from finite differences.  Forms of one
+class are evaluated as a batch: `family_derivatives(forms, grid, orders)`
+builds each factor's derivative stack once for the whole family, up to the
+highest order asked for, with the per-form constants as columns and one
+batched recurrence per derivative of the polynomial, so a value runs one
+recurrence and a residual's (0, 2) three, whatever the number of forms.  The
+power stack is formed once per distinct exponent, because numpy's power of
+an exponent column skips its scalar fast paths (x**0.5, x**2) and rounds
+differently; so every element sees the operations it would alone.  A form's
+`derivatives(grid, orders)` is the batch of one.  The Laguerre argument is
+checked before any stack is formed, and the normalization is built on first use.
 Each form also bounds its own magnitude in closed form (`log_envelope`), which
 fixes the quadrature cutoff (`tail_cutoff`) without sampling the waveform.
 """
@@ -64,15 +67,91 @@ def _power_stack(x, exponent, order):
     return stack
 
 
+def _power_stacks(exponents, grid, order):
+    """Each row's power stack, formed once per distinct exponent (see the module docstring)."""
+    groups = {}
+    for i, exponent in enumerate(exponents):
+        groups.setdefault(exponent, []).append(i)
+    if len(groups) == 1:
+        return _power_stack(grid, exponents[0], order)
+    stacks = [np.empty((len(exponents), grid.shape[-1])) for _ in range(order + 1)]
+    for exponent, rows in groups.items():
+        part = _power_stack(grid if grid.ndim == 1 else grid[rows], exponent, order)
+        for stack, values in zip(stacks, part):
+            stack[rows] = values
+    return stacks
+
+
+def columns(rows):
+    """Per-form tuples of floats as columns; a batch of one keeps its floats for numpy's scalar path."""
+    return rows[0] if len(rows) == 1 else tuple(np.array(rows).T[..., None])
+
+
+def _poly_stack(degrees, orders, t, order):
+    """d^j/dt^j L_n^(a)(t) = (-1)^j L_{n-j}^(a+j)(t) for j <= order, per form; zero once j > n.
+
+    t is checked once for the whole stack.  Ranked by descending degree, the
+    forms of degree >= j are a prefix, and each j is one recurrence over it.
+    """
+    try:
+        t = specfun._check_argument(t)
+    except DomainError as exc:
+        raise DomainError("radial coordinate too large: its Laguerre argument overflows") from exc
+    forms = len(degrees)
+    rank = sorted(range(forms), key=degrees.__getitem__, reverse=True)
+    n, a = [degrees[i] for i in rank], [orders[i] for i in rank]
+    unrank = None if rank == sorted(rank) else sorted(range(forms), key=rank.__getitem__)
+    # one form's t, of any shape, is one shared row; a family's is shared or one row per form
+    x = t.reshape(-1) if forms == 1 else t[rank] if t.ndim == 2 and unrank else t
+    stack, live = [], forms
+    for j in range(order + 1):
+        while live and n[live - 1] < j:
+            live -= 1
+        if live:
+            p = specfun._recurrence(
+                [d - j for d in n[:live]], [b + j for b in a[:live]], x if x.ndim == 1 else x[:live]
+            )
+            if j % 2:
+                np.negative(p, out=p)
+        if live < forms:
+            zeros = np.zeros((forms - live, x.shape[-1]))
+            p = np.concatenate([p, zeros]) if live else zeros
+        stack.append(p.reshape(t.shape) if forms == 1 else p if unrank is None else p[unrank])
+    return stack
+
+
+def family_derivatives(forms, grid, orders):
+    """[d^k/dx^k for k in orders] of forms of one class, each (forms x points), from one build.
+
+    grid, checked by positive_grid, is shared (1-D) or one row per form; a
+    batch of one takes a grid of any shape and keeps it.
+    """
+    form, top = forms[0], max(orders)
+    constants = columns([f._constants() for f in forms])
+    # x/scale or x*x can overflow on a finite grid; the overflow is left as inf,
+    # which _poly_stack refuses before any other stack is formed
+    with np.errstate(over="ignore"):
+        decay, t = form._decay_and_argument(grid, *constants)
+    p = _poly_stack([f.degree for f in forms], [f.order for f in forms], t, top)
+    w, z = form._factor_stacks(grid, t, np.exp(-decay), p, top, *constants)
+    del decay, t, p  # the batch's temporaries end here
+    stacks = (_power_stacks([f.exponent for f in forms], grid, top), w, z)
+    (norms,) = columns([(f.norm,) for f in forms])
+    return [norms * _triple_product_derivatives(*stacks, k) for k in orders]
+
+
 class _LaguerreForm:
     """norm * x**exponent * w(x) * L_degree^(order)(t(x)) under the product rule.
 
     A form's __init__ passes exponent, degree and order up.  It supplies
     _log_inverse_square_norm() -> log norm**-2, checked and computed on first
-    use; _decay_and_argument(x) -> (decay, t), the exponent and the argument;
-    _factor_stacks(x, t, w0, p, order) -> (w, z), the exponential's and the
-    polynomial's stacks up to order from w0 = exp(-decay) and the t-derivative
-    stack p; and _envelope_decreasing_from(), past which the envelope falls.
+    use; _constants() -> the form's own constants, as Python floats;
+    _decay_and_argument(x, *constants) -> (decay, t), the exponent and the
+    argument; _factor_stacks(x, t, w0, p, order, *constants) -> (w, z), the
+    exponential's and the polynomial's stacks up to order from w0 = exp(-decay)
+    and the t-derivative stack p; and _envelope_decreasing_from(), past which
+    the envelope falls.  The last three take the constants as floats or as
+    columns with one row per form.
     """
 
     def __init__(self, exponent, degree, order):
@@ -94,29 +173,9 @@ class _LaguerreForm:
     def normalization(self) -> float:
         return self.norm
 
-    def _poly_stack(self, t, order):
-        # d^j/dt^j L_n^(a)(t) = (-1)^j L_{n-j}^(a+j)(t), zero once j > n; t is checked
-        # here, once for the whole stack
-        try:
-            t = specfun._check_argument(t)
-        except DomainError as exc:
-            raise DomainError("radial coordinate too large: its Laguerre argument overflows") from exc
-        n, a = self.degree, self.order
-        stack = [specfun._recurrence(n - j, a + j, t) for j in range(min(order, n) + 1)]
-        stack[1::2] = [-p for p in stack[1::2]]
-        return stack + [np.zeros_like(t)] * (order - len(stack) + 1)
-
     def derivatives(self, grid, orders):
-        """[d^k/dx^k for k in orders] on a grid positive_grid has checked, from one build."""
-        top = max(orders)
-        # x/scale or x*x can overflow on a finite grid; the overflow is left as inf,
-        # which _poly_stack refuses before any other stack is formed
-        with np.errstate(over="ignore"):
-            decay, t = self._decay_and_argument(grid)
-        p = self._poly_stack(t, top)
-        w, z = self._factor_stacks(grid, t, np.exp(-decay), p, top)
-        stacks = (_power_stack(grid, self.exponent, top), w, z)
-        return [self.norm * _triple_product_derivatives(*stacks, k) for k in orders]
+        """[d^k/dx^k for k in orders] on a grid positive_grid has checked: the family of one."""
+        return family_derivatives([self], grid, orders)
 
     def value(self, x):
         return specfun.pointwise(self.derivatives, x, 0)
@@ -133,7 +192,7 @@ class _LaguerreForm:
     def log_envelope(self, x):
         """log |norm| + exponent log x - decay(x) + log L_degree^(order)(-t(x)) >= log |value(x)|."""
         arr = specfun.positive_grid(x)
-        decay, t = self._decay_and_argument(arr)
+        decay, t = self._decay_and_argument(arr, *self._constants())
         return (
             self.log_norm
             + self.exponent * np.log(arr)
@@ -168,22 +227,25 @@ class ExponentialLaguerreForm(_LaguerreForm):
             - math.lgamma(self.degree + 1.0)
         )
 
-    def _decay_and_argument(self, arr):
-        return arr / (2.0 * self.scale), arr / self.scale
+    def _constants(self):
+        rate, inv = -1.0 / (2.0 * self.scale), 1.0 / self.scale
+        # the powers stay Python floats: numpy's power of a column would round differently
+        return self.scale, rate, rate * rate, rate**3, inv, inv**3
+
+    @staticmethod
+    def _decay_and_argument(arr, scale, *_):
+        return arr / (2.0 * scale), arr / scale
 
     def _envelope_decreasing_from(self):
         # every envelope term x**(exponent+p) exp(-x/(2 scale)), p <= degree,
         # falls once x >= 2 scale (exponent + p)
         return 2.0 * self.scale * (self.exponent + self.degree)
 
-    def _factor_stacks(self, arr, t, w0, p, order):
-        rate = -1.0 / (2.0 * self.scale)
-        w = _first(
-            order, lambda: w0, lambda: rate * w0, lambda: rate * rate * w0, lambda: rate**3 * w0
-        )
-        inv = 1.0 / self.scale
+    @staticmethod
+    def _factor_stacks(arr, t, w0, p, order, scale, rate, rate2, rate3, inv, inv3):
+        w = _first(order, lambda: w0, lambda: rate * w0, lambda: rate2 * w0, lambda: rate3 * w0)
         z = _first(
-            order, lambda: p[0], lambda: p[1] * inv, lambda: p[2] * inv * inv, lambda: p[3] * inv**3
+            order, lambda: p[0], lambda: p[1] * inv, lambda: p[2] * inv * inv, lambda: p[3] * inv3
         )
         return w, z
 
@@ -203,7 +265,11 @@ class GaussianLaguerreForm(_LaguerreForm):
             - math.lgamma(self.degree + 1.0)
         )
 
-    def _decay_and_argument(self, arr):
+    def _constants(self):
+        return ()
+
+    @staticmethod
+    def _decay_and_argument(arr):
         t = arr * arr
         return 0.5 * t, t
 
@@ -212,7 +278,8 @@ class GaussianLaguerreForm(_LaguerreForm):
         # falls once x**2 >= exponent + 2p
         return math.sqrt(self.exponent + 2.0 * self.degree)
 
-    def _factor_stacks(self, arr, t, w0, p, order):
+    @staticmethod
+    def _factor_stacks(arr, t, w0, p, order):
         w = _first(
             order,
             lambda: w0,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 from . import coulomb, oscillator
+from ._laguerre_forms import columns, family_derivatives
 from ._np import _lazy_module, np
 from .errors import AdmissibilityError
 from .output import Diagnostic, OutputRecord
@@ -29,6 +30,8 @@ MAX_TABLE_ROWS = 10_000
 # the CLI's bound on the size of a quantum number, dimension or integer shift: a huge one
 # overflows float arithmetic, and n sets the degree of the Laguerre recurrence
 MAX_QUANTUM_NUMBER = 10_000
+# states per residual batch: a fixed row budget that bounds the batch's temporaries
+_BATCH_ROWS = 32
 
 OSCILLATOR_SIDE = ("oscillator", "anharmonic")
 
@@ -70,11 +73,28 @@ def _check_grid(grid_min, grid_max, points):
         raise AdmissibilityError(f"{points} grid points exceed the limit of {MAX_GRID_POINTS}")
 
 
+def _relative_residuals(states, grids):
+    """max |residual| / max |value| of each state, on its row of grids or all on one 1-D grid.
+
+    The states are forms of one class, built _BATCH_ROWS at a time; each
+    operator's coefficients and eigenvalue enter as columns.
+    """
+    grids = specfun.positive_grid(grids)
+    out = np.empty(len(states))
+    for lo in range(0, len(states), _BATCH_ROWS):
+        rows = states[lo : lo + _BATCH_ROWS]
+        grid = grids if grids.ndim == 1 else grids[lo : lo + _BATCH_ROWS]
+        value, curvature = family_derivatives(rows, grid, (0, 2))
+        coefficients = columns([state.operator()._coefficients() for state in rows])
+        potential = susy.radial_potential(grid, *coefficients)
+        (eigenvalues,) = columns([(state.operator_eigenvalue(),) for state in rows])
+        res = susy.residual(value, curvature, potential, eigenvalues)
+        out[lo : lo + _BATCH_ROWS] = np.abs(res).max(axis=-1) / np.abs(value).max(axis=-1)
+    return out
+
+
 def _relative_residual(state, grid):
-    res, val = susy.residual_and_value(
-        state.operator(), state, specfun.positive_grid(grid), state.operator_eigenvalue()
-    )
-    return float(np.max(np.abs(res)) / np.max(np.abs(val)))
+    return float(_relative_residuals([state], grid)[0])
 
 
 def _state_factory(family, dimension, model):
@@ -188,6 +208,8 @@ def susy_pair_record(family, dimension, angular, grid_min=0.1, grid_max=12.0, po
     pair = susy.SusyPair(u)
     _check_grid(grid_min, grid_max, points)
     grid = np.linspace(grid_min, grid_max, points)
+    # the ground state refuses a grid its Laguerre argument overflows on before the partners do
+    annihilation = susy.annihilation_residual(u, ground, grid)
     vp = pair.v_plus(grid)
     vm = pair.v_minus(grid)
     difference = vm - vp
@@ -198,7 +220,6 @@ def susy_pair_record(family, dimension, angular, grid_min=0.1, grid_max=12.0, po
     shift_defect = float(
         np.max(np.abs((difference - pair.shift_constant) * grid**2 - pair.centrifugal_shift_coeff))
     )
-    annihilation = susy.annihilation_residual(u, ground, grid)
     return OutputRecord(
         command="susy-pair",
         inputs={"family": family, "dimension": dimension, "angular": angular},

@@ -1,24 +1,25 @@
 """Sonine-Laguerre polynomials at real order and half-line quadrature.
 
 The polynomials here are the generalized Laguerre family L_n^(a) with real
-order a > -1, evaluated by the three-term recurrence in the degree.  A direct
-power-series evaluator in exact rational arithmetic is kept alongside as a
-reference oracle; it rounds once per point, but its cost grows fast with the
-degree, which is why the recurrence is the production path.
+order a > -1, evaluated by the three-term recurrence in the degree, one batch
+of rows (degree, order) at a time; the public card evaluators are the batch
+of one.  A direct power-series evaluator in exact integer arithmetic is kept
+alongside as a reference oracle; it rounds once per point, but its cost
+grows fast with the degree, which is why the recurrence is the production path.
 
 Quadrature comes in two shapes that share one node-doubling loop:
 `integrate_half_line` / `inner_product` take arbitrary callables and find
 their cutoff by probing the integrand, while `gram_matrix` integrates every
-pairwise product of a family on one shared panel node set up to a cutoff the
-caller supplies.  For the Laguerre forms that cutoff comes from the closed-form
-envelope `laguerre_envelope_log` through `envelope_cutoff`, without sampling.
+pairwise product of a family, given as one matrix per refinement, on one
+shared panel node set up to a cutoff the caller supplies.  For the Laguerre
+forms that cutoff comes from the closed-form envelope `laguerre_envelope_log`
+through `envelope_cutoff`, without sampling.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._np import as_float, is_integer, np
 from .errors import ConvergenceError, DomainError
@@ -65,9 +66,10 @@ def _float_array(x, what):
 
 def _check_argument(x):
     arr = _float_array(x, "argument")
-    if not np.all(np.isfinite(arr)):
+    # the array methods skip np.all's and np.any's dispatch, which a small grid notices
+    if not np.isfinite(arr).all():
         raise DomainError("argument must be finite")
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise DomainError("argument must be non-negative")
     return arr
 
@@ -75,9 +77,9 @@ def _check_argument(x):
 def positive_grid(x):
     """x as a float array, refused unless every point is real, finite and positive."""
     arr = _float_array(x, "radial coordinate")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("radial coordinate must be finite")
-    if np.any(arr <= 0.0):
+    if (arr <= 0.0).any():
         raise DomainError("radial coordinate must be positive")
     return arr
 
@@ -88,51 +90,121 @@ def pointwise(derivatives, x, order):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _recurrence(n, a, x):
-    ones = np.ones_like(x)
-    if n == 0:
-        return ones
-    prev = ones
-    cur = np.empty_like(x)
+def refuse_non_finite(out, grid, label):
+    """Raise DomainError at the first grid point where out is not finite: out of float range there."""
+    finite = np.isfinite(out)
+    if not finite.all():
+        point = float(np.broadcast_to(grid, np.shape(out))[~finite][0])
+        raise DomainError(f"{label}({point!r}) is out of float range")
+
+
+def finite_pointwise(derivatives, x, order, label):
+    """pointwise, refused as out of float range where not finite; numpy warns of nothing first."""
+    grid = positive_grid(x)
+    with np.errstate(all="ignore"):
+        (out,) = derivatives(grid, (order,))
+    refuse_non_finite(out, grid, label)
+    return float(out) if np.ndim(x) == 0 else out
+
+
+def _recurrence(degrees, orders, x):
+    """L_degrees[i]^(orders[i]) for every row i, as a (rows x points) array.
+
+    The rows come in order of descending degree, on one shared argument row
+    x (1-D) or one row each (2-D), so the rows still running at step k are a
+    prefix, advanced in place.  Coefficient columns are formed in the one-row
+    order of operations, so each row has the bits it would have alone.
+    """
+    rows, top = len(degrees), degrees[0]
+    if top == 0:
+        return np.ones((rows, x.shape[-1]))
+    # running[k]: the rows of degree > k, the prefix that step k advances
+    running, m = [], rows
+    for k in range(top):
+        while degrees[m - 1] <= k:
+            m -= 1
+        running.append(m)
+    # rows that end before the top degree are copied out; the rest end in cur
+    out = np.empty((rows, x.shape[-1])) if degrees[-1] < top else None
+    m = running[0]
+    if m < rows:
+        out[m:] = 1.0
+    if m == 1:
+        a = float(orders[0])
+        c_next = [2.0 * k + a + 1.0 for k in range(1, top)]
+        c_prev = [k + a for k in range(1, top)]
+    else:
+        a = np.array(orders[:m], dtype=float)[:, None]
+        steps = np.arange(1.0, top)[:, None, None]
+        c_next, c_prev = 2.0 * steps + a + 1.0, steps + a
+    if x.ndim == 2:
+        x = x[:m]
+    elif m == 1:
+        x = x[None]  # a lone row steps on a 2-D x, as its buffers are, so nothing broadcasts
+    per_row = x.ndim == 2
+    prev = np.ones((m, x.shape[-1]))
+    cur = np.empty_like(prev)
     np.subtract(a + 1.0, x, out=cur)
-    nxt = np.empty_like(x)
+    nxt = np.empty_like(prev)
     # in place: a fresh 2e4-point temporary is past glibc's mmap threshold, so mmapped every step
-    for k in range(1, n):
+    for k in range(1, top):
+        if running[k] < m:
+            # the rows of degree k are done
+            out[running[k] : m] = cur[running[k] :]
+            m = running[k]
+            prev, cur, nxt, c_next, c_prev = prev[:m], cur[:m], nxt[:m], c_next[:, :m], c_prev[:, :m]
+            x = x[:m] if per_row else x
         # ((2k + a + 1 - x) * cur - (k + a) * prev) / (k + 1), operation by operation
-        np.subtract(2.0 * k + a + 1.0, x, out=nxt)
+        np.subtract(c_next[k - 1], x, out=nxt)
         nxt *= cur
-        prev *= k + a
+        prev *= c_prev[k - 1]
         nxt -= prev
         nxt /= k + 1.0
         prev, cur, nxt = cur, nxt, prev
-    return cur
+    if out is None:
+        return cur
+    out[:m] = cur
+    return out
+
+
+def _card_values(poly, x, derivative):
+    """d^j/dx^j L_n^(a)(x) = (-1)**j L_{n-j}^(a+j)(x) for j = derivative in {0, 1}.
+
+    A value out of float range is refused as the oracle refuses it, with
+    numpy's overflow warning silenced first.
+    """
+    arr = _check_argument(x)
+    degree = poly.degree - derivative
+    if degree < 0:
+        out = np.zeros_like(arr)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = _recurrence([degree], [float(poly.order) + derivative], arr.reshape(-1))[0]
+        out = (-row if derivative else row).reshape(arr.shape)
+        refuse_non_finite(out, arr, f"{'d/dx ' if derivative else ''}L_{poly.degree}^({poly.order!r})")
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def eval_sonine_laguerre(poly: SonineLaguerre, x):
-    """Evaluate L_n^(a)(x) for x >= 0 (scalar or array)."""
-    arr = _check_argument(x)
-    out = _recurrence(poly.degree, float(poly.order), arr)
-    return float(out) if np.ndim(x) == 0 else out
+    """Evaluate L_n^(a)(x) for x >= 0 (scalar or array); DomainError if it leaves float range."""
+    return _card_values(poly, x, 0)
 
 
 def eval_sonine_laguerre_derivative(poly: SonineLaguerre, x):
     """d/dx L_n^(a)(x); zero for n = 0, else -L_{n-1}^(a+1)(x)."""
-    arr = _check_argument(x)
-    if poly.degree == 0:
-        out = np.zeros_like(arr)
-    else:
-        out = -_recurrence(poly.degree - 1, float(poly.order) + 1.0, arr)
-    return float(out) if np.ndim(x) == 0 else out
+    return _card_values(poly, x, 1)
 
 
 def sonine_laguerre_direct_sum(poly: SonineLaguerre, x):
     """Direct power-series evaluation (reference oracle), scalar or array x >= 0.
 
     The coefficient c_p = (-1)**p (a+p+1)...(a+n) / (p! (n-p)!) of x**p is
-    rational in the binary value of the order; the coefficients are built once
-    per call, downward from c_n = (-1)**n / n! by c_{p-1} = -c_p (a+p) p / (n-p+1).
-    Each point is summed by Horner's rule in exact rational arithmetic and
-    rounded once at the end: float accumulation, even compensated, cannot
+    rational in the binary value of the order a = A/B, B a power of two, so
+    n! B**n is a common denominator, over which c_p has the numerator
+    N_p = (-1)**p C(n, p) B**p (A + (p+1) B)...(A + n B).  A point x = X/Y
+    is summed by Horner's rule in integers, sum_p N_p X**p Y**(n-p), and
+    rounded once, by one int/int true division by n! B**n Y**n, which
+    Python rounds correctly: float accumulation, even compensated, cannot
     survive the ~13 digits of cancellation near the top of the zero region
     (n=15, x=10).  Intended for cross-checks at small degree only.
     """
@@ -140,18 +212,22 @@ def sonine_laguerre_direct_sum(poly: SonineLaguerre, x):
     if not np.all(np.isfinite(xs)) or np.any(xs < 0.0):
         raise DomainError("argument must be finite and non-negative")
     n = int(poly.degree)  # a numpy degree would overflow int64 in the coefficients
-    a = Fraction(float(poly.order))
-    coeffs = [Fraction((-1) ** n, math.factorial(n))]  # c_n, c_{n-1}, ..., c_0
-    for p in range(n, 0, -1):
-        coeffs.append(-coeffs[-1] * (a + p) * p / (n - p + 1))
+    big_a, big_b = float(poly.order).as_integer_ratio()
+    numerators = []  # N_n, N_{n-1}, ..., N_0
+    rising = 1
+    for p in range(n, -1, -1):
+        numerators.append((-1) ** p * math.comb(n, p) * big_b**p * rising)
+        rising *= big_a + p * big_b
+    denominator = math.factorial(n) * big_b**n
     out = np.empty(xs.shape)
     for idx, xv in np.ndenumerate(xs):
-        xq = Fraction(float(xv))
-        total = coeffs[0]
-        for c in coeffs[1:]:
-            total = total * xq + c
+        big_x, big_y = float(xv).as_integer_ratio()
+        total, scale = numerators[0], 1
+        for numerator in numerators[1:]:
+            scale *= big_y
+            total = total * big_x + numerator * scale
         try:
-            out[idx] = float(total)
+            out[idx] = total / (denominator * scale)
         except OverflowError:
             raise DomainError(f"L_{n}^({poly.order!r})({float(xv)!r}) is out of float range") from None
     return float(out) if np.ndim(x) == 0 else out
@@ -362,12 +438,12 @@ def inner_product(f, g, quad: Quadrature | None = None) -> float:
     return integrate_half_line(lambda t: fv(t) * gv(t), quad).value
 
 
-def gram_matrix(fns, cutoff: float, quad: Quadrature | None = None) -> GramResult:
-    """All pairwise L2 inner products of fns on (0, cutoff] at once.
+def gram_matrix(values, cutoff: float, quad: Quadrature | None = None) -> GramResult:
+    """All pairwise L2 inner products of a family of functions on (0, cutoff] at once.
 
-    Every function takes an array of nodes and is evaluated once per
-    refinement on the shared graded panel nodes, giving V (functions x nodes);
-    then G = (V w) V^T and the scale is A = (|V| w) |V|^T.  The per-panel
+    values(nodes) returns the family on an array of nodes as one (functions x
+    nodes) matrix V, and is called once per refinement on the shared graded
+    panel nodes; then G = (V w) V^T and the scale is A = (|V| w) |V|^T.  The per-panel
     node count doubles until every entry satisfies
     |G - G_prev| <= target_rel_tol * max(|G|, 1e-2 A), the rule
     `integrate_half_line` applies to a single integral.  The cutoff is taken
@@ -378,7 +454,7 @@ def gram_matrix(fns, cutoff: float, quad: Quadrature | None = None) -> GramResul
 
     def estimate(points):
         nodes, weights = _panel_rule(edges, points)
-        v = np.vstack([np.asarray(fn(nodes), dtype=float) for fn in fns])
+        v = np.asarray(values(nodes), dtype=float)
         mag = np.abs(v)
         matrix = (v * weights) @ v.T
         return matrix, np.maximum(np.abs(matrix), 1e-2 * ((mag * weights) @ mag.T))

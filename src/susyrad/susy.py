@@ -9,7 +9,10 @@ removed.
 Every function here, and every psi the operators act on, answers
 `derivatives(grid, orders)`: the listed derivatives on a grid `positive_grid`
 has checked, from one build.  A public call checks its grid once and asks for
-all it needs in one call; the pointwise methods go through `specfun.pointwise`.
+all it needs in one call; the pointwise methods go through `specfun.pointwise`,
+and U's and the partners' refuse a value out of float range instead of
+returning it (`specfun.finite_pointwise`), as `Superpotential` refuses
+non-finite coefficients.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 from ._np import as_float, np
 from .errors import AdmissibilityError
-from .specfun import pointwise, positive_grid
+from .specfun import finite_pointwise, pointwise, positive_grid
 
 
 @dataclass(frozen=True)
@@ -33,8 +36,12 @@ class Superpotential:
     def __post_init__(self):
         if self.power not in (1, 2):
             raise AdmissibilityError(f"power must be 1 or 2, got {self.power!r}")
-        as_float(self.log_coeff, "log_coeff")  # refused here, not at the first evaluation
-        if not (as_float(self.power_coeff, "power_coeff") > 0.0):
+        # refused here, not at the first evaluation
+        for name in ("power_coeff", "log_coeff"):
+            value = getattr(self, name)
+            if not math.isfinite(as_float(value, name)):
+                raise AdmissibilityError(f"{name} must be finite, got {value!r}")
+        if not (self.power_coeff > 0.0):
             raise AdmissibilityError("power_coeff must be positive for a confining pair")
 
     def derivatives(self, grid, orders):
@@ -50,31 +57,37 @@ class Superpotential:
         return [terms[k]() for k in orders]
 
     def u(self, x):
-        return pointwise(self.derivatives, x, 0)
+        return finite_pointwise(self.derivatives, x, 0, "U")
 
     def u_prime(self, x):
-        return pointwise(self.derivatives, x, 1)
+        return finite_pointwise(self.derivatives, x, 1, "U'")
 
     def u_double_prime(self, x):
-        return pointwise(self.derivatives, x, 2)
+        return finite_pointwise(self.derivatives, x, 2, "U''")
 
     def u_third_derivative(self, x):
-        return pointwise(self.derivatives, x, 3)
+        return finite_pointwise(self.derivatives, x, 3, "U'''")
+
+
+def _beta(angular, gamma, names):
+    """angular + gamma + 1, refused unless positive and finite."""
+    beta = as_float(angular, names[0]) + as_float(gamma, names[1]) + 1.0
+    if not (beta > 0.0):
+        raise AdmissibilityError(f"{names[0]} + {names[1]} + 1 must be positive")
+    if beta == math.inf:
+        raise AdmissibilityError(f"{names[0]} + {names[1]} + 1 must be finite")
+    return beta
 
 
 def coulomb_superpotential(angular: int, gamma: float = 0.0) -> Superpotential:
     """U(y) = y/(l+gamma+1) - 2(l+gamma+1) ln y for the attractive-1/y family."""
-    beta = as_float(angular, "l") + as_float(gamma, "gamma") + 1.0
-    if not (beta > 0.0):
-        raise AdmissibilityError("l + gamma + 1 must be positive")
+    beta = _beta(angular, gamma, ("l", "gamma"))
     return Superpotential(power_coeff=1.0 / beta, log_coeff=-2.0 * beta, power=1)
 
 
 def oscillator_superpotential(angular: int, gamma: float = 0.0) -> Superpotential:
     """U(Y) = Y**2 - 2(L+Gamma+1) ln Y for the quadratic family."""
-    beta = as_float(angular, "L") + as_float(gamma, "Gamma") + 1.0
-    if not (beta > 0.0):
-        raise AdmissibilityError("L + Gamma + 1 must be positive")
+    beta = _beta(angular, gamma, ("L", "Gamma"))
     return Superpotential(power_coeff=1.0, log_coeff=-2.0 * beta, power=2)
 
 
@@ -85,18 +98,16 @@ class SusyPair:
         self.superpotential = superpotential
 
     def v_plus(self, x):
-        return self._partner(x, -1.0)
+        return finite_pointwise(self._partners, x, 0, "V+")
 
     def v_minus(self, x):
-        return self._partner(x, +1.0)
+        return finite_pointwise(self._partners, x, 1, "V-")
 
-    def _partner(self, x, sign):
-        # W**2 + sign * U''/2 with W = U'/2, from one U'/U'' build
-        grid = positive_grid(x)
+    def _partners(self, grid, which):
+        # W**2 -+ U''/2 with W = U'/2, from one U'/U'' build; 0 in which is V+, 1 is V-
         u1, u2 = self.superpotential.derivatives(grid, (1, 2))
         w = 0.5 * u1
-        out = w * w + sign * (0.5 * u2)
-        return float(out) if np.ndim(x) == 0 else out
+        return [w * w + (1.0 if k else -1.0) * (0.5 * u2) for k in which]
 
     def partner_shift(self, x):
         """v_minus - v_plus, which is U'' exactly."""
@@ -170,13 +181,21 @@ class RadialOperator:
         out = self._potential(positive_grid(x))
         return float(out) if np.ndim(x) == 0 else out
 
+    def _coefficients(self):
+        return self.coulomb_strength, self.oscillator_strength, self.centrifugal, self.constant_shift
+
     def _potential(self, arr):
-        return (
-            -self.coulomb_strength / arr
-            + self.oscillator_strength * arr**2
-            + self.centrifugal / arr**2
-            + self.constant_shift
-        )
+        return radial_potential(arr, *self._coefficients())
+
+
+def radial_potential(arr, coulomb_strength, oscillator_strength, centrifugal, constant_shift):
+    """-c/x + w*x**2 + centrifugal/x**2 + constant_shift; a coefficient column holds one row each."""
+    return (
+        -coulomb_strength / arr
+        + oscillator_strength * arr**2
+        + centrifugal / arr**2
+        + constant_shift
+    )
 
 
 def apply_operator(op: RadialOperator, psi, x_grid, eigenvalue: float | None = None):
@@ -185,16 +204,17 @@ def apply_operator(op: RadialOperator, psi, x_grid, eigenvalue: float | None = N
     psi must answer derivatives(grid, orders) analytically; finite differences
     are never used here.
     """
-    return residual_and_value(op, psi, positive_grid(x_grid), eigenvalue)[0]
-
-
-def residual_and_value(op: RadialOperator, psi, grid, eigenvalue: float | None = None):
-    """(residual, value of psi) as in apply_operator, on a grid positive_grid has checked."""
+    grid = positive_grid(x_grid)
     val, curv = psi.derivatives(grid, (0, 2))
-    res = -curv + op._potential(grid) * val
+    return residual(val, curv, op._potential(grid), eigenvalue)
+
+
+def residual(value, curvature, potential, eigenvalue=None):
+    """-psi'' + V psi - eigenvalue psi from psi's value and curvature; a column holds one row each."""
+    res = -curvature + potential * value
     if eigenvalue is not None:
-        res = res - eigenvalue * val
-    return res, val
+        res = res - eigenvalue * value
+    return res
 
 
 def apply_supercharge(superpotential: Superpotential, psi, x_grid):

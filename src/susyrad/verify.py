@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import coulomb, geonium, maps, oscillator, qdt, reports, specfun, susy
+from ._laguerre_forms import family_derivatives
 from ._np import np
 from .errors import AdmissibilityError, StabilityError
 
@@ -98,21 +99,19 @@ def synthetic_anharmonic_models():
 
 def check_radial_residuals() -> CheckResult:
     def body():
-        worst = 0.0
-        count = 0
+        # one batch per form class: Coulomb-form rows on their own grids, oscillator-form rows
+        # on the shared grid
+        coulomb_form, coulomb_scales, oscillator_form = [], [], []
         for d in range(2, 7):
             g = coulomb.gamma_shift(d)
             for n in range(1, 7):
                 for l in range(n):
-                    state = coulomb.CoulombState(d, n, l)
-                    worst = max(worst, reports._relative_residual(state, _coulomb_grid(n, g)))
-                    count += 1
+                    coulomb_form.append(coulomb.CoulombState(d, n, l))
+                    coulomb_scales.append((n, g))
         for d in range(2, 7):
             for n in range(0, 9):
                 for l in range(n % 2, n + 1, 2):
-                    state = oscillator.OscillatorState(d, n, l)
-                    worst = max(worst, reports._relative_residual(state, _OSC_GRID))
-                    count += 1
+                    oscillator_form.append(oscillator.OscillatorState(d, n, l))
         model_count = 0
         for model in synthetic_defect_models():
             used = False
@@ -120,12 +119,10 @@ def check_radial_residuals() -> CheckResult:
                 i = model.shift(l)
                 for n in range(l + i + 1, l + i + 4):
                     try:
-                        state = model.state(n, l)
+                        coulomb_form.append(model.state(n, l))
                     except AdmissibilityError:
                         continue
-                    grid = _coulomb_grid(n, model.gamma)
-                    worst = max(worst, reports._relative_residual(state, grid))
-                    count += 1
+                    coulomb_scales.append((n, model.gamma))
                     used = True
             model_count += used
         for model in synthetic_anharmonic_models():
@@ -134,16 +131,19 @@ def check_radial_residuals() -> CheckResult:
                 start = l + 2 * model.shift(l)
                 for n in range(start, start + 5, 2):
                     try:
-                        state = model.state(n, l)
+                        oscillator_form.append(model.state(n, l))
                     except AdmissibilityError:
                         continue
-                    worst = max(worst, reports._relative_residual(state, _OSC_GRID))
-                    count += 1
                     used = True
             model_count += used
         if model_count < 20:
             raise AssertionError(f"only {model_count} synthetic models contributed")
-        return worst, f"{count} states, {model_count} synthetic models"
+        coulomb_grids = np.array([_coulomb_grid(n, g) for n, g in coulomb_scales])
+        residuals = np.concatenate([
+            reports._relative_residuals(coulomb_form, coulomb_grids),
+            reports._relative_residuals(oscillator_form, _OSC_GRID),
+        ])
+        return float(np.max(residuals)), f"{residuals.size} states, {model_count} synthetic models"
 
     return _run(2, "radial-residuals", 1e-8, body, runtime_limit=30.0)
 
@@ -152,8 +152,11 @@ def check_radial_residuals() -> CheckResult:
 
 
 def _gram(states):
-    """Gram matrix of one family on shared nodes, cut off where the forms say."""
-    return specfun.gram_matrix(states, max(state.tail_cutoff for state in states))
+    """Gram matrix of one family, one batch per refinement, cut off where the forms say."""
+    return specfun.gram_matrix(
+        lambda nodes: family_derivatives(states, nodes, (0,))[0],
+        max(state.tail_cutoff for state in states),
+    )
 
 
 def orthonormality_families():

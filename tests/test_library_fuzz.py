@@ -77,6 +77,10 @@ def _call(fn, *args, **kwargs):
             return None
 
 
+def _finite_or_refused(out):
+    assert out is None or np.all(np.isfinite(out)), out
+
+
 def _evaluable(state):
     return state is not None and state.degree <= MAX_EVAL_DEGREE
 
@@ -144,10 +148,10 @@ def test_superpotentials_and_partners(a, b, power, l, gamma, x):
     ]
     for u in (u for u in built if u is not None):
         for method in ("u", "u_prime", "u_double_prime", "u_third_derivative"):
-            _call(getattr(u, method), x)
+            _finite_or_refused(_call(getattr(u, method), x))
         pair = susyrad.SusyPair(u)
         for method in ("v_plus", "v_minus", "partner_shift"):
-            _call(getattr(pair, method), x)
+            _finite_or_refused(_call(getattr(pair, method), x))
         for operator in (pair.plus_operator, pair.minus_operator):
             op = _call(operator)
             if op is not None:
@@ -162,9 +166,9 @@ def test_sonine_laguerre(degree, order, x):
     poly = _call(susyrad.SonineLaguerre, degree, order)
     if poly is None or poly.degree > MAX_EVAL_DEGREE:
         return
-    _call(susyrad.eval_sonine_laguerre, poly, x)
-    _call(susyrad.eval_sonine_laguerre_derivative, poly, x)
-    _call(susyrad.sonine_laguerre_direct_sum, poly, x)
+    for evaluate in (susyrad.eval_sonine_laguerre, susyrad.eval_sonine_laguerre_derivative,
+                     susyrad.sonine_laguerre_direct_sum):
+        _finite_or_refused(_call(evaluate, poly, x))
 
 
 @FUZZ
@@ -233,6 +237,25 @@ FOUND = {
     "sonine_laguerre_direct_sum(order 1e308)": (
         lambda: susyrad.sonine_laguerre_direct_sum(susyrad.SonineLaguerre(3, 1e308), 1.0),
         "out of float range"),
+    "eval_sonine_laguerre(order 1e308)": (
+        lambda: susyrad.eval_sonine_laguerre(susyrad.SonineLaguerre(2, 1e308), 0.5),
+        r"^L_2\^\(1e\+308\)\(0\.5\) is out of float range$"),
+    "eval_sonine_laguerre_derivative(order 1e308)": (
+        lambda: susyrad.eval_sonine_laguerre_derivative(susyrad.SonineLaguerre(3, 1e308), 0.5),
+        r"^d/dx L_3\^\(1e\+308\)\(0\.5\) is out of float range$"),
+    "Superpotential(1, nan, 1)": (
+        lambda: susyrad.Superpotential(1.0, math.nan, 1), "log_coeff must be finite"),
+    "Superpotential(inf, -2, 1)": (
+        lambda: susyrad.Superpotential(math.inf, -2.0, 1), "power_coeff must be finite"),
+    "oscillator_superpotential(0, inf)": (
+        lambda: susyrad.oscillator_superpotential(0, math.inf), r"L \+ Gamma \+ 1 must be finite"),
+    "coulomb_superpotential(1e308, 1e308)": (
+        lambda: susyrad.coulomb_superpotential(1e308, 1e308), r"l \+ gamma \+ 1 must be finite"),
+    "Superpotential(1e308, 0, 2).u(30)": (
+        lambda: susyrad.Superpotential(1e308, 0.0, 2).u(30.0), r"^U\(30\.0\) is out of float range$"),
+    "SusyPair.v_plus(5e-324)": (
+        lambda: susyrad.SusyPair(susyrad.coulomb_superpotential(0)).v_plus(np.array([1.0, 5e-324])),
+        r"^V\+\(5e-324\) is out of float range$"),
     "CoulombState(3, 10**400, 0)": (
         lambda: susyrad.CoulombState(3, 10**400, 0), "principal number must be an integer"),
     "OscillatorState(anharmonicity=10**400)": (

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
 from susyrad import _laguerre_forms, coulomb, oscillator, reports, specfun, susy, verify
@@ -264,7 +266,9 @@ class TestGramMatrix:
     def test_unmeetable_tolerance_raises_with_two_estimates(self):
         fns = [lambda t: np.cos(3000.0 * t) * np.exp(-t / 30.0), lambda t: np.exp(-t / 30.0)]
         with pytest.raises(ConvergenceError) as info:
-            gram_matrix(fns, 2048.0, Quadrature(target_rel_tol=1e-13))
+            gram_matrix(
+                lambda t: np.vstack([f(t) for f in fns]), 2048.0, Quadrature(target_rel_tol=1e-13)
+            )
         previous, last = info.value.estimates
         assert previous.shape == last.shape == (2, 2)
         assert not np.array_equal(previous, last)
@@ -305,6 +309,17 @@ def _allocating_recurrence(n, a, x):
     return cur
 
 
+def _one_row(n, a, x):
+    """The batched recurrence as a batch of one, in the shape of x."""
+    return specfun._recurrence([n], [a], x.reshape(-1))[0].reshape(x.shape)
+
+
+def _bitwise_equal(got, want):
+    return np.array_equal(got, want, equal_nan=True) and np.array_equal(
+        np.signbit(got), np.signbit(want)
+    )
+
+
 class TestInPlaceRecurrence:
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 80])
     @pytest.mark.parametrize("a", [-0.5, 0.0, 2.7])
@@ -314,19 +329,43 @@ class TestInPlaceRecurrence:
         ids=["0-d", "1-element", "2e4-points"],
     )
     def test_bitwise_equal_to_allocating_form(self, n, a, x):
-        got = specfun._recurrence(n, a, x)
+        got = _one_row(n, a, x)
         want = _allocating_recurrence(n, a, x)
         assert np.shape(got) == np.shape(want)
-        assert np.array_equal(got, want, equal_nan=True)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert _bitwise_equal(got, want)
 
     def test_bitwise_equal_through_overflow(self):
         x = np.geomspace(1e-3, 1e300, 2000)
         with np.errstate(all="ignore"):
-            got = specfun._recurrence(80, 150.0, x)
+            got = _one_row(80, 150.0, x)
             want = _allocating_recurrence(80, 150.0, x)
         assert not np.all(np.isfinite(want))
         assert np.array_equal(got, want, equal_nan=True)
+
+    # descending degrees with repeats, 0 and 1 after 80, and one row that overflows
+    BATCH = ((80, 0.0), (80, 150.0), (12, -0.5), (5, 0.5), (5, 2.7), (2, 0.0), (1, -0.5), (0, 2.7))
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["shared-x", "per-row-x"])
+    def test_every_row_of_a_batch_equals_its_allocating_form(self, per_row):
+        degrees, orders = zip(*self.BATCH)
+        finite = np.linspace(0.0, 60.0, 701)
+        if per_row:
+            # the overflowing row runs far out while its neighbours stay finite
+            x = np.vstack([finite * (1.0 + 0.01 * i) for i in range(len(degrees))])
+            x[1] = np.geomspace(1e-3, 1e300, 701)
+        else:
+            x = finite
+        with np.errstate(all="ignore"):
+            got = specfun._recurrence(list(degrees), list(orders), x)
+            want = [
+                _allocating_recurrence(n, a, x[i] if per_row else x)
+                for i, (n, a) in enumerate(self.BATCH)
+            ]
+        assert got.shape == (len(degrees), 701)
+        if per_row:
+            assert [np.all(np.isfinite(row)) for row in want] == [i != 1 for i in range(len(want))]
+        for row, expected in zip(got, want):
+            assert _bitwise_equal(row, expected)
 
     def test_zero_dimensional_input_through_public_api(self):
         assert eval_sonine_laguerre(SonineLaguerre(1, 0.5), np.float64(2.0)) == -0.5
@@ -337,7 +376,8 @@ class TestInPlaceRecurrence:
     def test_does_not_write_to_its_argument(self):
         x = np.linspace(0.0, 10.0, 50)
         kept = x.copy()
-        specfun._recurrence(7, 0.5, x)
+        specfun._recurrence([7], [0.5], x)
+        specfun._recurrence([3, 7], [0.5, 1.0], np.vstack([x, x]))
         assert np.array_equal(x, kept)
 
 
@@ -365,6 +405,52 @@ def _full_triple_product(u, w, z, order):
     )
 
 
+# 0.5 and 2.0 take numpy's scalar power fast paths; the others do not
+_EXPONENTS = (0.5, 2.0, 1.0, 1.3, 3.75)
+
+
+@st.composite
+def _families(draw):
+    """Forms of one class, mixed degrees and exponents, on a shared grid or one grid each."""
+    gaussian = draw(st.booleans())
+    forms = []
+    for _ in range(draw(st.integers(1, 6))):
+        exponent = draw(st.sampled_from(_EXPONENTS))
+        degree = draw(st.sampled_from([0, 1, 2]) | st.integers(0, 80))
+        if gaussian:
+            forms.append(_laguerre_forms.GaussianLaguerreForm(exponent, degree, exponent - 0.5))
+        else:
+            scale = draw(st.floats(0.25, 4.0))
+            forms.append(_laguerre_forms.ExponentialLaguerreForm(
+                scale, exponent, degree, 2.0 * exponent - 1.0))
+    points = draw(st.integers(1, 12))
+    row = st.lists(st.floats(1e-3, 40.0), min_size=points, max_size=points)
+    if draw(st.booleans()):
+        return forms, np.array(draw(row))
+    return forms, np.array([draw(row) for _ in forms])
+
+
+class TestFamilyBatch:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(family=_families(), orders=st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    def test_batch_equals_each_form_alone(self, family, orders):
+        forms, grid = family
+        with np.errstate(all="ignore"):
+            got = _laguerre_forms.family_derivatives(forms, grid, orders)
+            for i, form in enumerate(forms):
+                alone = form.derivatives(grid if grid.ndim == 1 else grid[i], orders)
+                for k, entry in enumerate(alone):
+                    # a batch of one keeps the grid's shape
+                    assert got[k].shape == (grid.shape if len(forms) == 1 else (len(forms), grid.shape[-1]))
+                    assert _bitwise_equal(got[k].reshape(len(forms), -1)[i], entry), (i, orders[k])
+
+
+def _poly_stack(form, t):
+    """The form's polynomial stack to third order, as a batch of one, in the shape of t."""
+    stack = _laguerre_forms._poly_stack([form.degree], [form.order], t.reshape(-1), 3)
+    return [row.reshape(t.shape) for row in stack]
+
+
 def _full_stack_derivative(form, arr, order):
     """Every factor's stack built to third order, whatever order is asked for."""
     q = form.exponent
@@ -379,14 +465,14 @@ def _full_stack_derivative(form, arr, order):
         rate = -1.0 / (2.0 * form.scale)
         w = (w0, rate * w0, rate * rate * w0, rate**3 * w0)
         t = arr / form.scale
-        p = form._poly_stack(t, 3)
+        p = _poly_stack(form, t)
         inv = 1.0 / form.scale
         z = (p[0], p[1] * inv, p[2] * inv * inv, p[3] * inv**3)
     else:
         w0 = np.exp(-0.5 * arr * arr)
         w = (w0, -arr * w0, (arr * arr - 1.0) * w0, (3.0 * arr - arr**3) * w0)
         t = arr * arr
-        p = form._poly_stack(t, 3)
+        p = _poly_stack(form, t)
         z = (
             p[0],
             2.0 * arr * p[1],
@@ -431,21 +517,30 @@ class TestDerivativeOrderSelection:
         ids=["coulomb-degree4", "oscillator-degree4"],
     )
     def test_each_order_runs_only_its_recurrences(self, state, monkeypatch):
-        calls = Counter()
+        calls = []
         original = specfun._recurrence
 
-        def counted(n, a, x):
-            calls["recurrence"] += 1
-            return original(n, a, x)
+        def counted(degrees, orders, x):
+            calls.append(len(degrees))
+            return original(degrees, orders, x)
 
         # the forms look the recurrence up on specfun at each call
         monkeypatch.setattr(specfun, "_recurrence", counted)
         assert state.degree >= 3
         grid = np.linspace(0.1, 5.0, 7)
+        # a family of the state's class, degrees 0 to 4 beside it, costs what the state alone does
+        step = 2 if isinstance(state, oscillator.OscillatorState) else 1
+        family = [type(state)(state.dimension, state.principal - step * k, state.angular)
+                  for k in range(state.degree + 1)]
+        assert {form.degree for form in family} == set(range(state.degree + 1))
         for order, name in enumerate(_DERIVATIVES):
+            # one recurrence per polynomial derivative the order needs, one row per form
             calls.clear()
             getattr(state, name)(grid)
-            assert calls["recurrence"] == order + 1, name
+            assert calls == [1] * (order + 1), name
+            calls.clear()
+            _laguerre_forms.family_derivatives(family, grid, (order,))
+            assert calls == [sum(form.degree >= j for form in family) for j in range(order + 1)], name
 
     @pytest.mark.parametrize(
         "state, x",
@@ -474,18 +569,21 @@ def _count_calls(monkeypatch, module, name, calls):
 
 
 def _residual_states(monkeypatch):
-    """Every (state, grid) whose residual check_radial_residuals measures."""
+    """Every (state, grid) whose residual check_radial_residuals measures, in its batches."""
     seen = []
-    original = reports._relative_residual
+    original = reports._relative_residuals
 
-    def recording(state, grid):
-        seen.append((state, grid))
-        return original(state, grid)
+    def recording(states, grids):
+        rows = grids if np.ndim(grids) == 2 else [grids] * len(states)
+        seen.append(list(zip(states, rows)))
+        return original(states, grids)
 
-    monkeypatch.setattr(reports, "_relative_residual", recording)
+    monkeypatch.setattr(reports, "_relative_residuals", recording)
     assert verify.check_radial_residuals().passed
     monkeypatch.undo()
-    return seen
+    # one batch per form class
+    assert len(seen) == 2
+    return [row for batch in seen for row in batch]
 
 
 class TestSharedResidualStack:
@@ -524,10 +622,21 @@ class TestSharedResidualStack:
             assert np.array_equal(susy.apply_supercharge(u, state, grid), hand[0])
 
     def test_relative_residual_equals_apply_operator(self, monkeypatch):
-        for state, grid in _residual_states(monkeypatch)[::7]:
+        seen = _residual_states(monkeypatch)
+        want = []
+        for state, grid in seen:
             res = susy.apply_operator(state.operator(), state, grid, state.operator_eigenvalue())
-            want = float(np.max(np.abs(res)) / np.max(np.abs(state.value(grid))))
-            assert reports._relative_residual(state, grid) == want
+            want.append(float(np.max(np.abs(res)) / np.max(np.abs(state.value(grid)))))
+        for (state, grid), expected in list(zip(seen, want))[::7]:
+            assert reports._relative_residual(state, grid) == expected
+        # every row of the batches of check_radial_residuals, each cut into chunks
+        for coulomb_form in (True, False):
+            rows = [(state, grid, expected) for (state, grid), expected in zip(seen, want)
+                    if isinstance(state, coulomb.CoulombState) == coulomb_form]
+            assert len(rows) > reports._BATCH_ROWS
+            states, grids, expected = zip(*rows)
+            got = reports._relative_residuals(list(states), np.array(grids))
+            assert got.tolist() == list(expected)
 
     @pytest.mark.parametrize(
         "state",
@@ -538,8 +647,15 @@ class TestSharedResidualStack:
         calls = Counter()
         for name in ("positive_grid", "_check_argument", "_recurrence"):
             _count_calls(monkeypatch, specfun, name, calls)
-        reports._relative_residual(state, np.linspace(0.1, 5.0, 9))
+        grid = np.linspace(0.1, 5.0, 9)
+        reports._relative_residual(state, grid)
         assert calls == Counter(positive_grid=1, _check_argument=1, _recurrence=3)
+        # a batch of the state and its lower-degree neighbours costs the same calls
+        family = [state, type(state)(state.dimension, state.principal - 2, state.angular)]
+        for grids in (grid, np.vstack([grid, 2.0 * grid])):
+            calls.clear()
+            reports._relative_residuals(family, grids)
+            assert calls == Counter(positive_grid=1, _check_argument=1, _recurrence=3)
 
     def test_public_entry_points_still_check_the_grid(self):
         state = coulomb.CoulombState(3, 2, 1)
@@ -581,7 +697,61 @@ def _per_term_direct_sum(poly, x):
     return float(total)
 
 
+def _fraction_direct_sum(poly, x):
+    """The oracle in Fraction arithmetic, coefficients built downward and one Horner sum per point."""
+    n = int(poly.degree)
+    a = Fraction(float(poly.order))
+    coeffs = [Fraction((-1) ** n, math.factorial(n))]  # c_n, c_{n-1}, ..., c_0
+    for p in range(n, 0, -1):
+        coeffs.append(-coeffs[-1] * (a + p) * p / (n - p + 1))
+    xq = Fraction(float(x))
+    total = coeffs[0]
+    for c in coeffs[1:]:
+        total = total * xq + c
+    return float(total)  # OverflowError past float range
+
+
+def _same_outcome(poly, x):
+    """The integer oracle returns the Fraction oracle's bits, or refuses what it cannot round."""
+    try:
+        want = _fraction_direct_sum(poly, x)
+    except OverflowError:
+        with pytest.raises(DomainError, match="out of float range"):
+            sonine_laguerre_direct_sum(poly, x)
+        return
+    assert sonine_laguerre_direct_sum(poly, x).hex() == want.hex()
+
+
 class TestLaguerreOracle:
+    def test_integer_sum_equals_fraction_sum_on_the_criterion_cards(self):
+        for n in range(16):
+            for order in ORDER_GRID:
+                for x in POINT_GRID:
+                    _same_outcome(SonineLaguerre(n, order), x)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        degree=st.integers(0, 40),
+        order=st.sampled_from(ORDER_GRID) | st.floats(-1.0, 1e308, exclude_min=True),
+        x=st.floats(0.0, 60.0) | st.floats(0.0, 1e300),
+    )
+    def test_integer_sum_equals_fraction_sum(self, degree, order, x):
+        _same_outcome(SonineLaguerre(degree, order), x)
+
+    @pytest.mark.parametrize(
+        "evaluate, prefix",
+        [(eval_sonine_laguerre, ""), (eval_sonine_laguerre_derivative, "d/dx ")],
+        ids=["value", "derivative"],
+    )
+    def test_recurrence_refuses_what_the_oracle_refuses(self, evaluate, prefix):
+        # under pytest's error::RuntimeWarning a numpy overflow warning would surface instead
+        poly = SonineLaguerre(3, 1e308)
+        with pytest.raises(DomainError) as oracle:
+            sonine_laguerre_direct_sum(poly, 0.5)
+        with pytest.raises(DomainError) as recurrence:
+            evaluate(poly, np.array([0.0, 0.5, 1.0]))
+        assert str(oracle.value) == "L_3^(1e+308)(0.5) is out of float range"
+        assert str(recurrence.value) == prefix + str(oracle.value).replace("(0.5)", "(0.0)")
     def test_horner_sum_equals_per_term_sum(self):
         assert tuple(verify._ORACLE_SUM_POINTS) == POINT_GRID
         points = 0
