@@ -11,8 +11,10 @@ recurrence and a residual's (0, 2) three, whatever the number of forms.  The
 power stack is formed once per distinct exponent, because numpy's power of
 an exponent column skips its scalar fast paths (x**0.5, x**2) and rounds
 differently; so every element sees the operations it would alone.  A form's
-`derivatives(grid, orders)` is the batch of one.  The Laguerre argument is
-checked before any stack is formed, and the normalization is built on first use.
+`derivatives(grid, orders)` is the same build for a family of one, on its
+grid's points as one row and with its own constants as floats.  The Laguerre
+argument is checked before any stack is formed, and the normalization is
+built on first use.
 Each form also bounds its own magnitude in closed form (`log_envelope`), which
 fixes the quadrature cutoff (`tail_cutoff`) without sampling the waveform.
 """
@@ -68,7 +70,11 @@ def _power_stack(x, exponent, order):
 
 
 def _power_stacks(exponents, grid, order):
-    """Each row's power stack, formed once per distinct exponent (see the module docstring)."""
+    """Each row's power stack, formed once per distinct exponent (see the module docstring).
+
+    A batch of one exponent, as every family of one angular number is, takes
+    its stack as formed, with no scatter into rows.
+    """
     groups = {}
     for i, exponent in enumerate(exponents):
         groups.setdefault(exponent, []).append(i)
@@ -83,51 +89,57 @@ def _power_stacks(exponents, grid, order):
 
 
 def columns(rows):
-    """Per-form tuples of floats as columns; a batch of one keeps its floats for numpy's scalar path."""
-    return rows[0] if len(rows) == 1 else tuple(np.array(rows).T[..., None])
+    """Per-form tuples of floats as columns, one row per form."""
+    return tuple(np.array(rows, dtype=float).T[..., None])
 
 
 def _poly_stack(degrees, orders, t, order):
     """d^j/dt^j L_n^(a)(t) = (-1)^j L_{n-j}^(a+j)(t) for j <= order, per form; zero once j > n.
 
-    t is checked once for the whole stack.  Ranked by descending degree, the
-    forms of degree >= j are a prefix, and each j is one recurrence over it.
+    t is checked once for the whole stack.  The forms come in order of
+    descending degree, so those of degree >= j are a prefix, and each j is
+    one recurrence over it.
     """
     try:
         t = specfun._check_argument(t)
     except DomainError as exc:
         raise DomainError("radial coordinate too large: its Laguerre argument overflows") from exc
-    forms = len(degrees)
-    rank = sorted(range(forms), key=degrees.__getitem__, reverse=True)
-    n, a = [degrees[i] for i in rank], [orders[i] for i in rank]
-    unrank = None if rank == sorted(rank) else sorted(range(forms), key=rank.__getitem__)
-    # one form's t, of any shape, is one shared row; a family's is shared or one row per form
-    x = t.reshape(-1) if forms == 1 else t[rank] if t.ndim == 2 and unrank else t
-    stack, live = [], forms
+    forms, stack = len(degrees), []
     for j in range(order + 1):
-        while live and n[live - 1] < j:
-            live -= 1
+        live = sum(n >= j for n in degrees)
         if live:
-            p = specfun._recurrence(
-                [d - j for d in n[:live]], [b + j for b in a[:live]], x if x.ndim == 1 else x[:live]
-            )
+            x = t[:live] if t.ndim == 2 else t
+            p = specfun._recurrence([n - j for n in degrees[:live]], [a + j for a in orders[:live]], x)
             if j % 2:
                 np.negative(p, out=p)
         if live < forms:
-            zeros = np.zeros((forms - live, x.shape[-1]))
+            zeros = np.zeros((forms - live, t.shape[-1]))
             p = np.concatenate([p, zeros]) if live else zeros
-        stack.append(p.reshape(t.shape) if forms == 1 else p if unrank is None else p[unrank])
+        stack.append(p)
     return stack
 
 
 def family_derivatives(forms, grid, orders):
     """[d^k/dx^k for k in orders] of forms of one class, each (forms x points), from one build.
 
-    grid, checked by positive_grid, is shared (1-D) or one row per form; a
-    batch of one takes a grid of any shape and keeps it.
+    grid, checked by positive_grid, is one row shared by every form (1-D) or
+    one row per form (2-D).  The build takes the forms in order of
+    descending degree, and the rows come back in the order given.
+    """
+    rank = sorted(range(len(forms)), key=lambda i: -forms[i].degree)
+    unrank = sorted(range(len(forms)), key=rank.__getitem__)
+    forms = [forms[i] for i in rank]
+    *constants, norms = columns([f._constants() + (f.norm,) for f in forms])
+    built = _build(forms, grid[rank] if grid.ndim == 2 else grid, orders, constants, norms)
+    return [d[unrank] for d in built]
+
+
+def _build(forms, grid, orders, constants, norms):
+    """The derivatives of forms in order of descending degree, as `_poly_stack` needs them.
+
+    The constants and norms are columns, or a lone form's own floats.
     """
     form, top = forms[0], max(orders)
-    constants = columns([f._constants() for f in forms])
     # x/scale or x*x can overflow on a finite grid; the overflow is left as inf,
     # which _poly_stack refuses before any other stack is formed
     with np.errstate(over="ignore"):
@@ -136,7 +148,6 @@ def family_derivatives(forms, grid, orders):
     w, z = form._factor_stacks(grid, t, np.exp(-decay), p, top, *constants)
     del decay, t, p  # the batch's temporaries end here
     stacks = (_power_stacks([f.exponent for f in forms], grid, top), w, z)
-    (norms,) = columns([(f.norm,) for f in forms])
     return [norms * _triple_product_derivatives(*stacks, k) for k in orders]
 
 
@@ -175,7 +186,9 @@ class _LaguerreForm:
 
     def derivatives(self, grid, orders):
         """[d^k/dx^k for k in orders] on a grid positive_grid has checked: the family of one."""
-        return family_derivatives([self], grid, orders)
+        # one row of the grid's points, so that no factor broadcasts against another
+        built = _build([self], grid.reshape(1, -1), orders, self._constants(), self.norm)
+        return [d.reshape(grid.shape) for d in built]
 
     def value(self, x):
         return specfun.pointwise(self.derivatives, x, 0)
@@ -229,7 +242,7 @@ class ExponentialLaguerreForm(_LaguerreForm):
 
     def _constants(self):
         rate, inv = -1.0 / (2.0 * self.scale), 1.0 / self.scale
-        # the powers stay Python floats: numpy's power of a column would round differently
+        # the powers are Python's: numpy's power of a column would round differently
         return self.scale, rate, rate * rate, rate**3, inv, inv**3
 
     @staticmethod

@@ -30,8 +30,6 @@ MAX_TABLE_ROWS = 10_000
 # the CLI's bound on the size of a quantum number, dimension or integer shift: a huge one
 # overflows float arithmetic, and n sets the degree of the Laguerre recurrence
 MAX_QUANTUM_NUMBER = 10_000
-# states per residual batch: a fixed row budget that bounds the batch's temporaries
-_BATCH_ROWS = 32
 
 OSCILLATOR_SIDE = ("oscillator", "anharmonic")
 
@@ -76,25 +74,23 @@ def _check_grid(grid_min, grid_max, points):
 def _relative_residuals(states, grids):
     """max |residual| / max |value| of each state, on its row of grids or all on one 1-D grid.
 
-    The states are forms of one class, built _BATCH_ROWS at a time; each
-    operator's coefficients and eigenvalue enter as columns.
+    The states are forms of one class; each operator's coefficients and
+    eigenvalue enter as columns.
     """
     grids = specfun.positive_grid(grids)
-    out = np.empty(len(states))
-    for lo in range(0, len(states), _BATCH_ROWS):
-        rows = states[lo : lo + _BATCH_ROWS]
-        grid = grids if grids.ndim == 1 else grids[lo : lo + _BATCH_ROWS]
-        value, curvature = family_derivatives(rows, grid, (0, 2))
-        coefficients = columns([state.operator()._coefficients() for state in rows])
-        potential = susy.radial_potential(grid, *coefficients)
-        (eigenvalues,) = columns([(state.operator_eigenvalue(),) for state in rows])
-        res = susy.residual(value, curvature, potential, eigenvalues)
-        out[lo : lo + _BATCH_ROWS] = np.abs(res).max(axis=-1) / np.abs(value).max(axis=-1)
-    return out
+    value, curvature = family_derivatives(states, grids, (0, 2))
+    potential = susy.radial_potential(grids, *columns([s.operator()._coefficients() for s in states]))
+    (eigenvalues,) = columns([(s.operator_eigenvalue(),) for s in states])
+    res = susy.residual(value, curvature, potential, eigenvalues)
+    return np.abs(res).max(axis=-1) / np.abs(value).max(axis=-1)
 
 
 def _relative_residual(state, grid):
-    return float(_relative_residuals([state], grid)[0])
+    """_relative_residuals of one state, from its own build and its operator's floats."""
+    grid = specfun.positive_grid(grid)
+    value, curvature = state.derivatives(grid, (0, 2))
+    res = susy.residual(value, curvature, state.operator()._potential(grid), state.operator_eigenvalue())
+    return float(np.abs(res).max() / np.abs(value).max())
 
 
 def _state_factory(family, dimension, model):

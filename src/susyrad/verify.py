@@ -11,6 +11,7 @@ their residuals use the analytic product rule.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,77 +74,74 @@ def _coulomb_grid(n, gamma):
 
 
 _OSC_GRID = np.linspace(0.05, 6.0, 240)
+# states per residual batch: a fixed row budget that bounds the batch's temporaries
+_BATCH_ROWS = 16
 
 
 def synthetic_defect_models():
-    models = []
-    for d in (2, 3, 4, 5):
-        for delta in (0.15, 0.4, 0.75):
-            for i in (0, 1):
-                models.append(
-                    qdt.DefectModel(d, {0: delta, 1: delta / 2.0}, {0: i, 1: i})
-                )
-    return models
+    return [
+        qdt.DefectModel(d, {0: delta, 1: delta / 2.0}, {0: i, 1: i})
+        for d in (2, 3, 4, 5) for delta in (0.15, 0.4, 0.75) for i in (0, 1)
+    ]
 
 
 def synthetic_anharmonic_models():
-    models = []
-    for d in (2, 3, 4, 6):
-        for Delta in (0.1, 0.3):
-            for I in (0, 1):
-                models.append(
-                    qdt.AnharmonicModel(d, {0: Delta, 1: Delta / 2.0}, {0: I, 1: I})
-                )
-    return models
+    return [
+        qdt.AnharmonicModel(d, {0: Delta, 1: Delta / 2.0}, {0: I, 1: I})
+        for d in (2, 3, 4, 6) for Delta in (0.1, 0.3) for I in (0, 1)
+    ]
+
+
+def _coulomb_form_cases(used):
+    """(state, grid) of the Coulomb family and the defect models; a model that contributes joins used."""
+    for d in range(2, 7):
+        g = coulomb.gamma_shift(d)
+        for n in range(1, 7):
+            for l in range(n):
+                yield coulomb.CoulombState(d, n, l), _coulomb_grid(n, g)
+    for model in synthetic_defect_models():
+        for l in (0, 1):
+            i = model.shift(l)
+            for n in range(l + i + 1, l + i + 4):
+                try:
+                    state = model.state(n, l)
+                except AdmissibilityError:
+                    continue
+                used.add(model)
+                yield state, _coulomb_grid(n, model.gamma)
+
+
+def _oscillator_form_cases(used):
+    """(state, grid) of the oscillator family and the anharmonic models, as _coulomb_form_cases."""
+    for d in range(2, 7):
+        for n in range(0, 9):
+            for l in range(n % 2, n + 1, 2):
+                yield oscillator.OscillatorState(d, n, l), _OSC_GRID
+    for model in synthetic_anharmonic_models():
+        for l in (0, 1):
+            start = l + 2 * model.shift(l)
+            for n in range(start, start + 5, 2):
+                try:
+                    state = model.state(n, l)
+                except AdmissibilityError:
+                    continue
+                used.add(model)
+                yield state, _OSC_GRID
 
 
 def check_radial_residuals() -> CheckResult:
     def body():
-        # one batch per form class: Coulomb-form rows on their own grids, oscillator-form rows
-        # on the shared grid
-        coulomb_form, coulomb_scales, oscillator_form = [], [], []
-        for d in range(2, 7):
-            g = coulomb.gamma_shift(d)
-            for n in range(1, 7):
-                for l in range(n):
-                    coulomb_form.append(coulomb.CoulombState(d, n, l))
-                    coulomb_scales.append((n, g))
-        for d in range(2, 7):
-            for n in range(0, 9):
-                for l in range(n % 2, n + 1, 2):
-                    oscillator_form.append(oscillator.OscillatorState(d, n, l))
-        model_count = 0
-        for model in synthetic_defect_models():
-            used = False
-            for l in (0, 1):
-                i = model.shift(l)
-                for n in range(l + i + 1, l + i + 4):
-                    try:
-                        coulomb_form.append(model.state(n, l))
-                    except AdmissibilityError:
-                        continue
-                    coulomb_scales.append((n, model.gamma))
-                    used = True
-            model_count += used
-        for model in synthetic_anharmonic_models():
-            used = False
-            for l in (0, 1):
-                start = l + 2 * model.shift(l)
-                for n in range(start, start + 5, 2):
-                    try:
-                        oscillator_form.append(model.state(n, l))
-                    except AdmissibilityError:
-                        continue
-                    used = True
-            model_count += used
-        if model_count < 20:
-            raise AssertionError(f"only {model_count} synthetic models contributed")
-        coulomb_grids = np.array([_coulomb_grid(n, g) for n, g in coulomb_scales])
-        residuals = np.concatenate([
-            reports._relative_residuals(coulomb_form, coulomb_grids),
-            reports._relative_residuals(oscillator_form, _OSC_GRID),
-        ])
-        return float(np.max(residuals)), f"{residuals.size} states, {model_count} synthetic models"
+        worst, count, used = 0.0, 0, set()
+        for cases in (_coulomb_form_cases(used), _oscillator_form_cases(used)):
+            # one batch of states and grids at a time, so a batch bounds what is held
+            while batch := list(itertools.islice(cases, _BATCH_ROWS)):
+                states, grids = zip(*batch)
+                residuals = reports._relative_residuals(states, np.array(grids))
+                worst = max(worst, float(np.max(residuals)))
+                count += len(batch)
+        if len(used) < 20:
+            raise AssertionError(f"only {len(used)} synthetic models contributed")
+        return worst, f"{count} states, {len(used)} synthetic models"
 
     return _run(2, "radial-residuals", 1e-8, body, runtime_limit=30.0)
 

@@ -440,9 +440,8 @@ class TestFamilyBatch:
             for i, form in enumerate(forms):
                 alone = form.derivatives(grid if grid.ndim == 1 else grid[i], orders)
                 for k, entry in enumerate(alone):
-                    # a batch of one keeps the grid's shape
-                    assert got[k].shape == (grid.shape if len(forms) == 1 else (len(forms), grid.shape[-1]))
-                    assert _bitwise_equal(got[k].reshape(len(forms), -1)[i], entry), (i, orders[k])
+                    assert got[k].shape == (len(forms), grid.shape[-1])
+                    assert _bitwise_equal(got[k][i], entry), (i, orders[k])
 
 
 def _poly_stack(form, t):
@@ -574,15 +573,15 @@ def _residual_states(monkeypatch):
     original = reports._relative_residuals
 
     def recording(states, grids):
-        rows = grids if np.ndim(grids) == 2 else [grids] * len(states)
-        seen.append(list(zip(states, rows)))
+        seen.append(list(zip(states, grids)))
         return original(states, grids)
 
     monkeypatch.setattr(reports, "_relative_residuals", recording)
     assert verify.check_radial_residuals().passed
     monkeypatch.undo()
-    # one batch per form class
-    assert len(seen) == 2
+    # batches of one form class, each a row of grids per state, none past the row budget
+    assert all(len(batch) <= verify._BATCH_ROWS for batch in seen)
+    assert all(len({isinstance(state, coulomb.CoulombState) for state, _ in batch}) == 1 for batch in seen)
     return [row for batch in seen for row in batch]
 
 
@@ -629,11 +628,10 @@ class TestSharedResidualStack:
             want.append(float(np.max(np.abs(res)) / np.max(np.abs(state.value(grid)))))
         for (state, grid), expected in list(zip(seen, want))[::7]:
             assert reports._relative_residual(state, grid) == expected
-        # every row of the batches of check_radial_residuals, each cut into chunks
+        # every state of check_radial_residuals, as one batch per form class
         for coulomb_form in (True, False):
             rows = [(state, grid, expected) for (state, grid), expected in zip(seen, want)
                     if isinstance(state, coulomb.CoulombState) == coulomb_form]
-            assert len(rows) > reports._BATCH_ROWS
             states, grids, expected = zip(*rows)
             got = reports._relative_residuals(list(states), np.array(grids))
             assert got.tolist() == list(expected)
