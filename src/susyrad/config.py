@@ -90,26 +90,15 @@ def parse_config(text: str) -> list[ConfigRecord]:
     return records
 
 
-def _as_int(record, key):
+def _field(record, key, kind):
+    """record's key as kind (int or float), refused with a message naming the key."""
     try:
-        return int(record.fields[key])
+        return kind(record.fields[key])
     except KeyError:
         raise ConfigError(f"[{record.section}] near line {record.line}: missing {key!r}") from None
     except ValueError:
-        raise ConfigError(
-            f"[{record.section}] near line {record.line}: {key!r} must be an integer"
-        ) from None
-
-
-def _as_float(record, key):
-    try:
-        return float(record.fields[key])
-    except KeyError:
-        raise ConfigError(f"[{record.section}] near line {record.line}: missing {key!r}") from None
-    except ValueError:
-        raise ConfigError(
-            f"[{record.section}] near line {record.line}: {key!r} must be a number"
-        ) from None
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"[{record.section}] near line {record.line}: {key!r} must be {noun}") from None
 
 
 class ModelConfig:
@@ -119,7 +108,7 @@ class ModelConfig:
         self.records = records
 
     def _dimensions(self, section):
-        return sorted({_as_int(r, "dimension") for r in self.records if r.section == section})
+        return sorted({_field(r, "dimension", int) for r in self.records if r.section == section})
 
     def model(self, section: str, dimension: int | None = None):
         """The DefectModel or AnharmonicModel built from one model section's records."""
@@ -134,12 +123,12 @@ class ModelConfig:
         table: dict = {}
         shifts: dict = {}
         for record in self.records:
-            if record.section != section or _as_int(record, "dimension") != dimension:
+            if record.section != section or _field(record, "dimension", int) != dimension:
                 continue
-            l = _as_int(record, l_key)
-            key = (l, _as_int(record, n_key)) if n_key in record.fields else l
-            table[key] = _as_float(record, value_key)
-            shifts[l] = _as_int(record, "shift")
+            l = _field(record, l_key, int)
+            key = (l, _field(record, n_key, int)) if n_key in record.fields else l
+            table[key] = _field(record, value_key, float)
+            shifts[l] = _field(record, "shift", int)
         if not table:
             raise ConfigError(f"no [{section}] records for dimension {dimension}")
         return model_class(dimension, table, shifts)
@@ -159,15 +148,15 @@ class ModelConfig:
                 continue
             species = record.fields.get("species", "custom")
             if species == "custom":
-                charge = _as_float(record, "e_coulomb")
-                mass = _as_float(record, "m_kg")
+                charge = _field(record, "e_coulomb", float)
+                mass = _field(record, "m_kg", float)
             else:
-                charge = _as_float(record, "e_coulomb") if "e_coulomb" in record.fields else None
-                mass = _as_float(record, "m_kg") if "m_kg" in record.fields else None
+                charge = _field(record, "e_coulomb", float) if "e_coulomb" in record.fields else None
+                mass = _field(record, "m_kg", float) if "m_kg" in record.fields else None
             return geonium.trap_config(
-                magnetic_field=_as_float(record, "B_tesla"),
-                electrode_voltage=_as_float(record, "V_volt"),
-                trap_length=_as_float(record, "d_meter"),
+                magnetic_field=_field(record, "B_tesla", float),
+                electrode_voltage=_field(record, "V_volt", float),
+                trap_length=_field(record, "d_meter", float),
                 species=species,
                 charge=charge,
                 mass=mass,

@@ -213,16 +213,13 @@ def susy_pair_record(family, dimension, angular, grid_min=0.1, grid_max=12.0, po
         {"x": x, "v_plus": a, "v_minus": b, "difference": diff}
         for x, a, b, diff in zip(grid.tolist(), vp.tolist(), vm.tolist(), difference.tolist())
     ]
-    shift_defect = float(
-        np.max(np.abs((difference - pair.shift_constant) * grid**2 - pair.centrifugal_shift_coeff))
-    )
     return OutputRecord(
         command="susy-pair",
         inputs={"family": family, "dimension": dimension, "angular": angular},
         columns=["x", "v_plus", "v_minus", "difference"],
         rows=rows,
         diagnostics=[
-            Diagnostic("shift_identity_defect", shift_defect, SHIFT_IDENTITY_TOL),
+            Diagnostic("shift_identity_defect", susy.shift_identity_defect(pair, grid), SHIFT_IDENTITY_TOL),
             Diagnostic("ground_annihilation_residual", annihilation, RESIDUAL_TOL),
         ],
     )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from ._np import as_float, np
 from .errors import AdmissibilityError
-from .specfun import finite_pointwise, pointwise, positive_grid
+from .specfun import finite_pointwise, pointwise, positive_grid, refuse_non_finite
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,12 @@ class Superpotential:
     def __post_init__(self):
         if self.power not in (1, 2):
             raise AdmissibilityError(f"power must be 1 or 2, got {self.power!r}")
-        # refused here, not at the first evaluation
+        # refused here, not at the first evaluation; kept as floats, so no integer product wraps
         for name in ("power_coeff", "log_coeff"):
-            value = getattr(self, name)
-            if not math.isfinite(as_float(value, name)):
+            value = as_float(getattr(self, name), name)
+            if not math.isfinite(value):
                 raise AdmissibilityError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
         if not (self.power_coeff > 0.0):
             raise AdmissibilityError("power_coeff must be positive for a confining pair")
 
@@ -95,6 +96,10 @@ class SusyPair:
     """Partner potentials assembled analytically from one superpotential."""
 
     def __init__(self, superpotential: Superpotential):
+        # every partner coefficient is built from a*a, a*b and b*b: refused here, not at evaluation
+        a, b = superpotential.power_coeff, superpotential.log_coeff
+        if not all(map(math.isfinite, (a * a, a * b, b * b))):
+            raise AdmissibilityError(f"partner coefficients of {superpotential} leave float range")
         self.superpotential = superpotential
 
     def v_plus(self, x):
@@ -178,8 +183,7 @@ class RadialOperator:
             )
 
     def potential(self, x):
-        out = self._potential(positive_grid(x))
-        return float(out) if np.ndim(x) == 0 else out
+        return finite_pointwise(lambda grid, orders: [self._potential(grid)], x, 0, "V")
 
     def _coefficients(self):
         return self.coulomb_strength, self.oscillator_strength, self.centrifugal, self.constant_shift
@@ -196,6 +200,21 @@ def radial_potential(arr, coulomb_strength, oscillator_strength, centrifugal, co
         + centrifugal / arr**2
         + constant_shift
     )
+
+
+def shift_identity_defect(pair: SusyPair, grid) -> float:
+    """max |(V- - V+ - c) x^2 - k| / (max(|V-|, |V+|) x^2), c and k the shift's constant and 1/x^2 coefficient.
+
+    Relative to the partners, the rounding of their cancellation is no defect.  x^2 is divided out, partners
+    that underflow count as the smallest normal float, and a defect out of float range is refused.
+    """
+    grid = positive_grid(grid)
+    with np.errstate(all="ignore"):
+        v_plus, v_minus = pair._partners(grid, (0, 1))
+        defect = np.abs(v_minus - v_plus - pair.shift_constant - pair.centrifugal_shift_coeff / grid / grid)
+        defect /= np.maximum(np.maximum(np.abs(v_minus), np.abs(v_plus)), np.finfo(float).tiny)
+    refuse_non_finite(defect, grid, "shift identity defect")
+    return float(np.max(defect))
 
 
 def apply_operator(op: RadialOperator, psi, x_grid, eigenvalue: float | None = None):

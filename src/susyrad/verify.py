@@ -6,7 +6,9 @@ deliberately re-derive expectations from closed forms or independent routes:
 exact-rational direct polynomial sums, Gram-matrix quadrature and, for the
 Laguerre derivative identity of criterion 9, a Richardson-extrapolated central
 difference.  The derivatives of the states themselves are never differenced;
-their residuals use the analytic product rule.
+their residuals use the analytic product rule.  Criterion 4 measures the partner
+shift as the `susy-pair` verb does, relative to the partners
+(`susy.shift_identity_defect`).
 """
 
 from __future__ import annotations
@@ -69,70 +71,61 @@ def check_hydrogen_spectrum() -> CheckResult:
 # --- criterion 2 -----------------------------------------------------------
 
 
-def _coulomb_grid(n, gamma):
-    return np.linspace(0.05, 20.0 * (n + gamma), 240)
-
-
 _OSC_GRID = np.linspace(0.05, 6.0, 240)
+
+
+def _state_grid(state):
+    """The grid a state's residual and annihilation are measured on: its family's."""
+    if isinstance(state, oscillator.OscillatorState):
+        return _OSC_GRID
+    return np.linspace(0.05, 20.0 * (state.principal + state.gamma), 240)
+
+
 # states per residual batch: a fixed row budget that bounds the batch's temporaries
 _BATCH_ROWS = 16
 
 
-def synthetic_defect_models():
+def synthetic_models(model_class, dims, amounts):
+    """Models of one class: each amount at l = 0 and half of it at l = 1, one shift for both."""
     return [
-        qdt.DefectModel(d, {0: delta, 1: delta / 2.0}, {0: i, 1: i})
-        for d in (2, 3, 4, 5) for delta in (0.15, 0.4, 0.75) for i in (0, 1)
+        model_class(d, {0: amount, 1: amount / 2.0}, {0: i, 1: i})
+        for d in dims for amount in amounts for i in (0, 1)
     ]
 
 
-def synthetic_anharmonic_models():
-    return [
-        qdt.AnharmonicModel(d, {0: Delta, 1: Delta / 2.0}, {0: I, 1: I})
-        for d in (2, 3, 4, 6) for Delta in (0.1, 0.3) for I in (0, 1)
-    ]
+# per family: its exact state class, n - l of its ground state, the step between the n of
+# one l, the n of the exact states and the synthetic_models arguments
+_FORM_FAMILIES = (
+    (coulomb.CoulombState, 1, 1, range(1, 7), (qdt.DefectModel, (2, 3, 4, 5), (0.15, 0.4, 0.75))),
+    (oscillator.OscillatorState, 0, 2, range(0, 9), (qdt.AnharmonicModel, (2, 3, 4, 6), (0.1, 0.3))),
+)
 
 
-def _coulomb_form_cases(used):
-    """(state, grid) of the Coulomb family and the defect models; a model that contributes joins used."""
+def _form_cases(family, used):
+    """(state, grid) of a family's exact states, then of its models; a model that contributes joins used."""
+    exact, ground_gap, step, principals, models = family
     for d in range(2, 7):
-        g = coulomb.gamma_shift(d)
-        for n in range(1, 7):
-            for l in range(n):
-                yield coulomb.CoulombState(d, n, l), _coulomb_grid(n, g)
-    for model in synthetic_defect_models():
+        for n in principals:
+            for l in range((n - ground_gap) % step, n - ground_gap + 1, step):
+                state = exact(d, n, l)
+                yield state, _state_grid(state)
+    for model in synthetic_models(*models):
         for l in (0, 1):
-            i = model.shift(l)
-            for n in range(l + i + 1, l + i + 4):
+            # the ground n of the shifted l, then the next two of its parity
+            start = l + step * model.shift(l) + ground_gap
+            for n in range(start, start + 3 * step, step):
                 try:
                     state = model.state(n, l)
                 except AdmissibilityError:
                     continue
                 used.add(model)
-                yield state, _coulomb_grid(n, model.gamma)
-
-
-def _oscillator_form_cases(used):
-    """(state, grid) of the oscillator family and the anharmonic models, as _coulomb_form_cases."""
-    for d in range(2, 7):
-        for n in range(0, 9):
-            for l in range(n % 2, n + 1, 2):
-                yield oscillator.OscillatorState(d, n, l), _OSC_GRID
-    for model in synthetic_anharmonic_models():
-        for l in (0, 1):
-            start = l + 2 * model.shift(l)
-            for n in range(start, start + 5, 2):
-                try:
-                    state = model.state(n, l)
-                except AdmissibilityError:
-                    continue
-                used.add(model)
-                yield state, _OSC_GRID
+                yield state, _state_grid(state)
 
 
 def check_radial_residuals() -> CheckResult:
     def body():
         worst, count, used = 0.0, 0, set()
-        for cases in (_coulomb_form_cases(used), _oscillator_form_cases(used)):
+        for cases in (_form_cases(family, used) for family in _FORM_FAMILIES):
             # one batch of states and grids at a time, so a batch bounds what is held
             while batch := list(itertools.islice(cases, _BATCH_ROWS)):
                 states, grids = zip(*batch)
@@ -200,50 +193,25 @@ def check_orthonormality() -> CheckResult:
 # --- criterion 4 -----------------------------------------------------------
 
 
+# per family: superpotential, state class, n - l of the ground state, dimensions, shift grid
+_SUSY_FAMILIES = (
+    (susy.coulomb_superpotential, coulomb.CoulombState, 1, (2, 3, 4, 5, 6), np.linspace(0.1, 20.0, 160)),
+    (susy.oscillator_superpotential, oscillator.OscillatorState, 0, (2, 3, 4, 6), np.linspace(0.1, 6.0, 160)),
+)
+
+
 def check_susy_structure() -> CheckResult:
     def body():
-        shift_defect = 0.0
-        grid = np.linspace(0.1, 20.0, 160)
-        for d in (2, 3, 4, 5, 6):
-            g = coulomb.gamma_shift(d)
-            for l in range(4):
-                pair = susy.SusyPair(susy.coulomb_superpotential(l, g))
-                expected = 2.0 * (l + g + 1.0) / grid**2
-                shift_defect = max(
-                    shift_defect,
-                    float(np.max(np.abs(pair.v_minus(grid) - pair.v_plus(grid) - expected))),
-                )
-        ygrid = np.linspace(0.1, 6.0, 160)
-        for d in (2, 3, 4, 6):
-            g = coulomb.gamma_shift(d)
-            for l in range(4):
-                pair = susy.SusyPair(susy.oscillator_superpotential(l, g))
-                diff = pair.v_minus(ygrid) - pair.v_plus(ygrid)
-                # full difference is U'' = 2 + 2(L+Gamma+1)/Y^2; the printed
-                # partner identity gives the 1/Y^2 coefficient only
-                expected = 2.0 + 2.0 * (l + g + 1.0) / ygrid**2
-                shift_defect = max(shift_defect, float(np.max(np.abs(diff - expected))))
-                coeff = (diff - pair.shift_constant) * ygrid**2
-                shift_defect = max(
-                    shift_defect, float(np.max(np.abs(coeff - 2.0 * (l + g + 1.0))))
-                )
+        shift_defect = annihilation = 0.0
+        for superpotential, exact, ground_gap, dims, grid in _SUSY_FAMILIES:
+            for d in dims:
+                for l in range(4):
+                    u = superpotential(l, coulomb.gamma_shift(d))
+                    ground = exact(d, l + ground_gap, l)
+                    shift_defect = max(shift_defect, susy.shift_identity_defect(susy.SusyPair(u), grid))
+                    annihilation = max(annihilation, susy.annihilation_residual(u, ground, _state_grid(ground)))
         if shift_defect > 1e-12:
             return 1.0, f"partner-shift identity defect {shift_defect:.3e}"
-
-        annihilation = 0.0
-        for d in (2, 3, 4, 5, 6):
-            g = coulomb.gamma_shift(d)
-            for l in range(4):
-                u = susy.coulomb_superpotential(l, g)
-                ground = coulomb.CoulombState(d, l + 1, l)
-                gridl = _coulomb_grid(l + 1, g)
-                annihilation = max(annihilation, susy.annihilation_residual(u, ground, gridl))
-        for d in (2, 3, 4, 6):
-            g = coulomb.gamma_shift(d)
-            for l in range(4):
-                u = susy.oscillator_superpotential(l, g)
-                ground = oscillator.OscillatorState(d, l, l)
-                annihilation = max(annihilation, susy.annihilation_residual(u, ground, _OSC_GRID))
         if annihilation > 1e-8:
             return 1.0, f"ground-state annihilation residual {annihilation:.3e}"
 
@@ -281,6 +249,9 @@ def check_exact_maps() -> CheckResult:
         for d in range(2, 6):
             for n in range(1, 5):
                 for l in range(n):
+                    if d == 3:
+                        # raises unless the lambda = 1 hydrogen map gives the (2, 2n-1, 2l+1) closed form
+                        geonium.coulomb_to_geonium(n, l)
                     for lam in (0, 1):
                         solved = maps.solve_map_parameters((d, n, l), lam, mode="exact")
                         if isinstance(solved, maps.ConstraintReport):
@@ -295,13 +266,6 @@ def check_exact_maps() -> CheckResult:
                             raise AssertionError(
                                 f"broken map with zero breaking differs from exact at {(d, n, l, lam)}"
                             )
-        for n in range(1, 5):
-            for l in range(n):
-                solved = maps.solve_map_parameters((3, n, l), 1, mode="exact")
-                if solved.target != (2, 2 * n - 1, 2 * l + 1):
-                    raise AssertionError(
-                        f"lambda=1 hydrogen map gave {solved.target}, expected {(2, 2*n-1, 2*l+1)}"
-                    )
         return worst, f"{verified} admissible exact maps verified"
 
     return _run(5, "exact-maps", 1e-8, body)
@@ -332,24 +296,26 @@ def check_odd_dimension_map() -> CheckResult:
 # --- criterion 7 -----------------------------------------------------------
 
 
+# per family: exact state class, model class, dimensions, (n, l) cases, top of a state's points
+_REDUCTION_FAMILIES = (
+    (coulomb.CoulombState, qdt.DefectModel, (2, 3, 5), ((1, 0), (3, 1), (5, 0)),
+     lambda state: 15.0 * (state.principal + state.gamma)),
+    (oscillator.OscillatorState, qdt.AnharmonicModel, (2, 3, 6), ((0, 0), (3, 1), (6, 0)), lambda state: 5.0),
+)
+
+
 def check_reduction_limits() -> CheckResult:
     def body():
         rng = np.random.default_rng(_RNG_SEED)
         worst = 0.0
-        for d in (2, 3, 5):
-            model = qdt.DefectModel(d, {0: 0.0, 1: 0.0}, {0: 0, 1: 0})
-            for (n, l) in ((1, 0), (3, 1), (5, 0)):
-                plain = coulomb.CoulombState(d, n, l)
-                starred = model.state(n, l)
-                pts = rng.uniform(0.05, 15.0 * (n + plain.gamma), size=100)
-                worst = max(worst, float(np.max(np.abs(starred.value(pts) - plain.value(pts)))))
-        for d in (2, 3, 6):
-            model = qdt.AnharmonicModel(d, {0: 0.0, 1: 0.0}, {0: 0, 1: 0})
-            for (n, l) in ((0, 0), (3, 1), (6, 0)):
-                plain = oscillator.OscillatorState(d, n, l)
-                starred = model.state(n, l)
-                pts = rng.uniform(0.05, 5.0, size=100)
-                worst = max(worst, float(np.max(np.abs(starred.value(pts) - plain.value(pts)))))
+        for exact, zero_model, dims, cases, top in _REDUCTION_FAMILIES:
+            for d in dims:
+                model = zero_model(d, {0: 0.0, 1: 0.0}, {0: 0, 1: 0})
+                for (n, l) in cases:
+                    plain = exact(d, n, l)
+                    starred = model.state(n, l)
+                    pts = rng.uniform(0.05, top(plain), size=100)
+                    worst = max(worst, float(np.max(np.abs(starred.value(pts) - plain.value(pts)))))
         return worst, "zero-defect states against the exact families"
 
     return _run(7, "reduction-limits", 1e-12, body)

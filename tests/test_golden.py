@@ -6,7 +6,8 @@ stdout, stderr and exit code byte for byte.  numpy RuntimeWarnings are
 silenced while a case runs: they report on evaluation, not on what the
 program prints.  Wall-clock ``"seconds"`` fields (the `verify` report) are
 masked, since they are the only output that varies between runs.  A changed
-golden file needs a stated reason in CHANGES.md.
+golden file needs a stated reason in CHANGES.md.  Every diagnostic a golden
+file prints holds within the tolerance printed beside it.
 
 Regenerate the files with ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -14,6 +15,7 @@ Regenerate the files with ``PYTHONPATH=src python tests/test_golden.py``.
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import re
 import warnings
@@ -79,6 +81,7 @@ CASES = [
 
 _SUFFIXES = (".out", ".err")  # stdout, stderr; a file is absent when its stream is empty
 _SECONDS = re.compile(r'"seconds": [^,\n]+')
+_CSV_DIAGNOSTIC = re.compile(r"^# diagnostic: (\S+) = (\S+) \(tolerance (\S+)\)$", re.MULTILINE)
 
 
 @contextlib.contextmanager
@@ -117,6 +120,30 @@ def _expected(name):
 @pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
 def test_cli_output_matches_golden(name, argv):
     assert _run(argv) == _expected(name)
+
+
+def _diagnostics(name):
+    """(name, value, tolerance) of each diagnostic in a golden stdout, CSV or JSON."""
+    path = GOLDEN_DIR / f"{name}.out"
+    if not path.exists():
+        return []
+    text = path.read_text(encoding="utf-8")
+    if not name.endswith("_json"):
+        return [(diag, float(value), float(tol)) for diag, value, tol in _CSV_DIAGNOSTIC.findall(text)]
+    record = json.loads(text)
+    # the verify report is a list of checks, not a record with diagnostics
+    diagnostics = record.get("diagnostics", []) if isinstance(record, dict) else []
+    return [(d["name"], d["value"], d["tolerance"]) for d in diagnostics]
+
+
+_DIAGNOSED = [name for name, _ in CASES if _diagnostics(name)]
+
+
+@pytest.mark.parametrize("name", _DIAGNOSED)
+def test_golden_diagnostics_within_their_tolerance(name):
+    for diag, value, tolerance in _diagnostics(name):
+        if diag != "node_count":  # a count, printed with tolerance 0
+            assert value <= tolerance, (diag, value, tolerance)
 
 
 def _regenerate():

@@ -149,15 +149,18 @@ def test_superpotentials_and_partners(a, b, power, l, gamma, x):
     for u in (u for u in built if u is not None):
         for method in ("u", "u_prime", "u_double_prime", "u_third_derivative"):
             _finite_or_refused(_call(getattr(u, method), x))
-        pair = susyrad.SusyPair(u)
+        _call(susyrad.apply_supercharge, u, susyrad.OscillatorState(2, 1, 1), x)
+        pair = _call(susyrad.SusyPair, u)
+        if pair is None:
+            continue
         for method in ("v_plus", "v_minus", "partner_shift"):
             _finite_or_refused(_call(getattr(pair, method), x))
         for operator in (pair.plus_operator, pair.minus_operator):
             op = _call(operator)
             if op is not None:
-                _call(op.potential, x)
-        _call(lambda: pair.energy_zero_offset)
-        _call(susyrad.apply_supercharge, u, susyrad.OscillatorState(2, 1, 1), x)
+                _finite_or_refused(_call(op.potential, x))
+        _finite_or_refused(_call(lambda: pair.energy_zero_offset))
+        _finite_or_refused(_call(susy.shift_identity_defect, pair, x))
 
 
 @FUZZ
@@ -253,6 +256,15 @@ FOUND = {
         lambda: susyrad.coulomb_superpotential(1e308, 1e308), r"l \+ gamma \+ 1 must be finite"),
     "Superpotential(1e308, 0, 2).u(30)": (
         lambda: susyrad.Superpotential(1e308, 0.0, 2).u(30.0), r"^U\(30\.0\) is out of float range$"),
+    "SusyPair(Superpotential(1e200, -2, 2))": (
+        lambda: susyrad.SusyPair(susyrad.Superpotential(1e200, -2.0, 2)),
+        "partner coefficients of .* leave float range"),
+    "SusyPair(Superpotential(1e200, -2, 1))": (
+        lambda: susyrad.SusyPair(susyrad.Superpotential(1e200, -2.0, 1)),
+        "partner coefficients of .* leave float range"),
+    "RadialOperator.potential(5e-324)": (
+        lambda: susyrad.SusyPair(susyrad.coulomb_superpotential(0)).plus_operator().potential(5e-324),
+        r"^V\(5e-324\) is out of float range$"),
     "SusyPair.v_plus(5e-324)": (
         lambda: susyrad.SusyPair(susyrad.coulomb_superpotential(0)).v_plus(np.array([1.0, 5e-324])),
         r"^V\+\(5e-324\) is out of float range$"),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susyrad import coulomb, oscillator
 from susyrad.errors import AdmissibilityError, DomainError
@@ -12,6 +14,7 @@ from susyrad.susy import (
     apply_supercharge,
     coulomb_superpotential,
     oscillator_superpotential,
+    shift_identity_defect,
 )
 
 GRID = np.linspace(0.05, 50.0, 400)
@@ -46,6 +49,13 @@ class TestSuperpotential:
         assert u.u_prime(x) == pytest.approx(1.0 * x - 3.0 / x, rel=1e-15)
         assert u.u_double_prime(x) == pytest.approx(1.0 + 3.0 / x**2, rel=1e-15)
         assert u.u_third_derivative(x) == pytest.approx(-6.0 / x**3, rel=1e-15)
+
+    def test_integer_coefficients_are_kept_as_floats(self):
+        # an int64 coefficient used to wrap in 2*a and a*a: U'' came out -9.2e18
+        u = Superpotential(np.int64(2**62 + 1), 0.0, 2)
+        assert type(u.power_coeff) is float and type(u.log_coeff) is float
+        assert u.u_double_prime(1.0) == 2.0 * 2.0**62
+        assert SusyPair(u).plus_operator().oscillator_strength == 2.0**124
 
     def test_factory_coefficients(self):
         u = coulomb_superpotential(2, 0.5)
@@ -135,6 +145,42 @@ class TestPartnerPotentials:
         assert np.max(np.abs(pair.plus_operator().potential(grid) - pair.v_plus(grid))) < 1e-12
         assert np.max(np.abs(pair.minus_operator().potential(grid) - pair.v_minus(grid))) < 1e-12
 
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_refuses_coefficients_whose_products_leave_float_range(self, power):
+        with pytest.raises(AdmissibilityError, match="partner coefficients"):
+            SusyPair(Superpotential(1e200, -2.0, power))
+        with pytest.raises(AdmissibilityError, match="partner coefficients"):
+            SusyPair(Superpotential(1.0, -1e200, power))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        dimension=st.integers(2, 12),
+        angular=st.integers(0, 200),
+        oscillator_family=st.booleans(),
+        grid_max=st.floats(1e-2, 1e3),
+        points=st.integers(1, 400),
+    )
+    def test_shift_identity_defect_is_rounding(
+        self, dimension, angular, oscillator_family, grid_max, points
+    ):
+        # relative to the partners, the identity holds to rounding for both families
+        factory = oscillator_superpotential if oscillator_family else coulomb_superpotential
+        pair = SusyPair(factory(angular, coulomb.gamma_shift(dimension)))
+        grid = np.linspace(grid_max / points, grid_max, points)
+        assert shift_identity_defect(pair, grid) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "pair, grid",
+        [(SusyPair(oscillator_superpotential(0, -0.5)), np.linspace(0.1, 12.0, 120)),
+         (SusyPair(oscillator_superpotential(4, 2.0)), np.linspace(0.1, 12.0, 120))],
+        ids=["oscillator-d2", "oscillator-d7-l4"],
+    )
+    def test_shift_identity_defect_of_the_verb_defaults(self, pair, grid):
+        # the absolute coefficient form gave 3.2e-12 and 1.6e-12 here, past its 1e-12 tolerance
+        coeff = (pair.v_minus(grid) - pair.v_plus(grid) - pair.shift_constant) * grid**2
+        assert np.max(np.abs(coeff - pair.centrifugal_shift_coeff)) > 1e-12
+        assert shift_identity_defect(pair, grid) <= 1e-15
+
     def test_energy_zero_offsets(self):
         coul = SusyPair(coulomb_superpotential(0, 0.0))
         assert coul.energy_zero_offset == pytest.approx(0.25)
@@ -164,6 +210,11 @@ class TestRadialOperator:
         op = RadialOperator(coulomb_strength=1.0, oscillator_strength=0.0,
                             centrifugal=2.0, constant_shift=0.25)
         assert op.potential(2.0) == pytest.approx(0.25 - 0.5 + 0.5)
+
+    def test_refuses_a_value_out_of_float_range(self):
+        op = RadialOperator(1.0, 0.0, 2.0)
+        with pytest.raises(DomainError, match=r"^V\(5e-324\) is out of float range$"):
+            op.potential(np.array([1.0, 5e-324]))
 
     def test_rejects_nonpositive_grid(self):
         op = RadialOperator(1.0, 0.0, 0.0)
