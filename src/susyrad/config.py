@@ -127,8 +127,14 @@ class ModelConfig:
                 continue
             l = _field(record, l_key, int)
             key = (l, _field(record, n_key, int)) if n_key in record.fields else l
-            table[key] = _field(record, value_key, float)
-            shifts[l] = _field(record, "shift", int)
+            value, shift = _field(record, value_key, float), _field(record, "shift", int)
+            where = f"[{section}] near line {record.line}"
+            if key in table:
+                name = f"({l_key}, {n_key}) = {key}" if key != l else f"{l_key} = {l}"
+                raise ConfigError(f"{where}: a second entry for {name}")
+            if shifts.setdefault(l, shift) != shift:
+                raise ConfigError(f"{where}: shift {shift} conflicts with shift {shifts[l]} for {l_key} = {l}")
+            table[key] = value
         if not table:
             raise ConfigError(f"no [{section}] records for dimension {dimension}")
         return model_class(dimension, table, shifts)

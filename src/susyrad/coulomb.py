@@ -105,12 +105,6 @@ class CoulombState(ExponentialLaguerreForm):
     def energy(self) -> float:
         return -1.0 / (2.0 * (self.n_star + self.gamma) ** 2)
 
-    # perfbench/tracer.py wraps the eval methods in each state class's own __dict__
-    value = __call__ = ExponentialLaguerreForm.value
-    derivative = ExponentialLaguerreForm.derivative
-    second_derivative = ExponentialLaguerreForm.second_derivative
-    third_derivative = ExponentialLaguerreForm.third_derivative
-
     def operator(self) -> susy.RadialOperator:
         lg = self.l_star + self.gamma
         return susy.RadialOperator(

@@ -80,12 +80,6 @@ class OscillatorState(GaussianLaguerreForm):
     def energy(self) -> float:
         return (2.0 * self.n_star + 2.0 * self.gamma + 3.0) / 2.0
 
-    # perfbench/tracer.py wraps the eval methods in each state class's own __dict__
-    value = __call__ = GaussianLaguerreForm.value
-    derivative = GaussianLaguerreForm.derivative
-    second_derivative = GaussianLaguerreForm.second_derivative
-    third_derivative = GaussianLaguerreForm.third_derivative
-
     def operator(self) -> susy.RadialOperator:
         lg = self.l_star + self.gamma
         return susy.RadialOperator(

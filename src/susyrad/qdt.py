@@ -17,10 +17,11 @@ admissibility and the states themselves belong to `CoulombState` and
 
 from __future__ import annotations
 
+from . import coulomb, oscillator
 from ._np import _lazy_module, np
-from .coulomb import CoulombState, check_defect, check_integer, check_shift, gamma_shift
+from .coulomb import CoulombState, check_defect, check_shift, gamma_shift
 from .errors import AdmissibilityError
-from .oscillator import OscillatorState, check_anharmonicity, check_quantum_numbers
+from .oscillator import OscillatorState, check_anharmonicity
 
 specfun = _lazy_module(f"{__package__}.specfun")
 
@@ -76,17 +77,11 @@ class DefectState(CoulombState):
 
     def __init__(self, model: DefectModel, principal: int, angular: int):
         # checks before the table lookups and before int(), so a non-integer is refused, not truncated
-        check_integer(principal, "principal number", 1)
-        check_integer(angular, "angular number", 0)
+        coulomb.check_quantum_numbers(principal, angular)
         n, l = int(principal), int(angular)
         self.model = model
         self.dimension, self.principal, self.angular = model.dimension, n, l
         self._set_starred(model.gamma, model.delta(l, n), model.shift(l))
-
-    # perfbench/tracer.py wraps the eval methods in each state class's own __dict__
-    value, __call__ = CoulombState.value, CoulombState.__call__
-    derivative, second_derivative = CoulombState.derivative, CoulombState.second_derivative
-    third_derivative = CoulombState.third_derivative
 
 
 def rydberg_energy(model: DefectModel, principal: int, angular: int) -> float:
@@ -142,16 +137,11 @@ class AnharmonicState(OscillatorState):
     """Oscillator-form state with starred quantum numbers from an AnharmonicModel."""
 
     def __init__(self, model: AnharmonicModel, principal: int, angular: int):
-        check_quantum_numbers(principal, angular)
+        oscillator.check_quantum_numbers(principal, angular)
         n, l = int(principal), int(angular)
         self.model = model
         self.dimension, self.principal, self.angular = model.dimension, n, l
         self._set_starred(model.gamma, model.anharmonicity(l, n), model.shift(l))
-
-    # perfbench/tracer.py wraps the eval methods in each state class's own __dict__
-    value, __call__ = OscillatorState.value, OscillatorState.__call__
-    derivative, second_derivative = OscillatorState.derivative, OscillatorState.second_derivative
-    third_derivative = OscillatorState.third_derivative
 
 
 def breaking_potential_oscillator(model: AnharmonicModel, principal: int, angular: int, y):

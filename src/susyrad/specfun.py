@@ -2,10 +2,11 @@
 
 The polynomials here are the generalized Laguerre family L_n^(a) with real
 order a > -1, evaluated by the three-term recurrence in the degree, one batch
-of rows (degree, order) at a time; the public card evaluators are the batch
-of one.  A direct power-series evaluator in exact integer arithmetic is kept
-alongside as a reference oracle; it rounds once per point, but its cost
-grows fast with the degree, which is why the recurrence is the production path.
+of rows (degree, order) at a time; `laguerre_stack` builds every derivative
+stack from it, and a card evaluator is its stack of one.  A direct
+power-series evaluator in exact integer arithmetic is kept alongside as a
+reference oracle; it rounds once per point, but its cost grows fast with the
+degree, which is why the recurrence is the production path.
 
 Quadrature comes in two shapes that share one node-doubling loop:
 `integrate_half_line` / `inner_product` take arbitrary callables and find
@@ -163,21 +164,39 @@ def _recurrence(degrees, orders, x):
     return out
 
 
+def laguerre_stack(degrees, orders, t, order):
+    """d^j/dt^j L_n^(a)(t) = (-1)^j L_{n-j}^(a+j)(t) for j <= order, per row; zero once j > n.
+
+    t is an argument `_check_argument` has passed.  The rows come in order of
+    descending degree, so those of degree >= j are a prefix, and each j is
+    one recurrence over it.
+    """
+    rows, stack = len(degrees), []
+    for j in range(order + 1):
+        live = sum(n >= j for n in degrees)
+        if live:
+            x = t[:live] if t.ndim == 2 else t
+            p = _recurrence([n - j for n in degrees[:live]], [a + j for a in orders[:live]], x)
+            if j % 2:
+                np.negative(p, out=p)
+        if live < rows:
+            zeros = np.zeros((rows - live, t.shape[-1]))
+            p = np.concatenate([p, zeros]) if live else zeros
+        stack.append(p)
+    return stack
+
+
 def _card_values(poly, x, derivative):
-    """d^j/dx^j L_n^(a)(x) = (-1)**j L_{n-j}^(a+j)(x) for j = derivative in {0, 1}.
+    """Row derivative, in {0, 1}, of the card's stack of one (`laguerre_stack`).
 
     A value out of float range is refused as the oracle refuses it, with
     numpy's overflow warning silenced first.
     """
     arr = _check_argument(x)
-    degree = poly.degree - derivative
-    if degree < 0:
-        out = np.zeros_like(arr)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            row = _recurrence([degree], [float(poly.order) + derivative], arr.reshape(-1))[0]
-        out = (-row if derivative else row).reshape(arr.shape)
-        refuse_non_finite(out, arr, f"{'d/dx ' if derivative else ''}L_{poly.degree}^({poly.order!r})")
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = laguerre_stack([poly.degree], [float(poly.order)], arr.reshape(-1), derivative)
+    out = stack[derivative][0].reshape(arr.shape)
+    refuse_non_finite(out, arr, f"{'d/dx ' if derivative else ''}L_{poly.degree}^({poly.order!r})")
     return float(out) if np.ndim(x) == 0 else out
 
 

@@ -7,8 +7,8 @@ exact-rational direct polynomial sums, Gram-matrix quadrature and, for the
 Laguerre derivative identity of criterion 9, a Richardson-extrapolated central
 difference.  The derivatives of the states themselves are never differenced;
 their residuals use the analytic product rule.  Criterion 4 measures the partner
-shift as the `susy-pair` verb does, relative to the partners
-(`susy.shift_identity_defect`).
+shift as `susy-pair` does, relative to the partners (`susy.shift_identity_defect`),
+and criterion 8 reads the records that the trap verbs print.
 """
 
 from __future__ import annotations
@@ -340,12 +340,11 @@ def check_penning_trap() -> CheckResult:
                 sign = -1.0 if k % 2 else 1.0
                 charge = sign * float(rng.uniform(1.0, 5.0)) * abs(geonium.PROTON.charge)
                 mass = float(rng.uniform(0.5, 100.0)) * geonium.PROTON.mass
-            v = geonium.susy_operating_point(b, d_trap, charge, mass)
+            record = reports.trap_operating_point_record(b, d_trap, charge, mass)
+            v = record.rows[0]["V_volt"]
             if not charge * v > 0.0:
                 raise AssertionError("operating point violates e*V > 0")
-            config = geonium.TrapConfig(b, v, d_trap, charge, mass)
-            freqs = geonium.trap_frequencies(config)
-            worst = max(worst, abs(freqs.cyclotron / freqs.axial - 1.0))
+            worst = max(worst, record.diagnostics[0].value)  # frequency_match
             for bad in (-v, 0.0):
                 try:
                     geonium.TrapConfig(b, bad, d_trap, charge, mass)
@@ -354,12 +353,9 @@ def check_penning_trap() -> CheckResult:
                 else:
                     raise AssertionError(f"e*V = {charge * bad:g} accepted")
         for big_l in (0, 1, 2):
-            for big_n in range(big_l, 11, 2):
-                level = geonium.GeoniumLevel(big_n, big_l, 0.0)
-                if level.energy != big_n + 1:
-                    raise AssertionError(
-                        f"harmonic level N={big_n} gave {level.energy}, expected {big_n + 1}"
-                    )
+            for row in reports.trap_levels_record(big_l, 10).rows:
+                if row.get("energy_quanta") != row["N"] + 1:
+                    raise AssertionError(f"harmonic level {row} is not N + 1 quanta")
         return worst, "50 random operating-point configs plus stability and ladder checks"
 
     return _run(8, "penning-trap", 1e-12, body)

@@ -18,6 +18,7 @@ from susyrad.errors import AdmissibilityError, ParityError
 from susyrad.geonium import GeoniumLevel
 from susyrad.maps import ConstraintReport, MapSpec, solve_map_parameters
 from susyrad.oscillator import OscillatorState
+from susyrad.qdt import DefectModel
 
 _INTEGRALITY_TOL = 1e-9
 
@@ -204,6 +205,33 @@ def test_hydrogen_R_raises_exactly_as_its_state(n, l):
     assert radial[0] == state[0]
     if radial[0] == "raise":
         assert radial[1:] == state[1:]
+
+
+@PROPERTY
+@given(
+    st.one_of(st.integers(-2, 9), st.sampled_from([1.0, 2.0])),
+    st.one_of(st.integers(-2, 9), st.sampled_from([0.0, 1.0])),
+    st.sampled_from([0.0, 0.1, 0.75]),
+    st.integers(0, 2),
+)
+def test_defect_state_raises_exactly_as_its_coulomb_state(n, l, delta, shift):
+    model = DefectModel(3, {k: delta for k in range(10)}, {k: shift for k in range(10)})
+    defect = _outcome(model.state, n, l)
+    state = _outcome(CoulombState, 3, n, l, delta=delta, shift=shift)
+    assert defect[0] == state[0]
+    if defect[0] == "raise":
+        assert defect[1:] == state[1:]
+    else:
+        assert defect[1].energy == state[1].energy
+
+
+def test_defect_model_refuses_l_above_n_as_the_state_does():
+    message = "angular number must satisfy 0 <= l <= n-1, got l=2 n=1"
+    for build in (lambda: DefectModel(3, {2: 0.1}, {2: 0}).state(1, 2),
+                  lambda: CoulombState(3, 1, 2, delta=0.1)):
+        with pytest.raises(AdmissibilityError) as caught:
+            build()
+        assert str(caught.value) == message
 
 
 @pytest.mark.parametrize(("big_n", "big_l"), [(2, 1), (5, 0)])

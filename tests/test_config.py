@@ -135,6 +135,31 @@ class TestDefectModel:
                 )
             ).defect_model()
 
+    # a conflicting entry is refused, naming its record's line, instead of silently winning
+    @pytest.mark.parametrize(
+        ("second", "message"),
+        [
+            ("l = 1\ndelta = 0.06\nshift = 0", "[defect] near line 35: a second entry for l = 1"),
+            ("l = 0\nn = 2\ndelta = 0.42\nshift = 1",
+             "[defect] near line 35: a second entry for (l, n) = (0, 2)"),
+        ],
+        ids=["l", "l-n"],
+    )
+    def test_conflicting_entries_are_refused(self, second, message):
+        text = GOOD + f"\n[defect]\ndimension = 3\n{second}\n"
+        with pytest.raises(ConfigError) as caught:
+            ModelConfig(parse_config(text)).defect_model()
+        assert str(caught.value) == message
+
+    def test_override_shift_may_not_differ_from_its_l(self):
+        text = (
+            "format_version = 1\n"
+            "[defect]\ndimension = 3\nl = 0\ndelta = 0.4\nshift = 1\n"
+            "[defect]\ndimension = 3\nl = 0\nn = 2\ndelta = 0.41\nshift = 0\n"
+        )
+        with pytest.raises(ConfigError, match="near line 7: shift 0 conflicts with shift 1 for l = 0"):
+            ModelConfig(parse_config(text)).defect_model()
+
     def test_model_is_usable(self):
         model = ModelConfig(parse_config(GOOD)).defect_model()
         s = model.state(3, 0)
@@ -163,6 +188,15 @@ class TestAnharmonicModel:
         model = ModelConfig(parse_config(text)).anharmonic_model()
         assert model.anharmonicity(0, 2) == 0.1
         assert model.anharmonicity(0, 4) == 0.2
+
+    def test_a_second_entry_is_refused(self):
+        text = (
+            "format_version = 1\n"
+            "[anharmonic]\ndimension = 3\nL = 0\nDelta = 0.1\nshift = 0\n"
+            "[anharmonic]\ndimension = 3\nL = 0\nDelta = 0.2\nshift = 0\n"
+        )
+        with pytest.raises(ConfigError, match=r"\[anharmonic\] near line 7: a second entry for L = 0"):
+            ModelConfig(parse_config(text)).anharmonic_model()
 
 
 class TestTrap:

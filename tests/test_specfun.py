@@ -446,7 +446,7 @@ class TestFamilyBatch:
 
 def _poly_stack(form, t):
     """The form's polynomial stack to third order, as a batch of one, in the shape of t."""
-    stack = _laguerre_forms._poly_stack([form.degree], [form.order], t.reshape(-1), 3)
+    stack = specfun.laguerre_stack([form.degree], [form.order], t.reshape(-1), 3)
     return [row.reshape(t.shape) for row in stack]
 
 
