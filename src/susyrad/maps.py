@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._laguerre_forms import columns, family_derivatives
 from ._np import _lazy_module, np
 from .coulomb import CoulombState, check_defect, check_shift
 from .errors import AdmissibilityError, VerificationError
@@ -170,11 +171,19 @@ class MapVerification:
 
 
 def verify_map_identity(spec: MapSpec, grid=None) -> MapVerification:
-    """Measure v(nu* Y^2) / (sqrt(Y) V(Y)) on the grid.
+    """Measure v(nu* Y^2) / (sqrt(Y) V(Y)) on the grid: verify_map_identities of one spec."""
+    return verify_map_identities([spec], grid)[0]
 
-    Grid points sitting near a target node (|V| <= 1e-6 times the grid peak)
+
+def verify_map_identities(specs, grid=None) -> list[MapVerification]:
+    """Measure v(nu* Y^2) / (sqrt(Y) V(Y)) for each spec on one grid, from two family builds.
+
+    Grid points sitting near a target node (|V| <= 1e-6 times the row's peak)
     are excluded and flagged rather than failing the check; the scale factor
-    is the grid mean of the ratio over the included points.
+    is the mean of the ratio over a row's included points.  The targets share
+    the grid; each source row is its own nu* Y^2, with every excluded point
+    replaced by the row's first included one, so no source sees an excluded
+    point and each row's mean, max and min have the bits they had alone.
     """
     grid = default_verification_grid() if grid is None else grid
     grid = specfun._float_array(grid, "verification grid")
@@ -182,30 +191,30 @@ def verify_map_identity(spec: MapSpec, grid=None) -> MapVerification:
         raise VerificationError("verification grid must be one-dimensional with >= 2 points")
     if np.any(grid <= 0.0):
         raise VerificationError("verification grid must be strictly positive")
+    grid = specfun.positive_grid(grid)
+    if not specs:
+        return []
 
-    src, tgt = spec.source_state, spec.target_state
-    nu_star = src.n_star + src.gamma
-    target_vals = tgt.value(grid)
-    scale = np.max(np.abs(target_vals))
+    (target_vals,) = family_derivatives([s.target_state for s in specs], grid, (0,))
+    scale = np.abs(target_vals).max(axis=-1, keepdims=True)
     included = np.abs(target_vals) > _NODE_EXCLUSION * scale
-    if int(np.sum(included)) < 2:
+    if (included.sum(axis=-1) < 2).any():
         raise VerificationError("every grid point sits on or near a target node")
 
-    ratios = np.full_like(grid, np.nan)
-    ratios[included] = src.value(nu_star * grid[included] ** 2) / (
-        np.sqrt(grid[included]) * target_vals[included]
+    (nu_star,) = columns([(s.source_state.n_star + s.source_state.gamma,) for s in specs])
+    points = np.where(included, grid, grid[included.argmax(axis=-1)][:, None])
+    (source_vals,) = family_derivatives(
+        [s.source_state for s in specs], specfun.positive_grid(nu_star * points**2), (0,)
     )
-    used = ratios[included]
-    mean = float(np.mean(used))
-    spread_scale = max(abs(mean), 1e-300)
-    defect = float((np.max(used) - np.min(used)) / spread_scale)
-    return MapVerification(
-        grid=grid,
-        ratios=ratios,
-        included=included,
-        constancy_defect=defect,
-        scale_factor=mean,
-    )
+    ratios = np.full(target_vals.shape, np.nan)
+    ratios[included] = source_vals[included] / (np.sqrt(points) * target_vals)[included]
+    checks = []
+    for row, mask in zip(ratios, included):
+        used = row[mask]
+        mean = float(used.mean())
+        defect = float((used.max() - used.min()) / max(abs(mean), 1e-300))
+        checks.append(MapVerification(grid, row, mask, defect, mean))
+    return checks
 
 
 def lambda_candidates(lo, hi, mode: str = "exact") -> list[Fraction]:

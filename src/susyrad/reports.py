@@ -226,31 +226,24 @@ def susy_pair_record(family, dimension, angular, grid_min=0.1, grid_max=12.0, po
 
 
 def map_record(source, lam_values, mode="exact", delta=0.0, i=0, Delta=0.0, I=0) -> OutputRecord:
-    """One row per candidate lambda: solved target plus measured ratio data."""
-    rows = []
-    worst = 0.0
-    verified_any = False
-    for lam in lam_values:
+    """One row per candidate lambda: solved target plus measured ratio data, all measured in one call."""
+    solved = [maps.solve_map_parameters(source, lam, mode=mode, delta=delta, i=i, Delta=Delta, I=I)
+              for lam in lam_values]
+    checks = maps.verify_map_identities([spec for spec in solved if isinstance(spec, maps.MapSpec)])
+    rows, measured = [], iter(checks)
+    for lam, spec in zip(lam_values, solved):
         row = {"lambda": float(lam)}
-        solved = maps.solve_map_parameters(source, lam, mode=mode, delta=delta, i=i, Delta=Delta, I=I)
-        if isinstance(solved, maps.ConstraintReport):
-            row["violations"] = "; ".join(solved.violations)
+        if isinstance(spec, maps.ConstraintReport):
+            row["violations"] = "; ".join(spec.violations)
         else:
-            check = maps.verify_map_identity(solved)
-            big_d, big_n, big_l = solved.target
-            row.update(
-                D=big_d,
-                N=big_n,
-                L=big_l,
-                constancy_defect=check.constancy_defect,
-                scale_factor=check.scale_factor,
-                excluded_points=check.excluded_count,
-            )
-            worst = max(worst, check.constancy_defect)
-            verified_any = True
+            check = next(measured)
+            big_d, big_n, big_l = spec.target
+            row.update(D=big_d, N=big_n, L=big_l, constancy_defect=check.constancy_defect,
+                       scale_factor=check.scale_factor, excluded_points=check.excluded_count)
         rows.append(row)
     diagnostics = []
-    if verified_any:
+    if checks:
+        worst = max([0.0] + [check.constancy_defect for check in checks])
         diagnostics.append(Diagnostic("max_constancy_defect", worst, MAP_CONSTANCY_TOL))
     return OutputRecord(
         command="map",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._laguerre_forms import columns, family_derivatives
 from ._np import as_float, np
 from .errors import AdmissibilityError
 from .specfun import finite_pointwise, pointwise, positive_grid, refuse_non_finite
@@ -47,15 +48,7 @@ class Superpotential:
 
     def derivatives(self, grid, orders):
         """[d^k U/dx^k for k in orders] on a grid positive_grid has checked."""
-        a, b, p = self.power_coeff, self.log_coeff, self.power
-        terms = (
-            lambda: a * grid**p + b * np.log(grid),
-            lambda: a * p * grid ** (p - 1) + b / grid,
-            lambda: a * p * (p - 1) * grid ** (p - 2) - b / grid**2,
-            # the power term's third derivative p*(p-1)*(p-2) x**(p-3) is zero for p in {1, 2}
-            lambda: 2.0 * b / grid**3,
-        )
-        return [terms[k]() for k in orders]
+        return _u_derivatives(grid, orders, self.power_coeff, self.log_coeff, self.power)
 
     def u(self, x):
         return finite_pointwise(self.derivatives, x, 0, "U")
@@ -68,6 +61,18 @@ class Superpotential:
 
     def u_third_derivative(self, x):
         return finite_pointwise(self.derivatives, x, 3, "U'''")
+
+
+def _u_derivatives(grid, orders, a, b, p):
+    """[d^k U/dx^k for k in orders] of a*x**p + b*ln(x); a and b may be columns with one row each."""
+    terms = (
+        lambda: a * grid**p + b * np.log(grid),
+        lambda: a * p * grid ** (p - 1) + b / grid,
+        lambda: a * p * (p - 1) * grid ** (p - 2) - b / grid**2,
+        # the power term's third derivative p*(p-1)*(p-2) x**(p-3) is zero for p in {1, 2}
+        lambda: 2.0 * b / grid**3,
+    )
+    return [terms[k]() for k in orders]
 
 
 def _beta(angular, gamma, names):
@@ -243,8 +248,27 @@ def apply_supercharge(superpotential: Superpotential, psi, x_grid):
 
 def annihilation_residual(superpotential: Superpotential, ground, x_grid) -> float:
     """max |A psi0| / max |psi0| on the grid: zero when ground is the zero mode of U."""
-    image = np.max(np.abs(apply_supercharge(superpotential, ground, x_grid)))
-    return float(image / np.max(np.abs(ground.value(x_grid))))
+    grid = positive_grid(x_grid).reshape(-1)
+    (u_prime,) = superpotential.derivatives(grid, (1,))
+    return float(_annihilation(*ground.derivatives(grid, (0, 1)), u_prime))
+
+
+def annihilation_residuals(superpotentials, grounds, grids):
+    """annihilation_residual of each (U, ground) row, on its row of grids or all on one 1-D grid.
+
+    The grounds are forms of one class, built once; the superpotentials share
+    one power, and their coefficients enter as columns.
+    """
+    grids = positive_grid(grids)
+    (power,) = {u.power for u in superpotentials}
+    a, b = columns([(u.power_coeff, u.log_coeff) for u in superpotentials])
+    (u_prime,) = _u_derivatives(grids, (1,), a, b, power)
+    return _annihilation(*family_derivatives(grounds, grids, (0, 1)), u_prime)
+
+
+def _annihilation(value, slope, u_prime):
+    """max |psi0' + (U'/2) psi0| / max |psi0| along the last axis."""
+    return np.abs(slope + 0.5 * u_prime * value).max(axis=-1) / np.abs(value).max(axis=-1)
 
 
 class SuperchargeImage:

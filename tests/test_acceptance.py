@@ -10,7 +10,7 @@ import time
 
 from click.testing import CliRunner
 
-from susyrad import verify
+from susyrad import geonium, verify
 from susyrad.cli import main
 
 CLI_BUDGET_SECONDS = 180.0
@@ -57,6 +57,15 @@ def test_criterion_07_reduction_limits():
 
 def test_criterion_08_penning_trap():
     _report(verify.check_penning_trap())
+
+
+def test_criterion_08_refuses_an_operating_point_of_the_wrong_sign(monkeypatch):
+    # the trap the record builds refuses e*V <= 0 before the criterion reads the voltage
+    right = geonium.susy_operating_point
+    monkeypatch.setattr(geonium, "susy_operating_point", lambda *args: -right(*args))
+    result = verify.check_penning_trap()
+    assert not result.passed
+    assert "unstable trap" in result.detail
 
 
 def test_criterion_09_laguerre_oracle():

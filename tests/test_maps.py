@@ -1,9 +1,12 @@
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susyrad import maps, reports
 from susyrad.coulomb import CoulombState
@@ -16,6 +19,7 @@ from susyrad.maps import (
     enumerate_admissible_targets,
     lambda_candidates,
     solve_map_parameters,
+    verify_map_identities,
     verify_map_identity,
 )
 from susyrad.oscillator import OscillatorState, oscillator_energy
@@ -254,6 +258,104 @@ class TestVerifyIdentity:
         # a complex grid is refused, not measured at its real parts
         with pytest.raises(DomainError, match="verification grid must be real"):
             verify_map_identity(spec, np.array([0.5 + 1j, 1.0]))
+
+
+def _admissible_specs():
+    """Every admissible spec of d 2-5, n 1-4, lambda 0-3/2, delta, Delta in {0, 0.25, 0.5}, i, I in {0, 1}."""
+    specs = []
+    for d, n, twice_lam, delta, Delta, i, I in itertools.product(
+        range(2, 6), range(1, 5), range(4), (0.0, 0.25, 0.5), (0.0, 0.25, 0.5), (0, 1), (0, 1)
+    ):
+        lam = Fraction(twice_lam, 2)
+        exact = lam.denominator == 1 and delta == Delta == 0.0 and i == I == 0
+        for l in range(n):
+            spec = solve_map_parameters(
+                (d, n, l), lam, mode="exact" if exact else "broken", delta=delta, i=i, Delta=Delta, I=I
+            )
+            if isinstance(spec, MapSpec):
+                specs.append(spec)
+    return specs
+
+
+ADMISSIBLE_SPECS = _admissible_specs()
+NODE_GRID = np.sort(np.concatenate([np.linspace(0.3, 2.5, 40), [math.sqrt(3.0 - math.sqrt(3.0))]]))
+BATCH_GRIDS = {"default": None, "node": NODE_GRID, "tail": np.array([0.5, 1.0, 40.0])}
+
+
+def _lone_form_measure(spec, grid):
+    """(ratios, included, constancy_defect, scale_factor) from each state's own value, or None."""
+    src, tgt = spec.source_state, spec.target_state
+    grid = default_verification_grid() if grid is None else grid
+    target = tgt.value(grid)
+    included = np.abs(target) > 1e-6 * np.max(np.abs(target))
+    if included.sum() < 2:
+        return None
+    ratios = np.full_like(grid, np.nan)
+    ratios[included] = src.value((src.n_star + src.gamma) * grid[included] ** 2) / (
+        np.sqrt(grid[included]) * target[included]
+    )
+    used = ratios[included]
+    mean = float(np.mean(used))
+    return ratios, included, float((np.max(used) - np.min(used)) / max(abs(mean), 1e-300)), mean
+
+
+def _bits(check):
+    return (check.ratios.tobytes(), check.included.tobytes(),
+            check.constancy_defect.hex(), check.scale_factor.hex())
+
+
+class TestVerifyIdentities:
+    def test_pool_holds_exact_and_broken_specs(self):
+        assert len(ADMISSIBLE_SPECS) > 500
+        assert {(spec.delta_defect, spec.anharmonicity) for spec in ADMISSIBLE_SPECS} >= {
+            (0.0, 0.0), (0.25, 0.0), (0.0, 0.25), (0.5, 0.5), (0.25, 0.5)
+        }
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from(ADMISSIBLE_SPECS), min_size=1, max_size=12),
+           st.sampled_from(sorted(BATCH_GRIDS)))
+    def test_each_row_has_the_bits_of_its_spec_alone(self, specs, grid_name):
+        grid = BATCH_GRIDS[grid_name]
+        lone = [_lone_form_measure(spec, grid) for spec in specs]
+        if None in lone:
+            # a row with fewer than two included points refuses the whole batch, as it refuses alone
+            with pytest.raises(VerificationError, match="target node"):
+                verify_map_identity(specs[lone.index(None)], grid)
+            with pytest.raises(VerificationError, match="target node"):
+                verify_map_identities(specs, grid)
+            return
+        for spec, row, want in zip(specs, verify_map_identities(specs, grid), lone):
+            alone = verify_map_identity(spec, grid)
+            assert _bits(row) == _bits(alone)
+            ratios, included, defect, scale = want
+            assert _bits(alone) == (ratios.tobytes(), included.tobytes(), defect.hex(), scale.hex())
+
+    def test_one_row_on_nodes_refuses_the_batch(self):
+        tail = BATCH_GRIDS["tail"]
+        refused = next(spec for spec in ADMISSIBLE_SPECS if _lone_form_measure(spec, tail) is None)
+        with pytest.raises(VerificationError, match="target node"):
+            verify_map_identities([solve_map_parameters((3, 1, 0), 1), refused], tail)
+
+    def test_no_spec_is_no_row(self):
+        assert verify_map_identities([]) == []
+        with pytest.raises(VerificationError):
+            verify_map_identities([], np.array([1.0]))
+
+    def test_a_source_never_sees_an_excluded_point(self, monkeypatch):
+        seen = []
+        original = maps.family_derivatives
+
+        def recording(forms, grid, orders):
+            seen.append(grid)
+            return original(forms, grid, orders)
+
+        monkeypatch.setattr(maps, "family_derivatives", recording)
+        spec = solve_map_parameters((3, 3, 0), 1)
+        (check,) = verify_map_identities([spec], NODE_GRID)
+        assert check.excluded_count == 1
+        targets, sources = seen
+        nu_star = spec.source_state.n_star + spec.source_state.gamma
+        assert set(sources.ravel().tolist()) == set((nu_star * NODE_GRID[check.included] ** 2).tolist())
 
 
 class TestEnumerate:

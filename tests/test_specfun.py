@@ -541,6 +541,37 @@ class TestDerivativeOrderSelection:
             _laguerre_forms.family_derivatives(family, grid, (order,))
             assert calls == [sum(form.degree >= j for form in family) for j in range(order + 1)], name
 
+    def test_map_and_annihilation_checks_build_once_per_side(self, monkeypatch):
+        builds = []
+        original = _laguerre_forms._build
+
+        def counted(forms, *args):
+            builds.append(len(forms))
+            return original(forms, *args)
+
+        # the forms look the build up on _laguerre_forms at each call
+        monkeypatch.setattr(_laguerre_forms, "_build", counted)
+        # criteria 5 and 6: every target on the shared grid, then every source on its own row
+        for check, rows in ((verify.check_exact_maps, 70), (verify.check_odd_dimension_map, 6)):
+            builds.clear()
+            assert check().passed
+            assert builds == [rows, rows], check.__name__
+        # criterion 4: one (0, 1) build of each family's ground states
+        annihilation, batch = [], susy.annihilation_residuals
+
+        def recorded(*args):
+            start = len(builds)
+            out = batch(*args)
+            annihilation.append(builds[start:])
+            return out
+
+        monkeypatch.setattr(susy, "annihilation_residuals", recorded)
+        builds.clear()
+        assert verify.check_susy_structure().passed
+        assert annihilation == [[20], [16]]
+        # the rest are the intertwining's three images, each built for its residual and its value
+        assert len(builds) == 2 + 3 * 2
+
     @pytest.mark.parametrize(
         "state, x",
         [(oscillator.OscillatorState(3, 2, 0), 1e160), (oscillator.OscillatorState(3, 12, 10), 1e160),

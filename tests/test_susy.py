@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susyrad import coulomb, oscillator
+from susyrad import coulomb, oscillator, verify
 from susyrad.errors import AdmissibilityError, DomainError
 from susyrad.susy import (
     RadialOperator,
     SuperchargeImage,
     Superpotential,
     SusyPair,
+    annihilation_residual,
+    annihilation_residuals,
     apply_operator,
     apply_supercharge,
     coulomb_superpotential,
@@ -299,6 +301,40 @@ class TestSupercharge:
         fd2 = (image.value(xs + h) - 2.0 * image.value(xs) + image.value(xs - h)) / h**2
         assert np.max(np.abs(fd1 - image.derivative(xs))) < 1e-6
         assert np.max(np.abs(fd2 - image.second_derivative(xs))) < 1e-4
+
+
+def _criterion_four_families():
+    """Per family, verify criterion 4's (superpotential, ground state, grid) annihilation cases."""
+    for superpotential, exact, ground_gap, dims, _ in verify._SUSY_FAMILIES:
+        grounds = [(superpotential(l, coulomb.gamma_shift(d)), exact(d, l + ground_gap, l))
+                   for d in dims for l in range(4)]
+        yield [(u, ground, verify._state_grid(ground)) for u, ground in grounds]
+
+
+class TestAnnihilationBatch:
+    def test_each_row_has_the_bits_of_the_one_row_residual(self):
+        count = 0
+        for cases in _criterion_four_families():
+            us, grounds, grids = zip(*cases)
+            batch = annihilation_residuals(us, grounds, np.array(grids))
+            for (u, ground, grid), got in zip(cases, batch.tolist()):
+                alone = annihilation_residual(u, ground, grid)
+                # and as the supercharge image and the ground state's value give it, built apart
+                image = np.max(np.abs(apply_supercharge(u, ground, grid)))
+                assert got.hex() == alone.hex() == float(image / np.max(np.abs(ground.value(grid)))).hex()
+                assert got < 1e-8
+                count += 1
+        assert count == 36
+
+    def test_one_shared_grid_serves_every_row(self):
+        us, grounds, _ = zip(*next(_criterion_four_families()))
+        shared = annihilation_residuals(us, grounds, GRID)
+        assert shared.tolist() == [annihilation_residual(u, g, GRID) for u, g in zip(us, grounds)]
+
+    def test_the_superpotentials_share_one_power(self):
+        grounds = [coulomb.CoulombState(3, 1, 0), oscillator.OscillatorState(3, 0, 0)]
+        with pytest.raises(ValueError):
+            annihilation_residuals([coulomb_superpotential(0), oscillator_superpotential(0)], grounds, GRID)
 
 
 class TestSpectrumDegeneracy:
