@@ -15,8 +15,9 @@ differently; so every element sees the operations it would alone.  A form's
 grid's points as one row and with its own constants as floats.  The Laguerre
 argument is checked before any stack is formed, and the normalization is
 built on first use.
-Each form also bounds its own magnitude in closed form (`log_envelope`), which
-fixes the quadrature cutoff (`tail_cutoff`) without sampling the waveform.
+Each form bounds its magnitude in closed form (`log_envelope`), which fixes the
+quadrature cutoff without sampling: `family_cutoff(forms)` takes a family's from
+one envelope evaluation, and a form's `tail_cutoff` is its family of one.
 """
 
 from __future__ import annotations
@@ -129,6 +130,21 @@ def _build(forms, grid, orders, constants, norms):
     return [norms * _triple_product_derivatives(*stacks, k) for k in orders]
 
 
+def _log_envelopes(forms, grid):
+    """log_envelope of forms of one class, one row of grid each, with their constants as columns."""
+    *constants, log_norms, exponents = columns([f._constants() + (f.log_norm, f.exponent) for f in forms])
+    decay, t = forms[0]._decay_and_argument(grid, *constants)
+    envelope = specfun.laguerre_envelope_log([f.degree for f in forms], [f.order for f in forms], t)
+    return log_norms + exponents * np.log(grid) - decay + envelope
+
+
+def family_cutoff(forms):
+    """The largest tail_cutoff of forms of one class, from one envelope evaluation."""
+    return specfun.envelope_cutoff(
+        lambda grid: _log_envelopes(forms, grid), [f._envelope_decreasing_from() for f in forms]
+    )
+
+
 class _LaguerreForm:
     """norm * x**exponent * w(x) * L_degree^(order)(t(x)) under the product rule.
 
@@ -189,18 +205,12 @@ class _LaguerreForm:
     def log_envelope(self, x):
         """log |norm| + exponent log x - decay(x) + log L_degree^(order)(-t(x)) >= log |value(x)|."""
         arr = specfun.positive_grid(x)
-        decay, t = self._decay_and_argument(arr, *self._constants())
-        return (
-            self.log_norm
-            + self.exponent * np.log(arr)
-            - decay
-            + specfun.laguerre_envelope_log(self.degree, self.order, t)
-        )
+        return _log_envelopes([self], arr.reshape(1, -1)).reshape(arr.shape)
 
     @cached_property
     def tail_cutoff(self) -> float:
-        """Quadrature cutoff of |value|**2 under the package's decay policy."""
-        return specfun.envelope_cutoff(self.log_envelope, self._envelope_decreasing_from())
+        """Quadrature cutoff of |value|**2 under the package's decay policy: family_cutoff of one."""
+        return family_cutoff([self])
 
 
 class ExponentialLaguerreForm(_LaguerreForm):

@@ -11,6 +11,7 @@ sqrt(Y) times the target state, and the constant is measured, not asserted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,7 +19,7 @@ from fractions import Fraction
 from ._laguerre_forms import columns, family_derivatives
 from ._np import _lazy_module, np
 from .coulomb import CoulombState, check_defect, check_shift
-from .errors import AdmissibilityError, VerificationError
+from .errors import AdmissibilityError, DomainError, VerificationError
 from .oscillator import OscillatorState, check_anharmonicity
 
 specfun = _lazy_module(f"{__package__}.specfun")
@@ -151,8 +152,12 @@ def solve_map_parameters(
     )
 
 
+@functools.cache
 def default_verification_grid():
-    return np.geomspace(0.2, 3.0, 64)
+    """geomspace(0.2, 3.0, 64), built once and read-only."""
+    grid = np.geomspace(0.2, 3.0, 64)
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)
@@ -185,13 +190,16 @@ def verify_map_identities(specs, grid=None) -> list[MapVerification]:
     replaced by the row's first included one, so no source sees an excluded
     point and each row's mean, max and min have the bits they had alone.
     """
-    grid = default_verification_grid() if grid is None else grid
-    grid = specfun._float_array(grid, "verification grid")
-    if grid.ndim != 1 or grid.size < 2:
-        raise VerificationError("verification grid must be one-dimensional with >= 2 points")
-    if np.any(grid <= 0.0):
-        raise VerificationError("verification grid must be strictly positive")
-    grid = specfun.positive_grid(grid)
+    if grid is None:
+        grid = default_verification_grid()
+    else:
+        grid = specfun._float_array(grid, "verification grid")
+        if grid.ndim != 1 or grid.size < 2:
+            raise VerificationError("verification grid must be one-dimensional with >= 2 points")
+        if (grid <= 0.0).any():
+            raise VerificationError("verification grid must be strictly positive")
+        if not np.isfinite(grid).all():
+            raise DomainError("radial coordinate must be finite")
     if not specs:
         return []
 

@@ -248,27 +248,28 @@ def sonine_laguerre_direct_sum(poly: SonineLaguerre, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def laguerre_envelope_log(degree: int, order: float, t):
-    """log L_n^(a)(-t) for t >= 0, a bound on log|L_n^(a)(t)|.
+def laguerre_envelope_log(degrees, orders, t):
+    """log L_n^(a)(-t) >= log|L_n^(a)(t)| for t >= 0, with (n, a) = (degrees[i], orders[i]) on row t[i].
 
     Coefficient p of L_n^(a) is (-1)**p C(n+a, n-p)/p!, and C(n+a, n-p) > 0
     for a > -1, so flipping the sign of t turns every term positive and the sum
     dominates |L_n^(a)(t)|.  The sum is taken in the log domain (coefficient
     ratios (n-p)/((a+p+1)(p+1)), then log-sum-exp), so it stays finite at any
-    degree.
+    degree.  A row's log coefficients past its degree are -inf: they add exact
+    zeros after its own terms, so each row has the bits it would have alone.
     """
-    arr = np.asarray(t, dtype=float)
-    p = np.arange(degree)
-    log_coeff = math.lgamma(degree + order + 1.0) - math.lgamma(degree + 1.0) - math.lgamma(order + 1.0)
-    log_coeff = np.concatenate(
-        [[log_coeff], log_coeff + np.cumsum(np.log((degree - p) / ((order + p + 1.0) * (p + 1.0))))]
-    )
+    first = [[math.lgamma(n + a + 1.0) - math.lgamma(n + 1.0) - math.lgamma(a + 1.0)]
+             for n, a in zip(degrees, orders)]
+    degrees, orders = np.array(degrees)[:, None], np.array(orders, dtype=float)[:, None]
+    p = np.arange(degrees.max())
+    ratios = (degrees - p) / ((orders + p + 1.0) * (p + 1.0))
+    steps = np.log(ratios, out=np.full(ratios.shape, -np.inf), where=p < degrees)
+    log_coeff = np.concatenate([first, first + np.cumsum(steps, axis=-1)], axis=-1).T[:, :, None]
     with np.errstate(divide="ignore"):
-        log_t = np.log(arr)
-    powers = np.arange(degree + 1).reshape((-1,) + (1,) * arr.ndim)
+        log_t = np.log(t)
+    powers = np.arange(len(log_coeff))[:, None, None]
     # where= leaves the constant term at 0 instead of forming 0 * log(0) = NaN at t = 0
-    scaled = np.multiply(powers, log_t, out=np.zeros(powers.shape[:1] + arr.shape), where=powers > 0)
-    terms = log_coeff.reshape(powers.shape) + scaled
+    terms = log_coeff + np.multiply(powers, log_t, out=np.zeros(powers.shape[:1] + t.shape), where=powers > 0)
     peak = terms.max(axis=0)
     return peak + np.log(np.sum(np.exp(terms - peak), axis=0))
 
@@ -359,32 +360,37 @@ def _tail_cutoff(fn):
     )
 
 
-def envelope_cutoff(log_bound, decreasing_from: float) -> float:
-    """Cutoff for a unit-norm function known only through a bound on its magnitude.
+def envelope_cutoff(log_bound, decreasing_from) -> float:
+    """Cutoff for unit-norm functions, one per row, known only through bounds on their magnitudes.
 
-    log_bound(x) returns log B(x) with B >= |f| pointwise, and B decreases for
-    x >= decreasing_from.  The policy is the one `_tail_cutoff` applies to
-    sampled values, with the bound standing in for |f|**2's samples: the
-    smallest T = 8 * 2**j past decreasing_from at which B**2 <= 1e-18 / T at
-    T, 1.1 T and 1.3 T.  1/T is the mean of |f|**2 on (0, T] once the norm
-    has gathered there, and the peak is never below the mean, so a T that
-    passes here passes the sampled test too whenever the samples catch the
-    peak.  Nothing of f is sampled.
+    log_bound(x), with x one row of points per function, returns log B(x)
+    with B >= |f| pointwise, and each B decreases for x >= its row's
+    decreasing_from.  The policy is the one `_tail_cutoff` applies to sampled
+    values, with the bound standing in for |f|**2's samples: a row's cutoff
+    is the smallest T = 8 * 2**j past its decreasing_from at which
+    B**2 <= 1e-18 / T at T, 1.1 T and 1.3 T, and the rows share the largest.
+    1/T is the mean of |f|**2 on (0, T] once the norm has gathered there,
+    and the peak is never below the mean, so a T that passes here passes the
+    sampled test too whenever the samples catch the peak.  Nothing of f is
+    sampled.
     """
-    start = _TAIL_START
-    while start < decreasing_from:
-        start *= 2.0
-    # every candidate T is tested in one call to the bound
-    cutoffs = start * 2.0 ** np.arange(_TAIL_DOUBLINGS)
-    probes = np.asarray(log_bound(cutoffs[:, None] * np.array(_TAIL_PROBES)), dtype=float)
+    starts = np.full(len(decreasing_from), _TAIL_START)
+    while (short := starts < decreasing_from).any():
+        starts[short] *= 2.0
+    # every candidate T of every row is tested in one call to the bound
+    cutoffs = starts[:, None] * 2.0 ** np.arange(_TAIL_DOUBLINGS)
+    points = cutoffs[..., None] * np.array(_TAIL_PROBES)
+    probes = log_bound(points.reshape(len(starts), -1)).reshape(points.shape)
     limits = 0.5 * np.log(_TAIL_DROP / cutoffs)
-    passed = np.all(probes <= limits[:, None], axis=1)
-    if not passed.any():
-        raise ConvergenceError(
-            f"envelope has not decayed below {_TAIL_DROP:g} of the mean by x = {cutoffs[-1]:g}",
-            estimates=(float(probes[-1].max()), float(limits[-1])),
-        )
-    return float(cutoffs[np.argmax(passed)])
+    passed = np.all(probes <= limits[..., None], axis=-1)
+    for row, row_passed in enumerate(passed):
+        if not row_passed.any():
+            raise ConvergenceError(
+                f"envelope has not decayed below {_TAIL_DROP:g} of the mean by x = {cutoffs[row, -1]:g}",
+                estimates=(float(probes[row, -1].max()), float(limits[row, -1])),
+            )
+    # each row's first passing T, then the largest of them
+    return float(np.where(passed, cutoffs, np.inf).min(axis=-1).max())
 
 
 def _panel_edges(cutoff):

@@ -5,21 +5,22 @@ held to, so the CLI can print one pass/fail line per criterion.  The checks
 deliberately re-derive expectations from closed forms or independent routes:
 exact-rational direct polynomial sums, Gram-matrix quadrature and, for the
 Laguerre derivative identity of criterion 9, a Richardson-extrapolated central
-difference.  The derivatives of the states themselves are never differenced;
-their residuals use the analytic product rule.  Criterion 4 measures the partner
-shift as `susy-pair` does, relative to the partners (`susy.shift_identity_defect`),
-and criterion 8 reads the records that the trap verbs print.
+difference.  Criterion 9 holds the batched recurrence (each identity's cards in
+one `laguerre_stack` call) to the integer direct sum of each card.  The states'
+own derivatives are never differenced; their residuals use the analytic product
+rule.  Criterion 4 measures the partner shift as `susy-pair` does, relative to
+the partners (`susy.shift_identity_defect`), and criterion 8 reads the records
+that the trap verbs print.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import coulomb, geonium, maps, oscillator, qdt, reports, specfun, susy
-from ._laguerre_forms import family_derivatives
+from ._laguerre_forms import family_cutoff, family_derivatives
 from ._np import np
 from .errors import AdmissibilityError, StabilityError
 
@@ -74,11 +75,11 @@ def check_hydrogen_spectrum() -> CheckResult:
 _OSC_GRID = np.linspace(0.05, 6.0, 240)
 
 
-def _state_grid(state):
-    """The grid a state's residual and annihilation are measured on: its family's."""
-    if isinstance(state, oscillator.OscillatorState):
+def _state_grids(states):
+    """Residual and annihilation grids of one family's states: _OSC_GRID shared, or a Coulomb row each."""
+    if isinstance(states[0], oscillator.OscillatorState):
         return _OSC_GRID
-    return np.linspace(0.05, 20.0 * (state.principal + state.gamma), 240)
+    return np.linspace(0.05, [20.0 * (s.principal + s.gamma) for s in states], 240, axis=-1)
 
 
 # states per residual batch: a fixed row budget that bounds the batch's temporaries
@@ -101,14 +102,13 @@ _FORM_FAMILIES = (
 )
 
 
-def _form_cases(family, used):
-    """(state, grid) of a family's exact states, then of its models; a model that contributes joins used."""
+def _form_states(family, used):
+    """A family's exact states, then its models' states; a model that contributes joins used."""
     exact, ground_gap, step, principals, models = family
     for d in range(2, 7):
         for n in principals:
             for l in range((n - ground_gap) % step, n - ground_gap + 1, step):
-                state = exact(d, n, l)
-                yield state, _state_grid(state)
+                yield exact(d, n, l)
     for model in synthetic_models(*models):
         for l in (0, 1):
             # the ground n of the shifted l, then the next two of its parity
@@ -119,19 +119,20 @@ def _form_cases(family, used):
                 except AdmissibilityError:
                     continue
                 used.add(model)
-                yield state, _state_grid(state)
+                yield state
 
 
 def check_radial_residuals() -> CheckResult:
     def body():
         worst, count, used = 0.0, 0, set()
-        for cases in (_form_cases(family, used) for family in _FORM_FAMILIES):
-            # one batch of states and grids at a time, so a batch bounds what is held
-            while batch := list(itertools.islice(cases, _BATCH_ROWS)):
-                states, grids = zip(*batch)
-                residuals = reports._relative_residuals(states, np.array(grids))
+        for family in _FORM_FAMILIES:
+            # by exponent, so that a batch forms few power stacks; _BATCH_ROWS states at a time
+            states = sorted(_form_states(family, used), key=lambda state: state.exponent)
+            for start in range(0, len(states), _BATCH_ROWS):
+                batch = states[start : start + _BATCH_ROWS]
+                residuals = reports._relative_residuals(batch, _state_grids(batch))
                 worst = max(worst, float(np.max(residuals)))
-                count += len(batch)
+            count += len(states)
         if len(used) < 20:
             raise AssertionError(f"only {len(used)} synthetic models contributed")
         return worst, f"{count} states, {len(used)} synthetic models"
@@ -146,7 +147,7 @@ def _gram(states):
     """Gram matrix of one family, one batch per refinement, cut off where the forms say."""
     return specfun.gram_matrix(
         lambda nodes: family_derivatives(states, nodes, (0,))[0],
-        max(state.tail_cutoff for state in states),
+        family_cutoff(states),
     )
 
 
@@ -211,7 +212,7 @@ def check_susy_structure() -> CheckResult:
             for u in us:
                 shift_defect = max(shift_defect, susy.shift_identity_defect(susy.SusyPair(u), grid))
             # the family's annihilation residuals from one ground-state build
-            residuals = susy.annihilation_residuals(us, grounds, np.array([_state_grid(g) for g in grounds]))
+            residuals = susy.annihilation_residuals(us, grounds, _state_grids(grounds))
             annihilation = max(annihilation, float(np.max(residuals)))
         if shift_defect > 1e-12:
             return 1.0, f"partner-shift identity defect {shift_defect:.3e}"
@@ -310,13 +311,13 @@ def check_reduction_limits() -> CheckResult:
         rng = np.random.default_rng(_RNG_SEED)
         worst = 0.0
         for exact, zero_model, dims, cases, top in _REDUCTION_FAMILIES:
-            for d in dims:
-                model = zero_model(d, {0: 0.0, 1: 0.0}, {0: 0, 1: 0})
-                for (n, l) in cases:
-                    plain = exact(d, n, l)
-                    starred = model.state(n, l)
-                    pts = rng.uniform(0.05, top(plain), size=100)
-                    worst = max(worst, float(np.max(np.abs(starred.value(pts) - plain.value(pts)))))
+            models = [zero_model(d, {0: 0.0, 1: 0.0}, {0: 0, 1: 0}) for d in dims]
+            plains = [exact(model.dimension, n, l) for model in models for (n, l) in cases]
+            starreds = [model.state(n, l) for model in models for (n, l) in cases]
+            # one row of points per case, drawn in the order the cases come
+            grid = specfun.positive_grid([rng.uniform(0.05, top(plain), size=100) for plain in plains])
+            (plain,), (starred,) = (family_derivatives(states, grid, (0,)) for states in (plains, starreds))
+            worst = max(worst, float(np.max(np.abs(starred - plain))))
         return worst, "zero-defect states against the exact families"
 
     return _run(7, "reduction-limits", 1e-12, body)
@@ -367,38 +368,37 @@ _ORACLE_SUM_POINTS = np.array([0.01, 1.0, 10.0, 50.0])
 _ORACLE_DIFF_POINTS = np.array([0.5, 1.0, 5.0, 20.0])
 
 
+def _card_rows(degrees, orders):
+    """(degree, order) of every card as `laguerre_stack` rows: degrees descending, each with every order."""
+    return [n for n in sorted(degrees, reverse=True) for _ in orders], [a for _ in degrees for a in orders]
+
+
 def check_laguerre_oracle() -> CheckResult:
     def body():
-        worst = 0.0
+        degrees, orders = _card_rows(range(16), (-0.5, 0.0, 0.5, 1.0, 2.7))
         xs = _ORACLE_SUM_POINTS
-        for n in range(16):
-            for order in (-0.5, 0.0, 0.5, 1.0, 2.7):
-                poly = specfun.SonineLaguerre(n, order)
-                reference = specfun.sonine_laguerre_direct_sum(poly, xs)
-                got = specfun.eval_sonine_laguerre(poly, xs)
-                scale = np.maximum(np.abs(reference), 1.0)
-                worst = max(worst, float(np.max(np.abs(got - reference) / scale)))
-        if worst > 1e-10:
+        cards = [specfun.SonineLaguerre(n, a) for n, a in zip(degrees, orders)]
+        reference = np.array([specfun.sonine_laguerre_direct_sum(card, xs) for card in cards])
+        (got,) = specfun.laguerre_stack(degrees, orders, xs, 0)
+        scale = np.maximum(np.abs(reference), 1.0)
+        worst = float(np.max(np.abs(got - reference) / scale))
+        if not worst <= 1e-10:  # a non-finite row fails too
             return 1.0, f"recurrence vs direct sum defect {worst:.3e}"
 
-        deriv_defect = 0.0
+        degrees, orders = _card_rows((0, 1, 2, 5, 9), (-0.5, 0.0, 1.0, 2.7))
         xs = _ORACLE_DIFF_POINTS
         step = 1e-6 * np.maximum(1.0, np.abs(xs))
         # Richardson stencil: x +- step and x +- step/2 at every point, one evaluation
         stencil = np.concatenate([xs + step, xs - step, xs + step / 2.0, xs - step / 2.0])
-        for n in (0, 1, 2, 5, 9):
-            for order in (-0.5, 0.0, 1.0, 2.7):
-                poly = specfun.SonineLaguerre(n, order)
-                exact = specfun.eval_sonine_laguerre_derivative(poly, xs)
-                plus, minus, half_plus, half_minus = np.split(
-                    specfun.eval_sonine_laguerre(poly, stencil), 4
-                )
-                coarse = (plus - minus) / (2.0 * step)
-                fine = (half_plus - half_minus) / step
-                numeric = (4.0 * fine - coarse) / 3.0
-                scale = np.maximum(np.abs(exact), 1.0)
-                deriv_defect = max(deriv_defect, float(np.max(np.abs(exact - numeric) / scale)))
-        if deriv_defect > 1e-7:
+        exact = specfun.laguerre_stack(degrees, orders, xs, 1)[1]
+        (values,) = specfun.laguerre_stack(degrees, orders, stencil, 0)
+        plus, minus, half_plus, half_minus = np.split(values, 4, axis=-1)
+        coarse = (plus - minus) / (2.0 * step)
+        fine = (half_plus - half_minus) / step
+        numeric = (4.0 * fine - coarse) / 3.0
+        scale = np.maximum(np.abs(exact), 1.0)
+        deriv_defect = float(np.max(np.abs(exact - numeric) / scale))
+        if not deriv_defect <= 1e-7:
             return 1.0, f"derivative identity defect {deriv_defect:.3e}"
         return 0.0, (
             f"sum agreement {worst:.2e} (tol 1e-10), derivative {deriv_defect:.2e} (tol 1e-7)"

@@ -259,6 +259,27 @@ class TestVerifyIdentity:
         with pytest.raises(DomainError, match="verification grid must be real"):
             verify_map_identity(spec, np.array([0.5 + 1j, 1.0]))
 
+    def test_grid_is_checked_once_with_its_error_types(self):
+        spec = solve_map_parameters((3, 1, 0), 1)
+        for bad, error, message in (
+            (np.ones((2, 2)), VerificationError, "one-dimensional"),
+            ([-math.inf, 1.0], VerificationError, "strictly positive"),
+            ([0.0, math.nan], VerificationError, "strictly positive"),
+            ([math.nan, 1.0], DomainError, "radial coordinate must be finite"),
+            ([1.0, math.inf], DomainError, "radial coordinate must be finite"),
+        ):
+            with pytest.raises(error, match=message):
+                verify_map_identity(spec, bad)
+
+    def test_default_grid_is_built_once_and_read_only(self):
+        grid = default_verification_grid()
+        assert grid is default_verification_grid()
+        assert np.array_equal(grid, np.geomspace(0.2, 3.0, 64))
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
+        spec = solve_map_parameters((3, 2, 1), 0)
+        assert verify_map_identity(spec).grid is grid
+
 
 def _admissible_specs():
     """Every admissible spec of d 2-5, n 1-4, lambda 0-3/2, delta, Delta in {0, 0.25, 0.5}, i, I in {0, 1}."""

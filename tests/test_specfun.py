@@ -232,10 +232,11 @@ class TestLaguerreEnvelope:
     def test_is_the_polynomial_at_negative_argument(self, n, order):
         t = np.array([0.0, 0.01, 1.0, 10.0, 50.0])
         expected = np.log(eval_genlaguerre(n, order, -t))
-        np.testing.assert_allclose(laguerre_envelope_log(n, order, t), expected, rtol=1e-12, atol=1e-13)
+        got = laguerre_envelope_log([n], [order], t[None])[0]
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-13)
 
     def test_finite_at_large_degree(self):
-        values = laguerre_envelope_log(400, 0.5, np.array([1e-300, 1.0, 1e6, 1e15]))
+        values = laguerre_envelope_log([400], [0.5], np.array([[1e-300, 1.0, 1e6, 1e15]]))
         assert np.all(np.isfinite(values))
 
     @pytest.mark.parametrize("state", FAMILY_STATES + LARGE_STATES)
@@ -604,7 +605,8 @@ def _residual_states(monkeypatch):
     original = reports._relative_residuals
 
     def recording(states, grids):
-        seen.append(list(zip(states, grids)))
+        # a grid shared by the batch is every state's row
+        seen.append(list(zip(states, np.broadcast_to(grids, (len(states), np.shape(grids)[-1])))))
         return original(states, grids)
 
     monkeypatch.setattr(reports, "_relative_residuals", recording)
@@ -812,18 +814,16 @@ class TestLaguerreOracle:
         with pytest.raises(DomainError, match=message):
             sonine_laguerre_direct_sum(SonineLaguerre(3, 0.5), bad)
 
-    def test_one_recurrence_per_degree_order_and_identity(self, monkeypatch):
+    def test_one_direct_sum_per_card_and_the_recurrence_in_batches(self, monkeypatch):
         calls = Counter()
         for name in ("eval_sonine_laguerre", "eval_sonine_laguerre_derivative",
                      "sonine_laguerre_direct_sum"):
             _count_calls(monkeypatch, specfun, name, calls)
         result = verify.check_laguerre_oracle()
         assert result.passed
-        # 16 degrees x 5 orders for the sum identity, 5 x 4 for the derivative identity
-        assert calls == Counter(
-            eval_sonine_laguerre=80 + 20, sonine_laguerre_direct_sum=80,
-            eval_sonine_laguerre_derivative=20,
-        )
+        # 16 degrees x 5 orders for the sum identity; the recurrence runs as batches of
+        # cards (tests/test_verify_batches.py), not through the one-card evaluators
+        assert calls == Counter(sonine_laguerre_direct_sum=80)
 
     def test_detail_equals_pointwise_oracle(self):
         worst = 0.0

@@ -306,9 +306,10 @@ class TestSupercharge:
 def _criterion_four_families():
     """Per family, verify criterion 4's (superpotential, ground state, grid) annihilation cases."""
     for superpotential, exact, ground_gap, dims, _ in verify._SUSY_FAMILIES:
-        grounds = [(superpotential(l, coulomb.gamma_shift(d)), exact(d, l + ground_gap, l))
-                   for d in dims for l in range(4)]
-        yield [(u, ground, verify._state_grid(ground)) for u, ground in grounds]
+        us, grounds = zip(*[(superpotential(l, coulomb.gamma_shift(d)), exact(d, l + ground_gap, l))
+                            for d in dims for l in range(4)])
+        grids = np.broadcast_to(verify._state_grids(grounds), (len(grounds), 240))
+        yield list(zip(us, grounds, grids))
 
 
 class TestAnnihilationBatch:
