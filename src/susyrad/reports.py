@@ -267,16 +267,8 @@ def map_record(source, lam_values, mode="exact", delta=0.0, i=0, Delta=0.0, I=0)
 def trap_frequencies_record(config) -> OutputRecord:
     freqs = geonium.trap_frequencies(config)
     rows = [
-        {
-            "quantity": "cyclotron",
-            "angular_frequency_rad_s": freqs.cyclotron,
-            "frequency_hz": freqs.cyclotron / (2.0 * math.pi),
-        },
-        {
-            "quantity": "axial",
-            "angular_frequency_rad_s": freqs.axial,
-            "frequency_hz": freqs.axial / (2.0 * math.pi),
-        },
+        {"quantity": name, "angular_frequency_rad_s": omega, "frequency_hz": omega / (2.0 * math.pi)}
+        for name, omega in (("cyclotron", freqs.cyclotron), ("axial", freqs.axial))
     ]
     return OutputRecord(
         command="trap frequencies",

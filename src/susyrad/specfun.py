@@ -19,6 +19,7 @@ through `envelope_cutoff`, without sampling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -316,15 +317,9 @@ class GramResult:
     last_change: float
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _gauss_legendre(points):
-    rule = _GL_CACHE.get(points)
-    if rule is None:
-        rule = np.polynomial.legendre.leggauss(points)
-        _GL_CACHE[points] = rule
-    return rule
+    return np.polynomial.legendre.leggauss(points)
 
 
 def _vectorized(fn):

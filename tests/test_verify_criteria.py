@@ -1,0 +1,107 @@
+"""Each verify criterion is one registration, and a NaN defect fails it wherever it sits.
+
+Python's `max` keeps the value it already holds when it meets a NaN, so a
+worst-of that starts from a finite value passes a NaN met later.  Each
+injection below therefore puts its NaN in a measurement other than the first:
+a later row, batch, family or record.  The composite criterion 4 reports 0 or
+1, so there the NaN shows in the detail of the sub-check it broke.
+"""
+
+import dataclasses
+import math
+import re
+
+import numpy as np
+import pytest
+
+from susyrad import maps, reports, susy, verify
+
+NAN = float("nan")
+
+
+def _with_nan(array):
+    """A copy of array whose last entry is NaN."""
+    out = np.array(array, dtype=float)
+    out.flat[-1] = NAN
+    return out
+
+
+def _spectrum_row(record):
+    rows = [dict(row) for row in record.rows]
+    rows[5]["energy"] = NAN
+    return dataclasses.replace(record, rows=rows)
+
+
+def _map_row(checks):
+    return [dataclasses.replace(c, constancy_defect=NAN) if i == 1 else c for i, c in enumerate(checks)]
+
+
+def _frequency_match(record):
+    (match, *rest) = record.diagnostics
+    return dataclasses.replace(record, diagnostics=[dataclasses.replace(match, value=NAN), *rest])
+
+
+# check, patched module and name, the call (from 1) whose result is poisoned, the poison
+INJECTIONS = {
+    "1-spectrum-row": (verify.check_hydrogen_spectrum, reports, "spectrum_record", 1, _spectrum_row),
+    "2-second-batch": (verify.check_radial_residuals, reports, "_relative_residuals", 2, _with_nan),
+    "3-second-family": (verify.check_orthonormality, verify, "_gram", 2,
+                        lambda gram: dataclasses.replace(gram, matrix=_with_nan(gram.matrix))),
+    "4-annihilation": (verify.check_susy_structure, susy, "annihilation_residuals", 2, _with_nan),
+    "4-intertwining": (verify.check_susy_structure, susy, "apply_operator", 2, _with_nan),
+    "5-map-row": (verify.check_exact_maps, maps, "verify_map_identities", 1, _map_row),
+    "6-map-row": (verify.check_odd_dimension_map, maps, "verify_map_identities", 1, _map_row),
+    "7-later-build": (verify.check_reduction_limits, verify, "family_derivatives", 3,
+                      lambda built: [_with_nan(built[0]), *built[1:]]),
+    "8-second-record": (verify.check_penning_trap, reports, "trap_operating_point_record", 2, _frequency_match),
+}
+
+# the composite criterion's detail for each of its injections
+COMPOSITE_DETAIL = {
+    "4-annihilation": "ground-state annihilation residual nan",
+    "4-intertwining": "intertwining residual nan",
+}
+
+
+@pytest.mark.parametrize("case", list(INJECTIONS))
+def test_a_later_nan_fails_its_criterion(monkeypatch, case):
+    check, module, name, poisoned_call, poison = INJECTIONS[case]
+    original, calls = getattr(module, name), []
+
+    def poisoning(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(name)
+        return poison(out) if len(calls) == poisoned_call else out
+
+    monkeypatch.setattr(module, name, poisoning)
+    result = check()
+    assert len(calls) >= poisoned_call, f"{name} was called only {len(calls)} times"
+    assert not result.passed, result
+    if case in COMPOSITE_DETAIL:
+        assert (result.value, result.detail) == (1.0, COMPOSITE_DETAIL[case])
+    else:
+        assert math.isnan(result.value), result
+
+
+def test_worst_keeps_a_nan_anywhere():
+    assert verify._worst([]) == 0.0
+    assert verify._worst([np.array([1.0, 5.0]), 2.0]) == 5.0
+    assert math.isnan(verify._worst([1.0, np.array([2.0, NAN]), 3.0]))
+    assert math.isnan(verify._worst(iter([4.0, NAN])))
+
+
+def test_registration_runtime_limit_and_crash(monkeypatch):
+    monkeypatch.setattr(verify, "_CHECKS", [])
+    slow = verify._criterion(98, "throwaway", 1.0, runtime_limit=0.0)(lambda: (0.25, "measured"))
+    error = ValueError("broken body")
+
+    @verify._criterion(99, "crashing", 1.0)
+    def crashing():
+        raise error
+
+    assert verify._CHECKS == [slow, crashing]
+    over, crashed = verify.run_all()
+    assert (over.criterion, over.name, over.passed, over.value, over.tolerance) == (98, "throwaway", False, 0.25, 1.0)
+    assert re.fullmatch(r"measured; runtime \d+\.\d\ds exceeded 0s", over.detail), over.detail
+    assert (crashed.criterion, crashed.passed, crashed.value, crashed.detail) == (99, False, math.inf, repr(error))
+
