@@ -6,8 +6,9 @@ polynomial derivative identity, never from finite differences.  Forms of one
 class are evaluated as a batch: `family_derivatives(forms, grid, orders)`
 builds each factor's derivative stack once for the whole family, up to the
 highest order asked for, with the per-form constants as columns and one
-batched recurrence per derivative of the polynomial, so a value runs one
-recurrence and a residual's (0, 2) three, whatever the number of forms.  The
+recurrence pass for the whole family, since one recurrence pass gives every
+derivative row of the polynomial (`specfun.laguerre_stack`, DLMF §18.9); a
+value and a residual's (0, 2) each run one pass, whatever the number of forms.  The
 power stack is formed once per distinct exponent, because numpy's power of
 an exponent column skips its scalar fast paths (x**0.5, x**2) and rounds
 differently; so every element sees the operations it would alone.  A form's

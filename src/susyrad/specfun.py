@@ -2,8 +2,12 @@
 
 The polynomials here are the generalized Laguerre family L_n^(a) with real
 order a > -1, evaluated by the three-term recurrence in the degree, one batch
-of rows (degree, order) at a time; `laguerre_stack` builds every derivative
-stack from it, and a card evaluator is its stack of one.  A direct
+of rows (degree, order) at a time.  One recurrence pass gives every
+derivative row: `laguerre_stack` takes d^j/dt^j L_n^(a) = (-1)^j
+L_{n-j}^(a+j) from a pass that advances the values and the odd rows in step
+and sums the even rows by the contiguous relation
+L_k^(a+1) = sum_{i<=k} L_i^(a) (DLMF §18.9.13), and a card evaluator is its
+stack of one.  A direct
 power-series evaluator in exact integer arithmetic is kept alongside as a
 reference oracle; it rounds once per point, but its cost grows fast with the
 degree, which is why the recurrence is the production path.
@@ -20,6 +24,7 @@ through `envelope_cutoff`, without sampling.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -109,25 +114,44 @@ def finite_pointwise(derivatives, x, order, label):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _recurrence(degrees, orders, x):
-    """L_degrees[i]^(orders[i]) for every row i, as a (rows x points) array.
+def _rows(stack, j, degrees, orders, x):
+    """Fill stack[j] with L_{n-j}^(a+j) per row (n, a), and stack[j + 1] with its sums if j is odd.
 
-    The rows come in order of descending degree, on one shared argument row
-    x (1-D) or one row each (2-D), so the rows still running at step k are a
-    prefix, advanced in place.  Coefficient columns are formed in the one-row
-    order of operations, so each row has the bits it would have alone.
+    A generator that advances one degree per next(), so that `_recurrence`
+    can run several in step.  The rows of degree n >= j take part; the rest
+    are zero.  The running sums are kept only when the stack has a row j + 1
+    to put them in.  The rows still running at step k, those of degree > k, are a
+    prefix of the buffers, and a row is copied out when it is done.
+    Coefficient columns are formed in the one-row order of operations, so
+    each row has the bits it would have alone.
     """
-    rows, top = len(degrees), degrees[0]
-    if top == 0:
-        return np.ones((rows, x.shape[-1]))
+    rows, points = len(degrees), x.shape[-1]
+    if j:
+        live = sum(n >= j for n in degrees)
+        degrees, orders = [n - j for n in degrees[:live]], [a + j for a in orders[:live]]
+        x = x[:live] if x.ndim == 2 else x
+    top = degrees[0] if degrees else 0
     # running[k]: the rows of degree > k, the prefix that step k advances
-    running, m = [], rows
+    running, m = [], len(degrees)
     for k in range(top):
         while degrees[m - 1] <= k:
             m -= 1
         running.append(m)
-    # rows that end before the top degree are copied out; the rest end in cur
-    out = np.ones((rows, x.shape[-1])) if degrees[-1] < top else None
+    # rows that end before the top degree, and rows past the ones taking part, are copied
+    # out; the rest end in cur
+    out = None
+    if top == 0 or degrees[-1] < top or len(degrees) < rows:
+        out = np.ones((rows, points))
+        out[len(degrees) :] = 0.0
+    total = None
+    if j % 2 and j + 1 < len(stack):
+        # sum_{i<=k} L_i^(a) = L_k^(a+1) (DLMF §18.9.13), from L_0 = 1 on the rows that go on
+        total = np.ones((rows, points))
+        total[running[0] if top else 0 :] = 0.0
+        stack[j + 1] = total
+    if top == 0:
+        stack[j] = out
+        return
     m = running[0]
     if m == 1:
         # a lone row keeps Python floats: a (1, 1) column costs numpy broadcasting on every
@@ -139,11 +163,12 @@ def _recurrence(degrees, orders, x):
         a = np.array(orders[:m], dtype=float)[:, None]
         steps = np.arange(1.0, top)[:, None, None]
         c_next, c_prev = 2.0 * steps + a + 1.0, steps + a
-    x = x.reshape(-1, x.shape[-1])[:m]  # a shared row is one row that every prefix broadcasts
-    prev = np.ones((m, x.shape[-1]))
+    x = x.reshape(-1, points)[:m]  # a shared row is one row that every prefix broadcasts
+    prev = np.ones((m, points))
     cur = np.empty_like(prev)
     np.subtract(a + 1.0, x, out=cur)
     nxt = np.empty_like(prev)
+    partial = None if total is None else total[:m]
     # in place: a fresh 2e4-point temporary is past glibc's mmap threshold, so mmapped every step
     for k in range(1, top):
         if running[k] < m:
@@ -152,6 +177,10 @@ def _recurrence(degrees, orders, x):
             m = running[k]
             prev, cur, nxt, c_next, c_prev = prev[:m], cur[:m], nxt[:m], c_next[:, :m], c_prev[:, :m]
             x = x[:m]
+            if partial is not None:
+                partial = partial[:m]
+        if partial is not None:
+            partial += cur
         # ((2k + a + 1 - x) * cur - (k + a) * prev) / (k + 1), operation by operation
         np.subtract(c_next[k - 1], x, out=nxt)
         nxt *= cur
@@ -159,31 +188,48 @@ def _recurrence(degrees, orders, x):
         nxt -= prev
         nxt /= k + 1.0
         prev, cur, nxt = cur, nxt, prev
+        yield
     if out is None:
-        return cur
-    out[:m] = cur
-    return out
+        stack[j] = cur
+    else:
+        out[:m] = cur
+        stack[j] = out
+
+
+def _recurrence(degrees, orders, x, order=0):
+    """L_{degrees[i]-j}^(orders[i]+j) for every row i and j <= order: order + 1 (rows x points) arrays.
+
+    The rows come in order of descending degree, on one shared argument row
+    x (1-D) or one row each (2-D); a row of degree < j is zero at j.  One
+    pass over the degree advances, in step, the three-term recurrences of
+    the values and of the rows of odd j, and the running sums of each odd
+    row give the row j + 1 (DLMF §18.9.13), so one recurrence pass gives
+    every derivative row.  The values and the odd rows keep the bits of
+    their own recurrences.  An even row is summed once, from the odd row
+    below it, because a sum carries the rounding errors of all its terms:
+    summed from the values, the rows j = 1, 2 and 3 at n <= 200 had up to 5,
+    8 and 200 times the error of their own recurrences on the local scale,
+    where the row 2 summed from the row 1 stays within 3 times.
+    """
+    stack = [None] * (order + 1)
+    passes = [_rows(stack, j, degrees, orders, x) for j in (0, *range(1, order + 1, 2))]
+    for _ in itertools.zip_longest(*passes):
+        pass
+    return stack
 
 
 def laguerre_stack(degrees, orders, t, order):
     """d^j/dt^j L_n^(a)(t) = (-1)^j L_{n-j}^(a+j)(t) for j <= order, per row; zero once j > n.
 
-    t is an argument `_check_argument` has passed.  The rows come in order of
-    descending degree, so those of degree >= j are a prefix, and each j is
-    one recurrence over it.
+    t is an argument `_check_argument` has passed, and the rows come in order
+    of descending degree.  One recurrence pass gives every derivative row
+    (`_recurrence`, with the contiguous relation of DLMF §18.9.13), and the
+    odd rows take their sign here.
     """
-    rows, stack = len(degrees), []
-    for j in range(order + 1):
-        live = sum(n >= j for n in degrees)
-        if live:
-            x = t[:live] if t.ndim == 2 else t
-            p = _recurrence([n - j for n in degrees[:live]], [a + j for a in orders[:live]], x)
-            if j % 2:
-                np.negative(p, out=p)
-        if live < rows:
-            zeros = np.zeros((rows - live, t.shape[-1]))
-            p = np.concatenate([p, zeros]) if live else zeros
-        stack.append(p)
+    stack = _recurrence(degrees, orders, t, order)
+    for j in range(1, order + 1, 2):
+        live = stack[j][: sum(n >= j for n in degrees)]
+        np.negative(live, out=live)
     return stack
 
 

@@ -311,8 +311,9 @@ def _allocating_recurrence(n, a, x):
 
 
 def _one_row(n, a, x):
-    """The batched recurrence as a batch of one, in the shape of x."""
-    return specfun._recurrence([n], [a], x.reshape(-1))[0].reshape(x.shape)
+    """The batched recurrence's value row as a batch of one, in the shape of x."""
+    (values,) = specfun._recurrence([n], [a], x.reshape(-1))
+    return values[0].reshape(x.shape)
 
 
 def _bitwise_equal(got, want):
@@ -357,7 +358,7 @@ class TestInPlaceRecurrence:
         else:
             x = finite
         with np.errstate(all="ignore"):
-            got = specfun._recurrence(list(degrees), list(orders), x)
+            (got,) = specfun._recurrence(list(degrees), list(orders), x)
             want = [
                 _allocating_recurrence(n, a, x[i] if per_row else x)
                 for i, (n, a) in enumerate(self.BATCH)
@@ -380,6 +381,58 @@ class TestInPlaceRecurrence:
         specfun._recurrence([7], [0.5], x)
         specfun._recurrence([3, 7], [0.5, 1.0], np.vstack([x, x]))
         assert np.array_equal(x, kept)
+
+
+def _local_error(got, exact):
+    """|got - exact| over the largest |exact| within four points either side."""
+    window = np.lib.stride_tricks.sliding_window_view(np.pad(np.abs(exact), 4, mode="edge"), 9)
+    return np.abs(got - exact) / window.max(axis=-1)
+
+
+class TestDerivativeRows:
+    """The rows d^j/dt^j L_n^(a) = (-1)^j L_{n-j}^(a+j), j >= 1, of one recurrence pass."""
+
+    @pytest.mark.parametrize("n", [40, 139, 200])
+    @pytest.mark.parametrize("a", [-0.5, 0.0, 1.0, 7.5, 21.0])
+    def test_within_four_times_the_value_path_error(self, n, a):
+        # the oracle rounds once per point; the value path is L_{n-j}^(a+j)'s own recurrence
+        t = np.linspace(0.0, 4.0 * n + 2.0 * a, 301)[1:]
+        stack = specfun.laguerre_stack([n], [a], t, 3)
+        for j in (1, 2, 3):
+            exact = sonine_laguerre_direct_sum(SonineLaguerre(n - j, a + j), t)
+            (value_path,) = specfun._recurrence([n - j], [a + j], t)
+            row_error = _local_error((-1) ** j * stack[j][0], exact).max()
+            value_error = _local_error(value_path[0], exact).max()
+            assert row_error <= 4.0 * max(value_error, 1e-15), (j, row_error, value_error)
+
+    # descending degrees with repeats, and degrees below the order
+    BATCH = ((9, 0.5), (9, 2.7), (4, -0.5), (2, 0.0), (2, 1.5), (1, -0.5), (0, 2.7))
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["shared-x", "per-row-x"])
+    def test_every_row_of_a_batch_equals_its_lone_build(self, per_row):
+        degrees, orders = (list(column) for column in zip(*self.BATCH))
+        finite = np.linspace(0.0, 30.0, 301)
+        x = np.vstack([finite * (1.0 + 0.01 * i) for i in range(len(degrees))]) if per_row else finite
+        kept = x.copy()
+        full = specfun.laguerre_stack(degrees, orders, x, 3)
+        assert np.array_equal(x, kept)
+        for order in range(4):
+            got = specfun.laguerre_stack(degrees, orders, x, order)
+            assert len(got) == order + 1
+            for i, (n, a) in enumerate(self.BATCH):
+                row_x = x[i] if per_row else x
+                alone = specfun.laguerre_stack([n], [a], row_x, order)
+                for j, rows in enumerate(got):
+                    assert rows.shape == (len(degrees), 301)
+                    assert _bitwise_equal(rows[i], alone[j][0]), (order, i, j)
+                    # a lower order's stack is the start of a higher order's
+                    assert _bitwise_equal(rows[i], full[j][i]), (order, i, j)
+                    if j > n:
+                        assert _bitwise_equal(rows[i], np.zeros(301)), (order, i, j)
+                    elif j % 2:
+                        # an odd row is its own recurrence's, with the sign of the derivative
+                        (own,) = specfun._recurrence([n - j], [a + j], row_x)
+                        assert _bitwise_equal(rows[i], -own[0]), (order, i, j)
 
 
 def _full_triple_product(u, w, z, order):
@@ -516,13 +569,13 @@ class TestDerivativeOrderSelection:
         [coulomb.CoulombState(3, 6, 1), oscillator.OscillatorState(2, 9, 1)],
         ids=["coulomb-degree4", "oscillator-degree4"],
     )
-    def test_each_order_runs_only_its_recurrences(self, state, monkeypatch):
+    def test_every_order_is_one_recurrence_pass(self, state, monkeypatch):
         calls = []
         original = specfun._recurrence
 
-        def counted(degrees, orders, x):
-            calls.append(len(degrees))
-            return original(degrees, orders, x)
+        def counted(degrees, orders, x, order=0):
+            calls.append((len(degrees), order))
+            return original(degrees, orders, x, order)
 
         # the forms look the recurrence up on specfun at each call
         monkeypatch.setattr(specfun, "_recurrence", counted)
@@ -534,13 +587,13 @@ class TestDerivativeOrderSelection:
                   for k in range(state.degree + 1)]
         assert {form.degree for form in family} == set(range(state.degree + 1))
         for order, name in enumerate(_DERIVATIVES):
-            # one recurrence per polynomial derivative the order needs, one row per form
+            # one pass gives every polynomial derivative the order needs, one row per form
             calls.clear()
             getattr(state, name)(grid)
-            assert calls == [1] * (order + 1), name
+            assert calls == [(1, order)], name
             calls.clear()
             _laguerre_forms.family_derivatives(family, grid, (order,))
-            assert calls == [sum(form.degree >= j for form in family) for j in range(order + 1)], name
+            assert calls == [(len(family), order)], name
 
     def test_map_and_annihilation_checks_build_once_per_side(self, monkeypatch):
         builds = []
@@ -674,19 +727,19 @@ class TestSharedResidualStack:
         [coulomb.CoulombState(3, 6, 1), oscillator.OscillatorState(2, 9, 1)],
         ids=["coulomb-degree4", "oscillator-degree4"],
     )
-    def test_one_grid_check_and_three_recurrences(self, state, monkeypatch):
+    def test_one_grid_check_and_one_recurrence_pass(self, state, monkeypatch):
         calls = Counter()
         for name in ("positive_grid", "_check_argument", "_recurrence"):
             _count_calls(monkeypatch, specfun, name, calls)
         grid = np.linspace(0.1, 5.0, 9)
         reports._relative_residual(state, grid)
-        assert calls == Counter(positive_grid=1, _check_argument=1, _recurrence=3)
+        assert calls == Counter(positive_grid=1, _check_argument=1, _recurrence=1)
         # a batch of the state and its lower-degree neighbours costs the same calls
         family = [state, type(state)(state.dimension, state.principal - 2, state.angular)]
         for grids in (grid, np.vstack([grid, 2.0 * grid])):
             calls.clear()
             reports._relative_residuals(family, grids)
-            assert calls == Counter(positive_grid=1, _check_argument=1, _recurrence=3)
+            assert calls == Counter(positive_grid=1, _check_argument=1, _recurrence=1)
 
     def test_public_entry_points_still_check_the_grid(self):
         state = coulomb.CoulombState(3, 2, 1)
