@@ -85,12 +85,17 @@ def _relative_residuals(states, grids):
     return np.abs(res).max(axis=-1) / np.abs(value).max(axis=-1)
 
 
-def _relative_residual(state, grid):
-    """_relative_residuals of one state, from its own build and its operator's floats."""
+def _value_and_residual(state, grid):
+    """The state's values on grid and its _relative_residuals, from one build and its operator's floats."""
     grid = specfun.positive_grid(grid)
     value, curvature = state.derivatives(grid, (0, 2))
     res = susy.residual(value, curvature, state.operator()._potential(grid), state.operator_eigenvalue())
-    return float(np.abs(res).max() / np.abs(value).max())
+    return value, float(np.abs(res).max() / np.abs(value).max())
+
+
+def _relative_residual(state, grid):
+    """_relative_residuals of one state, from its own build and its operator's floats."""
+    return _value_and_residual(state, grid)[1]
 
 
 def _state_factory(family, dimension, model):
@@ -156,8 +161,7 @@ def wavefunction_record(family, dimension, n, l, grid_min, grid_max, points, mod
     else:
         state = _state_factory(family, dimension, model)(n, l)
         grid = np.linspace(grid_min, grid_max, points)
-        values = state.value(grid)
-        residual = _relative_residual(state, grid)
+        values, residual = _value_and_residual(state, grid)
         coord = "Y" if family in OSCILLATOR_SIDE else "y"
 
     rows = [{coord: x, "amplitude": v} for x, v in zip(grid.tolist(), values.tolist())]

@@ -43,6 +43,11 @@ _TAIL_DROP = 1e-18
 # cannot pass for decay
 _TAIL_PROBES = (1.0, 1.1, 1.3)
 
+# `_recurrence`'s one-entry memo: (degrees, orders, x, values row) of its last values
+# pass, each array a private copy, or None; a row above the element budget is not kept
+_SLOT_ELEMENTS = 2**17
+_last_values = None
+
 
 @dataclass(frozen=True)
 class SonineLaguerre:
@@ -200,21 +205,49 @@ def _recurrence(degrees, orders, x, order=0):
     """L_{degrees[i]-j}^(orders[i]+j) for every row i and j <= order: order + 1 (rows x points) arrays.
 
     The rows come in order of descending degree, on one shared argument row
-    x (1-D) or one row each (2-D); a row of degree < j is zero at j.  One
-    pass over the degree advances, in step, the three-term recurrences of
-    the values and of the rows of odd j, and the running sums of each odd
-    row give the row j + 1 (DLMF §18.9.13), so one recurrence pass gives
-    every derivative row.  The values and the odd rows keep the bits of
-    their own recurrences.  An even row is summed once, from the odd row
-    below it, because a sum carries the rounding errors of all its terms:
-    summed from the values, the rows j = 1, 2 and 3 at n <= 200 had up to 5,
-    8 and 200 times the error of their own recurrences on the local scale,
-    where the row 2 summed from the row 1 stays within 3 times.
+    x (1-D) or one row each (2-D); a row of degree < j is zero at j.  Degrees
+    that rise are a ValueError.  One pass over the degree advances, in step,
+    the three-term recurrences of the values and of the rows of odd j, and
+    the running sums of each odd row give the row j + 1 (DLMF §18.9.13), so
+    one recurrence pass gives every derivative row.  The values and the odd
+    rows keep the bits of their own recurrences.  An even row is summed
+    once, from the odd row below it, because a sum carries the rounding
+    errors of all its terms: summed from the values, the rows j = 1, 2 and 3
+    at n <= 200 had up to 5, 8 and 200 times the error of their own
+    recurrences on the local scale, where the row 2 summed from the row 1
+    stays within 3 times.
+
+    The last values row is kept in a one-entry slot, so that a residual's
+    (0, 2) pass after a value on the same grid runs only its odd chains.
+    The slot keys on the degrees, the orders, and x's dtype, shape and
+    values (`np.array_equal`), and holds private copies of x and of the
+    values row; a call that matches takes a copy of the row, and any other
+    call runs the values chain and replaces the slot.  Every row keeps its
+    bits: L_n^(a)(t) depends on (n, a, t) alone, and x enters the chain only
+    as c - x, where equal values give equal bits, 0.0 and -0.0 included,
+    since a coefficient c is never -0.0.  A values row of more than
+    _SLOT_ELEMENTS elements (1 MiB of floats), or one of top degree 0, whose
+    chain has no step, is not kept.
     """
+    global _last_values
+    key_degrees, key_orders = tuple(degrees), tuple(orders)
+    if any(n < m for n, m in zip(key_degrees, key_degrees[1:])):
+        raise ValueError(f"rows must come in order of descending degree, got degrees {list(key_degrees)}")
+    slot = _last_values  # read once: another thread may replace it meanwhile
     stack = [None] * (order + 1)
-    passes = [_rows(stack, j, degrees, orders, x) for j in (0, *range(1, order + 1, 2))]
+    chains = range(1, order + 1, 2)
+    hit = (slot is not None and slot[:2] == (key_degrees, key_orders) and slot[2].dtype == x.dtype
+           and slot[2].shape == x.shape and np.array_equal(slot[2], x))
+    if hit:
+        stack[0] = slot[3].copy()
+    else:
+        chains = (0, *chains)
+    passes = [_rows(stack, j, degrees, orders, x) for j in chains]
     for _ in itertools.zip_longest(*passes):
         pass
+    if not hit:
+        keep = key_degrees and key_degrees[0] > 0 and stack[0].size <= _SLOT_ELEMENTS
+        _last_values = (key_degrees, key_orders, x.copy(), stack[0].copy()) if keep else None
     return stack
 
 

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -379,8 +380,13 @@ class TestInPlaceRecurrence:
         x = np.linspace(0.0, 10.0, 50)
         kept = x.copy()
         specfun._recurrence([7], [0.5], x)
-        specfun._recurrence([3, 7], [0.5, 1.0], np.vstack([x, x]))
+        specfun._recurrence([7, 3], [0.5, 1.0], np.vstack([x, x]))
         assert np.array_equal(x, kept)
+
+    def test_rising_degrees_are_refused(self):
+        x = np.linspace(0.0, 10.0, 50)
+        with pytest.raises(ValueError, match=r"descending degree, got degrees \[3, 7\]"):
+            specfun._recurrence([3, 7], [0.5, 1.0], np.vstack([x, x]))
 
 
 def _local_error(got, exact):
@@ -433,6 +439,153 @@ class TestDerivativeRows:
                         # an odd row is its own recurrence's, with the sign of the derivative
                         (own,) = specfun._recurrence([n - j], [a + j], row_x)
                         assert _bitwise_equal(rows[i], -own[0]), (order, i, j)
+
+
+def _started_chains(monkeypatch):
+    """Count the chains `_recurrence` starts, by j, through specfun._rows."""
+    started = Counter()
+    original = specfun._rows
+
+    def counted(stack, j, *args):
+        started[j] += 1
+        return original(stack, j, *args)
+
+    monkeypatch.setattr(specfun, "_rows", counted)
+    return started
+
+
+def _fresh(call):
+    """call() with `_recurrence`'s slot emptied first, so that every chain runs."""
+    specfun._last_values = None
+    return call()
+
+
+def _pair(state, grid):
+    """A state's value and its residual on grid, as eval_wide and a wavefunction check ask for them."""
+    return state.value(grid), susy.apply_operator(state.operator(), state, grid, state.operator_eigenvalue())
+
+
+class TestValuesSlot:
+    """`_recurrence`'s one-entry memo of its last values row."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_slot(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_last_values", None)
+
+    @pytest.mark.parametrize(
+        "state",
+        [coulomb.CoulombState(3, 40, 2), oscillator.OscillatorState(3, 60, 4)],
+        ids=["coulomb-degree37", "oscillator-degree28"],
+    )
+    def test_a_value_then_its_residual_starts_the_values_chain_once(self, state, monkeypatch):
+        grid = np.linspace(0.1, 60.0, 2001)
+        calls = (
+            lambda: state.value(grid),
+            lambda: state.second_derivative(grid),
+            lambda: susy.apply_operator(state.operator(), state, grid, state.operator_eigenvalue()),
+        )
+        want = [_fresh(call) for call in calls]
+        specfun._last_values = None
+        started = _started_chains(monkeypatch)
+        got = [call() for call in calls]
+        # the value starts the values chain; the curvature and the residual only the odd one
+        assert started == Counter({0: 1, 1: 2})
+        for g, w in zip(got, want):
+            assert _bitwise_equal(g, w)
+
+    def test_writes_to_the_argument_or_the_rows_do_not_reach_the_slot(self, monkeypatch):
+        degrees, orders = [9, 4, 0], [0.5, 2.7, -0.5]
+        x = np.linspace(0.0, 30.0, 301)
+        want = [row.copy() for row in _fresh(lambda: specfun._recurrence(degrees, orders, x, 2))]
+        started = _started_chains(monkeypatch)
+        for order in (2, 0, 1):
+            got = specfun._recurrence(degrees, orders, x, order)
+            for row, expected in zip(got, want):
+                assert _bitwise_equal(row, expected), order
+                row *= -3.0
+        # every repeat took the values row from the slot, and none saw the writes above
+        assert started[0] == 0
+        x[100] += 1.0
+        moved = specfun._recurrence(degrees, orders, x, 2)
+        assert started[0] == 1
+        fresh = _fresh(lambda: specfun._recurrence(degrees, orders, x, 2))
+        assert all(_bitwise_equal(g, w) for g, w in zip(moved, fresh))
+        assert not _bitwise_equal(moved[0], want[0])
+        # a card hands its caller a view of its values row
+        card, point = SonineLaguerre(12, 1.5), np.linspace(0.0, 20.0, 41)
+        first = eval_sonine_laguerre(card, point)
+        kept = first.copy()
+        first[:] = 7.0
+        assert _bitwise_equal(eval_sonine_laguerre(card, point), kept)
+
+    def test_any_other_key_misses(self, monkeypatch):
+        degrees, orders = [9, 4], [0.5, 2.7]
+        x = np.linspace(0.0, 30.0, 301)
+        changed = x.copy()
+        changed[150] = np.nextafter(changed[150], np.inf)
+        others = (
+            ([10, 4], orders, x),
+            (degrees, [0.5, 2.8], x),
+            (degrees, orders, np.vstack([x, x])),
+            (degrees, orders, changed),
+        )
+        started = _started_chains(monkeypatch)
+        for d, a, arg in others:
+            specfun._recurrence(degrees, orders, x)
+            started.clear()
+            got = specfun._recurrence(d, a, arg, 2)
+            assert started == Counter({0: 1, 1: 1}), (d, a, arg.shape)
+            fresh = _fresh(lambda: specfun._recurrence(d, a, arg, 2))
+            assert all(_bitwise_equal(g, w) for g, w in zip(got, fresh))
+
+    def test_the_slot_is_one_private_bounded_entry(self):
+        x = np.linspace(0.0, 30.0, 301)
+        (values,) = specfun._recurrence([9], [0.5], x)
+        degrees, orders, kept_x, kept_row = specfun._last_values
+        assert (degrees, orders) == ((9,), (0.5,))
+        assert not np.shares_memory(kept_x, x) and not np.shares_memory(kept_row, values)
+        # a chain with no step, or a row past the element budget, leaves the slot empty
+        specfun._recurrence([0], [0.5], x)
+        assert specfun._last_values is None
+        wide = np.linspace(0.0, 30.0, specfun._SLOT_ELEMENTS + 1)
+        specfun._recurrence([3], [0.5], wide)
+        assert specfun._last_values is None
+        specfun._recurrence([3], [0.5], wide[:-1])
+        assert specfun._last_values[3].size == specfun._SLOT_ELEMENTS
+
+    def test_threads_alternating_pairs_give_the_serial_bits(self):
+        grid = np.linspace(0.1, 40.0, 201)
+        # the first and last differ only in the order of their polynomial
+        states = [coulomb.CoulombState(3, 30, 1), oscillator.OscillatorState(3, 40, 2),
+                  coulomb.CoulombState(3, 30, 1, delta=0.25)]
+        want = [_fresh(lambda: _pair(state, grid)) for state in states]
+        got = [[] for _ in states]
+        # more threads than cores, each running many short pairs, so that thread switches
+        # land between reading the slot and using it
+        orders = ((0, 1), (1, 2, 0), (2, 0))
+        barrier = threading.Barrier(len(orders))
+
+        def run(order):
+            barrier.wait()
+            for _ in range(200):
+                for i in order:
+                    got[i].append(_pair(states[i], grid))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(order,)) for order in orders]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [len(pairs) for pairs in got] == [600, 400, 400]
+        for pairs, (value, residual) in zip(got, want):
+            for v, r in pairs:
+                assert _bitwise_equal(v, value) and _bitwise_equal(r, residual)
 
 
 def _full_triple_product(u, w, z, order):
