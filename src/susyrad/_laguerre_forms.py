@@ -13,11 +13,11 @@ A residual after a value on the same grid runs only the odd rows of its pass:
 `specfun._recurrence` keeps its last values row in a one-entry slot, keyed on
 the degrees, the orders and the argument's values, holding private copies of
 the argument and the row, at most 2**17 elements, and every row keeps its
-bits.  The power stack is formed once per distinct exponent, because numpy's power of
-an exponent column skips its scalar fast paths (x**0.5, x**2) and rounds
-differently; so every element sees the operations it would alone.  A form's
-`derivatives(grid, orders)` is the same build for a family of one, on its
-grid's points as one row and with its own constants as floats.  The Laguerre
+bits.  The power stack is formed once per distinct exponent, because numpy's
+power of an exponent column skips its scalar fast paths (x**0.5, x**2) and
+rounds differently; so every element sees the operations it would alone.  A
+form's `derivatives(grid, orders)` is the same build for a family of one, on
+its grid's points as one row and with its own constants as floats.  The Laguerre
 argument is checked before any stack is formed, and the normalization is
 built on first use.
 Each form bounds its magnitude in closed form (`log_envelope`), which fixes the

@@ -43,8 +43,8 @@ _TAIL_DROP = 1e-18
 # cannot pass for decay
 _TAIL_PROBES = (1.0, 1.1, 1.3)
 
-# `_recurrence`'s one-entry memo: (degrees, orders, x, values row) of its last values
-# pass, each array a private copy, or None; a row above the element budget is not kept
+# `_recurrence`'s one-entry memo, (degrees, orders, x, values row) or None, and the
+# largest values row it keeps
 _SLOT_ELEMENTS = 2**17
 _last_values = None
 
