@@ -9,11 +9,11 @@ highest order asked for, with the per-form constants as columns and one
 recurrence pass for the whole family, since one recurrence pass gives every
 derivative row of the polynomial (`specfun.laguerre_stack`, DLMF §18.9); a
 value and a residual's (0, 2) each run one pass, whatever the number of forms.
-A residual after a value on the same grid runs only the odd rows of its pass:
-`specfun._recurrence` keeps its last values row in a one-entry slot, keyed on
-the degrees, the orders and the argument's values, holding private copies of
-the argument and the row, at most 2**17 elements, and every row keeps its
-bits.  The power stack is formed once per distinct exponent, because numpy's
+A lone form's residual after its value on the same grid runs only the odd
+rows of its pass: `specfun._recurrence` keeps its last lone values row in a
+one-entry slot (a family's batch is not kept), keyed on the degrees, the
+orders and the argument's values, holding private copies of the argument and
+the row, at most 2**17 elements, and every row keeps its bits.  The power stack is formed once per distinct exponent, because numpy's
 power of an exponent column skips its scalar fast paths (x**0.5, x**2) and
 rounds differently; so every element sees the operations it would alone.  A
 form's `derivatives(grid, orders)` is the same build for a family of one, on

@@ -43,8 +43,8 @@ _TAIL_DROP = 1e-18
 # cannot pass for decay
 _TAIL_PROBES = (1.0, 1.1, 1.3)
 
-# `_recurrence`'s one-entry memo, (degrees, orders, x, values row) or None, and the
-# largest values row it keeps
+# `_recurrence`'s one-entry memo of a lone row, (degrees, orders, x, values row) or
+# None, and the largest values row it keeps
 _SLOT_ELEMENTS = 2**17
 _last_values = None
 
@@ -217,17 +217,19 @@ def _recurrence(degrees, orders, x, order=0):
     recurrences on the local scale, where the row 2 summed from the row 1
     stays within 3 times.
 
-    The last values row is kept in a one-entry slot, so that a residual's
-    (0, 2) pass after a value on the same grid runs only its odd chains.
-    The slot keys on the degrees, the orders, and x's dtype, shape and
-    values (`np.array_equal`), and holds private copies of x and of the
+    The last lone values row is kept in a one-entry slot, so that a
+    residual's (0, 2) pass after a value on the same grid runs only its odd
+    chains.  The slot keys on the degrees, the orders, and x's dtype, shape
+    and values (`np.array_equal`), and holds private copies of x and of the
     values row; a call that matches takes a copy of the row, and any other
-    call runs the values chain and replaces the slot.  Every row keeps its
-    bits: L_n^(a)(t) depends on (n, a, t) alone, and x enters the chain only
-    as c - x, where equal values give equal bits, 0.0 and -0.0 included,
-    since a coefficient c is never -0.0.  A values row of more than
-    _SLOT_ELEMENTS elements (1 MiB of floats), or one of top degree 0, whose
-    chain has no step, is not kept.
+    call runs the values chain.  Only a pass of one row (one degree)
+    replaces the slot: batches are not kept and leave it as it was, since a
+    batch's values are seldom asked for twice in a row and copying them
+    costs more.  Every row keeps its bits: L_n^(a)(t) depends on (n, a, t)
+    alone, and x enters the chain only as c - x, where equal values give
+    equal bits, 0.0 and -0.0 included, since a coefficient c is never -0.0.
+    A values row of more than _SLOT_ELEMENTS elements (1 MiB of floats), or
+    one of top degree 0, whose chain has no step, is not kept.
     """
     global _last_values
     key_degrees, key_orders = tuple(degrees), tuple(orders)
@@ -245,8 +247,8 @@ def _recurrence(degrees, orders, x, order=0):
     passes = [_rows(stack, j, degrees, orders, x) for j in chains]
     for _ in itertools.zip_longest(*passes):
         pass
-    if not hit:
-        keep = key_degrees and key_degrees[0] > 0 and stack[0].size <= _SLOT_ELEMENTS
+    if not hit and len(key_degrees) == 1:
+        keep = key_degrees[0] > 0 and stack[0].size <= _SLOT_ELEMENTS
         _last_values = (key_degrees, key_orders, x.copy(), stack[0].copy()) if keep else None
     return stack
 

@@ -14,12 +14,16 @@ one `laguerre_stack` call) to the integer direct sum of each card.  The states'
 own derivatives are never differenced; their residuals use the analytic product
 rule.  Criterion 4 measures the partner shift as `susy-pair` does, relative to
 the partners (`susy.shift_identity_defect`), and criterion 8 reads the records
-that the trap verbs print.
+that the trap verbs print.  Criteria 7 and 8 draw their points and trap
+configurations from private, seeded stdlib `random.Random` streams, so the
+suite executes only numpy's core, never `numpy.random`, and never touches the
+module-level `random` state.
 """
 
 from __future__ import annotations
 
 import functools
+import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +33,7 @@ from ._laguerre_forms import family_cutoff, family_derivatives
 from ._np import np
 from .errors import AdmissibilityError, StabilityError
 
+# seeds of the private `random.Random` streams of criteria 7 (_RNG_SEED) and 8 (_RNG_SEED + 1)
 _RNG_SEED = 20260826
 
 
@@ -307,14 +312,17 @@ _REDUCTION_FAMILIES = (
 
 @_criterion(7, "reduction-limits", 1e-12)
 def check_reduction_limits():
-    rng = np.random.default_rng(_RNG_SEED)
+    rng = random.Random(_RNG_SEED)
     defects = []
     for exact, zero_model, dims, cases, top in _REDUCTION_FAMILIES:
         models = [zero_model(d, {0: 0.0, 1: 0.0}, {0: 0, 1: 0}) for d in dims]
         plains = [exact(model.dimension, n, l) for model in models for (n, l) in cases]
         starreds = [model.state(n, l) for model in models for (n, l) in cases]
-        # one row of points per case, drawn in the order the cases come
-        grid = specfun.positive_grid([rng.uniform(0.05, top(plain), size=100) for plain in plains])
+        # one row of points per case, drawn in the order the cases come; scaled as a column,
+        # each point has the bits of rng.uniform(0.05, top)
+        units = np.array([rng.random() for _ in range(100 * len(plains))]).reshape(len(plains), 100)
+        tops = np.array([[top(plain)] for plain in plains])
+        grid = specfun.positive_grid(0.05 + (tops - 0.05) * units)
         (plain,), (starred,) = (family_derivatives(states, grid, (0,)) for states in (plains, starreds))
         defects.append(np.abs(starred - plain))
     return _worst(defects), "zero-defect states against the exact families"
@@ -325,11 +333,11 @@ def check_reduction_limits():
 
 @_criterion(8, "penning-trap", reports.FREQUENCY_MATCH_TOL)
 def check_penning_trap():
-    rng = np.random.default_rng(_RNG_SEED + 1)
+    rng = random.Random(_RNG_SEED + 1)
     matches = []
     for k in range(50):
-        b = float(rng.uniform(0.2, 15.0))
-        d_trap = float(rng.uniform(5e-4, 5e-2))
+        b = rng.uniform(0.2, 15.0)
+        d_trap = rng.uniform(5e-4, 5e-2)
         kind = k % 3
         if kind == 0:
             charge, mass = geonium.ELECTRON.charge, geonium.ELECTRON.mass
@@ -337,8 +345,8 @@ def check_penning_trap():
             charge, mass = geonium.PROTON.charge, geonium.PROTON.mass
         else:
             sign = -1.0 if k % 2 else 1.0
-            charge = sign * float(rng.uniform(1.0, 5.0)) * abs(geonium.PROTON.charge)
-            mass = float(rng.uniform(0.5, 100.0)) * geonium.PROTON.mass
+            charge = sign * rng.uniform(1.0, 5.0) * abs(geonium.PROTON.charge)
+            mass = rng.uniform(0.5, 100.0) * geonium.PROTON.mass
         record = reports.trap_operating_point_record(b, d_trap, charge, mass)
         v = record.rows[0]["V_volt"]
         matches.append(record.diagnostics[0].value)  # frequency_match

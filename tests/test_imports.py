@@ -7,8 +7,11 @@ interpreter, since this test process has long since loaded everything.  A
 lazily bound module sits in sys.modules as a pending
 `importlib.util._LazyModule` until its first attribute access runs its body,
 so a module counts as executed when it is in sys.modules and not pending.
+`verify` and `verify.run_all()` execute numpy's core and never `numpy.random`,
+unless a bare `import numpy` on the same interpreter executes it too.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -23,7 +26,7 @@ SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 NUMPY_BODY = ("numpy._core", "numpy.core")
 # numpy and the package modules a closed-form verb can do without
-WATCHED = ("numpy", *(f"susyrad.{name}" for name in
+WATCHED = ("numpy", "numpy.random", *(f"susyrad.{name}" for name in
                       ("specfun", "susy", "maps", "geonium", "config", "qdt", "verify")))
 
 VERB_PROBE = f"""
@@ -38,6 +41,21 @@ except SystemExit as exc:
 executed = [name for name in {WATCHED!r}
             if name in sys.modules and type(sys.modules[name]) is not importlib.util._LazyModule]
 sys.stderr.write("\\n" + json.dumps({{"exit": code, "executed": executed}}) + "\\n")
+"""
+
+RUN_ALL_PROBE = f"""
+import importlib.util, json, sys
+from susyrad import verify
+passed = [result.passed for result in verify.run_all()]
+executed = [name for name in {WATCHED!r}
+            if name in sys.modules and type(sys.modules[name]) is not importlib.util._LazyModule]
+print(json.dumps({{"passed": passed, "executed": executed}}))
+"""
+
+BARE_NUMPY_PROBE = """
+import json, sys
+import numpy
+print(json.dumps("numpy.random" in sys.modules))
 """
 
 PACKAGE_PROBE = f"""
@@ -92,6 +110,15 @@ def _run_verb(*argv):
     return json.loads(last)
 
 
+@functools.lru_cache(maxsize=None)
+def _numpy_modules():
+    """The watched numpy modules a bare `import numpy` executes on this interpreter."""
+    proc = _python("-c", BARE_NUMPY_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    # a numpy release that loads numpy.random eagerly is not susyrad's doing
+    return ["numpy", "numpy.random"] if json.loads(proc.stdout) else ["numpy"]
+
+
 @pytest.fixture(scope="module")
 def configs(tmp_path_factory):
     folder = tmp_path_factory.mktemp("configs")
@@ -132,12 +159,28 @@ def test_closed_form_verbs_never_execute_numpy(configs, argv, code, executed):
 
 def test_wavefunction_executes_numpy():
     outcome = _run_verb("wavefunction", "--n", "3", "--l", "1")
-    assert outcome == {"exit": 0, "executed": ["numpy", "susyrad.specfun", "susyrad.susy"]}
+    assert outcome == {"exit": 0, "executed": [*_numpy_modules(), "susyrad.specfun", "susyrad.susy"]}
 
 
 def test_map_executes_the_map_layer():
     outcome = _run_verb("map", "--d", "3", "--n", "2", "--l", "0", "--lambda", "1")
-    assert outcome == {"exit": 0, "executed": ["numpy", "susyrad.specfun", "susyrad.maps"]}
+    assert outcome == {"exit": 0, "executed": [*_numpy_modules(), "susyrad.specfun", "susyrad.maps"]}
+
+
+VERIFY_LAYER = ["susyrad.specfun", "susyrad.susy", "susyrad.maps", "susyrad.geonium", "susyrad.qdt",
+                "susyrad.verify"]
+
+
+def test_verify_executes_only_numpys_core():
+    outcome = _run_verb("verify", "--format", "json", "--out", os.devnull)
+    assert outcome == {"exit": 0, "executed": [*_numpy_modules(), *VERIFY_LAYER]}
+
+
+def test_run_all_executes_only_numpys_core():
+    proc = _python("-c", RUN_ALL_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert probe == {"passed": [True] * 9, "executed": [*_numpy_modules(), *VERIFY_LAYER]}
 
 
 def test_package_import_runs_no_submodule():

@@ -466,7 +466,7 @@ def _pair(state, grid):
 
 
 class TestValuesSlot:
-    """`_recurrence`'s one-entry memo of its last values row."""
+    """`_recurrence`'s one-entry memo of its last lone values row."""
 
     @pytest.fixture(autouse=True)
     def _empty_slot(self, monkeypatch):
@@ -494,7 +494,7 @@ class TestValuesSlot:
             assert _bitwise_equal(g, w)
 
     def test_writes_to_the_argument_or_the_rows_do_not_reach_the_slot(self, monkeypatch):
-        degrees, orders = [9, 4, 0], [0.5, 2.7, -0.5]
+        degrees, orders = [9], [0.5]
         x = np.linspace(0.0, 30.0, 301)
         want = [row.copy() for row in _fresh(lambda: specfun._recurrence(degrees, orders, x, 2))]
         started = _started_chains(monkeypatch)
@@ -519,14 +519,14 @@ class TestValuesSlot:
         assert _bitwise_equal(eval_sonine_laguerre(card, point), kept)
 
     def test_any_other_key_misses(self, monkeypatch):
-        degrees, orders = [9, 4], [0.5, 2.7]
+        degrees, orders = [9], [0.5]
         x = np.linspace(0.0, 30.0, 301)
         changed = x.copy()
         changed[150] = np.nextafter(changed[150], np.inf)
         others = (
-            ([10, 4], orders, x),
-            (degrees, [0.5, 2.8], x),
-            (degrees, orders, np.vstack([x, x])),
+            ([10], orders, x),
+            (degrees, [0.6], x),
+            (degrees, orders, x.reshape(1, -1)),
             (degrees, orders, changed),
         )
         started = _started_chains(monkeypatch)
@@ -537,6 +537,23 @@ class TestValuesSlot:
             assert started == Counter({0: 1, 1: 1}), (d, a, arg.shape)
             fresh = _fresh(lambda: specfun._recurrence(d, a, arg, 2))
             assert all(_bitwise_equal(g, w) for g, w in zip(got, fresh))
+
+    def test_a_batch_never_replaces_the_slot(self, monkeypatch):
+        x = np.linspace(0.0, 30.0, 301)
+        batch = ([9, 9, 4], [0.5, 2.7, 2.7])
+        want = _fresh(lambda: specfun._recurrence([9], [0.5], x, 2))
+        specfun._last_values = None
+        started = _started_chains(monkeypatch)
+        specfun._recurrence([9], [0.5], x)
+        entry = specfun._last_values
+        # a batch is not kept, so its repeat runs its values chain again
+        for _ in range(2):
+            specfun._recurrence(*batch, x, 2)
+            assert specfun._last_values is entry
+        got = specfun._recurrence([9], [0.5], x, 2)
+        # the lone value and its residual started the values chain once between them
+        assert started == Counter({0: 3, 1: 3})
+        assert all(_bitwise_equal(g, w) for g, w in zip(got, want))
 
     def test_the_slot_is_one_private_bounded_entry(self):
         x = np.linspace(0.0, 30.0, 301)

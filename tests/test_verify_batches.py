@@ -75,6 +75,15 @@ class TestReductionRows:
             for state, row, got in zip(states, grid, values):
                 assert np.array_equal(got, state.value(row))
 
+    def test_every_row_lies_in_its_cases_range(self, monkeypatch):
+        builds = _recorded(monkeypatch, verify, "family_derivatives", verify.check_reduction_limits)
+        for family, (plain, starred) in zip(verify._REDUCTION_FAMILIES, zip(builds[::2], builds[1::2])):
+            (states, grid, _), _ = plain
+            top = family[-1]
+            assert starred[0][1] is grid
+            for state, row in zip(states, grid):
+                assert 0.05 <= row.min() and row.max() < top(state), state
+
     def test_two_builds_per_family(self, monkeypatch):
         builds = _recorded(monkeypatch, _laguerre_forms, "_build", verify.check_reduction_limits)
         assert [len(forms) for (forms, *_), _ in builds] == [9, 9, 9, 9]

@@ -9,6 +9,7 @@ a later row, batch, family or record.  The composite criterion 4 reports 0 or
 
 import dataclasses
 import math
+import random
 import re
 
 import numpy as np
@@ -81,6 +82,18 @@ def test_a_later_nan_fails_its_criterion(monkeypatch, case):
         assert (result.value, result.detail) == (1.0, COMPOSITE_DETAIL[case])
     else:
         assert math.isnan(result.value), result
+
+
+def test_draws_are_private_to_the_suite():
+    """Criteria 7 and 8 draw from their own seeded streams: no global seed moves a result."""
+    random.seed(1)
+    random.random()
+    np.random.seed(1)
+    state = random.getstate()
+    seeded = [(r.passed, r.value.hex(), r.detail) for r in verify.run_all()]
+    assert random.getstate() == state
+    assert [(r.passed, r.value.hex(), r.detail) for r in verify.run_all()] == seeded
+    assert [passed for passed, _, _ in seeded] == [True] * 9
 
 
 def test_worst_keeps_a_nan_anywhere():
