@@ -77,10 +77,11 @@ class TestReductionRows:
 
     def test_every_row_lies_in_its_cases_range(self, monkeypatch):
         builds = _recorded(monkeypatch, verify, "family_derivatives", verify.check_reduction_limits)
-        for family, (plain, starred) in zip(verify._REDUCTION_FAMILIES, zip(builds[::2], builds[1::2])):
+        # per family, the exact states' build and then the zero-breaking states' on the same grid
+        for family, plain, starred in zip(verify._REDUCTION_FAMILIES, builds[::2], builds[1::2]):
             (states, grid, _), _ = plain
-            top = family[-1]
             assert starred[0][1] is grid
+            top = family[-1]
             for state, row in zip(states, grid):
                 assert 0.05 <= row.min() and row.max() < top(state), state
 
