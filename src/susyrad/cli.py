@@ -10,20 +10,18 @@ are carried inside the record and never abort a sweep.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import warnings
-from dataclasses import asdict
-from fractions import Fraction
 
 import click
 
-from . import __version__, reports
+from . import __version__
 from ._np import _lazy_module
 from .errors import AdmissibilityError, ConfigError, ConvergenceError, VerificationError
 
-config, geonium, maps = (
-    _lazy_module(f"{__package__}.{name}") for name in ("config", "geonium", "maps")
+# bound, not executed: a usage error runs no record module, and a verb only the layers it uses
+config, geonium, maps, reports = (
+    _lazy_module(f"{__package__}.{name}") for name in ("config", "geonium", "maps", "reports")
 )
 
 # every AdmissibilityError, ConfigError, DomainError and StabilityError is a ValueError
@@ -196,6 +194,8 @@ def susy_pair(family, dimension, angular, grid_min, grid_max, points):
 
 def _parse_lambda(text):
     """One lambda as an exact fraction; 2*lambda must be a finite float for the map solver."""
+    from fractions import Fraction  # only map parses an exact number
+
     text = text.strip()
     try:
         value = Fraction(text)
@@ -332,6 +332,9 @@ def verify(fmt, out_path):
 
     results = verify_suite.run_all()
     if fmt == "json":
+        import json
+        from dataclasses import asdict
+
         text = json.dumps([asdict(result) for result in results], indent=2) + "\n"
     else:
         lines = [

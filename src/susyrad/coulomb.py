@@ -16,8 +16,7 @@ from ._laguerre_forms import ExponentialLaguerreForm
 from ._np import _lazy_module, is_integer, np
 from .errors import AdmissibilityError
 
-specfun = _lazy_module(f"{__package__}.specfun")
-susy = _lazy_module(f"{__package__}.susy")
+_grid, specfun, susy = (_lazy_module(f"{__package__}.{name}") for name in ("_grid", "specfun", "susy"))
 
 
 def gamma_shift(dimension: int) -> float:
@@ -122,7 +121,7 @@ def eval_hydrogen_R(principal: int, angular: int, r):
     """Three-dimensional R_nl(r), normalized so the integral of R^2 r^2 dr is 1."""
     check_quantum_numbers(principal, angular)
     n, l = principal, angular
-    arr = specfun.positive_grid(r)
+    arr = _grid.positive_grid(r)
     prefactor = (2.0 / n**2) * math.exp(0.5 * (math.lgamma(n - l) - math.lgamma(n + l + 1)))
     t = 2.0 * arr / n
     poly = specfun.eval_sonine_laguerre(specfun.SonineLaguerre(n - l - 1, 2 * l + 1), t)

@@ -16,13 +16,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._laguerre_forms import columns, family_derivatives
-from ._np import _lazy_module, np
+from ._grid import _float_array, columns, family_derivatives, positive_grid
+from ._np import np
 from .coulomb import CoulombState, check_defect, check_shift
 from .errors import AdmissibilityError, DomainError, VerificationError
 from .oscillator import OscillatorState, check_anharmonicity
-
-specfun = _lazy_module(f"{__package__}.specfun")
 
 _INTEGRALITY_TOL = 1e-9
 _NODE_EXCLUSION = 1e-6
@@ -193,7 +191,7 @@ def verify_map_identities(specs, grid=None) -> list[MapVerification]:
     if grid is None:
         grid = default_verification_grid()
     else:
-        grid = specfun._float_array(grid, "verification grid")
+        grid = _float_array(grid, "verification grid")
         if grid.ndim != 1 or grid.size < 2:
             raise VerificationError("verification grid must be one-dimensional with >= 2 points")
         if (grid <= 0.0).any():
@@ -212,7 +210,7 @@ def verify_map_identities(specs, grid=None) -> list[MapVerification]:
     (nu_star,) = columns([(s.source_state.n_star + s.source_state.gamma,) for s in specs])
     points = np.where(included, grid, grid[included.argmax(axis=-1)][:, None])
     (source_vals,) = family_derivatives(
-        [s.source_state for s in specs], specfun.positive_grid(nu_star * points**2), (0,)
+        [s.source_state for s in specs], positive_grid(nu_star * points**2), (0,)
     )
     ratios = np.full(target_vals.shape, np.nan)
     ratios[included] = source_vals[included] / (np.sqrt(points) * target_vals)[included]

@@ -17,7 +17,7 @@ something may be wrong (an unexpected cell type, an encoder error, or
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -26,11 +26,20 @@ from itertools import chain, repeat
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _FLOAT = frozenset({float})
 
-# Separators only, no indent, so that encoding runs in the C encoder; the item separator
-# already carries the line break and indentation `indent=2` gives the entries of a
-# top-level dict (inputs) and of the dicts in a top-level list (rows, diagnostics).
-_DICT = json.JSONEncoder(allow_nan=False, separators=(",\n    ", ": "))
-_TABLE = json.JSONEncoder(allow_nan=False, separators=(",\n      ", ": "))
+
+@functools.cache
+def _encoders():
+    """The (dict, table) JSON encoders, built on the first JSON render: CSV never imports json.
+
+    Separators only, no indent, so that encoding runs in the C encoder; the item
+    separator already carries the line break and indentation `indent=2` gives the
+    entries of a top-level dict (inputs) and of the dicts in a top-level list (rows,
+    diagnostics).
+    """
+    import json
+
+    return (json.JSONEncoder(allow_nan=False, separators=(",\n    ", ": ")),
+            json.JSONEncoder(allow_nan=False, separators=(",\n      ", ": ")))
 
 
 @dataclass(frozen=True)
@@ -83,11 +92,12 @@ class OutputRecord:
         diagnostics = [
             {"name": d.name, "value": d.value, "tolerance": d.tolerance} for d in self.diagnostics
         ]
+        dict_encoder, table_encoder = _encoders()
         try:
-            command = _TABLE.encode(self.command)
-            inputs = _DICT.encode(self.inputs)
-            rows = _json_table(self.rows)
-            diags = _json_table(diagnostics)
+            command = table_encoder.encode(self.command)
+            inputs = dict_encoder.encode(self.inputs)
+            rows = _json_table(table_encoder, self.rows)
+            diags = _json_table(table_encoder, diagnostics)
         except ValueError:
             self._check_cells()
             raise
@@ -125,7 +135,7 @@ class OutputRecord:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def _json_table(dicts) -> str:
+def _json_table(encoder, dicts) -> str:
     """A list of flat dicts as the value of a top-level key under indent=2.
 
     The encoder writes `[{"a": 1,\\n      "b": 2},\\n      {...}]`.  A line break can
@@ -133,7 +143,7 @@ def _json_table(dicts) -> str:
     two dicts sits between `}` and `{`, so one replace breaks the dicts apart; a second
     closes up the empty dicts it opened.
     """
-    text = _TABLE.encode(dicts)
+    text = encoder.encode(dicts)
     if text == "[]":
         return text
     text = "[\n    {\n      " + text[2:-2] + "\n    }\n  ]"

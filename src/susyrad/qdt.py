@@ -23,7 +23,7 @@ from .coulomb import CoulombState, check_defect, check_shift, gamma_shift
 from .errors import AdmissibilityError
 from .oscillator import OscillatorState, check_anharmonicity
 
-specfun = _lazy_module(f"{__package__}.specfun")
+_grid = _lazy_module(f"{__package__}._grid")
 
 
 def _normalize_table(table, kind, value_check, convert=float, pairs=True):
@@ -92,7 +92,7 @@ def rydberg_energy(model: DefectModel, principal: int, angular: int) -> float:
 def _breaking_potential(state, constant, y):
     """[(l*+g)(l*+g+1) - (l+g)(l+g+1)]/y^2 plus the family's bookkeeping constant."""
     g = state.gamma
-    arr = specfun.positive_grid(y)
+    arr = _grid.positive_grid(y)
     lg_star = state.l_star + g
     lg = state.angular + g
     out = (lg_star * (lg_star + 1.0) - lg * (lg + 1.0)) / arr**2 + constant

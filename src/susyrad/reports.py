@@ -9,14 +9,13 @@ from __future__ import annotations
 import math
 
 from . import coulomb, oscillator
-from ._laguerre_forms import columns, family_derivatives
 from ._np import _lazy_module, np
 from .errors import AdmissibilityError
 from .output import Diagnostic, OutputRecord
 
 # bound, not executed: a verb runs the grid and map layers only when its record uses them
-geonium, maps, specfun, susy = (
-    _lazy_module(f"{__package__}.{name}") for name in ("geonium", "maps", "specfun", "susy")
+_grid, geonium, maps, susy = (
+    _lazy_module(f"{__package__}.{name}") for name in ("_grid", "geonium", "maps", "susy")
 )
 
 RESIDUAL_TOL = 1e-8
@@ -77,17 +76,17 @@ def _relative_residuals(states, grids):
     The states are forms of one class; each operator's coefficients and
     eigenvalue enter as columns.
     """
-    grids = specfun.positive_grid(grids)
-    value, curvature = family_derivatives(states, grids, (0, 2))
-    potential = susy.radial_potential(grids, *columns([s.operator()._coefficients() for s in states]))
-    (eigenvalues,) = columns([(s.operator_eigenvalue(),) for s in states])
+    grids = _grid.positive_grid(grids)
+    value, curvature = _grid.family_derivatives(states, grids, (0, 2))
+    potential = susy.radial_potential(grids, *_grid.columns([s.operator()._coefficients() for s in states]))
+    (eigenvalues,) = _grid.columns([(s.operator_eigenvalue(),) for s in states])
     res = susy.residual(value, curvature, potential, eigenvalues)
     return np.abs(res).max(axis=-1) / np.abs(value).max(axis=-1)
 
 
 def _value_and_residual(state, grid):
     """The state's values on grid and its _relative_residuals, from one build and its operator's floats."""
-    grid = specfun.positive_grid(grid)
+    grid = _grid.positive_grid(grid)
     value, curvature = state.derivatives(grid, (0, 2))
     res = susy.residual(value, curvature, state.operator()._potential(grid), state.operator_eigenvalue())
     return value, float(np.abs(res).max() / np.abs(value).max())
@@ -319,7 +318,12 @@ def trap_operating_point_record(magnetic_field, trap_length, charge, mass) -> Ou
 
 
 def trap_levels_record(angular, n_max, anharmonicity=0.0, config=None) -> OutputRecord:
-    """Geonium tower at fixed L; optional SI column when a trap config is given."""
+    """Geonium tower at fixed L; optional SI column when a trap config is given.
+
+    A ladder with no level (N_max below L) is refused, as an empty range is.
+    """
+    if n_max < angular:
+        raise AdmissibilityError(f"empty ladder L={angular}..N_max={n_max}: N_max must be at least L")
     _check_rows(f"the ladder L={angular}..N_max={n_max}", (n_max - angular) // 2 + 1)
     columns = ["N", "L", "Delta", "N_star", "energy_quanta", "error"]
     if config is not None:

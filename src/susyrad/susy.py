@@ -9,9 +9,9 @@ removed.
 Every function here, and every psi the operators act on, answers
 `derivatives(grid, orders)`: the listed derivatives on a grid `positive_grid`
 has checked, from one build.  A public call checks its grid once and asks for
-all it needs in one call; the pointwise methods go through `specfun.pointwise`,
+all it needs in one call; the pointwise methods go through `_grid.pointwise`,
 and U's and the partners' refuse a value out of float range instead of
-returning it (`specfun.finite_pointwise`), as `Superpotential` refuses
+returning it (`_grid.finite_pointwise`), as `Superpotential` refuses
 non-finite coefficients.
 """
 
@@ -20,10 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._laguerre_forms import columns, family_derivatives
+from ._grid import columns, family_derivatives, finite_pointwise, pointwise, positive_grid, refuse_non_finite
 from ._np import as_float, np
 from .errors import AdmissibilityError
-from .specfun import finite_pointwise, pointwise, positive_grid, refuse_non_finite
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import coulomb, geonium, maps, oscillator, qdt, reports, specfun, susy
-from ._laguerre_forms import family_cutoff, family_derivatives
+from . import _grid, coulomb, geonium, maps, oscillator, qdt, reports, specfun, susy
+from ._grid import family_derivatives
 from ._np import np
 from .errors import AdmissibilityError, StabilityError
+from .specfun import family_cutoff
 
 # seeds of the private `random.Random` streams of criteria 7 (_RNG_SEED) and 8 (_RNG_SEED + 1)
 _RNG_SEED = 20260826
@@ -322,7 +323,7 @@ def check_reduction_limits():
         # each point has the bits of rng.uniform(0.05, top)
         units = np.array([rng.random() for _ in range(100 * len(plains))]).reshape(len(plains), 100)
         tops = np.array([[top(plain)] for plain in plains])
-        grid = specfun.positive_grid(0.05 + (tops - 0.05) * units)
+        grid = _grid.positive_grid(0.05 + (tops - 0.05) * units)
         (plain,), (starred,) = (family_derivatives(states, grid, (0,)) for states in (plains, starreds))
         defects.append(np.abs(starred - plain))
     return _worst(defects), "zero-defect states against the exact families"
@@ -382,7 +383,7 @@ def check_laguerre_oracle():
     xs = _ORACLE_SUM_POINTS
     cards = [specfun.SonineLaguerre(n, a) for n, a in zip(degrees, orders)]
     reference = np.array([specfun.sonine_laguerre_direct_sum(card, xs) for card in cards])
-    (got,) = specfun.laguerre_stack(degrees, orders, xs, 0)
+    (got,) = _grid.laguerre_stack(degrees, orders, xs, 0)
     scale = np.maximum(np.abs(reference), 1.0)
     worst = float(np.max(np.abs(got - reference) / scale))
     if not worst <= 1e-10:  # a non-finite row fails too
@@ -393,8 +394,8 @@ def check_laguerre_oracle():
     step = 1e-6 * np.maximum(1.0, np.abs(xs))
     # Richardson stencil: x +- step and x +- step/2 at every point, one evaluation
     stencil = np.concatenate([xs + step, xs - step, xs + step / 2.0, xs - step / 2.0])
-    exact = specfun.laguerre_stack(degrees, orders, xs, 1)[1]
-    (values,) = specfun.laguerre_stack(degrees, orders, stencil, 0)
+    exact = _grid.laguerre_stack(degrees, orders, xs, 1)[1]
+    (values,) = _grid.laguerre_stack(degrees, orders, stencil, 0)
     plus, minus, half_plus, half_minus = np.split(values, 4, axis=-1)
     coarse = (plus - minus) / (2.0 * step)
     fine = (half_plus - half_minus) / step

@@ -528,6 +528,22 @@ class TestTrap:
         rows = json.loads(result.output)["rows"]
         assert all(row["energy_quanta"] == pytest.approx(row["N"] + 0.4) for row in rows)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("angular, n_max", [(5, 2), (5, 4), (1, 0), (0, -1)])
+    def test_empty_ladder_is_refused(self, runner, angular, n_max, fmt):
+        # a ladder with no level is refused, as an empty --n range is, not printed as an empty table
+        result = runner.invoke(
+            main, ["trap", "levels", "--L", str(angular), "--N-max", str(n_max), "--format", fmt]
+        )
+        assert _one_error_line(result) == (
+            f"Error: empty ladder L={angular}..N_max={n_max}: N_max must be at least L\n"
+        )
+
+    def test_one_level_ladder_runs(self, runner):
+        result = runner.invoke(main, ["trap", "levels", "--L", "5", "--N-max", "5", "--format", "json"])
+        assert result.exit_code == 0
+        assert [row["N"] for row in json.loads(result.output)["rows"]] == [5]
+
     def test_levels_anharmonic_energies(self, runner):
         result = runner.invoke(
             main,

@@ -1,14 +1,20 @@
 """The import surface: what `import susyrad` and each CLI verb execute.
 
 Closed-form verbs (energy tables, trap numbers) and every refused input run
-without executing numpy or the grid layer (`specfun`, `susy`) or `maps`; only
-evaluating a waveform or solving a map does.  Each probe runs in a fresh
-interpreter, since this test process has long since loaded everything.  A
-lazily bound module sits in sys.modules as a pending
-`importlib.util._LazyModule` until its first attribute access runs its body,
-so a module counts as executed when it is in sys.modules and not pending.
-`verify` and `verify.run_all()` execute numpy's core and never `numpy.random`,
-unless a bare `import numpy` on the same interpreter executes it too.
+without executing numpy, the grid layer (`_grid`, `susy`), the verification
+numerics (`specfun`) or `maps`; only evaluating a waveform or solving a map
+executes `_grid`, and only `wavefunction --family hydrogen` and `verify`
+execute `specfun`.  The standard library follows its users: only a JSON
+render and `verify --format json` execute `json`, only `map` and `verify`
+execute `fractions`, and a usage error (exit 2) executes no record module
+(`reports`).  Each probe runs in a fresh interpreter, since this test process
+has long since loaded everything.  A lazily bound module sits in sys.modules
+as a pending `importlib.util._LazyModule` until its first attribute access
+runs its body, so a module counts as executed when it is in sys.modules and
+not pending.  A watched module that a bare `import numpy, click` executes on
+the same interpreter (`numpy.random` on some numpy releases, `json` or
+`fractions` on some click releases) is not susyrad's doing and is left out of
+every comparison (`_dependency_modules()`).
 """
 
 import functools
@@ -25,37 +31,44 @@ import susyrad
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 NUMPY_BODY = ("numpy._core", "numpy.core")
-# numpy and the package modules a closed-form verb can do without
-WATCHED = ("numpy", "numpy.random", *(f"susyrad.{name}" for name in
-                      ("specfun", "susy", "maps", "geonium", "config", "qdt", "verify")))
+# numpy, the standard library modules that follow their users, and the package modules a
+# closed-form verb can do without
+WATCHED = ("numpy", "numpy.random", "json", "fractions", *(f"susyrad.{name}" for name in
+           ("reports", "_grid", "specfun", "susy", "maps", "geonium", "config", "qdt", "verify")))
 
+# type(), not isinstance(): any attribute read, __class__ included, runs a pending body
+EXECUTED = f"""[name for name in {WATCHED!r}
+            if name in sys.modules and type(sys.modules[name]) is not importlib.util._LazyModule]"""
+
+# each probe imports json only once it has listed what ran
 VERB_PROBE = f"""
-import importlib.util, json, sys
+import importlib.util, sys
 from susyrad.cli import main
 code = None
 try:
     main(args=sys.argv[1:], prog_name="susyrad")
 except SystemExit as exc:
     code = exc.code
-# type(), not isinstance(): any attribute read, __class__ included, runs a pending body
-executed = [name for name in {WATCHED!r}
-            if name in sys.modules and type(sys.modules[name]) is not importlib.util._LazyModule]
+executed = {EXECUTED}
+import json
 sys.stderr.write("\\n" + json.dumps({{"exit": code, "executed": executed}}) + "\\n")
 """
 
 RUN_ALL_PROBE = f"""
-import importlib.util, json, sys
+import importlib.util, sys
 from susyrad import verify
 passed = [result.passed for result in verify.run_all()]
-executed = [name for name in {WATCHED!r}
-            if name in sys.modules and type(sys.modules[name]) is not importlib.util._LazyModule]
+executed = {EXECUTED}
+import json
 print(json.dumps({{"passed": passed, "executed": executed}}))
 """
 
-BARE_NUMPY_PROBE = """
-import json, sys
-import numpy
-print(json.dumps("numpy.random" in sys.modules))
+DEPENDENCY_PROBE = f"""
+import importlib.util, sys
+import numpy, click
+executed = {EXECUTED}
+import json
+print(json.dumps(executed))
 """
 
 PACKAGE_PROBE = f"""
@@ -103,20 +116,21 @@ def _python(*args):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _dependency_modules():
+    """The watched modules, numpy aside, that a bare `import numpy, click` executes on this interpreter."""
+    proc = _python("-c", DEPENDENCY_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    return frozenset(json.loads(proc.stdout)) - {"numpy"}
+
+
 def _run_verb(*argv):
+    """(exit code, the watched modules the verb executed beyond its dependencies') in a fresh interpreter."""
     proc = _python("-c", VERB_PROBE, *argv)
     last = proc.stderr.splitlines()[-1] if proc.stderr else ""
     assert last.startswith("{"), proc.stderr
-    return json.loads(last)
-
-
-@functools.lru_cache(maxsize=None)
-def _numpy_modules():
-    """The watched numpy modules a bare `import numpy` executes on this interpreter."""
-    proc = _python("-c", BARE_NUMPY_PROBE)
-    assert proc.returncode == 0, proc.stderr
-    # a numpy release that loads numpy.random eagerly is not susyrad's doing
-    return ["numpy", "numpy.random"] if json.loads(proc.stdout) else ["numpy"]
+    outcome = json.loads(last)
+    return outcome["exit"], frozenset(outcome["executed"]) - _dependency_modules()
 
 
 @pytest.fixture(scope="module")
@@ -129,58 +143,75 @@ def configs(tmp_path_factory):
     return {"good": str(good), "bad": str(bad), "trap": str(trap)}
 
 
-CONFIG_LAYER = ["susyrad.config", "susyrad.qdt"]
-TRAP_LAYER = ["susyrad.geonium"]
+RECORDS = {"susyrad.reports"}
+CONFIG_LAYER = {"susyrad.config", "susyrad.qdt"}
+TRAP_LAYER = {"susyrad.geonium"}
+GRID_LAYER = {"numpy", "susyrad._grid"}
+VERIFY_LAYER = GRID_LAYER | RECORDS | {"fractions", "susyrad.specfun", "susyrad.susy", "susyrad.maps",
+                                      "susyrad.geonium", "susyrad.qdt", "susyrad.verify"}
+
+# (id, argv, exit code, the watched modules executed): no closed-form verb executes `_grid` or
+# `specfun`, no CSV render `json`, no verb but map and verify `fractions`, and no usage error
+# (exit code 2) `reports`
+CLOSED_FORM = [
+    ("spectrum", ["spectrum"], 0, RECORDS),
+    ("spectrum-json", ["spectrum", "--format", "json"], 0, RECORDS | {"json"}),
+    ("defect-spectrum", ["spectrum", "--family", "defect", "--n", "1..4", "--config", "{good}"], 0,
+     RECORDS | CONFIG_LAYER),
+    ("frequencies", ["trap", "frequencies", "--B", "5", "--V", "10", "--d", "0.01", "--species", "proton"],
+     0, RECORDS | TRAP_LAYER),
+    ("operating-point", ["trap", "operating-point", "--B", "5", "--d", "0.01"], 0, RECORDS | TRAP_LAYER),
+    ("levels", ["trap", "levels", "--N-max", "6"], 0, RECORDS | TRAP_LAYER),
+    ("levels-json", ["trap", "levels", "--N-max", "6", "--format", "json"], 0,
+     RECORDS | TRAP_LAYER | {"json"}),
+    ("levels-config", ["trap", "levels", "--N-max", "6", "--config", "{trap}"], 0,
+     RECORDS | TRAP_LAYER | CONFIG_LAYER),
+    ("usage-error", ["spectrum", "--format", "xml"], 2, set()),
+    ("non-finite-flag", ["trap", "levels", "--Delta", "nan"], 2, set()),
+    ("missing-flag", ["map", "--d", "3", "--n", "2"], 2, set()),
+    ("config-error", ["spectrum", "--family", "defect", "--config", "{bad}"], 1, RECORDS | CONFIG_LAYER),
+    # the state is refused before its grid is built
+    ("refused-state", ["wavefunction", "--n", "3", "--l", "5"], 1, RECORDS),
+    ("empty-ladder", ["trap", "levels", "--L", "5", "--N-max", "2"], 1, RECORDS),
+]
+
+GRID = [
+    ("wavefunction", ["wavefunction", "--n", "3", "--l", "1"], 0, GRID_LAYER | RECORDS | {"susyrad.susy"}),
+    ("wavefunction-json", ["wavefunction", "--family", "oscillator", "--n", "4", "--l", "2", "--format",
+                           "json"], 0, GRID_LAYER | RECORDS | {"susyrad.susy", "json"}),
+    # R_nl(r) takes its polynomial from specfun's card path
+    ("hydrogen", ["wavefunction", "--family", "hydrogen", "--n", "3", "--l", "1"], 0,
+     GRID_LAYER | RECORDS | {"susyrad.specfun", "susyrad.susy"}),
+    ("susy-pair", ["susy-pair"], 0, GRID_LAYER | RECORDS | {"susyrad.susy"}),
+    ("map", ["map", "--d", "3", "--n", "2", "--l", "0", "--lambda", "1"], 0,
+     GRID_LAYER | RECORDS | {"fractions", "susyrad.maps"}),
+    ("verify", ["verify", "--out", os.devnull], 0, VERIFY_LAYER),
+    ("verify-json", ["verify", "--format", "json", "--out", os.devnull], 0, VERIFY_LAYER | {"json"}),
+]
 
 
-@pytest.mark.parametrize(
-    ("argv", "code", "executed"),
-    [
-        (["spectrum"], 0, []),
-        (["spectrum", "--family", "defect", "--n", "1..4", "--config", "{good}"], 0, CONFIG_LAYER),
-        (["trap", "frequencies", "--B", "5", "--V", "10", "--d", "0.01", "--species", "proton"], 0,
-         TRAP_LAYER),
-        (["trap", "operating-point", "--B", "5", "--d", "0.01"], 0, TRAP_LAYER),
-        (["trap", "levels", "--N-max", "6"], 0, TRAP_LAYER),
-        (["trap", "levels", "--N-max", "6", "--config", "{trap}"], 0, TRAP_LAYER + CONFIG_LAYER),
-        (["spectrum", "--format", "xml"], 2, []),
-        (["trap", "levels", "--Delta", "nan"], 2, []),
-        (["spectrum", "--family", "defect", "--config", "{bad}"], 1, CONFIG_LAYER),
-        # the state is refused before its grid is built
-        (["wavefunction", "--n", "3", "--l", "5"], 1, []),
-    ],
-    ids=["spectrum", "defect-spectrum", "frequencies", "operating-point", "levels",
-         "levels-config", "usage-error", "non-finite-flag", "config-error", "refused-state"],
-)
+def _outcome(configs, argv):
+    return _run_verb(*(arg.format(**configs) for arg in argv))
+
+
+@pytest.mark.parametrize(("argv", "code", "executed"), [case[1:] for case in CLOSED_FORM],
+                         ids=[case[0] for case in CLOSED_FORM])
 def test_closed_form_verbs_never_execute_numpy(configs, argv, code, executed):
-    outcome = _run_verb(*(arg.format(**configs) for arg in argv))
-    assert outcome == {"exit": code, "executed": executed}
+    assert _outcome(configs, argv) == (code, executed)
 
 
-def test_wavefunction_executes_numpy():
-    outcome = _run_verb("wavefunction", "--n", "3", "--l", "1")
-    assert outcome == {"exit": 0, "executed": [*_numpy_modules(), "susyrad.specfun", "susyrad.susy"]}
-
-
-def test_map_executes_the_map_layer():
-    outcome = _run_verb("map", "--d", "3", "--n", "2", "--l", "0", "--lambda", "1")
-    assert outcome == {"exit": 0, "executed": [*_numpy_modules(), "susyrad.specfun", "susyrad.maps"]}
-
-
-VERIFY_LAYER = ["susyrad.specfun", "susyrad.susy", "susyrad.maps", "susyrad.geonium", "susyrad.qdt",
-                "susyrad.verify"]
-
-
-def test_verify_executes_only_numpys_core():
-    outcome = _run_verb("verify", "--format", "json", "--out", os.devnull)
-    assert outcome == {"exit": 0, "executed": [*_numpy_modules(), *VERIFY_LAYER]}
+@pytest.mark.parametrize(("argv", "code", "executed"), [case[1:] for case in GRID],
+                         ids=[case[0] for case in GRID])
+def test_grid_verbs_execute_only_their_layers(configs, argv, code, executed):
+    assert _outcome(configs, argv) == (code, executed)
 
 
 def test_run_all_executes_only_numpys_core():
     proc = _python("-c", RUN_ALL_PROBE)
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout)
-    assert probe == {"passed": [True] * 9, "executed": [*_numpy_modules(), *VERIFY_LAYER]}
+    assert probe["passed"] == [True] * 9
+    assert set(probe["executed"]) - _dependency_modules() == VERIFY_LAYER
 
 
 def test_package_import_runs_no_submodule():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
-from susyrad import _laguerre_forms, coulomb, oscillator, reports, specfun, susy, verify
+from susyrad import _grid, _laguerre_forms, coulomb, oscillator, reports, specfun, susy, verify
 from susyrad.errors import ConvergenceError, DomainError
 from susyrad.specfun import (
     Quadrature,
@@ -313,7 +313,7 @@ def _allocating_recurrence(n, a, x):
 
 def _one_row(n, a, x):
     """The batched recurrence's value row as a batch of one, in the shape of x."""
-    (values,) = specfun._recurrence([n], [a], x.reshape(-1))
+    (values,) = _grid._recurrence([n], [a], x.reshape(-1))
     return values[0].reshape(x.shape)
 
 
@@ -359,7 +359,7 @@ class TestInPlaceRecurrence:
         else:
             x = finite
         with np.errstate(all="ignore"):
-            (got,) = specfun._recurrence(list(degrees), list(orders), x)
+            (got,) = _grid._recurrence(list(degrees), list(orders), x)
             want = [
                 _allocating_recurrence(n, a, x[i] if per_row else x)
                 for i, (n, a) in enumerate(self.BATCH)
@@ -379,14 +379,14 @@ class TestInPlaceRecurrence:
     def test_does_not_write_to_its_argument(self):
         x = np.linspace(0.0, 10.0, 50)
         kept = x.copy()
-        specfun._recurrence([7], [0.5], x)
-        specfun._recurrence([7, 3], [0.5, 1.0], np.vstack([x, x]))
+        _grid._recurrence([7], [0.5], x)
+        _grid._recurrence([7, 3], [0.5, 1.0], np.vstack([x, x]))
         assert np.array_equal(x, kept)
 
     def test_rising_degrees_are_refused(self):
         x = np.linspace(0.0, 10.0, 50)
         with pytest.raises(ValueError, match=r"descending degree, got degrees \[3, 7\]"):
-            specfun._recurrence([3, 7], [0.5, 1.0], np.vstack([x, x]))
+            _grid._recurrence([3, 7], [0.5, 1.0], np.vstack([x, x]))
 
 
 def _local_error(got, exact):
@@ -403,10 +403,10 @@ class TestDerivativeRows:
     def test_within_four_times_the_value_path_error(self, n, a):
         # the oracle rounds once per point; the value path is L_{n-j}^(a+j)'s own recurrence
         t = np.linspace(0.0, 4.0 * n + 2.0 * a, 301)[1:]
-        stack = specfun.laguerre_stack([n], [a], t, 3)
+        stack = _grid.laguerre_stack([n], [a], t, 3)
         for j in (1, 2, 3):
             exact = sonine_laguerre_direct_sum(SonineLaguerre(n - j, a + j), t)
-            (value_path,) = specfun._recurrence([n - j], [a + j], t)
+            (value_path,) = _grid._recurrence([n - j], [a + j], t)
             row_error = _local_error((-1) ** j * stack[j][0], exact).max()
             value_error = _local_error(value_path[0], exact).max()
             assert row_error <= 4.0 * max(value_error, 1e-15), (j, row_error, value_error)
@@ -420,14 +420,14 @@ class TestDerivativeRows:
         finite = np.linspace(0.0, 30.0, 301)
         x = np.vstack([finite * (1.0 + 0.01 * i) for i in range(len(degrees))]) if per_row else finite
         kept = x.copy()
-        full = specfun.laguerre_stack(degrees, orders, x, 3)
+        full = _grid.laguerre_stack(degrees, orders, x, 3)
         assert np.array_equal(x, kept)
         for order in range(4):
-            got = specfun.laguerre_stack(degrees, orders, x, order)
+            got = _grid.laguerre_stack(degrees, orders, x, order)
             assert len(got) == order + 1
             for i, (n, a) in enumerate(self.BATCH):
                 row_x = x[i] if per_row else x
-                alone = specfun.laguerre_stack([n], [a], row_x, order)
+                alone = _grid.laguerre_stack([n], [a], row_x, order)
                 for j, rows in enumerate(got):
                     assert rows.shape == (len(degrees), 301)
                     assert _bitwise_equal(rows[i], alone[j][0]), (order, i, j)
@@ -437,26 +437,26 @@ class TestDerivativeRows:
                         assert _bitwise_equal(rows[i], np.zeros(301)), (order, i, j)
                     elif j % 2:
                         # an odd row is its own recurrence's, with the sign of the derivative
-                        (own,) = specfun._recurrence([n - j], [a + j], row_x)
+                        (own,) = _grid._recurrence([n - j], [a + j], row_x)
                         assert _bitwise_equal(rows[i], -own[0]), (order, i, j)
 
 
 def _started_chains(monkeypatch):
-    """Count the chains `_recurrence` starts, by j, through specfun._rows."""
+    """Count the chains `_recurrence` starts, by j, through _grid._rows."""
     started = Counter()
-    original = specfun._rows
+    original = _grid._rows
 
     def counted(stack, j, *args):
         started[j] += 1
         return original(stack, j, *args)
 
-    monkeypatch.setattr(specfun, "_rows", counted)
+    monkeypatch.setattr(_grid, "_rows", counted)
     return started
 
 
 def _fresh(call):
     """call() with `_recurrence`'s slot emptied first, so that every chain runs."""
-    specfun._last_values = None
+    _grid._last_values = None
     return call()
 
 
@@ -470,7 +470,7 @@ class TestValuesSlot:
 
     @pytest.fixture(autouse=True)
     def _empty_slot(self, monkeypatch):
-        monkeypatch.setattr(specfun, "_last_values", None)
+        monkeypatch.setattr(_grid, "_last_values", None)
 
     @pytest.mark.parametrize(
         "state",
@@ -485,7 +485,7 @@ class TestValuesSlot:
             lambda: susy.apply_operator(state.operator(), state, grid, state.operator_eigenvalue()),
         )
         want = [_fresh(call) for call in calls]
-        specfun._last_values = None
+        _grid._last_values = None
         started = _started_chains(monkeypatch)
         got = [call() for call in calls]
         # the value starts the values chain; the curvature and the residual only the odd one
@@ -496,19 +496,19 @@ class TestValuesSlot:
     def test_writes_to_the_argument_or_the_rows_do_not_reach_the_slot(self, monkeypatch):
         degrees, orders = [9], [0.5]
         x = np.linspace(0.0, 30.0, 301)
-        want = [row.copy() for row in _fresh(lambda: specfun._recurrence(degrees, orders, x, 2))]
+        want = [row.copy() for row in _fresh(lambda: _grid._recurrence(degrees, orders, x, 2))]
         started = _started_chains(monkeypatch)
         for order in (2, 0, 1):
-            got = specfun._recurrence(degrees, orders, x, order)
+            got = _grid._recurrence(degrees, orders, x, order)
             for row, expected in zip(got, want):
                 assert _bitwise_equal(row, expected), order
                 row *= -3.0
         # every repeat took the values row from the slot, and none saw the writes above
         assert started[0] == 0
         x[100] += 1.0
-        moved = specfun._recurrence(degrees, orders, x, 2)
+        moved = _grid._recurrence(degrees, orders, x, 2)
         assert started[0] == 1
-        fresh = _fresh(lambda: specfun._recurrence(degrees, orders, x, 2))
+        fresh = _fresh(lambda: _grid._recurrence(degrees, orders, x, 2))
         assert all(_bitwise_equal(g, w) for g, w in zip(moved, fresh))
         assert not _bitwise_equal(moved[0], want[0])
         # a card hands its caller a view of its values row
@@ -531,44 +531,44 @@ class TestValuesSlot:
         )
         started = _started_chains(monkeypatch)
         for d, a, arg in others:
-            specfun._recurrence(degrees, orders, x)
+            _grid._recurrence(degrees, orders, x)
             started.clear()
-            got = specfun._recurrence(d, a, arg, 2)
+            got = _grid._recurrence(d, a, arg, 2)
             assert started == Counter({0: 1, 1: 1}), (d, a, arg.shape)
-            fresh = _fresh(lambda: specfun._recurrence(d, a, arg, 2))
+            fresh = _fresh(lambda: _grid._recurrence(d, a, arg, 2))
             assert all(_bitwise_equal(g, w) for g, w in zip(got, fresh))
 
     def test_a_batch_never_replaces_the_slot(self, monkeypatch):
         x = np.linspace(0.0, 30.0, 301)
         batch = ([9, 9, 4], [0.5, 2.7, 2.7])
-        want = _fresh(lambda: specfun._recurrence([9], [0.5], x, 2))
-        specfun._last_values = None
+        want = _fresh(lambda: _grid._recurrence([9], [0.5], x, 2))
+        _grid._last_values = None
         started = _started_chains(monkeypatch)
-        specfun._recurrence([9], [0.5], x)
-        entry = specfun._last_values
+        _grid._recurrence([9], [0.5], x)
+        entry = _grid._last_values
         # a batch is not kept, so its repeat runs its values chain again
         for _ in range(2):
-            specfun._recurrence(*batch, x, 2)
-            assert specfun._last_values is entry
-        got = specfun._recurrence([9], [0.5], x, 2)
+            _grid._recurrence(*batch, x, 2)
+            assert _grid._last_values is entry
+        got = _grid._recurrence([9], [0.5], x, 2)
         # the lone value and its residual started the values chain once between them
         assert started == Counter({0: 3, 1: 3})
         assert all(_bitwise_equal(g, w) for g, w in zip(got, want))
 
     def test_the_slot_is_one_private_bounded_entry(self):
         x = np.linspace(0.0, 30.0, 301)
-        (values,) = specfun._recurrence([9], [0.5], x)
-        degrees, orders, kept_x, kept_row = specfun._last_values
+        (values,) = _grid._recurrence([9], [0.5], x)
+        degrees, orders, kept_x, kept_row = _grid._last_values
         assert (degrees, orders) == ((9,), (0.5,))
         assert not np.shares_memory(kept_x, x) and not np.shares_memory(kept_row, values)
         # a chain with no step, or a row past the element budget, leaves the slot empty
-        specfun._recurrence([0], [0.5], x)
-        assert specfun._last_values is None
-        wide = np.linspace(0.0, 30.0, specfun._SLOT_ELEMENTS + 1)
-        specfun._recurrence([3], [0.5], wide)
-        assert specfun._last_values is None
-        specfun._recurrence([3], [0.5], wide[:-1])
-        assert specfun._last_values[3].size == specfun._SLOT_ELEMENTS
+        _grid._recurrence([0], [0.5], x)
+        assert _grid._last_values is None
+        wide = np.linspace(0.0, 30.0, _grid._SLOT_ELEMENTS + 1)
+        _grid._recurrence([3], [0.5], wide)
+        assert _grid._last_values is None
+        _grid._recurrence([3], [0.5], wide[:-1])
+        assert _grid._last_values[3].size == _grid._SLOT_ELEMENTS
 
     def test_threads_alternating_pairs_give_the_serial_bits(self):
         grid = np.linspace(0.1, 40.0, 201)
@@ -660,7 +660,7 @@ class TestFamilyBatch:
     def test_batch_equals_each_form_alone(self, family, orders):
         forms, grid = family
         with np.errstate(all="ignore"):
-            got = _laguerre_forms.family_derivatives(forms, grid, orders)
+            got = _grid.family_derivatives(forms, grid, orders)
             for i, form in enumerate(forms):
                 alone = form.derivatives(grid if grid.ndim == 1 else grid[i], orders)
                 for k, entry in enumerate(alone):
@@ -670,7 +670,7 @@ class TestFamilyBatch:
 
 def _poly_stack(form, t):
     """The form's polynomial stack to third order, as a batch of one, in the shape of t."""
-    stack = specfun.laguerre_stack([form.degree], [form.order], t.reshape(-1), 3)
+    stack = _grid.laguerre_stack([form.degree], [form.order], t.reshape(-1), 3)
     return [row.reshape(t.shape) for row in stack]
 
 
@@ -741,14 +741,14 @@ class TestDerivativeOrderSelection:
     )
     def test_every_order_is_one_recurrence_pass(self, state, monkeypatch):
         calls = []
-        original = specfun._recurrence
+        original = _grid._recurrence
 
         def counted(degrees, orders, x, order=0):
             calls.append((len(degrees), order))
             return original(degrees, orders, x, order)
 
-        # the forms look the recurrence up on specfun at each call
-        monkeypatch.setattr(specfun, "_recurrence", counted)
+        # the forms look the recurrence up on _grid at each call
+        monkeypatch.setattr(_grid, "_recurrence", counted)
         assert state.degree >= 3
         grid = np.linspace(0.1, 5.0, 7)
         # a family of the state's class, degrees 0 to 4 beside it, costs what the state alone does
@@ -762,19 +762,19 @@ class TestDerivativeOrderSelection:
             getattr(state, name)(grid)
             assert calls == [(1, order)], name
             calls.clear()
-            _laguerre_forms.family_derivatives(family, grid, (order,))
+            _grid.family_derivatives(family, grid, (order,))
             assert calls == [(len(family), order)], name
 
     def test_map_and_annihilation_checks_build_once_per_side(self, monkeypatch):
         builds = []
-        original = _laguerre_forms._build
+        original = _grid._build
 
         def counted(forms, *args):
             builds.append(len(forms))
             return original(forms, *args)
 
-        # the forms look the build up on _laguerre_forms at each call
-        monkeypatch.setattr(_laguerre_forms, "_build", counted)
+        # the forms look the build up on _grid at each call
+        monkeypatch.setattr(_grid, "_build", counted)
         # criteria 5 and 6: every target on the shared grid, then every source on its own row
         for check, rows in ((verify.check_exact_maps, 70), (verify.check_odd_dimension_map, 6)):
             builds.clear()
@@ -846,14 +846,14 @@ class TestSharedResidualStack:
         seen = _residual_states(monkeypatch)
         assert len(seen) == 464
         for state, grid in seen:
-            value, curvature = state.derivatives(specfun.positive_grid(grid), (0, 2))
+            value, curvature = state.derivatives(_grid.positive_grid(grid), (0, 2))
             assert np.array_equal(value, state.value(grid))
             assert np.array_equal(curvature, state.second_derivative(grid))
 
     def test_derivative_list_equals_public_methods(self, monkeypatch):
         # the image's entries against the product rule written out by hand from psi's methods
         for state, grid in _residual_states(monkeypatch):
-            checked = specfun.positive_grid(grid)
+            checked = _grid.positive_grid(grid)
             p = [np.asarray(getattr(state, name)(grid)) for name in _DERIVATIVES]
             for got, want in zip(state.derivatives(checked, (0, 1, 2, 3)), p):
                 assert np.array_equal(got, want)
@@ -900,7 +900,7 @@ class TestSharedResidualStack:
     def test_one_grid_check_and_one_recurrence_pass(self, state, monkeypatch):
         calls = Counter()
         for name in ("positive_grid", "_check_argument", "_recurrence"):
-            _count_calls(monkeypatch, specfun, name, calls)
+            _count_calls(monkeypatch, _grid, name, calls)
         grid = np.linspace(0.1, 5.0, 9)
         reports._relative_residual(state, grid)
         assert calls == Counter(positive_grid=1, _check_argument=1, _recurrence=1)

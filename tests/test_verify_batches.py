@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from susyrad import _laguerre_forms, coulomb, oscillator, reports, specfun, verify
+from susyrad import _grid, coulomb, oscillator, reports, specfun, verify
 from susyrad.errors import AdmissibilityError, ConvergenceError
 
 BATCHES = settings(derandomize=True, max_examples=150, deadline=None)
@@ -37,7 +37,7 @@ def _recorded(monkeypatch, module, name, check):
 
 class TestOracleRows:
     def test_every_row_is_its_cards_evaluator(self, monkeypatch):
-        stacks = _recorded(monkeypatch, specfun, "laguerre_stack", verify.check_laguerre_oracle)
+        stacks = _recorded(monkeypatch, _grid, "laguerre_stack", verify.check_laguerre_oracle)
         # the sum cards, the derivative cards' j = 1 stack, their values on the stencil
         assert [(len(degrees), order) for (degrees, _, _, order), _ in stacks] == [(80, 0), (20, 1), (20, 0)]
         rows = 0
@@ -58,7 +58,7 @@ class TestOracleRows:
     def test_mixed_batch_rows_are_their_cards_alone(self, cards, points):
         cards = sorted(cards, key=lambda card: -card[0])
         xs = np.array(points)
-        values, derivatives = specfun.laguerre_stack([n for n, _ in cards], [a for _, a in cards], xs, 1)
+        values, derivatives = _grid.laguerre_stack([n for n, _ in cards], [a for _, a in cards], xs, 1)
         for (n, a), value, derivative in zip(cards, values, derivatives):
             poly = specfun.SonineLaguerre(n, a)
             assert np.array_equal(value, specfun.eval_sonine_laguerre(poly, xs))
@@ -86,7 +86,7 @@ class TestReductionRows:
                 assert 0.05 <= row.min() and row.max() < top(state), state
 
     def test_two_builds_per_family(self, monkeypatch):
-        builds = _recorded(monkeypatch, _laguerre_forms, "_build", verify.check_reduction_limits)
+        builds = _recorded(monkeypatch, _grid, "_build", verify.check_reduction_limits)
         assert [len(forms) for (forms, *_), _ in builds] == [9, 9, 9, 9]
 
 
@@ -111,13 +111,13 @@ class TestResidualBatches:
         assert all(e == sorted(e) and e for e in exponents.values())
 
     def test_power_stacks_at_most_batches_plus_exponents(self, monkeypatch):
-        powers, original = [], _laguerre_forms._power_stack
+        powers, original = [], _grid._power_stack
 
         def counted(*args):
             powers.append(args[1])
             return original(*args)
 
-        monkeypatch.setattr(_laguerre_forms, "_power_stack", counted)
+        monkeypatch.setattr(_grid, "_power_stack", counted)
         batches = _recorded(monkeypatch, reports, "_relative_residuals", verify.check_radial_residuals)
         exponents = {(isinstance(s, coulomb.CoulombState), s.exponent)
                      for (states, _), _ in batches for s in states}
@@ -163,7 +163,7 @@ class TestFamilyCutoff:
     @pytest.mark.parametrize(("name", "states"), verify.orthonormality_families(),
                              ids=[name for name, _ in verify.orthonormality_families()])
     def test_family_cutoff_is_the_largest_state_cutoff(self, name, states):
-        assert _laguerre_forms.family_cutoff(states) == max(s.tail_cutoff for s in states)
+        assert specfun.family_cutoff(states) == max(s.tail_cutoff for s in states)
 
     @BATCHES
     @given(
@@ -174,10 +174,10 @@ class TestFamilyCutoff:
     def test_drawn_family_cutoff_is_the_largest_state_cutoff(self, rows, side):
         states = side(rows)
         assume(states)
-        assert _laguerre_forms.family_cutoff(states) == max(s.tail_cutoff for s in states)
+        assert specfun.family_cutoff(states) == max(s.tail_cutoff for s in states)
         # each row's envelope, padded past its degree, has the bits of the form alone
         grid = np.geomspace(1e-3, 1e4, 16)
-        batch = _laguerre_forms._log_envelopes(states, np.broadcast_to(grid, (len(states), 16)))
+        batch = specfun._log_envelopes(states, np.broadcast_to(grid, (len(states), 16)))
         for state, row in zip(states, batch):
             assert np.array_equal(row, state.log_envelope(grid))
             assert np.array_equal(row, _lone_log_envelope(state, grid))
