@@ -11,10 +11,12 @@ execute `fractions`, and a usage error (exit 2) executes no record module
 has long since loaded everything.  A lazily bound module sits in sys.modules
 as a pending `importlib.util._LazyModule` until its first attribute access
 runs its body, so a module counts as executed when it is in sys.modules and
-not pending.  A watched module that a bare `import numpy, click` executes on
-the same interpreter (`numpy.random` on some numpy releases, `json` or
-`fractions` on some click releases) is not susyrad's doing and is left out of
-every comparison (`_dependency_modules()`).
+not pending.  A watched module that a bare import of the verb's dependencies
+executes on the same interpreter (`numpy.random` on some numpy releases, `json`
+or `fractions` on some click or numpy releases) is not susyrad's doing and is
+left out of both sides of the comparison (`_dependency_modules()`): `click`
+alone for a closed-form verb, which never imports numpy, and `numpy` and
+`click` for a verb that evaluates on a grid.
 """
 
 import functools
@@ -65,7 +67,8 @@ print(json.dumps({{"passed": passed, "executed": executed}}))
 
 DEPENDENCY_PROBE = f"""
 import importlib.util, sys
-import numpy, click
+for dependency in sys.argv[1:]:
+    importlib.import_module(dependency)
 executed = {EXECUTED}
 import json
 print(json.dumps(executed))
@@ -116,21 +119,26 @@ def _python(*args):
     )
 
 
+# what a closed-form verb imports beside susyrad, and what a verb that evaluates on a grid does
+CLICK = ("click",)
+NUMPY_AND_CLICK = ("numpy", "click")
+
+
 @functools.lru_cache(maxsize=None)
-def _dependency_modules():
-    """The watched modules, numpy aside, that a bare `import numpy, click` executes on this interpreter."""
-    proc = _python("-c", DEPENDENCY_PROBE)
+def _dependency_modules(dependencies):
+    """The watched modules, numpy aside, that a bare import of `dependencies` executes on this interpreter."""
+    proc = _python("-c", DEPENDENCY_PROBE, *dependencies)
     assert proc.returncode == 0, proc.stderr
     return frozenset(json.loads(proc.stdout)) - {"numpy"}
 
 
-def _run_verb(*argv):
+def _run_verb(dependencies, *argv):
     """(exit code, the watched modules the verb executed beyond its dependencies') in a fresh interpreter."""
     proc = _python("-c", VERB_PROBE, *argv)
     last = proc.stderr.splitlines()[-1] if proc.stderr else ""
     assert last.startswith("{"), proc.stderr
     outcome = json.loads(last)
-    return outcome["exit"], frozenset(outcome["executed"]) - _dependency_modules()
+    return outcome["exit"], frozenset(outcome["executed"]) - _dependency_modules(dependencies)
 
 
 @pytest.fixture(scope="module")
@@ -190,20 +198,21 @@ GRID = [
 ]
 
 
-def _outcome(configs, argv):
-    return _run_verb(*(arg.format(**configs) for arg in argv))
+def _outcome(configs, dependencies, argv):
+    return _run_verb(dependencies, *(arg.format(**configs) for arg in argv))
 
 
 @pytest.mark.parametrize(("argv", "code", "executed"), [case[1:] for case in CLOSED_FORM],
                          ids=[case[0] for case in CLOSED_FORM])
 def test_closed_form_verbs_never_execute_numpy(configs, argv, code, executed):
-    assert _outcome(configs, argv) == (code, executed)
+    assert _outcome(configs, CLICK, argv) == (code, executed - _dependency_modules(CLICK))
 
 
 @pytest.mark.parametrize(("argv", "code", "executed"), [case[1:] for case in GRID],
                          ids=[case[0] for case in GRID])
 def test_grid_verbs_execute_only_their_layers(configs, argv, code, executed):
-    assert _outcome(configs, argv) == (code, executed)
+    dependencies = _dependency_modules(NUMPY_AND_CLICK)
+    assert _outcome(configs, NUMPY_AND_CLICK, argv) == (code, executed - dependencies)
 
 
 def test_run_all_executes_only_numpys_core():
@@ -211,7 +220,8 @@ def test_run_all_executes_only_numpys_core():
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout)
     assert probe["passed"] == [True] * 9
-    assert set(probe["executed"]) - _dependency_modules() == VERIFY_LAYER
+    dependencies = _dependency_modules(("numpy",))
+    assert set(probe["executed"]) - dependencies == VERIFY_LAYER - dependencies
 
 
 def test_package_import_runs_no_submodule():
