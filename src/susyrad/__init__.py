@@ -30,7 +30,7 @@ _EXPORTS = {
         (
             "geonium",
             "ELECTRON PROTON GeoniumLevel TrapConfig TrapFrequencies coulomb_to_geonium"
-            " geonium_energy_si susy_operating_point susy_tower_spectra trap_config"
+            " geonium_energy_si susy_operating_point trap_config"
             " trap_frequencies",
         ),
         (
@@ -42,7 +42,7 @@ _EXPORTS = {
         (
             "qdt",
             "AnharmonicModel AnharmonicState DefectModel DefectState breaking_potential_coulomb"
-            " breaking_potential_oscillator illustrative_defect_model rydberg_energy",
+            " breaking_potential_oscillator illustrative_defect_model",
         ),
         (
             "specfun",

@@ -6,7 +6,7 @@ polynomial derivative identity, never from finite differences.  A form
 supplies its constants and its factors' stacks; the build that multiplies
 them out, for a form alone or for a family of one class, is
 `_grid.family_derivatives`, and a form's `derivatives(grid, orders)` is that
-build for a family of one.  The normalization is built on first use.
+build for a family of one.  The norm is built on first use.
 Energies and starred numbers need none of it, so `spectrum` executes this
 module but neither the grid layer (`_grid`) nor `specfun`, which both stay
 bound lazily until a grid is evaluated.
@@ -66,10 +66,6 @@ class _LaguerreForm:
     @cached_property
     def norm(self) -> float:
         return math.exp(self.log_norm)
-
-    @property
-    def normalization(self) -> float:
-        return self.norm
 
     def derivatives(self, grid, orders):
         """[d^k/dx^k for k in orders] on a grid positive_grid has checked: the family of one."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from ._laguerre_forms import ExponentialLaguerreForm
-from ._np import _lazy_module, is_integer, np
+from ._np import _lazy_module, as_float, is_integer, np
 from .errors import AdmissibilityError
 
 _grid, specfun, susy = (_lazy_module(f"{__package__}.{name}") for name in ("_grid", "specfun", "susy"))
@@ -27,7 +27,7 @@ def gamma_shift(dimension: int) -> float:
 
 
 def check_defect(value, name="defect"):
-    if not (0.0 <= value < 1.0):
+    if not (0.0 <= as_float(value, name) < 1.0):
         raise AdmissibilityError(f"{name} must lie in [0, 1), got {value!r}")
 
 

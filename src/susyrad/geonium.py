@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import oscillator
 from ._np import _lazy_module, as_float
 from .errors import AdmissibilityError, StabilityError, VerificationError
 from .oscillator import OscillatorState
@@ -50,6 +49,9 @@ class TrapConfig:
     mass: float
 
     def __post_init__(self):
+        # kept as floats, so a string or a complex number is refused here, not at evaluation
+        for name in ("magnetic_field", "electrode_voltage", "trap_length", "charge", "mass"):
+            object.__setattr__(self, name, as_float(getattr(self, name), name.replace("_", " ")))
         if not (self.mass > 0.0):
             raise AdmissibilityError(f"mass must be positive, got {self.mass!r}")
         if not (self.trap_length > 0.0):
@@ -82,14 +84,7 @@ def charge_and_mass(species="electron", charge=None, mass=None) -> tuple[float, 
 def trap_config(magnetic_field, electrode_voltage, trap_length, species="electron",
                 charge=None, mass=None) -> TrapConfig:
     """Build a TrapConfig from a named preset or explicit charge and mass."""
-    charge, mass = charge_and_mass(species, charge, mass)
-    return TrapConfig(
-        magnetic_field=as_float(magnetic_field, "magnetic field"),
-        electrode_voltage=as_float(electrode_voltage, "electrode voltage"),
-        trap_length=as_float(trap_length, "trap length"),
-        charge=charge,
-        mass=mass,
-    )
+    return TrapConfig(magnetic_field, electrode_voltage, trap_length, *charge_and_mass(species, charge, mass))
 
 
 @dataclass(frozen=True)
@@ -126,13 +121,15 @@ def susy_operating_point(magnetic_field: float, trap_length: float, charge: floa
     Magnitude |e| B^2 d^2 / m; the sign follows the charge so the returned
     voltage always satisfies e*V > 0.
     """
+    magnetic_field, trap_length = as_float(magnetic_field, "magnetic field"), as_float(trap_length, "trap length")
+    charge, mass = as_float(charge, "charge"), as_float(mass, "mass")
     if not (magnetic_field > 0.0):
         raise AdmissibilityError(f"magnetic field must be positive, got {magnetic_field!r}")
     if not (trap_length > 0.0):
         raise AdmissibilityError(f"trap length must be positive, got {trap_length!r}")
     if not (mass > 0.0):
         raise AdmissibilityError(f"mass must be positive, got {mass!r}")
-    if charge == 0.0 or not math.isfinite(as_float(charge, "charge")):
+    if charge == 0.0 or not math.isfinite(charge):
         raise AdmissibilityError("charge must be nonzero and finite")
     return _in_float_range(
         "operating-point voltage e B^2 d^2 / m",
@@ -170,6 +167,7 @@ class GeoniumLevel:
     anharmonicity: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "anharmonicity", as_float(self.anharmonicity, "anharmonicity"))
         self.state()
 
     @property
@@ -189,8 +187,3 @@ class GeoniumLevel:
 def geonium_energy_si(level: GeoniumLevel, config: TrapConfig) -> float:
     """Level energy in joules: quanta times hbar * w_c."""
     return level.energy * HBAR * trap_frequencies(config).cyclotron
-
-
-def susy_tower_spectra(angular: int, count: int):
-    """Shifted spectra of the L and L+1 towers of the D = 2 family."""
-    return oscillator.partner_spectra(2, angular, count)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._grid import _float_array, columns, family_derivatives, positive_grid
-from ._np import np
+from ._np import as_float, np
 from .coulomb import CoulombState, check_defect, check_shift
 from .errors import AdmissibilityError, DomainError, VerificationError
 from .oscillator import OscillatorState, check_anharmonicity
@@ -51,7 +51,7 @@ class ConstraintReport:
 
 
 def _snap_half_integer(lam):
-    doubled = 2.0 * float(lam)
+    doubled = 2.0 * as_float(lam, "lambda")
     if not _near_integer(doubled):
         return None
     return Fraction(round(doubled), 2)
@@ -94,6 +94,7 @@ def solve_map_parameters(
     check_anharmonicity(Delta, "Delta")
     check_shift(i, "i")
     check_shift(I, "I")
+    delta, Delta = float(delta), float(Delta)  # checked above, so a numeric string computes too
     if mode == "exact" and (delta != 0.0 or Delta != 0.0 or i != 0 or I != 0):
         raise AdmissibilityError("exact mode takes no breaking parameters")
 
@@ -139,8 +140,8 @@ def solve_map_parameters(
 
     return MapSpec(
         lam=lam_frac,
-        delta_defect=float(delta),
-        anharmonicity=float(Delta),
+        delta_defect=delta,
+        anharmonicity=Delta,
         shift_i=int(i),
         shift_I=int(I),
         source=(d, n, l),

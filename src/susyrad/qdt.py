@@ -84,11 +84,6 @@ class DefectState(CoulombState):
         self._set_starred(model.gamma, model.delta(l, n), model.shift(l))
 
 
-def rydberg_energy(model: DefectModel, principal: int, angular: int) -> float:
-    """E = -1/(2 (n* + gamma)^2) for the model's starred principal number."""
-    return DefectState(model, principal, angular).energy
-
-
 def _breaking_potential(state, constant, y):
     """[(l*+g)(l*+g+1) - (l+g)(l+g+1)]/y^2 plus the family's bookkeeping constant."""
     g = state.gamma

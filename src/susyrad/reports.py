@@ -92,11 +92,6 @@ def _value_and_residual(state, grid):
     return value, float(np.abs(res).max() / np.abs(value).max())
 
 
-def _relative_residual(state, grid):
-    """_relative_residuals of one state, from its own build and its operator's floats."""
-    return _value_and_residual(state, grid)[1]
-
-
 def _state_factory(family, dimension, model):
     if family == "coulomb":
         return lambda n, l: coulomb.CoulombState(dimension, n, l)
@@ -155,7 +150,7 @@ def wavefunction_record(family, dimension, n, l, grid_min, grid_max, points, mod
         state = coulomb.CoulombState(3, n, l)
         grid = np.linspace(grid_min, grid_max, points)
         values = coulomb.eval_hydrogen_R(n, l, grid)
-        residual = _relative_residual(state, 2.0 * grid)
+        residual = _value_and_residual(state, 2.0 * grid)[1]
         coord = "r"
     else:
         state = _state_factory(family, dimension, model)(n, l)

@@ -9,8 +9,9 @@ oracle; it rounds once per point, but its cost grows fast with the degree,
 which is why the recurrence is the production path.
 
 Quadrature comes in two shapes that share one node-doubling loop:
-`integrate_half_line` / `inner_product` take arbitrary callables and find
-their cutoff by probing the integrand, while `gram_matrix` integrates every
+`integrate_half_line` / `inner_product` take callables that map an array of
+points to an array of values of the same shape, and find their cutoff by
+probing the integrand, while `gram_matrix` integrates every
 pairwise product of a family, given as one matrix per refinement, on one
 shared panel node set up to a cutoff the caller supplies.  For the Laguerre
 forms that cutoff comes from the closed-form envelope `laguerre_envelope_log`
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import _grid
@@ -35,6 +37,9 @@ from .errors import ConvergenceError, DomainError
 # to panels of negligible measure.
 _PANEL_LEVELS = 40
 _MAX_NODE_DOUBLINGS = 6
+# the largest first node count, refused before any rule is built: its last doubling,
+# 2048 points a panel, builds the Gauss-Legendre rule from a 2048 x 2048 matrix (32 MiB)
+MAX_NODE_COUNT = 32
 _TAIL_START = 8.0
 _TAIL_DOUBLINGS = 22
 _TAIL_DROP = 1e-18
@@ -149,7 +154,8 @@ def laguerre_envelope_log(degrees, orders, t):
 class Quadrature:
     """Half-line integration policy: graded Gauss-Legendre panels with node doubling.
 
-    node_count is the per-panel point count at the first refinement.
+    node_count is the per-panel point count at the first refinement, an
+    integer in [2, MAX_NODE_COUNT], and target_rel_tol a positive real number.
     Integration raises ConvergenceError when successive estimates still differ
     by more than target_rel_tol; `gram_matrix` applies the tolerance to every
     entry of the matrix.
@@ -159,10 +165,10 @@ class Quadrature:
     target_rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.node_count < 2:
-            raise DomainError("node_count must be at least 2")
-        if not (self.target_rel_tol > 0.0):
-            raise DomainError("target_rel_tol must be positive")
+        if not (is_integer(self.node_count) and 2 <= self.node_count <= MAX_NODE_COUNT):
+            raise DomainError(f"node_count must be an integer in [2, {MAX_NODE_COUNT}], got {self.node_count!r}")
+        if not (isinstance(self.target_rel_tol, numbers.Real) and self.target_rel_tol > 0.0):
+            raise DomainError(f"target_rel_tol must be a positive number, got {self.target_rel_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -190,17 +196,6 @@ class GramResult:
 @functools.cache
 def _gauss_legendre(points):
     return np.polynomial.legendre.leggauss(points)
-
-
-def _vectorized(fn):
-    probe = np.array([0.5, 1.5])
-    try:
-        out = np.asarray(fn(probe), dtype=float)
-        if out.shape == probe.shape:
-            return fn
-    except Exception:
-        pass
-    return np.vectorize(fn, otypes=[float])
 
 
 def _tail_cutoff(fn):
@@ -315,12 +310,13 @@ def _refine(estimate, points, tol, what):
 def integrate_half_line(fn, quad: Quadrature | None = None) -> QuadratureResult:
     """Integrate fn over (0, inf) under the given policy.
 
-    The per-panel node count doubles until the estimate moves by less than
+    fn takes an array of points and returns their values as an array of the
+    same shape; it is called on whole node sets, never point by point.  The
+    per-panel node count doubles until the estimate moves by less than
     target_rel_tol (relative to the integral scale); ConvergenceError carries
     the last two estimates if the doubling budget runs out.
     """
     quad = quad or Quadrature()
-    fn = _vectorized(fn)
     edges = _panel_edges(_tail_cutoff(fn))
 
     def estimate(points):
@@ -334,10 +330,8 @@ def integrate_half_line(fn, quad: Quadrature | None = None) -> QuadratureResult:
 
 
 def inner_product(f, g, quad: Quadrature | None = None) -> float:
-    """L2 inner product of f and g on (0, inf); raises ConvergenceError if unsettled."""
-    fv = _vectorized(f)
-    gv = _vectorized(g)
-    return integrate_half_line(lambda t: fv(t) * gv(t), quad).value
+    """L2 inner product of array-valued f and g on (0, inf); raises ConvergenceError if unsettled."""
+    return integrate_half_line(lambda t: f(t) * g(t), quad).value
 
 
 def gram_matrix(values, cutoff: float, quad: Quadrature | None = None) -> GramResult:

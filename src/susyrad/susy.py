@@ -118,10 +118,6 @@ class SusyPair:
         w = 0.5 * u1
         return [w * w + (1.0 if k else -1.0) * (0.5 * u2) for k in which]
 
-    def partner_shift(self, x):
-        """v_minus - v_plus, which is U'' exactly."""
-        return self.superpotential.u_double_prime(x)
-
     @property
     def shift_constant(self) -> float:
         """Constant part of the partner shift: 0 for power 1, 2a for power 2."""

@@ -153,7 +153,7 @@ class TestNormalization:
         # n=1, l=0, d=3: v = C y e^{-y/2} with 2 C^2 = 1
         s = CoulombState(3, 1, 0)
         c = 1.0 / math.sqrt(2.0)
-        assert s.normalization == pytest.approx(c, rel=1e-12)
+        assert s.norm == pytest.approx(c, rel=1e-12)
         ys = np.array([0.3, 1.0, 4.0])
         assert np.max(np.abs(s.value(ys) - c * ys * np.exp(-ys / 2.0))) < 1e-15
 

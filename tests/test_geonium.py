@@ -19,11 +19,11 @@ from susyrad.geonium import (
     coulomb_to_geonium,
     geonium_energy_si,
     susy_operating_point,
-    susy_tower_spectra,
     trap_config,
     trap_frequencies,
 )
 from susyrad.maps import solve_map_parameters, verify_map_identity
+from susyrad.oscillator import partner_spectra
 from susyrad.specfun import inner_product
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -237,12 +237,12 @@ class TestEnergySi:
 
 class TestTowerSpectra:
     def test_values(self):
-        bosonic, fermionic = susy_tower_spectra(0, 4)
+        bosonic, fermionic = partner_spectra(2, 0, 4)
         assert bosonic == (0.0, 4.0, 8.0, 12.0)
         assert fermionic == (4.0, 8.0, 12.0)
 
     @pytest.mark.parametrize("angular", [0, 1, 2])
     def test_degeneracy(self, angular):
-        bosonic, fermionic = susy_tower_spectra(angular, 6)
+        bosonic, fermionic = partner_spectra(2, angular, 6)
         assert bosonic[0] == 0.0
         assert fermionic == bosonic[1:]

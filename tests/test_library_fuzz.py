@@ -4,8 +4,8 @@ The library-side twin of `test_cli_fuzz.py`: whatever the arguments, a public
 call either returns or raises one of the `susyrad.errors` types; a bare
 TypeError, ValueError, OverflowError or ZeroDivisionError is a defect.  Draws
 mix ordinary values with Python and numpy integers at the int64 extremes and
-past float range, the float extremes, a subnormal, signed zeros, nan and the
-infinities.  The library builds whatever size it is asked for, so a count
+past float range, the float extremes, a subnormal, signed zeros, nan, the
+infinities, None and a complex number.  The library builds whatever size it is asked for, so a count
 stays small, and a waveform is evaluated only when its polynomial degree is
 small; the CLI bounds both (`reports.MAX_QUANTUM_NUMBER`, `MAX_TABLE_ROWS`).
 numpy RuntimeWarnings are silenced here: whether an accepted value is finite
@@ -37,7 +37,7 @@ MAX_EVAL_DEGREE = 40
 
 HOSTILE = st.sampled_from([
     math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -0.0, 0.5, -1,
-    2**53 + 1, 2**63 - 1, -(2**63), 10**400, np.int64(2**63 - 1), np.int32(-(2**31)),
+    2**53 + 1, 2**63 - 1, -(2**63), 10**400, np.int64(2**63 - 1), np.int32(-(2**31)), None, 1j,
 ])
 
 
@@ -99,7 +99,6 @@ def test_energies_and_partner_spectra(dim, n, l, count):
     _call(susyrad.oscillator_energy, dim, n)
     _call(susyrad.coulomb_partner_spectra, dim, l, count)
     _call(susyrad.oscillator_partner_spectra, dim, l, count)
-    _call(susyrad.susy_tower_spectra, l, count)
 
 
 @FUZZ
@@ -125,9 +124,10 @@ def test_models_and_breaking_potentials(dim, key, amount, shift, n, l, y):
     if defect is not None:
         _call(defect.delta, l, n)
         _call(defect.shift, l)
-        _call(susyrad.rydberg_energy, defect, n, l)
         _call(susyrad.breaking_potential_coulomb, defect, n, l, y)
         state = _call(defect.state, n, l)
+        if state is not None:
+            _call(lambda: state.energy)
         if _evaluable(state):
             _evaluate(state, y)
     if anharmonic is not None:
@@ -153,7 +153,7 @@ def test_superpotentials_and_partners(a, b, power, l, gamma, x):
         pair = _call(susyrad.SusyPair, u)
         if pair is None:
             continue
-        for method in ("v_plus", "v_minus", "partner_shift"):
+        for method in ("v_plus", "v_minus"):
             _finite_or_refused(_call(getattr(pair, method), x))
         for operator in (pair.plus_operator, pair.minus_operator):
             op = _call(operator)
@@ -226,8 +226,8 @@ FOUND = {
         lambda: susyrad.oscillator_partner_spectra(3, 0, 2.5), "count must be an integer"),
     "oscillator_partner_spectra(3, -1, 2)": (
         lambda: susyrad.oscillator_partner_spectra(3, -1, 2), "angular number must be >= 0"),
-    "susy_tower_spectra(0, 2.5)": (
-        lambda: susyrad.susy_tower_spectra(0, 2.5), "count must be an integer"),
+    "oscillator_partner_spectra(2, 0, 2.5)": (
+        lambda: susyrad.oscillator_partner_spectra(2, 0, 2.5), "count must be an integer"),
     "lambda_candidates(0, inf)": (
         lambda: maps.lambda_candidates(0, math.inf), "lambda window"),
     "lambda_candidates(1, nan)": (
@@ -279,6 +279,34 @@ FOUND = {
         lambda: susyrad.illustrative_defect_model().delta(math.nan), "no defect entry for l=nan"),
     "DefectModel.delta(2.5)": (
         lambda: susyrad.illustrative_defect_model().delta(2.5), "no defect entry for l=2.5"),
+    # a non-number was compared or multiplied before it was checked
+    "CoulombState(delta=None)": (
+        lambda: susyrad.CoulombState(3, 2, 0, delta=None), "defect must be a real number"),
+    "CoulombState(delta='x')": (
+        lambda: susyrad.CoulombState(3, 2, 0, delta="x"), "defect must be a real number"),
+    "CoulombState(delta=1j)": (
+        lambda: susyrad.CoulombState(3, 2, 0, delta=1j), "defect must be a real number"),
+    "DefectModel({0: None})": (
+        lambda: susyrad.DefectModel(3, {0: None}, {}), "defect for 0 must be a real number"),
+    "TrapConfig('x', ...)": (
+        lambda: susyrad.TrapConfig("x", 1.0, 1e-3, 1.0, 1.0), "magnetic field must be a real number"),
+    "TrapConfig(electrode_voltage='x')": (
+        lambda: susyrad.TrapConfig(1.0, "x", 1e-3, 1.0, 1.0), "electrode voltage must be a real number"),
+    "susy_operating_point(charge='x')": (
+        lambda: susyrad.susy_operating_point(1.0, 1e-3, charge="x", mass=1.0), "charge must be a real number"),
+    "susy_operating_point(charge='1')": (
+        lambda: susyrad.susy_operating_point(1.0, 1e-3, charge="1", mass=-1.0), "mass must be positive"),
+    "susy_operating_point(magnetic_field=None)": (
+        lambda: susyrad.susy_operating_point(None, 1e-3, 1.0, 1.0), "magnetic field must be a real number"),
+    # the fuzz seldom reaches lambda: the source state must be admissible first
+    "solve_map_parameters(lambda None)": (
+        lambda: susyrad.solve_map_parameters((3, 2, 1), None), "lambda must be a real number"),
+    "solve_map_parameters(lambda 1j)": (
+        lambda: susyrad.solve_map_parameters((3, 2, 1), 1j), "lambda must be a real number"),
+    "solve_map_parameters(lambda 'x')": (
+        lambda: susyrad.solve_map_parameters((3, 2, 1), "x"), "lambda must be a real number"),
+    "solve_map_parameters(lambda 10**400)": (
+        lambda: susyrad.solve_map_parameters((3, 2, 1), 10**400), "lambda must be a real number"),
 }
 
 
@@ -287,3 +315,14 @@ def test_found_inputs_raise_typed_errors(case):
     call, message = FOUND[case]
     with pytest.raises(TYPED, match=message):
         call()
+
+
+def test_numeric_strings_are_kept_as_floats():
+    # GeoniumLevel kept the string, and its energy raised a bare TypeError
+    level = susyrad.GeoniumLevel(2, 0, "0.1")
+    assert level.anharmonicity == 0.1 and level.energy == 2.8
+    config = susyrad.TrapConfig("5", "10", "1e-3", 1.0, "1e-30")
+    assert (config.magnetic_field, config.electrode_voltage, config.mass) == (5.0, 10.0, 1e-30)
+    assert susyrad.solve_map_parameters((3, 2, 1), "1") == susyrad.solve_map_parameters((3, 2, 1), 1)
+    broken = susyrad.solve_map_parameters((3, 2, 1), 0.5, "broken", delta="0.25")
+    assert broken == susyrad.solve_map_parameters((3, 2, 1), 0.5, "broken", delta=0.25)

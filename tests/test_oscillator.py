@@ -67,7 +67,7 @@ class TestGroundState:
         # D=3 ground: 2/pi^{1/4} Y exp(-Y^2/2)
         s = OscillatorState(3, 0, 0)
         c = 2.0 / math.pi**0.25
-        assert s.normalization == pytest.approx(c, rel=1e-12)
+        assert s.norm == pytest.approx(c, rel=1e-12)
         expected = c * GRID * np.exp(-(GRID**2) / 2.0)
         assert np.max(np.abs(s.value(GRID) - expected)) < 1e-13
 

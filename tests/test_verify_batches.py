@@ -106,7 +106,7 @@ class TestResidualBatches:
             for state, row, got in zip(states, rows, residuals.tolist()):
                 top = 20.0 * (state.principal + state.gamma)
                 assert np.array_equal(row, np.linspace(0.05, top, 240) if coulomb_form else verify._OSC_GRID)
-                assert got == reports._relative_residual(state, row)
+                assert got == reports._value_and_residual(state, row)[1]
         # each family comes sorted by exponent before it is cut into batches
         assert all(e == sorted(e) and e for e in exponents.values())
 
