@@ -1,19 +1,21 @@
-"""Command-line front end.
+"""Command-line front end, on the standard library alone.
 
 Every record verb is a plain function that takes its flags and returns the
 OutputRecord `reports` builds (so tests can exercise the identical code path
-in-process); `_record_command` renders it as CSV or JSON and writes it.
-Fatal problems exit nonzero through click; per-row admissibility failures
-are carried inside the record and never abort a sweep.
+in-process); `_command` registers it with its option table, and renders and
+writes its record.  `_parse` and `_flags` read a command line from those
+tables, and `_help` lays them out as `--help`.  A refused command line exits
+2 with a usage line and one `Error:` line, a fatal problem exits 1 with the
+`Error:` line alone; per-row admissibility failures are carried inside the
+record and never abort a sweep.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import os
+import sys
 import warnings
-
-import click
 
 from . import __version__
 from ._np import _lazy_module
@@ -26,84 +28,207 @@ config, geonium, maps, reports = (
 
 # every AdmissibilityError, ConfigError, DomainError and StabilityError is a ValueError
 _FATAL = (ValueError, OSError, ConvergenceError, VerificationError)
+_FILE, _FLAG = "FILE", "FLAG"  # the kinds of a path option (any text but a directory) and of one taking no value
+_METAVARS = {str: "TEXT", int: "INTEGER", float: "FLOAT", _FILE: "FILE"}
+_HELP = ("--help", "help", _FLAG, False, "Show this message and exit.")
 
 
-class _FiniteFloat(click.types.FloatParamType):
-    """A float flag; nan and the infinities are refused by the flag's name, as 'abc' is."""
+class _Refused(Exception):
+    """A refused command line, exit 2: its Error: line, after the usage lines unless `usage` is False."""
 
-    def convert(self, value, param, ctx):
-        number = super().convert(value, param, ctx)
-        if not math.isfinite(number):
-            self.fail(f"{value!r} is not a finite float.", param, ctx)
-        return number
+    def __init__(self, message, usage=True):
+        super().__init__(message)
+        self.usage = usage
 
 
-_FINITE_FLOAT = _FiniteFloat()
+def _convert(option, text):
+    """An option's text as its kind (a type, _FILE or a tuple of choices), or a refusal naming its flags."""
+    flags, _, kind = option[:3]
+    try:
+        value = text if isinstance(kind, tuple) or kind is _FILE else kind(text)
+    except ValueError:
+        value = None
+    if isinstance(kind, tuple) and text not in kind:
+        why = f"{text!r} is not one of {', '.join(map(repr, kind))}."
+    elif kind is _FILE and os.path.isdir(text):
+        why = f"File {text!r} is a directory."
+    elif value is None or kind is float and not math.isfinite(value):  # nan and the infinities too
+        why = f"{text!r} is not a {'valid' if value is None else 'finite'} {_METAVARS[kind].lower()}."
+    else:
+        return value
+    raise _Refused(f"Invalid value for {_hint(flags)}: {why}")
 
 
-def _output_options(formats, noun, format_help=None):
-    """--format and --out, for a verb that prints or writes its text through `_write`."""
-    return [
-        click.Option(
-            ["--format", "fmt"],
-            type=click.Choice(formats),
-            default=formats[0],
-            show_default=True,
-            help=format_help,
-        ),
-        click.Option(
-            ["--out", "out_path"],
-            type=click.Path(dir_okay=False, writable=True),
-            default=None,
-            help=f"Write the {noun} to a file instead of stdout.",
-        ),
-    ]
+def _hint(flags):
+    return " / ".join(f"'{flag}'" for flag in flags.split())
+
+
+class _Group(dict):
+    """A group's commands by name; the docstring is the group's help line."""
+
+    def __init__(self, doc, *options):
+        self.__doc__, self.options = doc, (*options, _HELP)
+
+
+_ROOT = _Group(
+    "Radial supersymmetry toolkit: spectra, states, partner pairs, maps, traps.",
+    ("--version", "version", _FLAG, False, "Show the version and exit."),
+)
+
+
+def _parse(node, argv):
+    """argv's option values by option, the other arguments, and the dest of the first --help or --version.
+
+    A value is the next argument whatever it looks like (`--V -12.0`, `--dim --`), an unknown option is
+    refused before any value is converted, an option given twice keeps its last value, `--` ends the
+    options, and a group's options end at its command's name.
+    """
+    options = {flag: option for option in node.options for flag in option[0].split()}
+    given, rest, eager, args = {}, [], None, iter(argv)
+    for token in args:
+        if token == "--":
+            rest += args
+        elif token[:1] != "-" or len(token) == 1:
+            rest.append(token)
+            if isinstance(node, _Group):  # the command's name: what follows is the command's own
+                rest += args
+        else:
+            name, equals, value = token.partition("=")
+            option = options.get(name)
+            if option is None:  # a single-dash token is named by its first letter
+                raise _Refused(f"No such option {name if token[1] == '-' else token[:2]!r}.")
+            if option[2] is _FLAG:
+                if equals:
+                    raise _Refused(f"Option {name!r} does not take a value.", usage=False)
+                eager = eager or option[1]
+            elif equals or (value := next(args, None)) is not None:
+                given[option] = value
+            else:
+                raise _Refused(f"Option {name!r} requires an argument.", usage=False)
+    return given, rest, eager
+
+
+def _flags(node, given):
+    """The flags by dest: the given values converted in the order given, then the defaults in table order."""
+    flags = {option[1]: _convert(option, text) for option, text in given.items()}
+    for option in node.options:
+        names, dest, kind, default = option[:4]
+        if dest in flags or kind is _FLAG:
+            continue
+        env = os.environ.get("SUSYRAD_CONFIG") if dest == "config_path" else None
+        if env:  # read per call, and checked as a --config value is
+            flags[dest] = _convert(option, env)
+        elif default is ...:
+            raise _Refused(f"Missing option {_hint(names)}.")
+        else:
+            flags[dest] = default
+    return flags
+
+
+def _help(usage, node):
+    """The --help text: the usage line, the description, the options with their defaults, a group's commands."""
+    import textwrap  # only a help text is wrapped
+
+    def rows(title, pairs):  # the first column at most 30 wide, each line at most 78
+        width, lines = min(max(len(first) for first, _ in pairs), 30) + 2, [f"\n{title}:"]
+        for first, text in pairs:
+            head = f"  {first:<{width}}" if len(first) <= width - 2 else f"  {first}\n{'':<{width + 2}}"
+            lines.append((head + f"\n{'':<{width + 2}}".join(textwrap.wrap(text, 76 - width))).rstrip())
+        return "\n".join(lines) + "\n"
+
+    options = []
+    for flags, _, kind, default, *help in node.options:
+        metavar = f"[{'|'.join(kind)}]" if isinstance(kind, tuple) else _METAVARS.get(kind, "")
+        note = "[required]" if default is ... else "" if default is None or kind is _FLAG else f"[default: {default}]"
+        options.append((f"{', '.join(flags.split())} {metavar}".rstrip(), "  ".join(filter(None, [*help, note]))))
+    text = f"Usage: {usage}\n\n{textwrap.fill(node.__doc__, 78, initial_indent='  ', subsequent_indent='  ')}\n"
+    if not isinstance(node, _Group):
+        return text + rows("Options", options)
+    limit = 72 - max(map(len, node))  # a command's docstring is cut at a word to fit its line
+    commands = [(name, textwrap.shorten(node[name].__doc__, limit, placeholder="...", break_on_hyphens=False))
+                for name in sorted(node)]
+    return text + rows("Options", options) + rows("Commands", commands)
+
+
+def _run(path, node, argv):
+    """Parse argv for the command at `path` and run it; a group hands the rest to the command it names."""
+    group = isinstance(node, _Group)
+    usage = f"{path} [OPTIONS]" + " COMMAND [ARGS]..." * group
+    if group and not argv:  # a bare group shows its help, as a usage error
+        sys.stderr.write(_help(usage, node))
+        return 2
+    try:
+        given, rest, eager = _parse(node, argv)
+        if eager:
+            sys.stdout.write(_help(usage, node) if eager == "help" else f"susyrad, version {__version__}\n")
+            return 0
+        flags = _flags(node, given)
+        if group and (not rest or rest[0] not in node):
+            raise _Refused(f"No such command {rest[0]!r}." if rest else "Missing command.")
+        if rest and not group:
+            raise _Refused(f"Got unexpected extra argument{'s' * (len(rest) > 1)} ({' '.join(rest)})")
+    except _Refused as exc:
+        lines = f"Usage: {usage}\nTry '{path} --help' for help.\n\n" if exc.usage else ""
+        sys.stderr.write(f"{lines}Error: {exc}\n")
+        return 2
+    return _run(f"{path} {rest[0]}", node[rest[0]], rest[1:]) if group else node(**flags)
+
+
+def main(args=None, prog_name=None):
+    """Run one command line and exit: 0, 1 after a fatal `Error:` line, 2 after a refused command line."""
+    argv = sys.argv[1:] if args is None else list(args)
+    raise SystemExit(_run(prog_name or os.path.basename(sys.argv[0]), _ROOT, argv))
 
 
 def _write(text, out_path):
-    if out_path is None:
-        click.echo(text, nl=False)
-        return
     try:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        if out_path is None:
+            sys.stdout.write(text)
+        else:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
     except OSError as exc:
-        raise click.ClickException(str(exc)) from exc
+        sys.stderr.write(f"Error: {exc}\n")
+        return 1
+    return 0
 
 
-def _record_command(group, name=None):
-    """Register a verb that returns its OutputRecord; --format and --out render and write it."""
+def _command(group, name, *options, record=True):
+    """Register a verb with its options, each (flags, dest, kind, default[, help]), --format, --out and --help.
 
-    def decorate(verb):
-        @functools.wraps(verb)
+    A default of ... makes an option required; a record verb's record is rendered and written.
+    """
+    formats, noun, format_help = (("csv", "json"), "record", "Output format.") if record else (
+        ("table", "json"), "report", None)
+    options = (*options, ("--format", "fmt", formats, formats[0], format_help),
+               ("--out", "out_path", _FILE, None, f"Write the {noun} to a file instead of stdout."), _HELP)
+
+    def register(verb):
         def run(fmt, out_path, **flags):
             try:
-                # an overflow shows up as a non-finite number that rendering refuses with a
-                # typed error, so numpy's warnings about it would only repeat that on stderr;
-                # a warnings filter, not np.errstate, so that a closed-form verb never loads numpy
+                # an overflow shows up as a non-finite number that rendering refuses with a typed error, so
+                # numpy's warnings would only repeat it; a filter, not np.errstate, keeps numpy unloaded
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
                     text = verb(**flags).render(fmt)
             except _FATAL as exc:
-                raise click.ClickException(str(exc)) from exc
-            _write(text, out_path)
+                sys.stderr.write(f"Error: {exc}\n")
+                return 1
+            return _write(text, out_path)
 
-        command = group.command(name)(run)
-        command.params += _output_options(["csv", "json"], "record", "Output format.")
-        return command
+        command = group[name] = run if record else verb
+        command.__doc__, command.options = verb.__doc__, options
+        return verb
 
-    return decorate
+    return register
 
 
-def _config_option(fn):
-    return click.option(
-        "--config",
-        "config_path",
-        envvar="SUSYRAD_CONFIG",
-        type=click.Path(dir_okay=False),
-        default=None,
-        help="Configuration file (defaults to $SUSYRAD_CONFIG).",
-    )(fn)
+def _family(*names):
+    return ("--family", "family", names, names[0])
+
+
+_DIM = ("--dim", "dimension", int, 3)
+_CONFIG = ("--config", "config_path", _FILE, None, "Configuration file (defaults to $SUSYRAD_CONFIG).")
 
 
 def _load_model(family, config_path, dimension):
@@ -121,23 +246,11 @@ def _check_quantum_numbers(**flags):
             raise AdmissibilityError(f"|--{flag}| exceeds the limit of {reports.MAX_QUANTUM_NUMBER}")
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="susyrad")
-def main():
-    """Radial supersymmetry toolkit: spectra, states, partner pairs, maps, traps."""
-
-
-@_record_command(main)
-@click.option(
-    "--family",
-    type=click.Choice(["coulomb", "oscillator", "defect", "anharmonic"]),
-    default="coulomb",
-    show_default=True,
+@_command(
+    _ROOT, "spectrum", _family("coulomb", "oscillator", "defect", "anharmonic"), _DIM,
+    ("--n --N", "n_spec", str, None, "Value or range, e.g. 2 or 1..6."),
+    ("--l --L", "l_spec", str, None, "Value or range, e.g. 0 or 0..2."), _CONFIG,
 )
-@click.option("--dim", "dimension", type=int, default=3, show_default=True)
-@click.option("--n", "--N", "n_spec", default=None, help="Value or range, e.g. 2 or 1..6.")
-@click.option("--l", "--L", "l_spec", default=None, help="Value or range, e.g. 0 or 0..2.")
-@_config_option
 def spectrum(family, dimension, n_spec, l_spec, config_path):
     """Energy table for one family over a quantum-number grid."""
     if n_spec is None:
@@ -149,20 +262,13 @@ def spectrum(family, dimension, n_spec, l_spec, config_path):
     return reports.spectrum_record(family, dimension, n_values, l_values, model=model)
 
 
-@_record_command(main)
-@click.option(
-    "--family",
-    type=click.Choice(["coulomb", "oscillator", "defect", "anharmonic", "hydrogen"]),
-    default="coulomb",
-    show_default=True,
+@_command(
+    _ROOT, "wavefunction", _family("coulomb", "oscillator", "defect", "anharmonic", "hydrogen"), _DIM,
+    ("--n --N", "n", int, 1), ("--l --L", "l", int, 0),
+    ("--grid-min", "grid_min", float, None, "First grid point (> 0)."),
+    ("--grid-max", "grid_max", float, None, "Last grid point."),
+    ("--points", "points", int, None, "Number of grid points."), _CONFIG,
 )
-@click.option("--dim", "dimension", type=int, default=3, show_default=True)
-@click.option("--n", "--N", "n", type=int, default=1, show_default=True)
-@click.option("--l", "--L", "l", type=int, default=0, show_default=True)
-@click.option("--grid-min", type=_FINITE_FLOAT, default=None, help="First grid point (> 0).")
-@click.option("--grid-max", type=_FINITE_FLOAT, default=None, help="Last grid point.")
-@click.option("--points", type=int, default=None, help="Number of grid points.")
-@_config_option
 def wavefunction(family, dimension, n, l, grid_min, grid_max, points, config_path):
     """Radial amplitude on a grid, with residual and node-count diagnostics."""
     _check_quantum_numbers(dim=dimension, n=n, l=l)
@@ -174,70 +280,39 @@ def wavefunction(family, dimension, n, l, grid_min, grid_max, points, config_pat
     return reports.wavefunction_record(family, dimension, n, l, lo, hi, count, model=model)
 
 
-@_record_command(main, "susy-pair")
-@click.option(
-    "--family",
-    type=click.Choice(["coulomb", "oscillator"]),
-    default="coulomb",
-    show_default=True,
+@_command(
+    _ROOT, "susy-pair", _family("coulomb", "oscillator"), _DIM, ("--l --L", "angular", int, 0),
+    ("--grid-min", "grid_min", float, 0.1), ("--grid-max", "grid_max", float, 12.0),
+    ("--points", "points", int, 120),
 )
-@click.option("--dim", "dimension", type=int, default=3, show_default=True)
-@click.option("--l", "--L", "angular", type=int, default=0, show_default=True)
-@click.option("--grid-min", type=_FINITE_FLOAT, default=0.1, show_default=True)
-@click.option("--grid-max", type=_FINITE_FLOAT, default=12.0, show_default=True)
-@click.option("--points", type=int, default=120, show_default=True)
 def susy_pair(family, dimension, angular, grid_min, grid_max, points):
     """Partner potentials V+ and V- on a grid, with the shift-identity check."""
     _check_quantum_numbers(dim=dimension, l=angular)
     return reports.susy_pair_record(family, dimension, angular, grid_min, grid_max, points)
 
 
-def _parse_lambda(text):
-    """One lambda as an exact fraction; 2*lambda must be a finite float for the map solver."""
-    from fractions import Fraction  # only map parses an exact number
-
-    text = text.strip()
-    try:
-        value = Fraction(text)
-        finite = math.isfinite(2.0 * float(value))
-    except ValueError as exc:  # not a number at all: keep the parser's own message
-        raise AdmissibilityError(str(exc)) from exc
-    except (ZeroDivisionError, OverflowError):
-        finite = False
-    if not finite:
-        raise AdmissibilityError(f"lambda {text!r} is out of range (2*lambda must be a finite float)")
-    return value
-
-
 def _lambda_values(lam_spec, lam_range, mode):
     if (lam_spec is None) == (lam_range is None):
         raise AdmissibilityError("give exactly one of --lambda or --lambda-range")
     if lam_spec is not None:
-        values = [_parse_lambda(part) for part in lam_spec.split(",") if part.strip()]
+        values = [reports.parse_lambda(part) for part in lam_spec.split(",") if part.strip()]
         if not values:
             raise AdmissibilityError(f"no lambda values in {lam_spec!r}")
         return values
     if ".." not in lam_range:
         raise AdmissibilityError(f"--lambda-range wants lo..hi, got {lam_range!r}")
-    lo_text, hi_text = lam_range.split("..", 1)
-    return maps.lambda_candidates(_parse_lambda(lo_text), _parse_lambda(hi_text), mode)
+    return maps.lambda_candidates(*map(reports.parse_lambda, lam_range.split("..", 1)), mode)
 
 
-@_record_command(main, "map")
-@click.option("--d", "dimension", type=int, required=True, help="Source dimension.")
-@click.option("--n", type=int, required=True, help="Source principal number.")
-@click.option("--l", type=int, required=True, help="Source angular number.")
-@click.option("--lambda", "lam_spec", default=None, help="Value or comma list, e.g. 1 or 0.5,1.")
-@click.option("--lambda-range", "lam_range", default=None, help="Sweep lo..hi.")
-@click.option(
-    "--mode", type=click.Choice(["exact", "broken"]), default="exact", show_default=True
+@_command(
+    _ROOT, "map", ("--d", "dimension", int, ..., "Source dimension."),
+    ("--n", "n", int, ..., "Source principal number."), ("--l", "l", int, ..., "Source angular number."),
+    ("--lambda", "lam_spec", str, None, "Value or comma list, e.g. 1 or 0.5,1."),
+    ("--lambda-range", "lam_range", str, None, "Sweep lo..hi."),
+    ("--mode", "mode", ("exact", "broken"), "exact"), ("--delta", "delta", float, 0.0, "Quantum defect."),
+    ("--i", "small_i", int, 0, "Defect integer shift."), ("--Delta", "big_delta", float, 0.0, "Anharmonicity."),
+    ("--I", "big_i", int, 0, "Anharmonic integer shift."),
 )
-@click.option("--delta", type=_FINITE_FLOAT, default=0.0, show_default=True, help="Quantum defect.")
-@click.option("--i", "small_i", type=int, default=0, show_default=True, help="Defect integer shift.")
-@click.option(
-    "--Delta", "big_delta", type=_FINITE_FLOAT, default=0.0, show_default=True, help="Anharmonicity."
-)
-@click.option("--I", "big_i", type=int, default=0, show_default=True, help="Anharmonic integer shift.")
 def map_cmd(dimension, n, l, lam_spec, lam_range, mode, delta, small_i, big_delta, big_i):
     """Solve Coulomb-to-oscillator maps and measure the identity on a grid."""
     lams = _lambda_values(lam_spec, lam_range, mode)
@@ -247,30 +322,19 @@ def map_cmd(dimension, n, l, lam_spec, lam_range, mode, delta, small_i, big_delt
     )
 
 
-def _trap_flag_options(fn):
-    fn = click.option("--mass", type=_FINITE_FLOAT, default=None, help="Mass in kilograms.")(fn)
-    fn = click.option("--charge", type=_FINITE_FLOAT, default=None, help="Charge in coulombs.")(fn)
-    fn = click.option(
-        "--species",
-        default="electron",
-        show_default=True,
-        help="Preset particle (electron or proton); ignored when charge and mass are given.",
-    )(fn)
-    return fn
-
-
-def _trap_options(fn):
-    """--B, --V, --d, the particle flags and --config: where a trap verb finds its trap."""
-    fn = _trap_flag_options(_config_option(fn))
-    fn = click.option(
-        "--d", "length", type=_FINITE_FLOAT, default=None, help="Trap length in meters."
-    )(fn)
-    fn = click.option(
-        "--V", "voltage", type=_FINITE_FLOAT, default=None, help="Electrode voltage in volts."
-    )(fn)
-    return click.option(
-        "--B", "b_field", type=_FINITE_FLOAT, default=None, help="Magnetic field in tesla."
-    )(fn)
+_TRAP = _ROOT["trap"] = _Group("Penning-trap frequencies, the matched operating point, and level tables.")
+_PARTICLE = (
+    ("--species", "species", str, "electron",
+     "Preset particle (electron or proton); ignored when charge and mass are given."),
+    ("--charge", "charge", float, None, "Charge in coulombs."),
+    ("--mass", "mass", float, None, "Mass in kilograms."),
+)
+# where a trap verb finds its trap: --B, --V and --d with the particle, or --config
+_TRAP_OPTIONS = (
+    ("--B", "b_field", float, None, "Magnetic field in tesla."),
+    ("--V", "voltage", float, None, "Electrode voltage in volts."),
+    ("--d", "length", float, None, "Trap length in meters."), *_PARTICLE, _CONFIG,
+)
 
 
 def _trap_config(b_field, voltage, length, species, charge, mass, config_path):
@@ -286,38 +350,30 @@ def _trap_config(b_field, voltage, length, species, charge, mass, config_path):
     return parsed.trap() if parsed.has_trap() else None
 
 
-@main.group()
-def trap():
-    """Penning-trap frequencies, the matched operating point, and level tables."""
-
-
-@_record_command(trap)
-@_trap_options
+@_command(_TRAP, "frequencies", *_TRAP_OPTIONS)
 def frequencies(**trap_flags):
     """Cyclotron and axial frequencies in rad/s and Hz."""
     config = _trap_config(**trap_flags)
-    if config is None and trap_flags["config_path"] is None:
-        raise ConfigError("trap parameters missing: give --B --V --d or --config")
     if config is None:
-        raise ConfigError("no [trap] record in configuration")
+        missing = "trap parameters missing: give --B --V --d or --config"
+        raise ConfigError(missing if trap_flags["config_path"] is None else "no [trap] record in configuration")
     return reports.trap_frequencies_record(config)
 
 
-@_record_command(trap, "operating-point")
-@click.option("--B", "b_field", type=_FINITE_FLOAT, required=True, help="Magnetic field in tesla.")
-@click.option("--d", "length", type=_FINITE_FLOAT, required=True, help="Trap length in meters.")
-@_trap_flag_options
+@_command(
+    _TRAP, "operating-point", ("--B", "b_field", float, ..., "Magnetic field in tesla."),
+    ("--d", "length", float, ..., "Trap length in meters."), *_PARTICLE,
+)
 def operating_point(b_field, length, species, charge, mass):
     """Voltage at which the trap's two ladders become degenerate."""
     e, m = geonium.charge_and_mass(species, charge, mass)
     return reports.trap_operating_point_record(b_field, length, e, m)
 
 
-@_record_command(trap)
-@click.option("--L", "--l", "angular", type=int, default=0, show_default=True)
-@click.option("--N-max", "--n-max", "n_max", type=int, default=12, show_default=True)
-@click.option("--Delta", "anharmonicity", type=_FINITE_FLOAT, default=0.0, show_default=True)
-@_trap_options
+@_command(
+    _TRAP, "levels", ("--L --l", "angular", int, 0), ("--N-max --n-max", "n_max", int, 12),
+    ("--Delta", "anharmonicity", float, 0.0), *_TRAP_OPTIONS,
+)
 def levels(angular, n_max, anharmonicity, **trap_flags):
     """Ladder of trap levels at fixed angular number; SI energies with a trap config."""
     _check_quantum_numbers(L=angular)
@@ -325,35 +381,13 @@ def levels(angular, n_max, anharmonicity, **trap_flags):
     return reports.trap_levels_record(angular, n_max, anharmonicity, config=config)
 
 
-@main.command(params=_output_options(["table", "json"], "report"))
+@_command(_ROOT, "verify", record=False)
 def verify(fmt, out_path):
     """Run the full invariant suite and print one pass/fail line per criterion."""
     from . import verify as verify_suite  # the one verb that needs the suite and its grids
 
     results = verify_suite.run_all()
-    if fmt == "json":
-        import json
-        from dataclasses import asdict
-
-        text = json.dumps([asdict(result) for result in results], indent=2) + "\n"
-    else:
-        lines = [
-            f"{'crit':>4}  {'check':<18} {'status':<6} {'worst':>10} {'tol':>8} {'secs':>7}"
-        ]
-        for result in results:
-            status = "PASS" if result.passed else "FAIL"
-            lines.append(
-                f"{result.criterion:>4}  {result.name:<18} {status:<6} "
-                f"{result.value:>10.2e} {result.tolerance:>8.0e} {result.seconds:>7.2f}"
-            )
-            if not result.passed:
-                lines.append(f"      -> {result.detail}")
-        passed = sum(result.passed for result in results)
-        lines.append(f"{passed}/{len(results)} checks passed")
-        text = "\n".join(lines) + "\n"
-    _write(text, out_path)
-    if not all(result.passed for result in results):
-        raise SystemExit(1)
+    return _write(verify_suite.render(results, fmt), out_path) or int(not all(r.passed for r in results))
 
 
 if __name__ == "__main__":

@@ -1,7 +1,11 @@
 """Builders for the records each CLI verb emits.
 
-Kept separate from the click layer so the verification suite and the tests
-can use the exact code path the CLI uses without spawning a process.
+Kept separate from the command-line layer so the verification suite and the
+tests can use the exact code path the CLI uses without spawning a process.
+The CLI's text grammars, a quantum-number range and a lambda, are parsed here
+too.  Each builder converts its float parameters once with `as_float`, so a
+numeric string builds the same record as its float, a non-number is a typed
+error, and integer parameters stay integers.
 """
 
 from __future__ import annotations
@@ -9,7 +13,7 @@ from __future__ import annotations
 import math
 
 from . import coulomb, oscillator
-from ._np import _lazy_module, np
+from ._np import _lazy_module, as_float, np
 from .errors import AdmissibilityError
 from .output import Diagnostic, OutputRecord
 
@@ -44,6 +48,23 @@ def parse_range(text: str) -> list[int]:
         _check_rows(f"range {text!r}", hi - lo + 1)
         return list(range(lo, hi + 1))
     return [int(text)]
+
+
+def parse_lambda(text: str):
+    """One lambda as an exact fraction; 2*lambda must be a finite float for the map solver."""
+    from fractions import Fraction  # only map parses an exact number
+
+    text = text.strip()
+    try:
+        value = Fraction(text)
+        finite = math.isfinite(2.0 * float(value))
+    except ValueError as exc:  # not a number at all: keep the parser's own message
+        raise AdmissibilityError(str(exc)) from exc
+    except (ZeroDivisionError, OverflowError):
+        finite = False
+    if not finite:
+        raise AdmissibilityError(f"lambda {text!r} is out of range (2*lambda must be a finite float)")
+    return value
 
 
 def _check_rows(what, count):
@@ -142,6 +163,7 @@ def wavefunction_record(family, dimension, n, l, grid_min, grid_max, points, mod
     The grid and the state are checked before the grid is built, so a refused
     input never reaches numpy.
     """
+    grid_min, grid_max = as_float(grid_min, "grid_min"), as_float(grid_max, "grid_max")
     _check_grid(grid_min, grid_max, points)
     if family == "hydrogen":
         if dimension != 3:
@@ -191,6 +213,7 @@ def default_wavefunction_grid(family, dimension, n):
 
 def susy_pair_record(family, dimension, angular, grid_min=0.1, grid_max=12.0, points=120) -> OutputRecord:
     """Partner potentials on a grid plus the shift-identity and annihilation checks."""
+    grid_min, grid_max = as_float(grid_min, "grid_min"), as_float(grid_max, "grid_max")
     if family == "coulomb":
         u = susy.coulomb_superpotential(angular, coulomb.gamma_shift(dimension))
         ground = coulomb.CoulombState(dimension, angular + 1, angular)
@@ -225,6 +248,7 @@ def susy_pair_record(family, dimension, angular, grid_min=0.1, grid_max=12.0, po
 
 def map_record(source, lam_values, mode="exact", delta=0.0, i=0, Delta=0.0, I=0) -> OutputRecord:
     """One row per candidate lambda: solved target plus measured ratio data, all measured in one call."""
+    delta, Delta = as_float(delta, "delta"), as_float(Delta, "Delta")
     solved = [maps.solve_map_parameters(source, lam, mode=mode, delta=delta, i=i, Delta=Delta, I=I)
               for lam in lam_values]
     checks = maps.verify_map_identities([spec for spec in solved if isinstance(spec, maps.MapSpec)])
@@ -283,6 +307,9 @@ def trap_frequencies_record(config) -> OutputRecord:
 
 
 def trap_operating_point_record(magnetic_field, trap_length, charge, mass) -> OutputRecord:
+    magnetic_field = as_float(magnetic_field, "magnetic field")
+    trap_length = as_float(trap_length, "trap length")
+    charge, mass = as_float(charge, "charge"), as_float(mass, "mass")
     voltage = geonium.susy_operating_point(magnetic_field, trap_length, charge, mass)
     config = geonium.TrapConfig(
         magnetic_field=magnetic_field,
@@ -317,6 +344,7 @@ def trap_levels_record(angular, n_max, anharmonicity=0.0, config=None) -> Output
 
     A ladder with no level (N_max below L) is refused, as an empty range is.
     """
+    anharmonicity = as_float(anharmonicity, "anharmonicity")
     if n_max < angular:
         raise AdmissibilityError(f"empty ladder L={angular}..N_max={n_max}: N_max must be at least L")
     _check_rows(f"the ladder L={angular}..N_max={n_max}", (n_max - angular) // 2 + 1)

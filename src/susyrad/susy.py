@@ -177,6 +177,9 @@ class RadialOperator:
     constant_shift: float = 0.0
 
     def __post_init__(self):
+        # kept as floats, so a non-number is refused here, by its field's name, not at evaluation
+        for name in ("coulomb_strength", "oscillator_strength", "centrifugal", "constant_shift"):
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
         if (self.coulomb_strength != 0.0) == (self.oscillator_strength != 0.0):
             raise AdmissibilityError(
                 "exactly one of coulomb_strength and oscillator_strength must be nonzero"

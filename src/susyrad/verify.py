@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import _grid, coulomb, geonium, maps, oscillator, qdt, reports, specfun, susy
@@ -411,3 +411,21 @@ def check_laguerre_oracle():
 
 def run_all() -> list[CheckResult]:
     return [check() for check in _CHECKS]
+
+
+def render(results, fmt) -> str:
+    """The `verify` verb's report: a JSON list of the results, or a table of one pass/fail line each."""
+    if fmt == "json":
+        import json  # only a JSON report executes json
+
+        return json.dumps([asdict(result) for result in results], indent=2) + "\n"
+    lines = [f"{'crit':>4}  {'check':<18} {'status':<6} {'worst':>10} {'tol':>8} {'secs':>7}"]
+    for result in results:
+        lines.append(
+            f"{result.criterion:>4}  {result.name:<18} {'PASS' if result.passed else 'FAIL':<6} "
+            f"{result.value:>10.2e} {result.tolerance:>8.0e} {result.seconds:>7.2f}"
+        )
+        if not result.passed:
+            lines.append(f"      -> {result.detail}")
+    lines.append(f"{sum(result.passed for result in results)}/{len(results)} checks passed")
+    return "\n".join(lines) + "\n"

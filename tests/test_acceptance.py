@@ -8,8 +8,7 @@ see the lines for passing criteria too.
 
 import time
 
-from click.testing import CliRunner
-
+from cli_runner import invoke
 from susyrad import geonium, verify
 from susyrad.cli import main
 
@@ -74,7 +73,7 @@ def test_criterion_09_laguerre_oracle():
 
 def test_criterion_10_verify_verb():
     start = time.perf_counter()
-    result = CliRunner().invoke(main, ["verify"])
+    result = invoke(main, ["verify"])
     elapsed = time.perf_counter() - start
     status = "PASS" if result.exit_code == 0 and elapsed < CLI_BUDGET_SECONDS else "FAIL"
     print(f"criterion 10 verify-verb: {status} (exit {result.exit_code}, {elapsed:.2f} s)")

@@ -1,9 +1,9 @@
 """Fuzz the numeric flags of every record verb through the CLI boundary.
 
 Whatever the numbers, a verb either prints its record (exit 0) or stops with
-one typed `Error:` line (exit 1, or 2 for a flag click itself refuses); it
-never ends in a Python traceback.  A nan or infinite float flag is one click
-refuses, by the flag's name.  Float draws include the values that break
+one typed `Error:` line (exit 1, or 2 for a flag the parser itself refuses);
+it never ends in a Python traceback.  A nan or infinite float flag is one the
+parser refuses, by the flag's name.  Float draws include the values that break
 naive arithmetic (nan, the infinities, the float extremes, a subnormal, zero
 and negatives), count draws run past the limits in `reports` and `maps`, and
 quantum numbers and dimensions run past `reports.MAX_QUANTUM_NUMBER`.  A record
@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import re
 
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_runner import invoke
 from susyrad import maps, reports
 from susyrad.cli import main
 
@@ -28,7 +28,7 @@ FUZZ_TRAP = settings(FUZZ, max_examples=200)
 
 FINITE_EXTREME = [1e308, -1e308, 1e200, 1e-320, 0.0, -1.0]
 NON_FINITE_FLOATS = [float("nan"), float("inf"), float("-inf")]
-# click refuses nan and the infinities while parsing, so they are drawn rarely (about one flag
+# the parser refuses nan and the infinities, so they are drawn rarely (about one flag
 # in 25): a trap verb has up to five float flags, and most of its examples must reach the verb
 EXTREME = st.sampled_from(FINITE_EXTREME * 6 + NON_FINITE_FLOATS)
 # each strategy mixes ordinary values, so records do get built, with the hostile ones
@@ -76,9 +76,9 @@ def _argv(*pairs):
 
 
 def _invoke(argv):
-    result = CliRunner().invoke(main, argv)
+    result = invoke(main, argv)
     assert result.exit_code in (0, 1, 2), (argv, result.output)
-    # click parses flags in command-line order, so the first non-finite float flag is named
+    # the parser converts flags in command-line order, so the first non-finite float flag is named
     non_finite = [flag for flag, value in zip(argv, argv[1:])
                   if flag in FLOAT_FLAGS and NON_FINITE.fullmatch(value)]
     if non_finite:

@@ -1,10 +1,12 @@
 """The CLI's option surface is locked against a snapshot.
 
-For every verb, the `trap` group's verbs included, and for every parameter
-in order, the snapshot records its destination name, flags, default,
-required-ness, help text and `Choice` choices.  A change to any of them
-shows here as a diff against ``cli_options.json``.  Regenerate the snapshot
-(only for a deliberate change, named in CHANGES.md) with
+For every verb, the `trap` group's verbs included, and for every option in
+order, the snapshot records its destination name, flags, default,
+required-ness, help text and choices, as the command's option table in
+`susyrad.cli` declares them.  `--help` is left out; `--version`, a flag that
+takes no value, is off by default.  A change to any of them shows here as a
+diff against ``cli_options.json``.  Regenerate the snapshot (only for a
+deliberate change, named in CHANGES.md) with
 ``PYTHONPATH=src python tests/test_cli_options.py``.
 """
 
@@ -13,36 +15,32 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import click
-
-from susyrad.cli import main
+from susyrad import cli
 
 SNAPSHOT = Path(__file__).resolve().parent / "cli_options.json"
 
 
 def _walk(command, path):
     yield path, command
-    for name, sub in getattr(command, "commands", {}).items():
-        yield from _walk(sub, f"{path} {name}")
+    if isinstance(command, cli._Group):
+        for name, sub in command.items():
+            yield from _walk(sub, f"{path} {name}")
 
 
 def option_surface():
     surface = {}
-    for path, command in _walk(main, "susyrad"):
-        ctx = click.Context(command)
+    for path, command in _walk(cli._ROOT, "susyrad"):
         surface[path] = [
             {
-                "name": param.name,
-                "flags": [*param.opts, *param.secondary_opts],
-                # a required option has no default (newer click reports a sentinel for it)
-                "default": None if param.required else param.get_default(ctx),
-                "required": param.required,
-                "help": getattr(param, "help", None),
-                "choices": list(param.type.choices)
-                if isinstance(param.type, click.Choice)
-                else None,
+                "name": dest,
+                "flags": flags.split(),
+                "default": None if default is ... else default,
+                "required": default is ...,
+                "help": (*help, None)[0],
+                "choices": list(kind) if isinstance(kind, tuple) else None,
             }
-            for param in command.params
+            for flags, dest, kind, default, *help in command.options
+            if dest != "help"
         ]
     return surface
 

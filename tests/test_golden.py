@@ -1,10 +1,10 @@
 """Behaviour lock: a fixed corpus of CLI invocations and their exact output.
 
-Each case runs through click's CliRunner from inside tests/golden/ (so the
-config file is passed by its relative name) and must reproduce the committed
-stdout, stderr and exit code byte for byte.  numpy RuntimeWarnings are
-silenced while a case runs: they report on evaluation, not on what the
-program prints.  Wall-clock ``"seconds"`` fields (the `verify` report) are
+Each case runs in-process through `cli_runner.invoke` from inside
+tests/golden/ (so the config file is passed by its relative name) and must
+reproduce the committed stdout, stderr and exit code byte for byte.  numpy
+RuntimeWarnings are silenced while a case runs: they report on evaluation, not
+on what the program prints.  Wall-clock ``"seconds"`` fields (the `verify` report) are
 masked, since they are the only output that varies between runs.  A changed
 golden file needs a stated reason in CHANGES.md.  Every diagnostic a golden
 file prints holds within the tolerance printed beside it.
@@ -22,8 +22,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
+from cli_runner import invoke
 from susyrad.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -96,11 +95,10 @@ def _inside(path):
 
 def _run(argv):
     """(exit code, stdout, stderr) of one invocation from inside golden/."""
-    runner = CliRunner(env={"SUSYRAD_CONFIG": None})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with _inside(GOLDEN_DIR):
-            result = runner.invoke(main, argv)
+            result = invoke(main, argv, env={"SUSYRAD_CONFIG": None})
     return result.exit_code, _mask(result.stdout), result.stderr
 
 

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import susyrad
-from susyrad import errors, geonium, maps, susy
+from susyrad import errors, geonium, maps, reports, susy
 
 FUZZ = settings(derandomize=True, max_examples=300, deadline=None)
 
@@ -326,3 +326,38 @@ def test_numeric_strings_are_kept_as_floats():
     assert susyrad.solve_map_parameters((3, 2, 1), "1") == susyrad.solve_map_parameters((3, 2, 1), 1)
     broken = susyrad.solve_map_parameters((3, 2, 1), 0.5, "broken", delta="0.25")
     assert broken == susyrad.solve_map_parameters((3, 2, 1), 0.5, "broken", delta=0.25)
+
+
+# (builder, its arguments with float parameters as floats, the float parameters by name); integers
+# such as L, n and points stay integers
+BUILDER_FLOATS = {
+    "wavefunction": (
+        reports.wavefunction_record,
+        dict(family="coulomb", dimension=3, n=2, l=0, grid_min=0.5, grid_max=20.0, points=8),
+        ("grid_min", "grid_max")),
+    "susy-pair": (
+        reports.susy_pair_record,
+        dict(family="oscillator", dimension=2, angular=1, grid_min=0.1, grid_max=3.0, points=6),
+        ("grid_min", "grid_max")),
+    "map": (
+        reports.map_record,
+        dict(source=(3, 3, 1), lam_values=[Fraction(1, 2)], mode="broken", delta=0.25, Delta=0.5),
+        ("delta", "Delta")),
+    "operating-point": (
+        reports.trap_operating_point_record,
+        dict(magnetic_field=5.0, trap_length=0.01, charge=geonium.ELECTRON.charge, mass=geonium.ELECTRON.mass),
+        ("magnetic_field", "trap_length", "charge", "mass")),
+    "levels": (reports.trap_levels_record, dict(angular=0, n_max=2, anharmonicity=0.1), ("anharmonicity",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDER_FLOATS))
+def test_record_builders_convert_numeric_strings_once(name):
+    # trap_levels_record(0, 2, "0.1") printed "Delta": "0.1" before
+    build, kwargs, floats = BUILDER_FLOATS[name]
+    as_text = {**kwargs, **{key: repr(kwargs[key]) for key in floats}}
+    for fmt in ("json", "csv"):
+        assert build(**as_text).render(fmt) == build(**kwargs).render(fmt)
+    for key in floats:
+        with pytest.raises(errors.AdmissibilityError, match="must be a real number"):
+            build(**{**kwargs, key: "x"})

@@ -209,6 +209,25 @@ class TestRadialOperator:
         with pytest.raises(AdmissibilityError):
             RadialOperator(coulomb_strength=0.0, oscillator_strength=0.0, centrifugal=2.0)
 
+    @pytest.mark.parametrize(
+        ("args", "field"),
+        [(("x", 0, 0), "coulomb_strength"), ((1.0, 0, None), "centrifugal"),
+         ((1j, 0, 0), "coulomb_strength"), ((0, 2j, 0), "oscillator_strength"),
+         ((1.0, 0, 0, "x"), "constant_shift"), ((1.0, 0, 10**400), "centrifugal")],
+        ids=["text", "none", "complex", "complex-oscillator", "text-shift", "past-float-range"],
+    )
+    def test_a_non_number_is_refused_by_its_field(self, args, field):
+        # a bare TypeError at evaluation before, or a silent 0.0 with a ComplexWarning for 1j
+        with pytest.raises(AdmissibilityError, match=f"^{field} must be a real number in float range"):
+            RadialOperator(*args)
+
+    def test_numbers_are_kept_as_floats(self):
+        # a numeric string converts, as everywhere in the library; an integer becomes a float
+        op = RadialOperator("1", 0, 2)
+        assert op == RadialOperator(1.0, 0.0, 2.0)
+        assert all(type(value) is float for value in op._coefficients())
+        assert op.potential(2.0) == RadialOperator(1.0, 0.0, 2.0).potential(2.0)
+
     def test_potential_values(self):
         op = RadialOperator(coulomb_strength=1.0, oscillator_strength=0.0,
                             centrifugal=2.0, constant_shift=0.25)
