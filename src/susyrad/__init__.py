@@ -29,7 +29,7 @@ _EXPORTS = {
         ),
         (
             "geonium",
-            "ELECTRON PROTON GeoniumLevel TrapConfig TrapFrequencies coulomb_to_geonium"
+            "ELECTRON PROTON TrapConfig TrapFrequencies coulomb_to_geonium"
             " geonium_energy_si susy_operating_point trap_config"
             " trap_frequencies",
         ),

@@ -11,17 +11,16 @@ is being imported.
 The package binds its own layers the same way, with `_lazy_module`: the
 forms, the state modules, `qdt` and `reports` bind the grid layer `_grid`
 (`susy` and `maps` import it, since only grid work executes them); the forms
-and `coulomb` bind `specfun`, the verification numerics;
-the state modules and `reports` bind `susy`; `cli` binds `reports`, `config`,
-`geonium` and `maps`; `reports` binds `geonium` and `maps`; `config` binds
-`geonium`, and `geonium` binds `maps`.  A `from ._grid import X` would run
-the grid layer's body at import; `_grid.X` at the call runs it on first use.
-So a usage error executes only the CLI.  `spectrum` executes the CLI, the
-records, the output and the state modules with their forms; the trap verbs
-add `geonium`; `--config` adds `config` and `qdt`; `wavefunction` and
+bind `specfun`, the verification numerics; the state modules and `reports`
+bind `susy`; `cli` binds `reports`, `config`, `geonium` and `maps`; `reports`
+binds `geonium` and `maps`; `config` binds `geonium`, and `geonium` binds
+`maps`.  A `from ._grid import X` would run the grid layer's body at import;
+`_grid.X` at the call runs it on first use.  So a usage error executes only
+the CLI.  `spectrum` executes the CLI, the records, the output and the state
+modules with their forms; the trap verbs add `geonium`, except `trap levels`
+without a trap; `--config` adds `config` and `qdt`; `wavefunction` and
 `susy-pair` add `_grid` and `susy`, and `map` adds `_grid` and `maps`.  Only
-`wavefunction --family hydrogen`, whose card path is `specfun`'s, and
-`verify` execute `specfun`.  The standard library follows its users: a JSON
+`verify` executes `specfun`.  The standard library follows its users: a JSON
 render and `verify --format json` import `json`, and only `map` and `verify`
 import `fractions`.  An import statement for a pending module (`import
 susyrad._grid`, `from . import _grid`) runs its body, so the modules a

@@ -2,8 +2,8 @@
 
 States are L2-normalized on the half line in the y coordinate.  The effective
 angular shift gamma = (d-3)/2 folds the dimension into a three-dimensional
-looking radial equation; d = 3 reduces to hydrogen, where the familiar R_nl(r)
-is exposed separately in the r coordinate.  A quantum defect and an integer
+looking radial equation; d = 3 is hydrogen, whose familiar R_nl(r) is this
+state read in the r = y/2 coordinate.  A quantum defect and an integer
 shift replace (n, l) by starred numbers in the same functional form; the
 defect model in `qdt` supplies them from a table.
 """
@@ -16,7 +16,7 @@ from ._laguerre_forms import ExponentialLaguerreForm
 from ._np import _lazy_module, as_float, is_integer, np
 from .errors import AdmissibilityError
 
-_grid, specfun, susy = (_lazy_module(f"{__package__}.{name}") for name in ("_grid", "specfun", "susy"))
+_grid, susy = (_lazy_module(f"{__package__}.{name}") for name in ("_grid", "susy"))
 
 
 def gamma_shift(dimension: int) -> float:
@@ -118,14 +118,11 @@ class CoulombState(ExponentialLaguerreForm):
 
 
 def eval_hydrogen_R(principal: int, angular: int, r):
-    """Three-dimensional R_nl(r), normalized so the integral of R^2 r^2 dr is 1."""
-    check_quantum_numbers(principal, angular)
-    n, l = principal, angular
+    """R_nl(r) = sqrt(2) psi(2r) / r, psi = CoulombState(3, n, l); the integral of R^2 r^2 dr is 1."""
+    state = CoulombState(3, principal, angular)  # a bad (n, l) is refused before a bad r
     arr = _grid.positive_grid(r)
-    prefactor = (2.0 / n**2) * math.exp(0.5 * (math.lgamma(n - l) - math.lgamma(n + l + 1)))
-    t = 2.0 * arr / n
-    poly = specfun.eval_sonine_laguerre(specfun.SonineLaguerre(n - l - 1, 2 * l + 1), t)
-    out = prefactor * t**l * np.exp(-arr / n) * poly
+    (value,) = state.derivatives(2.0 * arr, (0,))
+    out = math.sqrt(2.0) * value / arr
     return float(out) if np.ndim(r) == 0 else out
 
 

@@ -3,9 +3,9 @@
 Frequencies are SI: cyclotron w_c = |e B|/m and axial w_z = sqrt(e V / (m d^2))
 for a quadrupole trap with characteristic length d.  Tuning the voltage to
 V = e B^2 d^2 / m makes the two frequencies equal, which turns the transverse
-problem into the two-dimensional oscillator family; level energies are kept in
-dimensionless quanta, with SI conversion as a separate multiplication by
-hbar * w_c.
+problem into the two-dimensional oscillator family: a trap level is
+`OscillatorState(2, N, L, anharmonicity=Delta)`, with energy N* + 1 in quanta
+and SI conversion as a separate multiplication by hbar * w_c.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from ._np import _lazy_module, as_float
 from .errors import AdmissibilityError, StabilityError, VerificationError
-from .oscillator import OscillatorState
 
 maps = _lazy_module(f"{__package__}.maps")  # only coulomb_to_geonium solves a map
 
@@ -155,35 +154,6 @@ def coulomb_to_geonium(principal: int, angular: int) -> tuple[int, int]:
     return formula
 
 
-@dataclass(frozen=True)
-class GeoniumLevel:
-    """One level of the two-dimensional trap tower, possibly anharmonic.
-
-    Admissible exactly when its D = 2 state is; that state raises otherwise.
-    """
-
-    principal: int
-    angular: int
-    anharmonicity: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "anharmonicity", as_float(self.anharmonicity, "anharmonicity"))
-        self.state()
-
-    @property
-    def modified_principal(self) -> float:
-        return self.principal - 2.0 * self.anharmonicity
-
-    @property
-    def energy(self) -> float:
-        """Quanta of hbar*w at the operating point: N* + 1."""
-        return self.modified_principal + 1.0
-
-    def state(self) -> OscillatorState:
-        """The underlying D = 2 anharmonic radial state."""
-        return OscillatorState(2, self.principal, self.angular, anharmonicity=self.anharmonicity)
-
-
-def geonium_energy_si(level: GeoniumLevel, config: TrapConfig) -> float:
-    """Level energy in joules: quanta times hbar * w_c."""
-    return level.energy * HBAR * trap_frequencies(config).cyclotron
+def geonium_energy_si(state, config: TrapConfig) -> float:
+    """Energy in joules of a level, the D = 2 `OscillatorState`: its quanta times hbar * w_c."""
+    return state.energy * HBAR * trap_frequencies(config).cyclotron

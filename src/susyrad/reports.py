@@ -355,11 +355,11 @@ def trap_levels_record(angular, n_max, anharmonicity=0.0, config=None) -> Output
     for n in range(angular, n_max + 1, 2):
         row = {"N": n, "L": angular, "Delta": anharmonicity}
         try:
-            level = geonium.GeoniumLevel(n, angular, anharmonicity)
-            row["N_star"] = level.modified_principal
-            row["energy_quanta"] = level.energy
+            state = oscillator.OscillatorState(2, n, angular, anharmonicity=anharmonicity)
+            row["N_star"] = state.n_star
+            row["energy_quanta"] = state.energy
             if config is not None:
-                row["energy_joule"] = geonium.geonium_energy_si(level, config)
+                row["energy_joule"] = geonium.geonium_energy_si(state, config)
         except AdmissibilityError as exc:
             row["error"] = str(exc)
         rows.append(row)

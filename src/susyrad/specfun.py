@@ -1,12 +1,12 @@
 """Verification numerics: Laguerre cards, the integer oracle, envelope cutoffs and quadrature.
 
-Only `verify`, and the hydrogen card path of `coulomb.eval_hydrogen_R`,
-execute this module; the grid layer every grid verb runs is `_grid`.  A
-`SonineLaguerre` card is a polynomial L_n^(a) of real order a > -1, and its
-evaluators are `_grid.laguerre_stack`'s stack of one.  A direct power-series
-evaluator in exact integer arithmetic is kept alongside as a reference
-oracle; it rounds once per point, but its cost grows fast with the degree,
-which is why the recurrence is the production path.
+Only `verify` executes this module; the grid layer every grid verb runs is
+`_grid`.  A `SonineLaguerre` card is a polynomial L_n^(a) of real order
+a > -1; its evaluators are `_grid.laguerre_stack`'s stack of one, and no
+production code calls them.  A direct power-series evaluator in exact
+integer arithmetic is kept alongside as a reference oracle; it rounds once
+per point, but its cost grows fast with the degree, which is why the
+recurrence is the production path.
 
 Quadrature comes in two shapes that share one node-doubling loop:
 `integrate_half_line` / `inner_product` take callables that map an array of

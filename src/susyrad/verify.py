@@ -362,6 +362,11 @@ def check_penning_trap():
         for row in reports.trap_levels_record(big_l, 10).rows:
             if row.get("energy_quanta") != row["N"] + 1:
                 raise AssertionError(f"harmonic level {row} is not N + 1 quanta")
+    config = geonium.trap_config(5.0, -12.0, 0.01)  # the SI column against quanta and printed w_c
+    quantum = geonium.HBAR * reports.trap_frequencies_record(config).rows[0]["angular_frequency_rad_s"]
+    for row in reports.trap_levels_record(1, 9, 0.05, config).rows:
+        if not abs(row["energy_joule"] / (row["energy_quanta"] * quantum) - 1.0) <= reports.FREQUENCY_MATCH_TOL:
+            raise AssertionError(f"level {row} is not energy_quanta * hbar * w_c joules")
     return _worst(matches), "50 random operating-point configs plus stability and ladder checks"
 
 

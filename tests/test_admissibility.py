@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from susyrad.coulomb import CoulombState, eval_hydrogen_R, gamma_shift
 from susyrad.errors import AdmissibilityError, ParityError
-from susyrad.geonium import GeoniumLevel
 from susyrad.maps import ConstraintReport, MapSpec, solve_map_parameters
 from susyrad.oscillator import OscillatorState
 from susyrad.qdt import DefectModel
+from susyrad.reports import trap_levels_record
 
 _INTEGRALITY_TOL = 1e-9
 
@@ -183,15 +183,17 @@ def test_map_solver_admits_what_the_listed_rules_admit(inputs):
 @PROPERTY
 @given(
     st.integers(-2, 9),
-    st.integers(-2, 9),
+    st.integers(0, 9),
     st.one_of(_QUARTERS, st.floats(-0.5, 5.0), st.just(float("nan"))),
 )
-def test_trap_level_raises_exactly_as_its_state(big_n, big_l, anharmonicity):
-    level = _outcome(GeoniumLevel, big_n, big_l, anharmonicity)
-    state = _outcome(OscillatorState, 2, big_n, big_l, anharmonicity=anharmonicity)
-    assert level[0] == state[0]
-    if level[0] == "raise":
-        assert level[1:] == state[1:]
+def test_trap_level_rows_are_refused_exactly_as_their_states(big_l, extra, anharmonicity):
+    for row in trap_levels_record(big_l, big_l + extra, anharmonicity).rows:
+        state = _outcome(OscillatorState, 2, row["N"], big_l, anharmonicity=anharmonicity)
+        if state[0] == "raise":
+            assert (row["error"], "energy_quanta" in row) == (state[2], False)
+        else:
+            assert "error" not in row
+            assert (row["N_star"], row["energy_quanta"]) == (state[1].n_star, state[1].energy)
 
 
 @PROPERTY
@@ -237,7 +239,7 @@ def test_defect_model_refuses_l_above_n_as_the_state_does():
 @pytest.mark.parametrize(("big_n", "big_l"), [(2, 1), (5, 0)])
 def test_odd_trap_level_is_a_parity_error(big_n, big_l):
     with pytest.raises(ParityError, match="N - L must be even"):
-        GeoniumLevel(big_n, big_l)
+        OscillatorState(2, big_n, big_l)
 
 
 def test_map_violations_carry_the_state_wording():

@@ -5,7 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from scipy import constants as codata
 
@@ -14,7 +13,6 @@ from susyrad.errors import AdmissibilityError, StabilityError, VerificationError
 from susyrad.geonium import (
     ELECTRON,
     PROTON,
-    GeoniumLevel,
     TrapConfig,
     coulomb_to_geonium,
     geonium_energy_si,
@@ -23,7 +21,8 @@ from susyrad.geonium import (
     trap_frequencies,
 )
 from susyrad.maps import solve_map_parameters, verify_map_identity
-from susyrad.oscillator import partner_spectra
+from susyrad.oscillator import OscillatorState, partner_spectra
+from susyrad.reports import trap_levels_record
 from susyrad.specfun import inner_product
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -178,60 +177,64 @@ class TestGeoniumMap:
         assert verify_map_identity(spec).constancy_defect < 1e-8
 
 
-class TestGeoniumLevel:
+class TestTrapLevel:
+    """A trap level is the D = 2 oscillator state; its energy is N* + 1 quanta of hbar*w."""
+
     def test_rigid_ladder(self):
-        assert GeoniumLevel(1, 1).energy == 2.0
-        assert GeoniumLevel(0, 0).energy == 1.0
-        assert GeoniumLevel(5, 3).energy == 6.0
+        assert OscillatorState(2, 1, 1).energy == 2.0
+        assert OscillatorState(2, 0, 0).energy == 1.0
+        assert OscillatorState(2, 5, 3).energy == 6.0
 
     def test_anharmonic_shift(self):
-        lvl = GeoniumLevel(3, 1, anharmonicity=0.05)
-        assert lvl.modified_principal == pytest.approx(2.9, rel=1e-15)
-        assert lvl.energy == pytest.approx(3.9, rel=1e-15)
+        state = OscillatorState(2, 3, 1, anharmonicity=0.05)
+        assert state.n_star == pytest.approx(2.9, rel=1e-15)
+        assert state.energy == pytest.approx(3.9, rel=1e-15)
 
     def test_fixed_angular_spacing_is_two(self):
         # radial excitations at fixed L move in steps of two quanta
-        energies = [GeoniumLevel(n, 1).energy for n in (1, 3, 5, 7)]
-        assert np.allclose(np.diff(energies), 2.0, atol=1e-15)
+        energies = [row["energy_quanta"] for row in trap_levels_record(1, 7).rows]
+        assert energies == [2.0, 4.0, 6.0, 8.0]
 
     def test_parity_and_range_validation(self):
         with pytest.raises(AdmissibilityError):
-            GeoniumLevel(2, 1)
+            OscillatorState(2, 2, 1)
         with pytest.raises(AdmissibilityError):
-            GeoniumLevel(1, 2)
+            OscillatorState(2, 1, 2)
         with pytest.raises(AdmissibilityError):
-            GeoniumLevel(-1, 1)
+            OscillatorState(2, -1, 1)
 
     def test_anharmonicity_clamp(self):
-        GeoniumLevel(0, 0, anharmonicity=0.2)
+        OscillatorState(2, 0, 0, anharmonicity=0.2)
         with pytest.raises(AdmissibilityError):
-            GeoniumLevel(0, 0, anharmonicity=0.25)
+            OscillatorState(2, 0, 0, anharmonicity=0.25)
         with pytest.raises(AdmissibilityError):
-            GeoniumLevel(2, 0, anharmonicity=-0.1)
+            OscillatorState(2, 2, 0, anharmonicity=-0.1)
 
-    def test_underlying_state(self):
-        lvl = GeoniumLevel(3, 1, anharmonicity=0.1)
-        state = lvl.state()
-        # quanta and the D = 2 family energy coincide: (2N* + 2*(-1/2) + 3)/2 = N* + 1
-        assert state.energy == pytest.approx(lvl.energy, rel=1e-14)
+    def test_record_rows_are_the_states(self):
+        for row in trap_levels_record(1, 9, 0.1).rows:
+            state = OscillatorState(2, row["N"], 1, anharmonicity=0.1)
+            assert (row["N_star"], row["energy_quanta"]) == (state.n_star, state.energy)
+            assert row["energy_quanta"] == state.n_star + 1.0
+        state = OscillatorState(2, 3, 1, anharmonicity=0.1)
         assert inner_product(state.value, state.value) == pytest.approx(1.0, abs=1e-10)
 
     def test_energy_is_planar_oscillator_energy(self):
         # N + 1 is the D = 2 ladder read in quanta
-        lvl = GeoniumLevel(4, 2)
-        assert lvl.energy == pytest.approx(0.5 * lvl.state().operator_eigenvalue(), rel=1e-14)
+        state = OscillatorState(2, 4, 2)
+        assert state.energy == 5.0
+        assert state.energy == pytest.approx(0.5 * state.operator_eigenvalue(), rel=1e-14)
 
 
 class TestEnergySi:
     def test_quanta_times_hbar_cyclotron(self):
         cfg = _electron_config(B=6.0)
-        lvl = GeoniumLevel(2, 0)
+        state = OscillatorState(2, 2, 0)
         expected = 3.0 * codata.hbar * trap_frequencies(cfg).cyclotron
-        assert geonium_energy_si(lvl, cfg) == pytest.approx(expected, rel=1e-15)
+        assert geonium_energy_si(state, cfg) == pytest.approx(expected, rel=1e-15)
 
     def test_scale_sanity(self):
         # a few-tesla electron trap sits in the 1e-22 joule regime
-        value = geonium_energy_si(GeoniumLevel(1, 1), _electron_config(B=5.0))
+        value = geonium_energy_si(OscillatorState(2, 1, 1), _electron_config(B=5.0))
         assert 1e-23 < value < 1e-21
 
 

@@ -75,7 +75,11 @@ CASES = [
     ("trap_levels_proton_csv",
      ["trap", "levels", "--L", "1", "--Delta", "0.1", "--B", "5.0", "--V", "12.0", "--d", "0.01",
       "--species", "proton"]),
-    ("verify_json", ["verify", "--format", "json"]),
+    # Delta != 0, so the energies are not integers and a last-bit change shows
+    ("trap_levels_anharmonic_json",
+     ["trap", "levels", "--L", "1", "--N-max", "9", "--Delta", "0.05", "--B", "5.0", "--V", "-12.0",
+      "--d", "0.01", "--format", "json"]),
+    ("verify_json",["verify", "--format", "json"]),
 ]
 
 _SUFFIXES = (".out", ".err")  # stdout, stderr; a file is absent when its stream is empty

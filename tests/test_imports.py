@@ -3,11 +3,12 @@
 Closed-form verbs (energy tables, trap numbers) and every refused input run
 without executing numpy, the grid layer (`_grid`, `susy`), the verification
 numerics (`specfun`) or `maps`; only evaluating a waveform or solving a map
-executes `_grid`, and only `wavefunction --family hydrogen` and `verify`
-execute `specfun`.  The standard library follows its users: only a JSON
-render and `verify --format json` execute `json`, only `map` and `verify`
-execute `fractions`, and a usage error (exit 2) executes no record module
-(`reports`).  Each probe runs in a fresh interpreter, since this test process
+executes `_grid`, and only `verify` executes `specfun`.  A trap level is the
+D = 2 oscillator state, so `trap levels` executes `geonium` only for the SI
+column of a trap config, and `geonium` itself executes no state module.  The
+standard library follows its users: only a JSON render and `verify --format
+json` execute `json`, only `map` and `verify` execute `fractions`, and a usage
+error (exit 2) executes no record module (`reports`).  Each probe runs in a fresh interpreter, since this test process
 has long since loaded everything.  A lazily bound module sits in sys.modules
 as a pending `importlib.util._LazyModule` until its first attribute access
 runs its body, so a module counts as executed when it is in sys.modules and
@@ -170,9 +171,8 @@ CLOSED_FORM = [
     ("frequencies", ["trap", "frequencies", "--B", "5", "--V", "10", "--d", "0.01", "--species", "proton"],
      0, RECORDS | TRAP_LAYER),
     ("operating-point", ["trap", "operating-point", "--B", "5", "--d", "0.01"], 0, RECORDS | TRAP_LAYER),
-    ("levels", ["trap", "levels", "--N-max", "6"], 0, RECORDS | TRAP_LAYER),
-    ("levels-json", ["trap", "levels", "--N-max", "6", "--format", "json"], 0,
-     RECORDS | TRAP_LAYER | {"json"}),
+    ("levels", ["trap", "levels", "--N-max", "6"], 0, RECORDS),
+    ("levels-json", ["trap", "levels", "--N-max", "6", "--format", "json"], 0, RECORDS | {"json"}),
     ("levels-config", ["trap", "levels", "--N-max", "6", "--config", "{trap}"], 0,
      RECORDS | TRAP_LAYER | CONFIG_LAYER),
     ("usage-error", ["spectrum", "--format", "xml"], 2, set()),
@@ -188,9 +188,9 @@ GRID = [
     ("wavefunction", ["wavefunction", "--n", "3", "--l", "1"], 0, GRID_LAYER | RECORDS | {"susyrad.susy"}),
     ("wavefunction-json", ["wavefunction", "--family", "oscillator", "--n", "4", "--l", "2", "--format",
                            "json"], 0, GRID_LAYER | RECORDS | {"susyrad.susy", "json"}),
-    # R_nl(r) takes its polynomial from specfun's card path
+    # R_nl(r) is the d = 3 Coulomb state read at y = 2r
     ("hydrogen", ["wavefunction", "--family", "hydrogen", "--n", "3", "--l", "1"], 0,
-     GRID_LAYER | RECORDS | {"susyrad.specfun", "susyrad.susy"}),
+     GRID_LAYER | RECORDS | {"susyrad.susy"}),
     ("susy-pair", ["susy-pair"], 0, GRID_LAYER | RECORDS | {"susyrad.susy"}),
     ("map", ["map", "--d", "3", "--n", "2", "--l", "0", "--lambda", "1"], 0,
      GRID_LAYER | RECORDS | {"fractions", "susyrad.maps"}),
@@ -222,6 +222,18 @@ def test_run_all_executes_only_numpys_core():
     assert probe["passed"] == [True] * 9
     dependencies = _dependency_modules(NUMPY)
     assert set(probe["executed"]) - dependencies == VERIFY_LAYER - dependencies
+
+
+def test_geonium_executes_no_state_module():
+    probe = """
+import importlib.util, json, sys
+import susyrad.geonium
+print(json.dumps([name for name in ("susyrad.oscillator", "susyrad._laguerre_forms")
+                  if name in sys.modules and type(sys.modules[name]) is not importlib.util._LazyModule]))
+"""
+    proc = _python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_package_import_runs_no_submodule():

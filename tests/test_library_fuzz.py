@@ -185,7 +185,7 @@ def test_trap(b, v, length, species, charge, mass, n, l, anharmonicity):
     preset = geonium.PRESETS["electron"]
     _call(susyrad.susy_operating_point, b, length, preset.charge if charge is None else charge,
           preset.mass if mass is None else mass)
-    level = _call(susyrad.GeoniumLevel, n, l, anharmonicity)
+    level = _call(susyrad.OscillatorState, 2, n, l, anharmonicity=anharmonicity)
     if level is not None:
         _call(lambda: level.energy)
         if config is not None:
@@ -318,8 +318,8 @@ def test_found_inputs_raise_typed_errors(case):
 
 
 def test_numeric_strings_are_kept_as_floats():
-    # GeoniumLevel kept the string, and its energy raised a bare TypeError
-    level = susyrad.GeoniumLevel(2, 0, "0.1")
+    # a trap level kept the string, and its energy raised a bare TypeError
+    level = susyrad.OscillatorState(2, 2, 0, anharmonicity="0.1")
     assert level.anharmonicity == 0.1 and level.energy == 2.8
     config = susyrad.TrapConfig("5", "10", "1e-3", 1.0, "1e-30")
     assert (config.magnetic_field, config.electrode_voltage, config.mass) == (5.0, 10.0, 1e-30)

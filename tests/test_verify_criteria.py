@@ -15,7 +15,7 @@ import re
 import numpy as np
 import pytest
 
-from susyrad import maps, reports, susy, verify
+from susyrad import geonium, maps, reports, susy, verify
 
 NAN = float("nan")
 
@@ -82,6 +82,16 @@ def test_a_later_nan_fails_its_criterion(monkeypatch, case):
         assert (result.value, result.detail) == (1.0, COMPOSITE_DETAIL[case])
     else:
         assert math.isnan(result.value), result
+
+
+def test_a_scaled_si_level_energy_fails_criterion_8(monkeypatch):
+    """`trap levels` prints energy_joule; 1e-6 relative off hbar * w_c is caught."""
+    original = geonium.geonium_energy_si
+    monkeypatch.setattr(geonium, "geonium_energy_si",
+                        lambda state, config: original(state, config) * (1.0 + 1e-6))
+    result = verify.check_penning_trap()
+    assert (result.passed, result.value) == (False, math.inf), result
+    assert "energy_quanta * hbar * w_c" in result.detail
 
 
 def test_draws_are_private_to_the_suite():
