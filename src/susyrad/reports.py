@@ -168,11 +168,11 @@ def wavefunction_record(family, dimension, n, l, grid_min, grid_max, points, mod
     if family == "hydrogen":
         if dimension != 3:
             raise AdmissibilityError("the hydrogen R family is three-dimensional")
-        # R_nl(r) is the d = 3 Coulomb state at y = 2r, so that state's residual stands for it
+        # R_nl(r) = sqrt(2) psi(2r) / r (eval_hydrogen_R): one pass of psi gives values and residual
         state = coulomb.CoulombState(3, n, l)
         grid = np.linspace(grid_min, grid_max, points)
-        values = coulomb.eval_hydrogen_R(n, l, grid)
-        residual = _value_and_residual(state, 2.0 * grid)[1]
+        value, residual = _value_and_residual(state, 2.0 * grid)
+        values = math.sqrt(2.0) * value / grid
         coord = "r"
     else:
         state = _state_factory(family, dimension, model)(n, l)

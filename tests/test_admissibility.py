@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from susyrad.coulomb import CoulombState, eval_hydrogen_R, gamma_shift
@@ -183,11 +183,16 @@ def test_map_solver_admits_what_the_listed_rules_admit(inputs):
 @PROPERTY
 @given(
     st.integers(-2, 9),
-    st.integers(0, 9),
+    st.integers(-2, 9),
     st.one_of(_QUARTERS, st.floats(-0.5, 5.0), st.just(float("nan"))),
 )
-def test_trap_level_rows_are_refused_exactly_as_their_states(big_l, extra, anharmonicity):
-    for row in trap_levels_record(big_l, big_l + extra, anharmonicity).rows:
+@example(-1, 3, 0.0)  # trap levels --L -1: each row carries the state's refusal
+def test_trap_level_rows_are_refused_exactly_as_their_states(big_l, n_max, anharmonicity):
+    if n_max < big_l:
+        with pytest.raises(AdmissibilityError, match="empty ladder"):
+            trap_levels_record(big_l, n_max, anharmonicity)
+        return
+    for row in trap_levels_record(big_l, n_max, anharmonicity).rows:
         state = _outcome(OscillatorState, 2, row["N"], big_l, anharmonicity=anharmonicity)
         if state[0] == "raise":
             assert (row["error"], "energy_quanta" in row) == (state[2], False)

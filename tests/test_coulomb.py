@@ -1,6 +1,6 @@
 import math
+from decimal import Decimal, localcontext
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -111,16 +111,25 @@ class TestHydrogenR:
         rhs = math.sqrt(2.0) * state.value(2.0 * rs)
         assert np.max(np.abs(lhs - rhs)) < 1e-13
 
+    @staticmethod
+    def _textbook_R(n, l, r):
+        """The closed form R_nl(r) at 50 digits, from exact binomials and factorials."""
+        k = n - l - 1
+        with localcontext() as ctx:
+            ctx.prec = 50
+            x = 2 * Decimal(r) / n
+            laguerre = sum((-1) ** i * Decimal(math.comb(k + 2 * l + 1, k - i)) * x**i / math.factorial(i)
+                           for i in range(k + 1))
+            norm = (Decimal(8 * math.factorial(k)) / (2 * n**4 * math.factorial(n + l))).sqrt()
+            return float(norm * (-Decimal(r) / n).exp() * x**l * laguerre)
+
     @pytest.mark.parametrize("n", [*range(1, 13), 20, 40])
-    def test_against_mpmath(self, n):
+    def test_against_textbook_closed_form(self, n):
         # R_nl is sqrt(2) psi(2r) / r by construction, so the oracle is the textbook
         # closed form at 50 digits, which shares no code with the package
         rs = np.linspace(0.1, max(10.0, 10.0 * n), 21)
         for l in sorted({0, 1, n // 2, n - 1} & set(range(n))):
-            with mp.workdps(50):
-                norm = mp.sqrt((mp.mpf(2) / n) ** 3 * mp.factorial(n - l - 1) / (2 * n * mp.factorial(n + l)))
-                exact = np.array([float(norm * mp.exp(-mp.mpf(r) / n) * (2 * mp.mpf(r) / n) ** l
-                                        * mp.laguerre(n - l - 1, 2 * l + 1, 2 * mp.mpf(r) / n)) for r in rs])
+            exact = np.array([self._textbook_R(n, l, r) for r in rs.tolist()])
             error = np.max(np.abs(eval_hydrogen_R(n, l, rs) - exact))
             assert error <= 1e-12 * np.max(np.abs(exact)), (n, l, error)
 

@@ -79,7 +79,7 @@ CASES = [
     ("trap_levels_anharmonic_json",
      ["trap", "levels", "--L", "1", "--N-max", "9", "--Delta", "0.05", "--B", "5.0", "--V", "-12.0",
       "--d", "0.01", "--format", "json"]),
-    ("verify_json",["verify", "--format", "json"]),
+    ("verify_json", ["verify", "--format", "json"]),
 ]
 
 _SUFFIXES = (".out", ".err")  # stdout, stderr; a file is absent when its stream is empty
