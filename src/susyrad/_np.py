@@ -13,16 +13,20 @@ forms, the state modules, `qdt` and `reports` bind the grid layer `_grid`
 (`susy` and `maps` import it, since only grid work executes them); the forms
 bind `specfun`, the verification numerics; the state modules and `reports`
 bind `susy`; `cli` binds `reports`, `config`, `geonium` and `maps`; `reports`
-binds `geonium` and `maps`; `config` binds `geonium`, and `geonium` binds
-`maps`.  A `from ._grid import X` would run the grid layer's body at import;
-`_grid.X` at the call runs it on first use.  So a usage error executes only
-the CLI.  `spectrum` executes the CLI, the records, the output and the state
-modules with their forms; the trap verbs add `geonium`, except `trap levels`
-without a trap; `--config` adds `config` and `qdt`; `wavefunction` and
+binds the state modules `coulomb` and `oscillator`, `geonium` and `maps`;
+`config` binds `geonium` and `qdt`, and `geonium` binds `maps`.  A `from
+._grid import X` would run the grid layer's body at import; `_grid.X` at the
+call runs it on first use.  So a usage error executes only the CLI.
+`spectrum` executes the CLI, the records, the output and its family's state
+module with its forms; `trap levels` executes the oscillator states, and
+the trap verbs `geonium`, except `trap levels` without a trap; `trap
+frequencies` and `trap operating-point` execute no state module.  `--config`
+adds `config`, and `qdt` only for a model section; `wavefunction` and
 `susy-pair` add `_grid` and `susy`, and `map` adds `_grid` and `maps`.  Only
-`verify` executes `specfun`.  The standard library follows its users: a JSON
-render and `verify --format json` import `json`, and only `map` and `verify`
-import `fractions`.  An import statement for a pending module (`import
+`verify` executes `specfun`.  The standard library follows its users: no
+closed-form verb imports `dataclasses`, a JSON render and `verify --format
+json` import `json`, only `map` and `verify` import `fractions`, and only an
+unknown option or command `difflib`.  An import statement for a pending module (`import
 susyrad._grid`, `from . import _grid`) runs its body, so the modules a
 closed form does without are reached only through these bindings.
 """

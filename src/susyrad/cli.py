@@ -63,6 +63,17 @@ def _hint(flags):
     return " / ".join(f"'{flag}'" for flag in flags.split())
 
 
+def _unknown(kind, name, known):
+    """The refusal of an unknown option or command, with click's hint: the close matches among the known names."""
+    from difflib import get_close_matches  # only an unknown name is matched
+
+    matches, hint = sorted(get_close_matches(name, known)), ""
+    if matches:
+        listed = ", ".join(map(repr, matches))
+        hint = f" Did you mean {listed}?" if len(matches) == 1 else f" (Did you mean one of: {listed}?)"
+    return _Refused(f"No such {kind} {name!r}.{hint}")
+
+
 class _Group(dict):
     """A group's commands by name; the docstring is the group's help line."""
 
@@ -95,8 +106,10 @@ def _parse(node, argv):
         else:
             name, equals, value = token.partition("=")
             option = options.get(name)
-            if option is None:  # a single-dash token is named by its first letter
-                raise _Refused(f"No such option {name if token[1] == '-' else token[:2]!r}.")
+            if option is None:  # a single-dash token is named by its first letter, without a hint
+                if token[1] != "-":
+                    raise _Refused(f"No such option {token[:2]!r}.")
+                raise _unknown("option", name, options)
             if option[2] is _FLAG:
                 if equals:
                     raise _Refused(f"Option {name!r} does not take a value.", usage=False)
@@ -164,7 +177,7 @@ def _run(path, node, argv):
             return 0
         flags = _flags(node, given)
         if group and (not rest or rest[0] not in node):
-            raise _Refused(f"No such command {rest[0]!r}." if rest else "Missing command.")
+            raise _unknown("command", rest[0], node) if rest else _Refused("Missing command.")
         if rest and not group:
             raise _Refused(f"Got unexpected extra argument{'s' * (len(rest) > 1)} ({' '.join(rest)})")
     except _Refused as exc:

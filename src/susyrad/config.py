@@ -16,20 +16,18 @@ Record kinds: ``[defect]`` (dimension, l, optional n, delta, shift),
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._np import _lazy_module
 from .errors import ConfigError
-from .qdt import AnharmonicModel, DefectModel
 
-geonium = _lazy_module(f"{__package__}.geonium")  # only a [trap] record needs it
+# only a [trap] record needs geonium, and only a model section qdt
+geonium, qdt = (_lazy_module(f"{__package__}.{name}") for name in ("geonium", "qdt"))
 
 FORMAT_VERSION = 1
 
-# model section -> (model class, angular key, principal key, table value key)
+# model section -> (name of its qdt model class, angular key, principal key, table value key)
 _MODEL_SECTIONS = {
-    "defect": (DefectModel, "l", "n", "delta"),
-    "anharmonic": (AnharmonicModel, "L", "N", "Delta"),
+    "defect": ("DefectModel", "l", "n", "delta"),
+    "anharmonic": ("AnharmonicModel", "L", "N", "Delta"),
 }
 _SECTION_KEYS = {
     section: {"dimension", "shift", *keys} for section, (_, *keys) in _MODEL_SECTIONS.items()
@@ -37,11 +35,11 @@ _SECTION_KEYS = {
 _SECTION_KEYS["trap"] = {"B_tesla", "V_volt", "d_meter", "species", "e_coulomb", "m_kg"}
 
 
-@dataclass(frozen=True)
 class ConfigRecord:
-    section: str
-    line: int
-    fields: dict
+    __slots__ = ("section", "line", "fields")
+
+    def __init__(self, section: str, line: int, fields: dict):
+        self.section, self.line, self.fields = section, line, fields
 
 
 def parse_config(text: str) -> list[ConfigRecord]:
@@ -112,7 +110,7 @@ class ModelConfig:
 
     def model(self, section: str, dimension: int | None = None):
         """The DefectModel or AnharmonicModel built from one model section's records."""
-        model_class, l_key, n_key, value_key = _MODEL_SECTIONS[section]
+        class_name, l_key, n_key, value_key = _MODEL_SECTIONS[section]
         dims = self._dimensions(section)
         if not dims:
             raise ConfigError(f"no [{section}] records in configuration")
@@ -137,12 +135,12 @@ class ModelConfig:
             table[key] = value
         if not table:
             raise ConfigError(f"no [{section}] records for dimension {dimension}")
-        return model_class(dimension, table, shifts)
+        return getattr(qdt, class_name)(dimension, table, shifts)
 
-    def defect_model(self, dimension: int | None = None) -> DefectModel:
+    def defect_model(self, dimension: int | None = None) -> qdt.DefectModel:
         return self.model("defect", dimension)
 
-    def anharmonic_model(self, dimension: int | None = None) -> AnharmonicModel:
+    def anharmonic_model(self, dimension: int | None = None) -> qdt.AnharmonicModel:
         return self.model("anharmonic", dimension)
 
     def has_trap(self) -> bool:

@@ -36,11 +36,12 @@ def check_shift(value, name="shift"):
         raise AdmissibilityError(f"{name} must be an integer >= 0, got {value!r}")
 
 
-def check_integer(value, name, minimum):
-    """value an integer >= minimum; a non-integer is refused as one."""
+def check_integer(value, name, minimum=None):
+    """value an integer, >= minimum when one is given; a non-integer is refused as one."""
     if not is_integer(value):
-        raise AdmissibilityError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    if value < minimum:
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise AdmissibilityError(f"{name} must be an integer{bound}, got {value!r}")
+    if minimum is not None and value < minimum:
         raise AdmissibilityError(f"{name} must be >= {minimum}, got {value!r}")
 
 

@@ -11,7 +11,6 @@ and SI conversion as a separate multiplication by hbar * w_c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._np import _lazy_module, as_float
 from .errors import AdmissibilityError, StabilityError, VerificationError
@@ -26,11 +25,11 @@ PROTON_MASS = 1.67262192595e-27
 HBAR = 6.62607015e-34 / (2.0 * math.pi)
 
 
-@dataclass(frozen=True)
 class ParticlePreset:
-    name: str
-    charge: float
-    mass: float
+    __slots__ = ("name", "charge", "mass")
+
+    def __init__(self, name: str, charge: float, mass: float):
+        self.name, self.charge, self.mass = name, charge, mass
 
 
 ELECTRON = ParticlePreset("electron", -ELEMENTARY_CHARGE, ELECTRON_MASS)
@@ -39,18 +38,17 @@ PROTON = ParticlePreset("proton", ELEMENTARY_CHARGE, PROTON_MASS)
 PRESETS = {"electron": ELECTRON, "proton": PROTON}
 
 
-@dataclass(frozen=True)
 class TrapConfig:
-    magnetic_field: float
-    electrode_voltage: float
-    trap_length: float
-    charge: float
-    mass: float
+    __slots__ = ("magnetic_field", "electrode_voltage", "trap_length", "charge", "mass")
 
-    def __post_init__(self):
+    def __init__(self, magnetic_field: float, electrode_voltage: float, trap_length: float,
+                 charge: float, mass: float):
         # kept as floats, so a string or a complex number is refused here, not at evaluation
-        for name in ("magnetic_field", "electrode_voltage", "trap_length", "charge", "mass"):
-            object.__setattr__(self, name, as_float(getattr(self, name), name.replace("_", " ")))
+        self.magnetic_field = as_float(magnetic_field, "magnetic field")
+        self.electrode_voltage = as_float(electrode_voltage, "electrode voltage")
+        self.trap_length = as_float(trap_length, "trap length")
+        self.charge = as_float(charge, "charge")
+        self.mass = as_float(mass, "mass")
         if not (self.mass > 0.0):
             raise AdmissibilityError(f"mass must be positive, got {self.mass!r}")
         if not (self.trap_length > 0.0):
@@ -86,10 +84,11 @@ def trap_config(magnetic_field, electrode_voltage, trap_length, species="electro
     return TrapConfig(magnetic_field, electrode_voltage, trap_length, *charge_and_mass(species, charge, mass))
 
 
-@dataclass(frozen=True)
 class TrapFrequencies:
-    cyclotron: float
-    axial: float
+    __slots__ = ("cyclotron", "axial")
+
+    def __init__(self, cyclotron: float, axial: float):
+        self.cyclotron, self.axial = cyclotron, axial
 
 
 def _in_float_range(name, compute):

@@ -13,13 +13,17 @@ lay out `indent=2`'s line breaks by text replacement, which is exact only
 when no cell nests.  Both formats walk the record cell by cell only when
 something may be wrong (an unexpected cell type, an encoder error, or
 `nan`/`inf` in the CSV text); the walk then raises for the first bad cell.
+
+The records are plain classes with `__slots__`, not dataclasses: every record
+verb executes this module, `dataclasses` imports `inspect`, about a tenth of
+a cold closed-form verb's start, and no caller compares, hashes or prints a
+record.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from itertools import chain, repeat
 
 # exact types rendered without a walk; subclasses are walked, then rendered as their base
@@ -42,20 +46,21 @@ def _encoders():
             json.JSONEncoder(allow_nan=False, separators=(",\n      ", ": ")))
 
 
-@dataclass(frozen=True)
 class Diagnostic:
-    name: str
-    value: float
-    tolerance: float
+    __slots__ = ("name", "value", "tolerance")
+
+    def __init__(self, name: str, value: float, tolerance: float):
+        self.name, self.value, self.tolerance = name, value, tolerance
 
 
-@dataclass
 class OutputRecord:
-    command: str
-    inputs: dict
-    columns: list
-    rows: list = field(default_factory=list)
-    diagnostics: list = field(default_factory=list)
+    __slots__ = ("command", "inputs", "columns", "rows", "diagnostics")
+
+    def __init__(self, command: str, inputs: dict, columns: list, rows: list | None = None,
+                 diagnostics: list | None = None):
+        self.command, self.inputs, self.columns = command, inputs, columns
+        self.rows = [] if rows is None else rows
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     def _cells(self):
         """(where, value) for every cell, in the order a check reports the first bad one."""

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 
-from . import coulomb, oscillator
 from ._np import _lazy_module, as_float, np
 from .errors import AdmissibilityError
 from .output import Diagnostic, OutputRecord
 
-# bound, not executed: a verb runs the grid and map layers only when its record uses them
-_grid, geonium, maps, susy = (
-    _lazy_module(f"{__package__}.{name}") for name in ("_grid", "geonium", "maps", "susy")
+# bound, not executed: a verb runs the state, grid, trap and map layers only when its record uses them
+_grid, coulomb, geonium, maps, oscillator, susy = (
+    _lazy_module(f"{__package__}.{name}")
+    for name in ("_grid", "coulomb", "geonium", "maps", "oscillator", "susy")
 )
 
 RESIDUAL_TOL = 1e-8
@@ -342,9 +342,13 @@ def trap_operating_point_record(magnetic_field, trap_length, charge, mass) -> Ou
 def trap_levels_record(angular, n_max, anharmonicity=0.0, config=None) -> OutputRecord:
     """Geonium tower at fixed L; optional SI column when a trap config is given.
 
-    A ladder with no level (N_max below L) is refused, as an empty range is.
+    A non-integer L or N_max is refused by name, and a ladder with no level
+    (N_max below L) as an empty range is.
     """
     anharmonicity = as_float(anharmonicity, "anharmonicity")
+    coulomb.check_integer(angular, "L")
+    if not isinstance(n_max, int):  # an int past 2**53 is a ladder the row limit refuses below
+        coulomb.check_integer(n_max, "N_max")
     if n_max < angular:
         raise AdmissibilityError(f"empty ladder L={angular}..N_max={n_max}: N_max must be at least L")
     _check_rows(f"the ladder L={angular}..N_max={n_max}", (n_max - angular) // 2 + 1)

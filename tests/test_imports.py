@@ -3,21 +3,27 @@
 Closed-form verbs (energy tables, trap numbers) and every refused input run
 without executing numpy, the grid layer (`_grid`, `susy`), the verification
 numerics (`specfun`) or `maps`; only evaluating a waveform or solving a map
-executes `_grid`, and only `verify` executes `specfun`.  A trap level is the
+executes `_grid`, and only `verify` executes `specfun`. A trap level is the
 D = 2 oscillator state, so `trap levels` executes `geonium` only for the SI
-column of a trap config, and `geonium` itself executes no state module.  The
-standard library follows its users: only a JSON render and `verify --format
-json` execute `json`, only `map` and `verify` execute `fractions`, and a usage
-error (exit 2) executes no record module (`reports`).  Each probe runs in a fresh interpreter, since this test process
-has long since loaded everything.  A lazily bound module sits in sys.modules
-as a pending `importlib.util._LazyModule` until its first attribute access
-runs its body, so a module counts as executed when it is in sys.modules and
-not pending.  A watched module that a bare import of the verb's dependencies
-executes on the same interpreter (`numpy.random`, `json` or `fractions` on some
-numpy releases) is not susyrad's doing and is left out of both sides of the
+column of a trap config, and `geonium` itself executes no state module. A verb
+executes only the state modules it builds states from: `trap frequencies` and
+`trap operating-point` none, with or without a trap-only `--config`, and `qdt`
+only for a model section. The standard library follows its users: no
+closed-form verb and no usage error executes `dataclasses` (`susy`, `maps`,
+`specfun` and `verify` keep theirs, and only grid verbs execute them), only a
+JSON render and `verify --format json` execute `json`, only `map` and `verify`
+execute `fractions`, only an unknown option or command executes `difflib`, and
+a usage error (exit 2) executes no record module (`reports`). Each probe runs
+in a fresh interpreter, since this test process has long since loaded
+everything. A lazily bound module sits in sys.modules as a pending
+`importlib.util._LazyModule` until its first attribute access runs its body,
+so a module counts as executed when it is in sys.modules and not pending. A
+watched module that a bare import of the verb's dependencies executes on the
+same interpreter (`numpy.random`, `json` or `fractions` on some numpy
+releases) is not susyrad's doing and is left out of both sides of the
 comparison (`_dependency_modules()`): the dependencies are nothing for a
 closed-form verb, which never imports numpy, and `numpy` alone for a verb that
-evaluates on a grid.  No verb needs click: every verb probe runs with
+evaluates on a grid. No verb needs click: every verb probe runs with
 `sys.modules["click"] = None`, so an import of it would fail.
 """
 
@@ -37,8 +43,9 @@ SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 NUMPY_BODY = ("numpy._core", "numpy.core")
 # numpy, the standard library modules that follow their users, and the package modules a
 # closed-form verb can do without
-WATCHED = ("numpy", "numpy.random", "json", "fractions", *(f"susyrad.{name}" for name in
-           ("reports", "_grid", "specfun", "susy", "maps", "geonium", "config", "qdt", "verify")))
+WATCHED = ("numpy", "numpy.random", "json", "fractions", "dataclasses", "difflib", *(f"susyrad.{name}" for name in
+           ("reports", "coulomb", "oscillator", "_laguerre_forms", "_grid", "specfun", "susy", "maps",
+            "geonium", "config", "qdt", "verify")))
 
 # type(), not isinstance(): any attribute read, __class__ included, runs a pending body
 EXECUTED = f"""[name for name in {WATCHED!r}
@@ -154,46 +161,59 @@ def configs(tmp_path_factory):
 
 
 RECORDS = {"susyrad.reports"}
-CONFIG_LAYER = {"susyrad.config", "susyrad.qdt"}
+CONFIG = {"susyrad.config"}
 TRAP_LAYER = {"susyrad.geonium"}
-GRID_LAYER = {"numpy", "susyrad._grid"}
-VERIFY_LAYER = GRID_LAYER | RECORDS | {"fractions", "susyrad.specfun", "susyrad.susy", "susyrad.maps",
-                                      "susyrad.geonium", "susyrad.qdt", "susyrad.verify"}
+# the Coulomb state module and the forms it builds on; the oscillator module imports both
+COULOMB = {"susyrad.coulomb", "susyrad._laguerre_forms"}
+STATES = COULOMB | {"susyrad.oscillator"}
+# a model section's qdt imports both state modules
+MODEL_LAYER = CONFIG | STATES | {"susyrad.qdt"}
+# susy, maps, specfun and verify are dataclasses; numpy, which they need, imports inspect already
+GRID_LAYER = {"numpy", "susyrad._grid", "dataclasses"}
+VERIFY_LAYER = GRID_LAYER | RECORDS | STATES | {"fractions", "susyrad.specfun", "susyrad.susy", "susyrad.maps",
+                                               "susyrad.geonium", "susyrad.qdt", "susyrad.verify"}
 
-# (id, argv, exit code, the watched modules executed): no closed-form verb executes `_grid` or
-# `specfun`, no CSV render `json`, no verb but map and verify `fractions`, and no usage error
-# (exit code 2) `reports`
+# (id, argv, exit code, the watched modules executed): no closed-form verb executes `_grid`,
+# `specfun` or `dataclasses`, no trap-number verb a state module, no CSV render `json`, no verb but
+# map and verify `fractions`, only a model section `qdt`, and no usage error (exit code 2) `reports`
 CLOSED_FORM = [
-    ("spectrum", ["spectrum"], 0, RECORDS),
-    ("spectrum-json", ["spectrum", "--format", "json"], 0, RECORDS | {"json"}),
+    ("spectrum", ["spectrum"], 0, RECORDS | COULOMB),
+    ("spectrum-json", ["spectrum", "--format", "json"], 0, RECORDS | COULOMB | {"json"}),
+    ("oscillator-spectrum", ["spectrum", "--family", "oscillator"], 0, RECORDS | STATES),
     ("defect-spectrum", ["spectrum", "--family", "defect", "--n", "1..4", "--config", "{good}"], 0,
-     RECORDS | CONFIG_LAYER),
+     RECORDS | MODEL_LAYER),
     ("frequencies", ["trap", "frequencies", "--B", "5", "--V", "10", "--d", "0.01", "--species", "proton"],
      0, RECORDS | TRAP_LAYER),
+    ("frequencies-config", ["trap", "frequencies", "--config", "{trap}"], 0, RECORDS | TRAP_LAYER | CONFIG),
     ("operating-point", ["trap", "operating-point", "--B", "5", "--d", "0.01"], 0, RECORDS | TRAP_LAYER),
-    ("levels", ["trap", "levels", "--N-max", "6"], 0, RECORDS),
-    ("levels-json", ["trap", "levels", "--N-max", "6", "--format", "json"], 0, RECORDS | {"json"}),
+    ("levels", ["trap", "levels", "--N-max", "6"], 0, RECORDS | STATES),
+    ("levels-json", ["trap", "levels", "--N-max", "6", "--format", "json"], 0, RECORDS | STATES | {"json"}),
     ("levels-config", ["trap", "levels", "--N-max", "6", "--config", "{trap}"], 0,
-     RECORDS | TRAP_LAYER | CONFIG_LAYER),
+     RECORDS | STATES | TRAP_LAYER | CONFIG),
     ("usage-error", ["spectrum", "--format", "xml"], 2, set()),
     ("non-finite-flag", ["trap", "levels", "--Delta", "nan"], 2, set()),
     ("missing-flag", ["map", "--d", "3", "--n", "2"], 2, set()),
-    ("config-error", ["spectrum", "--family", "defect", "--config", "{bad}"], 1, RECORDS | CONFIG_LAYER),
+    # only an unknown name is matched against the known ones
+    ("unknown-option", ["spectrum", "--fromat", "json"], 2, {"difflib"}),
+    # the file is refused before a model is built
+    ("config-error", ["spectrum", "--family", "defect", "--config", "{bad}"], 1, RECORDS | CONFIG),
     # the state is refused before its grid is built
-    ("refused-state", ["wavefunction", "--n", "3", "--l", "5"], 1, RECORDS),
-    ("empty-ladder", ["trap", "levels", "--L", "5", "--N-max", "2"], 1, RECORDS),
+    ("refused-state", ["wavefunction", "--n", "3", "--l", "5"], 1, RECORDS | COULOMB),
+    # L and N_max are checked as the states check an integer
+    ("empty-ladder", ["trap", "levels", "--L", "5", "--N-max", "2"], 1, RECORDS | COULOMB),
 ]
 
 GRID = [
-    ("wavefunction", ["wavefunction", "--n", "3", "--l", "1"], 0, GRID_LAYER | RECORDS | {"susyrad.susy"}),
+    ("wavefunction", ["wavefunction", "--n", "3", "--l", "1"], 0,
+     GRID_LAYER | RECORDS | COULOMB | {"susyrad.susy"}),
     ("wavefunction-json", ["wavefunction", "--family", "oscillator", "--n", "4", "--l", "2", "--format",
-                           "json"], 0, GRID_LAYER | RECORDS | {"susyrad.susy", "json"}),
+                           "json"], 0, GRID_LAYER | RECORDS | STATES | {"susyrad.susy", "json"}),
     # R_nl(r) is the d = 3 Coulomb state read at y = 2r
     ("hydrogen", ["wavefunction", "--family", "hydrogen", "--n", "3", "--l", "1"], 0,
-     GRID_LAYER | RECORDS | {"susyrad.susy"}),
-    ("susy-pair", ["susy-pair"], 0, GRID_LAYER | RECORDS | {"susyrad.susy"}),
+     GRID_LAYER | RECORDS | COULOMB | {"susyrad.susy"}),
+    ("susy-pair", ["susy-pair"], 0, GRID_LAYER | RECORDS | COULOMB | {"susyrad.susy"}),
     ("map", ["map", "--d", "3", "--n", "2", "--l", "0", "--lambda", "1"], 0,
-     GRID_LAYER | RECORDS | {"fractions", "susyrad.maps"}),
+     GRID_LAYER | RECORDS | STATES | {"fractions", "susyrad.maps"}),
     ("verify", ["verify", "--out", os.devnull], 0, VERIFY_LAYER),
     ("verify-json", ["verify", "--format", "json", "--out", os.devnull], 0, VERIFY_LAYER | {"json"}),
 ]

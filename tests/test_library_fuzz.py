@@ -298,6 +298,15 @@ FOUND = {
         lambda: susyrad.susy_operating_point(1.0, 1e-3, charge="1", mass=-1.0), "mass must be positive"),
     "susy_operating_point(magnetic_field=None)": (
         lambda: susyrad.susy_operating_point(None, 1e-3, 1.0, 1.0), "magnetic field must be a real number"),
+    # a non-integer L or N_max reached range() or a comparison with an int
+    "trap_levels_record(inf, inf)": (
+        lambda: reports.trap_levels_record(math.inf, math.inf), r"^L must be an integer, got inf$"),
+    "trap_levels_record(1.5, 4)": (
+        lambda: reports.trap_levels_record(1.5, 4), r"^L must be an integer, got 1\.5$"),
+    "trap_levels_record('2', 5)": (
+        lambda: reports.trap_levels_record("2", 5), r"^L must be an integer, got '2'$"),
+    "trap_levels_record(0, 2.5)": (
+        lambda: reports.trap_levels_record(0, 2.5), r"^N_max must be an integer, got 2\.5$"),
     # the fuzz seldom reaches lambda: the source state must be admissible first
     "solve_map_parameters(lambda None)": (
         lambda: susyrad.solve_map_parameters((3, 2, 1), None), "lambda must be a real number"),

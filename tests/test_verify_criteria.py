@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from susyrad import geonium, maps, reports, susy, verify
+from susyrad.output import Diagnostic, OutputRecord
 
 NAN = float("nan")
 
@@ -30,7 +31,7 @@ def _with_nan(array):
 def _spectrum_row(record):
     rows = [dict(row) for row in record.rows]
     rows[5]["energy"] = NAN
-    return dataclasses.replace(record, rows=rows)
+    return OutputRecord(record.command, record.inputs, record.columns, rows, record.diagnostics)
 
 
 def _map_row(checks):
@@ -39,7 +40,8 @@ def _map_row(checks):
 
 def _frequency_match(record):
     (match, *rest) = record.diagnostics
-    return dataclasses.replace(record, diagnostics=[dataclasses.replace(match, value=NAN), *rest])
+    return OutputRecord(record.command, record.inputs, record.columns, record.rows,
+                        [Diagnostic(match.name, NAN, match.tolerance), *rest])
 
 
 # check, patched module and name, the call (from 1) whose result is poisoned, the poison
