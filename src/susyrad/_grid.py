@@ -23,12 +23,14 @@ The Laguerre forms of `_laguerre_forms` are built here as a batch:
 stack once for the whole family, up to the highest order asked for, with the
 per-form constants as columns and one recurrence pass for the whole family,
 so a value and a residual's (0, 2) each run one pass, whatever the number
-of forms.  The power stack is formed once per distinct exponent, because
-numpy's power of an exponent column skips its scalar fast paths (x**0.5,
-x**2) and rounds differently; so every element sees the operations it would
-alone.  A form's `derivatives(grid, orders)` is the same build for a family
-of one, on its grid's points as one row and with its own constants as
-floats.  The Laguerre argument is checked before any stack is formed.
+of forms.  The prefactor norm * x**q * exp(-decay) and its derivatives are
+one exponential per order (`_prefactor_stack`), so none of its factors
+leaves double range on its own; the exponential's stack is relative to
+itself (w_0 = 1).  Columns and floats see the same operations, so every
+element has the bits it would have alone.  A form's `derivatives(grid,
+orders)` is the same build for a family of one, on its grid's points as one
+row and with its own constants as floats.  The Laguerre argument is checked
+before any stack is formed.
 """
 
 from __future__ import annotations
@@ -244,57 +246,54 @@ def laguerre_stack(degrees, orders, t, order):
     return stack
 
 
-def _triple_product_derivatives(u, w, z, order):
-    """Derivative of u*w*z given per-factor stacks u[j], w[j], z[j] for j <= order."""
+def _product_rule(u, w, z, order):
+    """d^order/dx^order of u*w*z from per-factor stacks u[j], w[j], z[j], where w[0] is 1."""
     if order == 0:
-        return u[0] * w[0] * z[0]
+        return u[0] * z[0]
     if order == 1:
-        return u[1] * w[0] * z[0] + u[0] * w[1] * z[0] + u[0] * w[0] * z[1]
+        return u[1] * z[0] + u[0] * w[1] * z[0] + u[0] * z[1]
     if order == 2:
         return (
-            u[2] * w[0] * z[0]
+            u[2] * z[0]
             + u[0] * w[2] * z[0]
-            + u[0] * w[0] * z[2]
-            + 2.0 * (u[1] * w[1] * z[0] + u[1] * w[0] * z[1] + u[0] * w[1] * z[1])
+            + u[0] * z[2]
+            + 2.0 * (u[1] * w[1] * z[0] + u[1] * z[1] + u[0] * w[1] * z[1])
         )
     return (
-        u[3] * w[0] * z[0]
+        u[3] * z[0]
         + u[0] * w[3] * z[0]
-        + u[0] * w[0] * z[3]
-        + 3.0 * (u[2] * w[1] * z[0] + u[2] * w[0] * z[1])
+        + u[0] * z[3]
+        + 3.0 * (u[2] * w[1] * z[0] + u[2] * z[1])
         + 3.0 * (u[1] * w[2] * z[0] + u[0] * w[2] * z[1])
-        + 3.0 * (u[1] * w[0] * z[2] + u[0] * w[1] * z[2])
+        + 3.0 * (u[1] * z[2] + u[0] * w[1] * z[2])
         + 6.0 * u[1] * w[1] * z[1]
     )
 
 
-def _power_stack(x, exponent, order):
-    # u_j = exponent (exponent - 1) ... (exponent - j + 1) x**(exponent - j)
-    stack = [np.power(x, exponent)]
-    coeff = 1.0
-    for j in range(1, order + 1):
-        coeff *= exponent - (j - 1)
-        stack.append(coeff * np.power(x, exponent - j))
-    return stack
+def _prefactor_stack(grid, decay, log_norm, exponent, order):
+    """u_j = q (q-1) ... (q-j+1) exp(log_norm + (q-j) log x - decay) for j <= order, q the exponent.
 
-
-def _power_stacks(exponents, grid, order):
-    """Each row's power stack, formed once per distinct exponent (see the module docstring).
-
-    A batch of one exponent, as every family of one angular number is, takes
-    its stack as formed, with no scatter into rows.
+    u_j is norm * (d^j/dx^j x**q) * exp(-decay), formed as one exponential per
+    order, so that no factor leaves double range on its own where the product
+    does not (Gil, Segura & Temme, Numerical Methods for Special Functions,
+    2007, ch. 4).  An entry whose coefficient is 0 (an integer q < j) is
+    exactly 0, even where its exponential would overflow.
     """
-    groups = {}
-    for i, exponent in enumerate(exponents):
-        groups.setdefault(exponent, []).append(i)
-    if len(groups) == 1:
-        return _power_stack(grid, exponents[0], order)
-    stacks = [np.empty((len(exponents), grid.shape[-1])) for _ in range(order + 1)]
-    for exponent, rows in groups.items():
-        part = _power_stack(grid if grid.ndim == 1 else grid[rows], exponent, order)
-        for stack, values in zip(stacks, part):
-            stack[rows] = values
-    return stacks
+    log_x = np.log(grid)
+    stack, coeff = [], np.float64(1.0)  # a float64 or a column, so that coeff.all() is cheap
+    for j in range(order + 1):
+        arg = (exponent - j) * log_x
+        arg += log_norm
+        arg -= decay
+        if j:
+            coeff = coeff * (exponent - (j - 1))
+            if not coeff.all():
+                np.copyto(arg, -np.inf, where=coeff == 0.0)
+        np.exp(arg, out=arg)
+        if j:
+            arg *= coeff
+        stack.append(arg)
+    return stack
 
 
 def columns(rows):
@@ -312,15 +311,15 @@ def family_derivatives(forms, grid, orders):
     rank = sorted(range(len(forms)), key=lambda i: -forms[i].degree)
     unrank = sorted(range(len(forms)), key=rank.__getitem__)
     forms = [forms[i] for i in rank]
-    *constants, norms = columns([f._constants() + (f.norm,) for f in forms])
-    built = _build(forms, grid[rank] if grid.ndim == 2 else grid, orders, constants, norms)
+    *constants, log_norms, exponents = columns([f._constants() + (f.log_norm, f.exponent) for f in forms])
+    built = _build(forms, grid[rank] if grid.ndim == 2 else grid, orders, constants, log_norms, exponents)
     return [d[unrank] for d in built]
 
 
-def _build(forms, grid, orders, constants, norms):
+def _build(forms, grid, orders, constants, log_norm, exponent):
     """The derivatives of forms in order of descending degree, as `laguerre_stack` needs them.
 
-    The constants and norms are columns, or a lone form's own floats.
+    The constants, log_norm and exponent are columns, or a lone form's own floats.
     """
     form, top = forms[0], max(orders)
     # x/scale or x*x can overflow on a finite grid; the overflow is left as inf,
@@ -332,7 +331,7 @@ def _build(forms, grid, orders, constants, norms):
     except DomainError as exc:
         raise DomainError("radial coordinate too large: its Laguerre argument overflows") from exc
     p = laguerre_stack([f.degree for f in forms], [f.order for f in forms], t, top)
-    w, z = form._factor_stacks(grid, t, np.exp(-decay), p, top, *constants)
+    w, z = form._factor_stacks(grid, t, p, top, *constants)
+    u = _prefactor_stack(grid, decay, log_norm, exponent, top)
     del decay, t, p  # the batch's temporaries end here
-    stacks = (_power_stacks([f.exponent for f in forms], grid, top), w, z)
-    return [norms * _triple_product_derivatives(*stacks, k) for k in orders]
+    return [_product_rule(u, w, z, k) for k in orders]

@@ -39,11 +39,13 @@ class _LaguerreForm:
     _log_inverse_square_norm() -> log norm**-2, checked and computed on first
     use; _constants() -> the form's own constants, as Python floats;
     _decay_and_argument(x, *constants) -> (decay, t), the exponent and the
-    argument; _factor_stacks(x, t, w0, p, order, *constants) -> (w, z), the
-    exponential's and the polynomial's stacks up to order from w0 = exp(-decay)
-    and the t-derivative stack p; and _envelope_decreasing_from(), past which
-    the envelope falls.  The last three take the constants as floats or as
-    columns with one row per form.
+    argument; _factor_stacks(x, t, p, order, *constants) -> (w, z), the
+    exponential's stack relative to itself (w[j] = d^j/dx^j exp(-decay) /
+    exp(-decay), so w[0] = 1) and the polynomial's stack, up to order, from the
+    t-derivative stack p; and _envelope_decreasing_from(), past which the
+    envelope falls.  The last three take the constants as floats or as
+    columns with one row per form.  The build folds norm, power and
+    exponential into one exponential per order (`_grid._prefactor_stack`).
     """
 
     def __init_subclass__(cls):
@@ -70,7 +72,7 @@ class _LaguerreForm:
     def derivatives(self, grid, orders):
         """[d^k/dx^k for k in orders] on a grid positive_grid has checked: the family of one."""
         # one row of the grid's points, so that no factor broadcasts against another
-        built = _grid._build([self], grid.reshape(1, -1), orders, self._constants(), self.norm)
+        built = _grid._build([self], grid.reshape(1, -1), orders, self._constants(), self.log_norm, self.exponent)
         return [d.reshape(grid.shape) for d in built]
 
     def value(self, x):
@@ -132,8 +134,8 @@ class ExponentialLaguerreForm(_LaguerreForm):
         return 2.0 * self.scale * (self.exponent + self.degree)
 
     @staticmethod
-    def _factor_stacks(arr, t, w0, p, order, scale, rate, rate2, rate3, inv, inv3):
-        w = _first(order, lambda: w0, lambda: rate * w0, lambda: rate2 * w0, lambda: rate3 * w0)
+    def _factor_stacks(arr, t, p, order, scale, rate, rate2, rate3, inv, inv3):
+        w = [1.0, rate, rate2, rate3][: order + 1]
         z = _first(
             order, lambda: p[0], lambda: p[1] * inv, lambda: p[2] * inv * inv, lambda: p[3] * inv3
         )
@@ -166,14 +168,8 @@ class GaussianLaguerreForm(_LaguerreForm):
         return math.sqrt(self.exponent + 2.0 * self.degree)
 
     @staticmethod
-    def _factor_stacks(arr, t, w0, p, order):
-        w = _first(
-            order,
-            lambda: w0,
-            lambda: -arr * w0,
-            lambda: (t - 1.0) * w0,
-            lambda: (3.0 * arr - arr**3) * w0,
-        )
+    def _factor_stacks(arr, t, p, order):
+        w = _first(order, lambda: 1.0, lambda: -arr, lambda: t - 1.0, lambda: 3.0 * arr - arr**3)
         z = _first(
             order,
             lambda: p[0],

@@ -172,6 +172,10 @@ def _run(path, node, argv):
         return 2
     try:
         given, rest, eager = _parse(node, argv)
+        if group and rest and rest[0] not in node and rest[0][:1] == "-" and not eager:
+            # as click's Group.resolve_command: a command name that looks like an option is parsed
+            # again as the group's own arguments (`susyrad -- --version`)
+            eager = _parse(node, rest)[2]
         if eager:
             sys.stdout.write(_help(usage, node) if eager == "help" else f"susyrad, version {__version__}\n")
             return 0

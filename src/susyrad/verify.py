@@ -149,8 +149,7 @@ def _form_states(family, used):
 def check_radial_residuals():
     residuals, count, used = [], 0, set()
     for family in _FORM_FAMILIES:
-        # by exponent, so that a batch forms few power stacks; _BATCH_ROWS states at a time
-        states = sorted(_form_states(family, used), key=lambda state: state.exponent)
+        states = list(_form_states(family, used))
         for start in range(0, len(states), _BATCH_ROWS):
             batch = states[start : start + _BATCH_ROWS]
             residuals.append(reports._relative_residuals(batch, _state_grids(batch)))

@@ -215,14 +215,25 @@ class TestWavefunction:
 
     @pytest.mark.parametrize("options", [(), ("-W", "error::RuntimeWarning")], ids=["default", "strict"])
     def test_large_state_stderr_is_the_error_alone(self, options):
-        # overflow inside the evaluation surfaces as render's typed error, not as numpy warnings,
-        # also when the interpreter turns every RuntimeWarning into an error
-        proc = _run_from_src(
-            "susyrad", "wavefunction", "--n", "160", "--l", "150", "--grid-max", "1e5", options=options
-        )
+        # a Laguerre polynomial that overflows surfaces as render's typed error, not as numpy
+        # warnings, also when the interpreter turns every RuntimeWarning into an error
+        proc = _run_from_src("susyrad", "wavefunction", "--n", "1000", "--l", "500", options=options)
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert proc.stderr == "Error: non-finite number in row[1].amplitude: nan\n"
+        assert proc.stderr == "Error: non-finite number in row[0].amplitude: nan\n"
+
+    def test_state_past_the_power_range_prints_a_finite_table(self):
+        # norm, power and exponential each leave double range here; their product does not
+        proc = _run_from_src(
+            "susyrad", "wavefunction", "--n", "160", "--l", "150", "--grid-max", "1e5",
+            options=("-W", "error::RuntimeWarning"),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = [line.split(",") for line in proc.stdout.splitlines() if line[:1].isdigit()]
+        assert len(rows) == 200
+        amplitudes = [float(amplitude) for _, amplitude in rows]
+        assert all(math.isfinite(a) for a in amplitudes) and any(amplitudes)
+        assert amplitudes[-1] == pytest.approx(-1.237e-16, rel=1e-3)
 
     def test_oscillator_state(self):
         result = invoke(
@@ -663,6 +674,8 @@ USAGE_ERRORS = [
     ("double-dash-float", ["trap", "levels", "--Delta", "--"], "susyrad trap levels [OPTIONS]",
      "Invalid value for '--Delta': '--' is not a valid float."),
     ("missing-command", ["--"], "susyrad [OPTIONS] COMMAND [ARGS]...", "Missing command."),
+    # a command name that looks like an option is parsed again as the group's own, as click does
+    ("option-as-command", ["--", "--foo"], "susyrad [OPTIONS] COMMAND [ARGS]...", "No such option '--foo'."),
 ]
 
 TRAP_HELP = """\
@@ -728,6 +741,13 @@ class TestUsageErrors:
         result = invoke(main, ["spectrum"], env={"SUSYRAD_CONFIG": str(tmp_path)})
         assert result.exit_code == 2
         assert result.stderr.endswith(f"Error: Invalid value for '--config': File {str(tmp_path)!r} is a directory.\n")
+
+    @pytest.mark.parametrize("flag", ["--version", "--help"])
+    def test_a_group_flag_after_double_dash_is_the_flag(self, flag):
+        # click's Group.resolve_command parses an option-like command name as the group's own
+        after, plain = invoke(main, ["--", flag]), invoke(main, [flag])
+        assert (after.exit_code, after.stdout, after.stderr) == (0, plain.stdout, "")
+        assert plain.stdout.startswith("susyrad, version " if flag == "--version" else "Usage: susyrad [OPTIONS]")
 
     @pytest.mark.parametrize(("argv", "command"), [([], "spectrum"), (["trap"], "levels")], ids=["root", "trap"])
     def test_a_bare_group_prints_its_help_as_a_usage_error(self, argv, command):

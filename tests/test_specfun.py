@@ -640,7 +640,7 @@ def _full_triple_product(u, w, z, order):
     )
 
 
-# 0.5 and 2.0 take numpy's scalar power fast paths; the others do not
+# the integer exponents have zero power-rule coefficients past their order; the others none
 _EXPONENTS = (0.5, 2.0, 1.0, 1.3, 3.75)
 
 
@@ -686,26 +686,24 @@ def _poly_stack(form, t):
 
 
 def _full_stack_derivative(form, arr, order):
-    """Every factor's stack built to third order, whatever order is asked for."""
+    """Every factor's stack built to third order, whatever order is asked for.
+
+    u_j is norm * (d^j/dx^j x**q) * exp(-decay) as one exponential, and exactly 0
+    where its coefficient is; w is the exponential's stack relative to itself.
+    """
     q = form.exponent
-    u = (
-        np.power(arr, q),
-        q * np.power(arr, q - 1.0),
-        q * (q - 1.0) * np.power(arr, q - 2.0),
-        q * (q - 1.0) * (q - 2.0) * np.power(arr, q - 3.0),
-    )
     if isinstance(form, _laguerre_forms.ExponentialLaguerreForm):
-        w0 = np.exp(-arr / (2.0 * form.scale))
+        decay = arr / (2.0 * form.scale)
         rate = -1.0 / (2.0 * form.scale)
-        w = (w0, rate * w0, rate * rate * w0, rate**3 * w0)
+        w = (1.0, rate, rate * rate, rate**3)
         t = arr / form.scale
         p = _poly_stack(form, t)
         inv = 1.0 / form.scale
         z = (p[0], p[1] * inv, p[2] * inv * inv, p[3] * inv**3)
     else:
-        w0 = np.exp(-0.5 * arr * arr)
-        w = (w0, -arr * w0, (arr * arr - 1.0) * w0, (3.0 * arr - arr**3) * w0)
         t = arr * arr
+        decay = 0.5 * t
+        w = (1.0, -arr, t - 1.0, 3.0 * arr - arr**3)
         p = _poly_stack(form, t)
         z = (
             p[0],
@@ -713,7 +711,12 @@ def _full_stack_derivative(form, arr, order):
             2.0 * p[1] + 4.0 * t * p[2],
             12.0 * arr * p[2] + 8.0 * arr**3 * p[3],
         )
-    return form.norm * _full_triple_product(u, w, z, order)
+    coefficients = (1.0, q, q * (q - 1.0), q * (q - 1.0) * (q - 2.0))
+    u = [
+        c * np.exp((q - j) * np.log(arr) + form.log_norm - decay) if c else np.zeros_like(arr)
+        for j, c in enumerate(coefficients)
+    ]
+    return _full_triple_product(u, w, z, order)
 
 
 _DERIVATIVES = ("value", "derivative", "second_derivative", "third_derivative")

@@ -3,8 +3,8 @@
 Each check is run with its batch builder wrapped, so the rows compared here
 are the rows the check measured.  The call counts guard the batching itself:
 a loop over cases would make 120 `laguerre_stack` calls (criterion 9), 36
-`_build` calls (criterion 7), about 211 `_power_stack` calls (criterion 2) and
-64 envelope evaluations (criterion 3).
+`_build` calls (criterion 7), 464 `_build` calls (criterion 2) and 64 envelope
+evaluations (criterion 3).
 """
 
 import math
@@ -94,34 +94,27 @@ class TestResidualBatches:
     def test_every_residual_is_its_state_alone(self, monkeypatch):
         batches = _recorded(monkeypatch, reports, "_relative_residuals", verify.check_radial_residuals)
         assert sum(len(states) for (states, _), _ in batches) == 464
-        exponents = {True: [], False: []}
         for (states, grids), residuals in batches:
             assert len(states) <= verify._BATCH_ROWS
             coulomb_form = isinstance(states[0], coulomb.CoulombState)
             assert all(isinstance(s, coulomb.CoulombState) == coulomb_form for s in states)
             # an oscillator batch shares the one grid; a Coulomb batch has a row per state
             assert grids.shape == ((len(states), 240) if coulomb_form else (240,))
-            exponents[coulomb_form] += [s.exponent for s in states]
             rows = np.broadcast_to(grids, (len(states), 240))
             for state, row, got in zip(states, rows, residuals.tolist()):
                 top = 20.0 * (state.principal + state.gamma)
                 assert np.array_equal(row, np.linspace(0.05, top, 240) if coulomb_form else verify._OSC_GRID)
                 assert got == reports._value_and_residual(state, row)[1]
-        # each family comes sorted by exponent before it is cut into batches
-        assert all(e == sorted(e) and e for e in exponents.values())
+        # both families take part
+        assert {isinstance(states[0], coulomb.CoulombState) for (states, _), _ in batches} == {True, False}
 
-    def test_power_stacks_at_most_batches_plus_exponents(self, monkeypatch):
-        powers, original = [], _grid._power_stack
-
-        def counted(*args):
-            powers.append(args[1])
-            return original(*args)
-
-        monkeypatch.setattr(_grid, "_power_stack", counted)
+    def test_one_build_per_batch(self, monkeypatch):
+        builds = _recorded(monkeypatch, _grid, "_build", verify.check_radial_residuals)
         batches = _recorded(monkeypatch, reports, "_relative_residuals", verify.check_radial_residuals)
-        exponents = {(isinstance(s, coulomb.CoulombState), s.exponent)
-                     for (states, _), _ in batches for s in states}
-        assert len(powers) <= len(batches) + len(exponents)
+        # each batch's value and curvature come from one (0, 2) build of all its states
+        assert [(len(forms), orders) for (forms, _, orders, *_), _ in builds] == [
+            (len(states), (0, 2)) for (states, _), _ in batches
+        ]
 
 
 def _coulomb_rows(rows):
