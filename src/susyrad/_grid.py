@@ -148,7 +148,7 @@ def _rows(stack, j, degrees, orders, x):
         a = np.array(orders[:m], dtype=float)[:, None]
         steps = np.arange(1.0, top)[:, None, None]
         c_next, c_prev = 2.0 * steps + a + 1.0, steps + a
-    x = x.reshape(-1, points)[:m]  # a shared row is one row that every prefix broadcasts
+    x = (x[None] if x.ndim == 1 else x)[:m]  # a shared row is one row that every prefix broadcasts
     prev = np.ones((m, points))
     cur = np.empty_like(prev)
     np.subtract(a + 1.0, x, out=cur)

@@ -8,12 +8,11 @@ them out, for a form alone or for a family of one class, is
 `_grid.family_derivatives`, and a form's `derivatives(grid, orders)` is that
 build for a family of one.  The norm is built on first use.
 Energies and starred numbers need none of it, so `spectrum` executes this
-module but neither the grid layer (`_grid`) nor `specfun`, which both stay
-bound lazily until a grid is evaluated.
-Each form bounds its magnitude in closed form (`log_envelope`), which fixes the
-quadrature cutoff without sampling: `specfun.family_cutoff(forms)` takes a
-family's from one envelope evaluation, and a form's `tail_cutoff` is its family
-of one.
+module but not the grid layer (`_grid`), which stays bound lazily until a
+grid is evaluated.  The forms bind no other layer: the bound on a form's
+magnitude and the quadrature cutoff it gives are verification numerics,
+`specfun.log_envelopes(forms, grid)` and `specfun.family_cutoff(forms)`,
+built from the constants each form supplies.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from functools import cached_property
 from ._np import _lazy_module
 from .errors import DomainError
 
-_grid, specfun = (_lazy_module(f"{__package__}.{name}") for name in ("_grid", "specfun"))
+_grid = _lazy_module(f"{__package__}._grid")
 
 
 def _first(order, *terms):
@@ -86,16 +85,6 @@ class _LaguerreForm:
 
     def third_derivative(self, x):
         return _grid.pointwise(self.derivatives, x, 3)
-
-    def log_envelope(self, x):
-        """log |norm| + exponent log x - decay(x) + log L_degree^(order)(-t(x)) >= log |value(x)|."""
-        arr = _grid.positive_grid(x)
-        return specfun._log_envelopes([self], arr.reshape(1, -1)).reshape(arr.shape)
-
-    @cached_property
-    def tail_cutoff(self) -> float:
-        """Quadrature cutoff of |value|**2 under the package's decay policy: family_cutoff of one."""
-        return specfun.family_cutoff([self])
 
 
 class ExponentialLaguerreForm(_LaguerreForm):

@@ -10,8 +10,8 @@ is being imported.
 
 The package binds its own layers the same way, with `_lazy_module`: the
 forms, the state modules, `qdt` and `reports` bind the grid layer `_grid`
-(`susy` and `maps` import it, since only grid work executes them); the forms
-bind `specfun`, the verification numerics; the state modules and `reports`
+(`susy` and `maps` import it, since only grid work executes them); no module
+binds `specfun`, the verification numerics; the state modules and `reports`
 bind `susy`; `cli` binds `reports`, `config`, `geonium` and `maps`; `reports`
 binds the state modules `coulomb` and `oscillator`, `geonium` and `maps`;
 `config` binds `geonium` and `qdt`, and `geonium` binds `maps`.  A `from
@@ -23,7 +23,7 @@ the trap verbs `geonium`, except `trap levels` without a trap; `trap
 frequencies` and `trap operating-point` execute no state module.  `--config`
 adds `config`, and `qdt` only for a model section; `wavefunction` and
 `susy-pair` add `_grid` and `susy`, and `map` adds `_grid` and `maps`.  Only
-`verify` executes `specfun`.  The standard library follows its users: no
+`verify`, which imports it, registers `specfun`.  The standard library follows its users: no
 closed-form verb imports `dataclasses`, a JSON render and `verify --format
 json` import `json`, only `map` and `verify` import `fractions`, and only an
 unknown option or command `difflib`.  An import statement for a pending module (`import

@@ -192,9 +192,13 @@ def _run(path, node, argv):
 
 
 def main(args=None, prog_name=None):
-    """Run one command line and exit: 0, 1 after a fatal `Error:` line, 2 after a refused command line."""
+    """Run one command line and exit: 0, 1 after a fatal `Error:` line or Ctrl-C, 2 after a refused command line."""
     argv = sys.argv[1:] if args is None else list(args)
-    raise SystemExit(_run(prog_name or os.path.basename(sys.argv[0]), _ROOT, argv))
+    try:
+        raise SystemExit(_run(prog_name or os.path.basename(sys.argv[0]), _ROOT, argv))
+    except KeyboardInterrupt:  # as click ends it: a new line, then Aborted!
+        sys.stderr.write("\nAborted!\n")
+        raise SystemExit(1) from None
 
 
 def _write(text, out_path):

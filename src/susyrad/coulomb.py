@@ -72,16 +72,12 @@ class CoulombState(ExponentialLaguerreForm):
 
     def __init__(self, dimension: int, principal: int, angular: int, delta: float = 0.0,
                  shift: int = 0):
-        gamma = gamma_shift(dimension)
+        g = gamma_shift(dimension)
         check_defect(delta)
         check_shift(shift)
         check_quantum_numbers(principal, angular)
-        self.dimension, self.principal, self.angular = dimension, principal, angular
-        self._set_starred(gamma, float(delta), int(shift))
-
-    def _set_starred(self, g, delta, shift):
-        """Check and store the starred numbers; DefectState calls this after its lookups."""
-        n, l = self.principal, self.angular
+        n, l, delta, shift = principal, angular, float(delta), int(shift)
+        self.dimension, self.principal, self.angular = dimension, n, l
         degree = n - l - shift - 1
         if degree < 0:
             raise AdmissibilityError(

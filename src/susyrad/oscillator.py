@@ -51,16 +51,12 @@ class OscillatorState(GaussianLaguerreForm):
 
     def __init__(self, dimension: int, principal: int, angular: int, anharmonicity: float = 0.0,
                  shift: int = 0):
-        gamma = gamma_shift(dimension)
+        g = gamma_shift(dimension)
         check_anharmonicity(anharmonicity)
         check_shift(shift)
         check_quantum_numbers(principal, angular)
-        self.dimension, self.principal, self.angular = dimension, principal, angular
-        self._set_starred(gamma, float(anharmonicity), int(shift))
-
-    def _set_starred(self, g, anharmonicity, shift):
-        """Check and store the starred numbers; AnharmonicState calls this after its lookups."""
-        n, l = self.principal, self.angular
+        n, l, anharmonicity, shift = principal, angular, float(anharmonicity), int(shift)
+        self.dimension, self.principal, self.angular = dimension, n, l
         degree = (n - l) // 2 - shift
         if degree < 0:
             raise AdmissibilityError(

@@ -80,8 +80,7 @@ class DefectState(CoulombState):
         coulomb.check_quantum_numbers(principal, angular)
         n, l = int(principal), int(angular)
         self.model = model
-        self.dimension, self.principal, self.angular = model.dimension, n, l
-        self._set_starred(model.gamma, model.delta(l, n), model.shift(l))
+        super().__init__(model.dimension, n, l, model.delta(l, n), model.shift(l))
 
 
 def _breaking_potential(state, constant, y):
@@ -135,8 +134,7 @@ class AnharmonicState(OscillatorState):
         oscillator.check_quantum_numbers(principal, angular)
         n, l = int(principal), int(angular)
         self.model = model
-        self.dimension, self.principal, self.angular = model.dimension, n, l
-        self._set_starred(model.gamma, model.anharmonicity(l, n), model.shift(l))
+        super().__init__(model.dimension, n, l, model.anharmonicity(l, n), model.shift(l))
 
 
 def breaking_potential_oscillator(model: AnharmonicModel, principal: int, angular: int, y):

@@ -82,9 +82,11 @@ def _count_nodes(values):
 
 
 def _check_grid(grid_min, grid_max, points):
-    """Refuse a linear grid unless 0 < min < max and 2 <= points <= MAX_GRID_POINTS."""
+    """Refuse a linear grid unless 0 < min < max and points is an integer in [2, MAX_GRID_POINTS]."""
     if not (0.0 < grid_min < grid_max):
         raise AdmissibilityError("grid bounds must satisfy 0 < min < max")
+    if not isinstance(points, int):  # an int past 2**53 is a grid the limit refuses below
+        coulomb.check_integer(points, "points")
     if points < 2:
         raise AdmissibilityError("need at least 2 grid points")
     if points > MAX_GRID_POINTS:
@@ -109,8 +111,11 @@ def _value_and_residual(state, grid):
     """The state's values on grid and its _relative_residuals, from one build and its operator's floats."""
     grid = _grid.positive_grid(grid)
     value, curvature = state.derivatives(grid, (0, 2))
+    peak = np.abs(value).max()
+    if peak == 0.0:  # the relative residual would be 0/0
+        raise AdmissibilityError(f"the state is zero at every point of its grid, {grid.min():g} to {grid.max():g}")
     res = susy.residual(value, curvature, state.operator()._potential(grid), state.operator_eigenvalue())
-    return value, float(np.abs(res).max() / np.abs(value).max())
+    return value, float(np.abs(res).max() / peak)
 
 
 def _state_factory(family, dimension, model):
@@ -128,6 +133,8 @@ def _state_factory(family, dimension, model):
 def spectrum_record(family, dimension, n_values, l_values, model=None) -> OutputRecord:
     """Energy table over the (n, l) grid; inadmissible rows carry an error."""
     _check_rows("the (n, l) sweep", len(n_values) * len(l_values))
+    if not (len(n_values) and len(l_values)):
+        raise AdmissibilityError("the (n, l) sweep needs at least one n and one l")
     make = _state_factory(family, dimension, model)
     upper = family in OSCILLATOR_SIDE
     n_key, l_key = ("N", "L") if upper else ("n", "l")

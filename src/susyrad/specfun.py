@@ -14,10 +14,9 @@ points to an array of values of the same shape, and find their cutoff by
 probing the integrand, while `gram_matrix` integrates every
 pairwise product of a family, given as one matrix per refinement, on one
 shared panel node set up to a cutoff the caller supplies.  For the Laguerre
-forms that cutoff comes from the closed-form envelope `laguerre_envelope_log`
-through `envelope_cutoff`, without sampling: `family_cutoff(forms)` takes a
-family's from one envelope evaluation (`_log_envelopes`), and a form's
-`tail_cutoff` is its family of one.
+forms that cutoff comes from the closed-form envelope `laguerre_envelope_log`,
+without sampling: `family_cutoff(forms)` takes a family's from one evaluation
+of `log_envelopes(forms, grid)`, the bound on each form's log |value|.
 """
 
 from __future__ import annotations
@@ -220,27 +219,35 @@ def _tail_cutoff(fn):
     )
 
 
-def envelope_cutoff(log_bound, decreasing_from) -> float:
-    """Cutoff for unit-norm functions, one per row, known only through bounds on their magnitudes.
+def log_envelopes(forms, grid):
+    """log |norm| + q log x - decay + log L_n^(a)(-t) >= log |value| of forms of one class, a grid row each."""
+    rows = [f._constants() + (f.log_norm, f.exponent) for f in forms]
+    *constants, log_norms, exponents = _grid.columns(rows)
+    decay, t = forms[0]._decay_and_argument(grid, *constants)
+    envelope = laguerre_envelope_log([f.degree for f in forms], [f.order for f in forms], t)
+    return log_norms + exponents * np.log(grid) - decay + envelope
 
-    log_bound(x), with x one row of points per function, returns log B(x)
-    with B >= |f| pointwise, and each B decreases for x >= its row's
-    decreasing_from.  The policy is the one `_tail_cutoff` applies to sampled
-    values, with the bound standing in for |f|**2's samples: a row's cutoff
-    is the smallest T = 8 * 2**j past its decreasing_from at which
-    B**2 <= 1e-18 / T at T, 1.1 T and 1.3 T, and the rows share the largest.
-    1/T is the mean of |f|**2 on (0, T] once the norm has gathered there,
-    and the peak is never below the mean, so a T that passes here passes the
-    sampled test too whenever the samples catch the peak.  Nothing of f is
-    sampled.
+
+def family_cutoff(forms) -> float:
+    """Quadrature cutoff of unit-norm forms of one class, known only through their bounds B = exp(log_envelopes).
+
+    Each B >= |f| decreases past its form's _envelope_decreasing_from().  The
+    policy is the one `_tail_cutoff` applies to sampled values, with the bound
+    standing in for |f|**2's samples: a form's cutoff is the smallest
+    T = 8 * 2**j past that point at which B**2 <= 1e-18 / T at T, 1.1 T and
+    1.3 T, and the forms share the largest.  1/T is the mean of |f|**2 on
+    (0, T] once the norm has gathered there, and the peak is never below the
+    mean, so a T that passes here passes the sampled test too whenever the
+    samples catch the peak.  Nothing of f is sampled.
     """
-    starts = np.full(len(decreasing_from), _TAIL_START)
+    decreasing_from = [f._envelope_decreasing_from() for f in forms]
+    starts = np.full(len(forms), _TAIL_START)
     while (short := starts < decreasing_from).any():
         starts[short] *= 2.0
-    # every candidate T of every row is tested in one call to the bound
+    # every candidate T of every form is tested in one evaluation of the bounds
     cutoffs = starts[:, None] * 2.0 ** np.arange(_TAIL_DOUBLINGS)
     points = cutoffs[..., None] * np.array(_TAIL_PROBES)
-    probes = log_bound(points.reshape(len(starts), -1)).reshape(points.shape)
+    probes = log_envelopes(forms, points.reshape(len(forms), -1)).reshape(points.shape)
     limits = 0.5 * np.log(_TAIL_DROP / cutoffs)
     passed = np.all(probes <= limits[..., None], axis=-1)
     for row, row_passed in enumerate(passed):
@@ -249,24 +256,8 @@ def envelope_cutoff(log_bound, decreasing_from) -> float:
                 f"envelope has not decayed below {_TAIL_DROP:g} of the mean by x = {cutoffs[row, -1]:g}",
                 estimates=(float(probes[row, -1].max()), float(limits[row, -1])),
             )
-    # each row's first passing T, then the largest of them
+    # each form's first passing T, then the largest of them
     return float(np.where(passed, cutoffs, np.inf).min(axis=-1).max())
-
-
-def _log_envelopes(forms, grid):
-    """log_envelope of forms of one class, one row of grid each, with their constants as columns."""
-    rows = [f._constants() + (f.log_norm, f.exponent) for f in forms]
-    *constants, log_norms, exponents = _grid.columns(rows)
-    decay, t = forms[0]._decay_and_argument(grid, *constants)
-    envelope = laguerre_envelope_log([f.degree for f in forms], [f.order for f in forms], t)
-    return log_norms + exponents * np.log(grid) - decay + envelope
-
-
-def family_cutoff(forms):
-    """The largest tail_cutoff of forms of one class, from one envelope evaluation."""
-    return envelope_cutoff(
-        lambda grid: _log_envelopes(forms, grid), [f._envelope_decreasing_from() for f in forms]
-    )
 
 
 def _panel_edges(cutoff):

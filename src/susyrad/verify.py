@@ -32,7 +32,6 @@ from . import _grid, coulomb, geonium, maps, oscillator, qdt, reports, specfun, 
 from ._grid import family_derivatives
 from ._np import np
 from .errors import AdmissibilityError, StabilityError
-from .specfun import family_cutoff
 
 # seeds of the private `random.Random` streams of criteria 7 (_RNG_SEED) and 8 (_RNG_SEED + 1)
 _RNG_SEED = 20260826
@@ -163,10 +162,10 @@ def check_radial_residuals():
 
 
 def _gram(states):
-    """Gram matrix of one family, one batch per refinement, cut off where the forms say."""
+    """Gram matrix of one family, one batch per refinement, cut off where the forms' envelopes say."""
     return specfun.gram_matrix(
         lambda nodes: family_derivatives(states, nodes, (0,))[0],
-        family_cutoff(states),
+        specfun.family_cutoff(states),
     )
 
 

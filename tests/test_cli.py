@@ -235,6 +235,15 @@ class TestWavefunction:
         assert all(math.isfinite(a) for a in amplitudes) and any(amplitudes)
         assert amplitudes[-1] == pytest.approx(-1.237e-16, rel=1e-3)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_state_zero_on_its_whole_grid_is_refused(self, tmp_path, fmt):
+        # n* + gamma = 1e-5, so the state is 0.0 on all of [0.05, 30], and its relative residual would be 0/0
+        path = tmp_path / "zero.cfg"
+        path.write_text("format_version = 1\n\n[defect]\ndimension = 3\nl = 0\ndelta = 0.99999\nshift = 0\n",
+                        encoding="utf-8")
+        argv = ["wavefunction", "--family", "defect", "--n", "1", "--l", "0", "--config", str(path), "--format", fmt]
+        assert _one_error_line(invoke(main, argv)) == "Error: the state is zero at every point of its grid, 0.05 to 30\n"
+
     def test_oscillator_state(self):
         result = invoke(
             main,
@@ -633,6 +642,16 @@ class TestOutputHandling:
     def test_unknown_command(self):
         result = invoke(main, ["levitate"])
         assert result.exit_code == 2
+
+    def test_ctrl_c_is_aborted_without_a_traceback(self, monkeypatch):
+        # as click ends it: a new line and Aborted! on stderr, exit 1
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(reports, "spectrum_record", interrupted)
+        result = invoke(main, ["spectrum"])
+        assert (result.exit_code, result.stdout, result.stderr) == (1, "", "\nAborted!\n")
+        assert isinstance(result.exception, SystemExit)
 
 
 USAGE_ERRORS = [

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from susyrad import reports
+from susyrad import reports, specfun
 from susyrad.coulomb import CoulombState
 from susyrad.errors import AdmissibilityError
 from susyrad.oscillator import OscillatorState
@@ -112,7 +112,7 @@ class TestTinyArgument:
 
 
 _POINTS = 2000
-# below it, |value| <= exp(log_envelope) < 5e-324 / e rounds to 0.0
+# below it, |value| <= exp(log_envelopes) < 5e-324 / e rounds to 0.0
 _LOG_SMALLEST = math.log(5e-324) - 1.0
 
 
@@ -145,7 +145,7 @@ def test_finite_on_the_default_grid(case):
     numbers = (family, state.dimension, state.principal, state.angular, state.shift, state.n_star, state.l_star)
     value, curvature = state.derivatives(grid, (0, 2))
     assert np.isfinite(value).all() and np.isfinite(curvature).all(), numbers
-    if state.log_envelope(grid).max() < _LOG_SMALLEST:
+    if specfun.log_envelopes([state], grid[None]).max() < _LOG_SMALLEST:
         # the state lies wholly off its grid, where 0.0 is right: a ground state with n* + gamma
         # near 0 lives below the grid's start
         assert not value.any(), numbers

@@ -235,6 +235,14 @@ def test_grid_verbs_execute_only_their_layers(configs, argv, code, executed):
     assert _outcome(configs, NUMPY, argv) == (code, executed - _dependency_modules(NUMPY))
 
 
+@pytest.mark.parametrize("argv", [["spectrum"], ["wavefunction"], ["trap", "levels"]], ids=" ".join)
+def test_no_verb_but_verify_registers_specfun(argv):
+    # a lazily bound module is in sys.modules before its body runs, so a pending specfun counts too
+    probe = VERB_PROBE.replace(EXECUTED, "'susyrad.specfun' in sys.modules")
+    proc = _python("-c", probe, *argv, "--out", os.devnull)
+    assert json.loads(proc.stderr.splitlines()[-1]) == {"exit": 0, "executed": False}
+
+
 def test_run_all_executes_only_numpys_core():
     proc = _python("-c", RUN_ALL_PROBE)
     assert proc.returncode == 0, proc.stderr

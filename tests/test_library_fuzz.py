@@ -327,6 +327,20 @@ FOUND = {
         lambda: reports.trap_levels_record("2", 5), r"^L must be an integer, got '2'$"),
     "trap_levels_record(0, 2.5)": (
         lambda: reports.trap_levels_record(0, 2.5), r"^N_max must be an integer, got 2\.5$"),
+    # a point count that is not an integer reached numpy, and an empty list was indexed
+    "wavefunction_record(points=2.5)": (
+        lambda: reports.wavefunction_record("coulomb", 3, 2, 0, 0.5, 20.0, 2.5),
+        r"^points must be an integer, got 2\.5$"),
+    "wavefunction_record(points='20')": (
+        lambda: reports.wavefunction_record("coulomb", 3, 2, 0, 0.5, 20.0, "20"),
+        r"^points must be an integer, got '20'$"),
+    "susy_pair_record(points=2.5)": (
+        lambda: reports.susy_pair_record("coulomb", 3, 0, points=2.5), r"^points must be an integer, got 2\.5$"),
+    "spectrum_record(n=[])": (
+        lambda: reports.spectrum_record("coulomb", 3, [], [0]), r"^the \(n, l\) sweep needs at least one n and one l$"),
+    "spectrum_record(l=[])": (
+        lambda: reports.spectrum_record("oscillator", 3, [0], []),
+        r"^the \(n, l\) sweep needs at least one n and one l$"),
     # the fuzz seldom reaches lambda: the source state must be admissible first
     "solve_map_parameters(lambda None)": (
         lambda: susyrad.solve_map_parameters((3, 2, 1), None), "lambda must be a real number"),

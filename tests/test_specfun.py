@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
-from susyrad import _grid, _laguerre_forms, coulomb, oscillator, reports, specfun, susy, verify
+from susyrad import _grid, _laguerre_forms, coulomb, oscillator, qdt, reports, specfun, susy, verify
 from susyrad.errors import ConvergenceError, DomainError
 from susyrad.specfun import (
     Quadrature,
@@ -254,15 +254,15 @@ class TestLaguerreEnvelope:
     @pytest.mark.parametrize("state", FAMILY_STATES + LARGE_STATES)
     def test_form_cutoff_covers_sampled_cutoff(self, state):
         sampled = specfun._tail_cutoff(lambda t: state.value(t) ** 2)
-        assert state.tail_cutoff >= sampled
+        assert specfun.family_cutoff([state]) >= sampled
 
     @pytest.mark.parametrize("state", FAMILY_STATES[::4] + LARGE_STATES)
     def test_envelope_bounds_the_waveform(self, state):
         form = state
         grid = np.concatenate(
-            [np.geomspace(1e-6, 1.0, 500), np.linspace(1.0, 2.0 * form.tail_cutoff, 4000)]
+            [np.geomspace(1e-6, 1.0, 500), np.linspace(1.0, 2.0 * specfun.family_cutoff([form]), 4000)]
         )
-        bound = np.exp(form.log_envelope(grid))
+        bound = np.exp(specfun.log_envelopes([form], grid[None])[0])
         assert np.all(np.abs(form.value(grid)) <= bound * (1.0 + 1e-12))
 
 
@@ -821,6 +821,51 @@ class TestDerivativeOrderSelection:
         # instead; the argument is checked before the power, exponential or polynomial stacks
         with pytest.raises(DomainError, match="its Laguerre argument overflows"):
             state.value(x)
+
+
+
+# every state class, each of degree >= 1: a degree-0 state has no recurrence step and was empty already
+_EMPTY_GRID_STATES = {
+    "coulomb": lambda: coulomb.CoulombState(3, 2, 0),
+    "oscillator": lambda: oscillator.OscillatorState(3, 4, 0),
+    "defect": lambda: qdt.illustrative_defect_model().state(3, 0),
+    "anharmonic": lambda: qdt.AnharmonicModel(2, {0: 0.1}, {0: 1}).state(4, 0),
+}
+_EMPTY_GRID_CALLS = {
+    "card": lambda x: eval_sonine_laguerre(SonineLaguerre(3, 0.5), x),
+    "card-derivative": lambda x: eval_sonine_laguerre_derivative(SonineLaguerre(3, 0.5), x),
+    "hydrogen": lambda x: coulomb.eval_hydrogen_R(3, 0, x),
+    "apply-operator": lambda x: susy.apply_operator(coulomb.CoulombState(3, 2, 0).operator(),
+                                                    coulomb.CoulombState(3, 2, 0), x),
+}
+_EMPTY_SHAPES = pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)], ids=str)
+
+
+class TestEmptyGrids:
+    """An empty grid gives an empty float array of its shape, as a non-empty one gives its values.
+
+    A 1-D argument row was reshaped to (-1, 0), which numpy refuses as ambiguous.
+    """
+
+    @_EMPTY_SHAPES
+    @pytest.mark.parametrize("order", range(4))
+    @pytest.mark.parametrize("state_id", sorted(_EMPTY_GRID_STATES))
+    def test_state(self, state_id, order, shape):
+        out = getattr(_EMPTY_GRID_STATES[state_id](), _DERIVATIVES[order])(np.empty(shape))
+        assert (out.shape, out.dtype) == (shape, np.float64)
+
+    @_EMPTY_SHAPES
+    @pytest.mark.parametrize("call_id", sorted(_EMPTY_GRID_CALLS))
+    def test_evaluator(self, call_id, shape):
+        out = _EMPTY_GRID_CALLS[call_id](np.empty(shape))
+        assert (out.shape, out.dtype) == (shape, np.float64)
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)], ids=str)
+    @pytest.mark.parametrize("orders", [(0,), (0, 2), (1, 3)], ids=str)
+    def test_family(self, orders, shape):
+        forms = [coulomb.CoulombState(3, 3, 0), coulomb.CoulombState(3, 2, 0)]
+        out = _grid.family_derivatives(forms, np.empty(shape), orders)
+        assert [(d.shape, d.dtype) for d in out] == [((2, 0), np.float64)] * len(orders)
 
 
 def _count_calls(monkeypatch, module, name, calls):

@@ -156,7 +156,7 @@ class TestFamilyCutoff:
     @pytest.mark.parametrize(("name", "states"), verify.orthonormality_families(),
                              ids=[name for name, _ in verify.orthonormality_families()])
     def test_family_cutoff_is_the_largest_state_cutoff(self, name, states):
-        assert specfun.family_cutoff(states) == max(s.tail_cutoff for s in states)
+        assert specfun.family_cutoff(states) == max(specfun.family_cutoff([s]) for s in states)
 
     @BATCHES
     @given(
@@ -167,12 +167,12 @@ class TestFamilyCutoff:
     def test_drawn_family_cutoff_is_the_largest_state_cutoff(self, rows, side):
         states = side(rows)
         assume(states)
-        assert specfun.family_cutoff(states) == max(s.tail_cutoff for s in states)
+        assert specfun.family_cutoff(states) == max(specfun.family_cutoff([s]) for s in states)
         # each row's envelope, padded past its degree, has the bits of the form alone
         grid = np.geomspace(1e-3, 1e4, 16)
-        batch = specfun._log_envelopes(states, np.broadcast_to(grid, (len(states), 16)))
+        batch = specfun.log_envelopes(states, np.broadcast_to(grid, (len(states), 16)))
         for state, row in zip(states, batch):
-            assert np.array_equal(row, state.log_envelope(grid))
+            assert np.array_equal(row, specfun.log_envelopes([state], grid[None])[0])
             assert np.array_equal(row, _lone_log_envelope(state, grid))
 
     def test_one_envelope_per_family(self, monkeypatch):
@@ -181,9 +181,10 @@ class TestFamilyCutoff:
             len(states) for _, states in verify.orthonormality_families()
         ]
 
-    def test_a_row_that_never_decays_is_refused(self):
-        # row 0 is far below every limit, row 1 never falls below 1
+    def test_a_row_that_never_decays_is_refused(self, monkeypatch):
+        # row 0 is far below every limit, row 1 never falls below 1; each form's bound falls past x = 2
+        monkeypatch.setattr(specfun, "log_envelopes", lambda _, x: np.where(np.arange(2)[:, None] == 0, -1e9, 0.0 * x))
         with pytest.raises(ConvergenceError, match="envelope has not decayed") as info:
-            specfun.envelope_cutoff(lambda x: np.where(np.arange(2)[:, None] == 0, -1e9, 0.0 * x), [1.0, 1.0])
+            specfun.family_cutoff([coulomb.CoulombState(3, 1, 0)] * 2)
         last = 8.0 * 2.0 ** (specfun._TAIL_DOUBLINGS - 1)
         assert info.value.estimates == (0.0, 0.5 * np.log(specfun._TAIL_DROP / last))
