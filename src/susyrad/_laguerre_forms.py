@@ -10,8 +10,7 @@ build for a family of one.  The norm is built on first use.
 Energies and starred numbers need none of it, so `spectrum` executes this
 module but not the grid layer (`_grid`), which stays bound lazily until a
 grid is evaluated.  The forms bind no other layer: the bound on a form's
-magnitude and the quadrature cutoff it gives are verification numerics,
-`specfun.log_envelopes(forms, grid)` and `specfun.family_cutoff(forms)`,
+magnitude is verification numerics, `specfun.log_envelopes(forms, grid)`,
 built from the constants each form supplies.
 """
 
@@ -41,8 +40,7 @@ class _LaguerreForm:
     argument; _factor_stacks(x, t, p, order, *constants) -> (w, z), the
     exponential's stack relative to itself (w[j] = d^j/dx^j exp(-decay) /
     exp(-decay), so w[0] = 1) and the polynomial's stack, up to order, from the
-    t-derivative stack p; and _envelope_decreasing_from(), past which the
-    envelope falls.  The last three take the constants as floats or as
+    t-derivative stack p.  The last two take the constants as floats or as
     columns with one row per form.  The build folds norm, power and
     exponential into one exponential per order (`_grid._prefactor_stack`).
     """
@@ -117,11 +115,6 @@ class ExponentialLaguerreForm(_LaguerreForm):
     def _decay_and_argument(arr, scale, *_):
         return arr / (2.0 * scale), arr / scale
 
-    def _envelope_decreasing_from(self):
-        # every envelope term x**(exponent+p) exp(-x/(2 scale)), p <= degree,
-        # falls once x >= 2 scale (exponent + p)
-        return 2.0 * self.scale * (self.exponent + self.degree)
-
     @staticmethod
     def _factor_stacks(arr, t, p, order, scale, rate, rate2, rate3, inv, inv3):
         w = [1.0, rate, rate2, rate3][: order + 1]
@@ -150,11 +143,6 @@ class GaussianLaguerreForm(_LaguerreForm):
     def _decay_and_argument(arr):
         t = arr * arr
         return 0.5 * t, t
-
-    def _envelope_decreasing_from(self):
-        # every envelope term x**(exponent+2p) exp(-x**2/2), p <= degree,
-        # falls once x**2 >= exponent + 2p
-        return math.sqrt(self.exponent + 2.0 * self.degree)
 
     @staticmethod
     def _factor_stacks(arr, t, p, order):

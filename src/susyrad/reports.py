@@ -107,14 +107,15 @@ def _relative_residuals(states, grids):
     return np.abs(res).max(axis=-1) / np.abs(value).max(axis=-1)
 
 
-def _value_and_residual(state, grid):
-    """The state's values on grid and its _relative_residuals, from one build and its operator's floats."""
+def _value_and_residual(state, grid, scale=1.0):
+    """Values on scale * grid and their _relative_residuals from one build; a zero state names grid's own bounds."""
     grid = _grid.positive_grid(grid)
-    value, curvature = state.derivatives(grid, (0, 2))
+    points = scale * grid
+    value, curvature = state.derivatives(points, (0, 2))
     peak = np.abs(value).max()
     if peak == 0.0:  # the relative residual would be 0/0
         raise AdmissibilityError(f"the state is zero at every point of its grid, {grid.min():g} to {grid.max():g}")
-    res = susy.residual(value, curvature, state.operator()._potential(grid), state.operator_eigenvalue())
+    res = susy.residual(value, curvature, state.operator()._potential(points), state.operator_eigenvalue())
     return value, float(np.abs(res).max() / peak)
 
 
@@ -178,7 +179,7 @@ def wavefunction_record(family, dimension, n, l, grid_min, grid_max, points, mod
         # R_nl(r) = sqrt(2) psi(2r) / r (eval_hydrogen_R): one pass of psi gives values and residual
         state = coulomb.CoulombState(3, n, l)
         grid = np.linspace(grid_min, grid_max, points)
-        value, residual = _value_and_residual(state, 2.0 * grid)
+        value, residual = _value_and_residual(state, grid, 2.0)
         values = math.sqrt(2.0) * value / grid
         coord = "r"
     else:

@@ -1,4 +1,4 @@
-"""Verification numerics: Laguerre cards, the integer oracle, envelope cutoffs and quadrature.
+"""Verification numerics: Laguerre cards, the integer oracle, envelope bounds and quadrature.
 
 Only `verify` executes this module; the grid layer every grid verb runs is
 `_grid`.  A `SonineLaguerre` card is a polynomial L_n^(a) of real order
@@ -8,15 +8,15 @@ integer arithmetic is kept alongside as a reference oracle; it rounds once
 per point, but its cost grows fast with the degree, which is why the
 recurrence is the production path.
 
-Quadrature comes in two shapes that share one node-doubling loop:
-`integrate_half_line` / `inner_product` take callables that map an array of
-points to an array of values of the same shape, and find their cutoff by
-probing the integrand, while `gram_matrix` integrates every
-pairwise product of a family, given as one matrix per refinement, on one
-shared panel node set up to a cutoff the caller supplies.  For the Laguerre
-forms that cutoff comes from the closed-form envelope `laguerre_envelope_log`,
-without sampling: `family_cutoff(forms)` takes a family's from one evaluation
-of `log_envelopes(forms, grid)`, the bound on each form's log |value|.
+`gauss_laguerre(alpha, k)` is the k-point Gauss rule of the weight
+x**alpha exp(-x), which integrates that weight times any polynomial of degree
+up to 2k - 1 exactly; criterion 3's Gram matrices are sums over such rules.
+`integrate_half_line` / `inner_product` are the probe quadrature, an
+independent route: they take callables that map an array of points to an
+array of values of the same shape, find their cutoff by probing the
+integrand and double the nodes of graded Gauss-Legendre panels until the
+estimate settles.  `log_envelopes(forms, grid)` is a closed-form bound on each
+form's log |value| (`laguerre_envelope_log`), evaluated without sampling.
 """
 
 from __future__ import annotations
@@ -149,6 +149,22 @@ def laguerre_envelope_log(degrees, orders, t):
     return peak + np.log(np.sum(np.exp(terms - peak), axis=0))
 
 
+def gauss_laguerre(alpha, k):
+    """Nodes and log weights of the k-point Gauss rule of the weight x**alpha exp(-x), alpha > -1.
+
+    It is exact on the weight times a polynomial of degree below 2k.  The nodes
+    are the eigenvalues of the Jacobi matrix (Golub & Welsch, Math. Comp. 23,
+    1969, 221-230); the weights are Gamma(k + alpha + 1) / (k! x L_k^(alpha)'(x)**2),
+    not the eigenvectors' (1e13 relative off at k = 40), and are logs, so w exp(x) stays in range.
+    """
+    steps = np.arange(1.0, k)
+    jacobi = np.diag(2.0 * np.arange(k) + alpha + 1.0) + np.diag(np.sqrt(steps * (steps + alpha)), -1)
+    nodes = np.linalg.eigvalsh(jacobi)
+    slope = _grid.laguerre_stack([k], [alpha], nodes, 1)[1][0]
+    log_scale = math.lgamma(k + alpha + 1.0) - math.lgamma(k + 1.0)
+    return nodes, log_scale - np.log(nodes) - 2.0 * np.log(np.abs(slope))
+
+
 @dataclass(frozen=True)
 class Quadrature:
     """Half-line integration policy: graded Gauss-Legendre panels with node doubling.
@@ -156,8 +172,7 @@ class Quadrature:
     node_count is the per-panel point count at the first refinement, an
     integer in [2, MAX_NODE_COUNT], and target_rel_tol a positive real number.
     Integration raises ConvergenceError when successive estimates still differ
-    by more than target_rel_tol; `gram_matrix` applies the tolerance to every
-    entry of the matrix.
+    by more than target_rel_tol.
     """
 
     node_count: int = 8
@@ -174,20 +189,6 @@ class Quadrature:
 class QuadratureResult:
     value: float
     converged: bool
-    node_count: int
-    last_change: float
-
-
-@dataclass(frozen=True)
-class GramResult:
-    """Pairwise inner products of a family, with the effort that produced them.
-
-    node_count is the converged per-panel point count and last_change the
-    largest entry change at the final doubling.
-    """
-
-    matrix: np.ndarray
-    cutoff: float
     node_count: int
     last_change: float
 
@@ -228,70 +229,22 @@ def log_envelopes(forms, grid):
     return log_norms + exponents * np.log(grid) - decay + envelope
 
 
-def family_cutoff(forms) -> float:
-    """Quadrature cutoff of unit-norm forms of one class, known only through their bounds B = exp(log_envelopes).
-
-    Each B >= |f| decreases past its form's _envelope_decreasing_from().  The
-    policy is the one `_tail_cutoff` applies to sampled values, with the bound
-    standing in for |f|**2's samples: a form's cutoff is the smallest
-    T = 8 * 2**j past that point at which B**2 <= 1e-18 / T at T, 1.1 T and
-    1.3 T, and the forms share the largest.  1/T is the mean of |f|**2 on
-    (0, T] once the norm has gathered there, and the peak is never below the
-    mean, so a T that passes here passes the sampled test too whenever the
-    samples catch the peak.  Nothing of f is sampled.
-    """
-    decreasing_from = [f._envelope_decreasing_from() for f in forms]
-    starts = np.full(len(forms), _TAIL_START)
-    while (short := starts < decreasing_from).any():
-        starts[short] *= 2.0
-    # every candidate T of every form is tested in one evaluation of the bounds
-    cutoffs = starts[:, None] * 2.0 ** np.arange(_TAIL_DOUBLINGS)
-    points = cutoffs[..., None] * np.array(_TAIL_PROBES)
-    probes = log_envelopes(forms, points.reshape(len(forms), -1)).reshape(points.shape)
-    limits = 0.5 * np.log(_TAIL_DROP / cutoffs)
-    passed = np.all(probes <= limits[..., None], axis=-1)
-    for row, row_passed in enumerate(passed):
-        if not row_passed.any():
-            raise ConvergenceError(
-                f"envelope has not decayed below {_TAIL_DROP:g} of the mean by x = {cutoffs[row, -1]:g}",
-                estimates=(float(probes[row, -1].max()), float(limits[row, -1])),
-            )
-    # each form's first passing T, then the largest of them
-    return float(np.where(passed, cutoffs, np.inf).min(axis=-1).max())
-
-
-def _panel_edges(cutoff):
-    edges = [0.0]
-    edges.extend(cutoff * 2.0 ** (j - _PANEL_LEVELS) for j in range(1, _PANEL_LEVELS + 1))
-    return np.asarray(edges)
-
-
-def _panel_rule(edges, points):
-    """Flat nodes and weights of the composite Gauss-Legendre rule on edges."""
-    x, w = _gauss_legendre(points)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    weights = half[:, None] * w[None, :]
-    return nodes.ravel(), weights.ravel()
-
-
 def _refine(estimate, points, tol, what):
     """Double the node count, at most _MAX_NODE_DOUBLINGS times, until successive estimates agree.
 
-    estimate(points) returns (value, scale) with value a float or an array;
-    the loop stops once every entry moves by at most tol * scale and returns
-    (value, points, largest change).  When the doubling budget runs out it
-    raises ConvergenceError carrying the last two estimates.
+    estimate(points) returns (value, scale), two floats; the loop stops once
+    the value moves by at most tol * scale and returns (value, points,
+    change).  When the doubling budget runs out it raises ConvergenceError
+    carrying the last two estimates.
     """
     value = estimate(points)[0]
     for _ in range(_MAX_NODE_DOUBLINGS):
         prev = value
         points *= 2
         value, scale = estimate(points)
-        change = np.abs(value - prev)
-        if np.all(change <= tol * np.maximum(scale, 1e-300)):
-            return value, points, float(np.max(change))
+        change = abs(value - prev)
+        if change <= tol * max(scale, 1e-300):
+            return value, points, change
     raise ConvergenceError(
         f"{what} did not settle within the node-doubling budget",
         estimates=(prev, value),
@@ -308,11 +261,12 @@ def integrate_half_line(fn, quad: Quadrature | None = None) -> QuadratureResult:
     the last two estimates if the doubling budget runs out.
     """
     quad = quad or Quadrature()
-    edges = _panel_edges(_tail_cutoff(fn))
+    edges = np.concatenate([[0.0], np.ldexp(_tail_cutoff(fn), np.arange(1 - _PANEL_LEVELS, 1))])
+    half, mid = 0.5 * (edges[1:] - edges[:-1])[:, None], 0.5 * (edges[1:] + edges[:-1])[:, None]
 
     def estimate(points):
-        nodes, weights = _panel_rule(edges, points)
-        vals = weights * np.asarray(fn(nodes), dtype=float)
+        x, w = _gauss_legendre(points)
+        vals = (half * w).ravel() * np.asarray(fn((mid + half * x).ravel()), dtype=float)
         value = float(np.sum(vals))
         return value, max(abs(value), 1e-2 * float(np.sum(np.abs(vals))))
 
@@ -323,28 +277,3 @@ def integrate_half_line(fn, quad: Quadrature | None = None) -> QuadratureResult:
 def inner_product(f, g, quad: Quadrature | None = None) -> float:
     """L2 inner product of array-valued f and g on (0, inf); raises ConvergenceError if unsettled."""
     return integrate_half_line(lambda t: f(t) * g(t), quad).value
-
-
-def gram_matrix(values, cutoff: float, quad: Quadrature | None = None) -> GramResult:
-    """All pairwise L2 inner products of a family of functions on (0, cutoff] at once.
-
-    values(nodes) returns the family on an array of nodes as one (functions x
-    nodes) matrix V, and is called once per refinement on the shared graded
-    panel nodes; then G = (V w) V^T and the scale is A = (|V| w) |V|^T.  The per-panel
-    node count doubles until every entry satisfies
-    |G - G_prev| <= target_rel_tol * max(|G|, 1e-2 A), the rule
-    `integrate_half_line` applies to a single integral.  The cutoff is taken
-    as given: the caller vouches that every product has decayed past it.
-    """
-    quad = quad or Quadrature()
-    edges = _panel_edges(cutoff)
-
-    def estimate(points):
-        nodes, weights = _panel_rule(edges, points)
-        v = np.asarray(values(nodes), dtype=float)
-        mag = np.abs(v)
-        matrix = (v * weights) @ v.T
-        return matrix, np.maximum(np.abs(matrix), 1e-2 * ((mag * weights) @ mag.T))
-
-    matrix, points, change = _refine(estimate, quad.node_count, quad.target_rel_tol, "Gram matrix")
-    return GramResult(matrix, float(cutoff), points, change)

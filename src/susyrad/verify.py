@@ -7,7 +7,8 @@ per criterion.  Every worst-of is `_worst`, so a NaN in any measurement wins and
 fails its criterion.  Where a verb prints the same diagnostic, the criterion is
 held to that verb's tolerance from `reports`.  The checks
 deliberately re-derive expectations from closed forms or independent routes:
-exact-rational direct polynomial sums, Gram-matrix quadrature and, for the
+exact-rational direct polynomial sums, Gram matrices summed by Gauss-Laguerre
+rules that are exact for the forms' products (criterion 3) and, for the
 Laguerre derivative identity of criterion 9, a Richardson-extrapolated central
 difference.  Criterion 9 holds the batched recurrence (each identity's cards in
 one `laguerre_stack` call) to the integer direct sum of each card.  The states'
@@ -162,11 +163,30 @@ def check_radial_residuals():
 
 
 def _gram(states):
-    """Gram matrix of one family, one batch per refinement, cut off where the forms' envelopes say."""
-    return specfun.gram_matrix(
-        lambda nodes: family_derivatives(states, nodes, (0,))[0],
-        specfun.family_cutoff(states),
-    )
+    """One family's Gram matrix and node count K = top degree + 1, summed exactly by a Gauss-Laguerre rule.
+
+    The forms share x**q, so a product is x**(2q), an exponential and a
+    polynomial of degree below 2K.  Oscillator side: one rule of alpha = q - 1/2
+    at t = x**2, where dx = dt / (2 sqrt(t)).  Coulomb side: one rule of alpha = 2q, its nodes u at
+    x = u / c per pair, c = 1/(2 s_i) + 1/(2 s_j).  Each weight w is divided
+    by the weight function, w exp(u) / u**alpha, in the log domain.
+    """
+    first, k = states[0], max(s.degree for s in states) + 1
+    if isinstance(first, oscillator.OscillatorState):
+        t, log_weights = specfun.gauss_laguerre(first.exponent - 0.5, k)
+        (values,) = family_derivatives(states, np.sqrt(t), (0,))
+        weights = 0.5 * np.exp(log_weights + t - first.exponent * np.log(t))
+        return (values * weights) @ values.T, k
+    alpha = 2.0 * first.exponent
+    u, log_weights = specfun.gauss_laguerre(alpha, k)
+    rates = np.array([0.5 / s.scale for s in states])
+    pair_rates = (rates[:, None] + rates)[..., None]
+    # row i holds f_i at the nodes of every pair (i, j), one family build for them all
+    nodes = u / pair_rates
+    (values,) = family_derivatives(states, nodes.reshape(len(states), -1), (0,))
+    values = values.reshape(nodes.shape)
+    weights = np.exp(log_weights + u - alpha * np.log(u)) / pair_rates
+    return np.einsum("ijk,jik,ijk->ij", values, values, weights), k
 
 
 def orthonormality_families():
@@ -189,20 +209,19 @@ def orthonormality_families():
     return fams
 
 
-def _span(values, fmt):
+def _span(values):
     lo, hi = min(values), max(values)
-    return format(lo, fmt) if lo == hi else f"{lo:{fmt}}-{hi:{fmt}}"
+    return str(lo) if lo == hi else f"{lo}-{hi}"
 
 
 @_criterion(3, "orthonormality", 1e-8, runtime_limit=60.0)
 def check_orthonormality():
     families = orthonormality_families()
-    grams = [_gram(states) for _, states in families]
+    grams, nodes = zip(*[_gram(states) for _, states in families])
     total = sum(len(states) for _, states in families)
-    return _worst(np.abs(g.matrix - np.eye(len(g.matrix))) for g in grams), (
+    return _worst(np.abs(g - np.eye(len(g))) for g in grams), (
         f"{total} states across {len(families)} families; "
-        f"cutoff {_span([g.cutoff for g in grams], 'g')}; "
-        f"{_span([g.node_count for g in grams], 'd')} nodes/panel"
+        f"Gauss-Laguerre rules of {_span(nodes)} nodes"
     )
 
 

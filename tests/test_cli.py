@@ -244,6 +244,12 @@ class TestWavefunction:
         argv = ["wavefunction", "--family", "defect", "--n", "1", "--l", "0", "--config", str(path), "--format", fmt]
         assert _one_error_line(invoke(main, argv)) == "Error: the state is zero at every point of its grid, 0.05 to 30\n"
 
+    def test_hydrogen_state_zero_on_its_whole_grid_names_the_r_bounds(self):
+        # R_nl(r) is read off the Coulomb state at y = 2r; the message names the r grid asked for
+        argv = ["wavefunction", "--family", "hydrogen", "--grid-min", "1e4", "--grid-max", "2e4"]
+        want = "Error: the state is zero at every point of its grid, 10000 to 20000\n"
+        assert _one_error_line(invoke(main, argv)) == want
+
     def test_oscillator_state(self):
         result = invoke(
             main,

@@ -13,14 +13,16 @@ closed-form verb and no usage error executes `dataclasses` (`susy`, `maps`,
 `specfun` and `verify` keep theirs, and only grid verbs execute them), only a
 JSON render and `verify --format json` execute `json`, only `map` and `verify`
 execute `fractions`, only an unknown option or command executes `difflib`, and
-a usage error (exit 2) executes no record module (`reports`). Each probe runs
+a usage error (exit 2) executes no record module (`reports`). No verb executes
+`numpy.polynomial`: `verify` builds its Gauss rules with `numpy.linalg`, which
+numpy's own import loads. Each probe runs
 in a fresh interpreter, since this test process has long since loaded
 everything. A lazily bound module sits in sys.modules as a pending
 `importlib.util._LazyModule` until its first attribute access runs its body,
 so a module counts as executed when it is in sys.modules and not pending. A
 watched module that a bare import of the verb's dependencies executes on the
-same interpreter (`numpy.random`, `json` or `fractions` on some numpy
-releases) is not susyrad's doing and is left out of both sides of the
+same interpreter (`numpy.random`, `numpy.polynomial`, `json` or `fractions` on
+some numpy releases) is not susyrad's doing and is left out of both sides of the
 comparison (`_dependency_modules()`): the dependencies are nothing for a
 closed-form verb, which never imports numpy, and `numpy` alone for a verb that
 evaluates on a grid. No verb needs click: every verb probe runs with
@@ -43,9 +45,10 @@ SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 NUMPY_BODY = ("numpy._core", "numpy.core")
 # numpy, the standard library modules that follow their users, and the package modules a
 # closed-form verb can do without
-WATCHED = ("numpy", "numpy.random", "json", "fractions", "dataclasses", "difflib", *(f"susyrad.{name}" for name in
-           ("reports", "coulomb", "oscillator", "_laguerre_forms", "_grid", "specfun", "susy", "maps",
-            "geonium", "config", "qdt", "verify")))
+WATCHED = ("numpy", "numpy.random", "numpy.polynomial", "json", "fractions", "dataclasses", "difflib",
+           *(f"susyrad.{name}" for name in
+             ("reports", "coulomb", "oscillator", "_laguerre_forms", "_grid", "specfun", "susy", "maps",
+              "geonium", "config", "qdt", "verify")))
 
 # type(), not isinstance(): any attribute read, __class__ included, runs a pending body
 EXECUTED = f"""[name for name in {WATCHED!r}

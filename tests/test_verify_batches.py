@@ -3,8 +3,8 @@
 Each check is run with its batch builder wrapped, so the rows compared here
 are the rows the check measured.  The call counts guard the batching itself:
 a loop over cases would make 120 `laguerre_stack` calls (criterion 9), 36
-`_build` calls (criterion 7), 464 `_build` calls (criterion 2) and 64 envelope
-evaluations (criterion 3).
+`_build` calls (criterion 7), 464 `_build` calls (criterion 2) and 64
+`family_derivatives` calls (criterion 3).
 """
 
 import math
@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from susyrad import _grid, coulomb, oscillator, reports, specfun, verify
-from susyrad.errors import AdmissibilityError, ConvergenceError
+from susyrad.errors import AdmissibilityError
 
 BATCHES = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -152,22 +152,16 @@ def _lone_log_envelope(form, x):
     return form.log_norm + form.exponent * np.log(x) - decay + envelope
 
 
-class TestFamilyCutoff:
-    @pytest.mark.parametrize(("name", "states"), verify.orthonormality_families(),
-                             ids=[name for name, _ in verify.orthonormality_families()])
-    def test_family_cutoff_is_the_largest_state_cutoff(self, name, states):
-        assert specfun.family_cutoff(states) == max(specfun.family_cutoff([s]) for s in states)
-
+class TestLogEnvelopes:
     @BATCHES
     @given(
         rows=st.lists(st.tuples(st.integers(2, 9), st.integers(0, 25), st.integers(0, 6),
                                 st.floats(0.0, 0.95)), min_size=1, max_size=8),
         side=st.sampled_from([_coulomb_rows, _oscillator_rows]),
     )
-    def test_drawn_family_cutoff_is_the_largest_state_cutoff(self, rows, side):
+    def test_drawn_batch_row_is_the_lone_row(self, rows, side):
         states = side(rows)
         assume(states)
-        assert specfun.family_cutoff(states) == max(specfun.family_cutoff([s]) for s in states)
         # each row's envelope, padded past its degree, has the bits of the form alone
         grid = np.geomspace(1e-3, 1e4, 16)
         batch = specfun.log_envelopes(states, np.broadcast_to(grid, (len(states), 16)))
@@ -175,16 +169,10 @@ class TestFamilyCutoff:
             assert np.array_equal(row, specfun.log_envelopes([state], grid[None])[0])
             assert np.array_equal(row, _lone_log_envelope(state, grid))
 
-    def test_one_envelope_per_family(self, monkeypatch):
-        envelopes = _recorded(monkeypatch, specfun, "laguerre_envelope_log", verify.check_orthonormality)
-        assert [len(degrees) for (degrees, _, _), _ in envelopes] == [
-            len(states) for _, states in verify.orthonormality_families()
-        ]
 
-    def test_a_row_that_never_decays_is_refused(self, monkeypatch):
-        # row 0 is far below every limit, row 1 never falls below 1; each form's bound falls past x = 2
-        monkeypatch.setattr(specfun, "log_envelopes", lambda _, x: np.where(np.arange(2)[:, None] == 0, -1e9, 0.0 * x))
-        with pytest.raises(ConvergenceError, match="envelope has not decayed") as info:
-            specfun.family_cutoff([coulomb.CoulombState(3, 1, 0)] * 2)
-        last = 8.0 * 2.0 ** (specfun._TAIL_DOUBLINGS - 1)
-        assert info.value.estimates == (0.0, 0.5 * np.log(specfun._TAIL_DROP / last))
+class TestGramBatches:
+    def test_one_build_per_family(self, monkeypatch):
+        builds = _recorded(monkeypatch, verify, "family_derivatives", verify.check_orthonormality)
+        assert [(len(forms), orders) for (forms, _, orders), _ in builds] == [
+            (len(states), (0,)) for _, states in verify.orthonormality_families()
+        ]

@@ -4,7 +4,8 @@ Python's `max` keeps the value it already holds when it meets a NaN, so a
 worst-of that starts from a finite value passes a NaN met later.  Each
 injection below therefore puts its NaN in a measurement other than the first:
 a later row, batch, family or record.  The composite criterion 4 reports 0 or
-1, so there the NaN shows in the detail of the sub-check it broke.
+1, so there the NaN shows in the detail of the sub-check it broke.  Criterion 3
+also fails when one state is moved off its closed form, by its norm or its power.
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ import re
 import numpy as np
 import pytest
 
-from susyrad import geonium, maps, reports, susy, verify
+from susyrad import coulomb, geonium, maps, oscillator, reports, susy, verify
 from susyrad.output import Diagnostic, OutputRecord
 
 NAN = float("nan")
@@ -49,7 +50,7 @@ INJECTIONS = {
     "1-spectrum-row": (verify.check_hydrogen_spectrum, reports, "spectrum_record", 1, _spectrum_row),
     "2-second-batch": (verify.check_radial_residuals, reports, "_relative_residuals", 2, _with_nan),
     "3-second-family": (verify.check_orthonormality, verify, "_gram", 2,
-                        lambda gram: dataclasses.replace(gram, matrix=_with_nan(gram.matrix))),
+                        lambda gram: (_with_nan(gram[0]), gram[1])),
     "4-annihilation": (verify.check_susy_structure, susy, "annihilation_residuals", 2, _with_nan),
     "4-intertwining": (verify.check_susy_structure, susy, "apply_operator", 2, _with_nan),
     "5-map-row": (verify.check_exact_maps, maps, "verify_map_identities", 1, _map_row),
@@ -94,6 +95,36 @@ def test_a_scaled_si_level_energy_fails_criterion_8(monkeypatch):
     result = verify.check_penning_trap()
     assert (result.passed, result.value) == (False, math.inf), result
     assert "energy_quanta * hbar * w_c" in result.detail
+
+
+def _shift_log_norm(state):
+    state.log_norm += 1e-6
+
+
+def _shift_exponent(state):
+    state.log_norm  # the norm of the exact form, built before its power moves
+    state.exponent += 1e-3
+
+
+@pytest.mark.parametrize("mutate", [_shift_log_norm, _shift_exponent], ids=["log-norm", "exponent"])
+@pytest.mark.parametrize("family", [0, 4, 7, 9], ids=["coulomb", "oscillator", "defect", "anharmonic"])
+def test_a_mutated_state_fails_criterion_3(monkeypatch, mutate, family):
+    """One state of one family off its closed form is caught by the exact Gram sum, not crashed on."""
+    families = verify.orthonormality_families()
+    mutate(families[family][1][2])
+    monkeypatch.setattr(verify, "orthonormality_families", lambda: families)
+    result = verify.check_orthonormality()
+    assert not result.passed and 1e-6 < result.value < 1e-1, result
+
+
+@pytest.mark.parametrize("states", [
+    pytest.param([oscillator.OscillatorState(3, n, 0) for n in range(0, 201, 2)], id="oscillator D=3 L=0 N<=200"),
+    pytest.param([coulomb.CoulombState(3, n, 0) for n in range(1, 61)], id="coulomb d=3 l=0 n<=60"),
+])
+def test_gram_of_a_large_degree_family_is_the_identity(states):
+    gram, nodes = verify._gram(states)
+    assert nodes == max(state.degree for state in states) + 1
+    assert np.abs(gram - np.eye(len(states))).max() <= 1e-12
 
 
 def test_draws_are_private_to_the_suite():
