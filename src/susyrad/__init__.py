@@ -21,7 +21,7 @@ _EXPORTS = {
     name: (module, name)
     for module, names in (
         ("config", "ModelConfig load_config parse_config"),
-        ("coulomb", "CoulombState coulomb_energy eval_hydrogen_R gamma_shift"),
+        ("coulomb", "CoulombState eval_hydrogen_R gamma_shift"),
         (
             "errors",
             "AdmissibilityError ConfigError ConvergenceError DomainError ParityError"
@@ -35,14 +35,13 @@ _EXPORTS = {
         ),
         (
             "maps",
-            "ConstraintReport MapSpec MapVerification enumerate_admissible_targets"
-            " solve_map_parameters verify_map_identity",
+            "ConstraintReport MapSpec MapVerification solve_map_parameters verify_map_identity",
         ),
-        ("oscillator", "OscillatorState oscillator_energy"),
+        ("oscillator", "OscillatorState"),
         (
             "qdt",
             "AnharmonicModel AnharmonicState DefectModel DefectState breaking_potential_coulomb"
-            " breaking_potential_oscillator illustrative_defect_model",
+            " breaking_potential_oscillator",
         ),
         (
             "specfun",

@@ -56,13 +56,6 @@ def check_quantum_numbers(principal, angular):
         )
 
 
-def coulomb_energy(dimension: int, principal: int) -> float:
-    """E = -1/(2 (n + gamma)^2); independent of the angular number."""
-    gamma = gamma_shift(dimension)
-    check_integer(principal, "principal number", 1)
-    return -1.0 / (2.0 * (principal + gamma) ** 2)
-
-
 class CoulombState(ExponentialLaguerreForm):
     """Coulomb-form state with starred numbers n* = n - delta, l* = l + shift - delta.
 
@@ -99,6 +92,7 @@ class CoulombState(ExponentialLaguerreForm):
 
     @property
     def energy(self) -> float:
+        """E = -1/(2 (n* + gamma)^2); independent of the angular number."""
         return -1.0 / (2.0 * (self.n_star + self.gamma) ** 2)
 
     def operator(self) -> susy.RadialOperator:
@@ -135,11 +129,11 @@ def partner_spectra(dimension: int, angular: int, count: int):
     check_integer(count, "count", 1)
     offset = 1.0 / (4.0 * (angular + g + 1.0) ** 2)
     bosonic = tuple(
-        offset + 0.5 * coulomb_energy(dimension, n)
+        offset + 0.5 * CoulombState(dimension, n, angular).energy
         for n in range(angular + 1, angular + 1 + count)
     )
     fermionic = tuple(
-        offset + 0.5 * coulomb_energy(dimension, n)
+        offset + 0.5 * CoulombState(dimension, n, angular + 1).energy
         for n in range(angular + 2, angular + 1 + count)
     )
     return bosonic, fermionic

@@ -7,6 +7,12 @@ and anharmonic families with lambda integer or half-integer, subject to the
 integrality constraint 2*(Delta - delta) + lambda integer.  Verification is
 numeric: the substituted source state must be a constant multiple of
 sqrt(Y) times the target state, and the constant is measured, not asserted.
+
+A sweep is `lambda_candidates` over a window, each candidate solved by
+`solve_map_parameters` and the admissible ones measured together by
+`verify_map_identities`; `reports.map_record` is that sweep, the `map` verb's
+row per candidate.  Both the grid and the solver refuse a mode other than
+'exact' and 'broken'.
 """
 
 from __future__ import annotations
@@ -62,6 +68,11 @@ def _near_integer(value):
     return math.isfinite(value) and abs(value - round(value)) <= _INTEGRALITY_TOL
 
 
+def _check_mode(mode):
+    if mode not in ("exact", "broken"):
+        raise AdmissibilityError(f"mode must be 'exact' or 'broken', got {mode!r}")
+
+
 def _admitted(prefix, state_class, *args, **kwargs):
     """(state, []) or, when the state refuses, (None, [its error message under prefix])."""
     try:
@@ -88,8 +99,7 @@ def solve_map_parameters(
     d, n, l = source
     plain = CoulombState(d, n, l)
     d, n, l = int(d), int(n), int(l)
-    if mode not in ("exact", "broken"):
-        raise AdmissibilityError(f"mode must be 'exact' or 'broken', got {mode!r}")
+    _check_mode(mode)
     check_defect(delta, "delta")
     check_anharmonicity(Delta, "Delta")
     check_shift(i, "i")
@@ -227,9 +237,11 @@ def verify_map_identities(specs, grid=None) -> list[MapVerification]:
 def lambda_candidates(lo, hi, mode: str = "exact") -> list[Fraction]:
     """The lambda grid on [lo, hi]: integers in exact mode, half-integers otherwise.
 
-    The grid starts at its first point >= lo; an end outside float range, an
-    empty grid, or one longer than MAX_LAMBDA_CANDIDATES, raises.
+    The grid starts at its first point >= lo; an unknown mode, an end outside
+    float range, an empty grid, or one longer than MAX_LAMBDA_CANDIDATES,
+    raises.
     """
+    _check_mode(mode)
     step = Fraction(1) if mode == "exact" else Fraction(1, 2)
     try:
         # int(): a numpy integer would keep int64 arithmetic inside the fraction
@@ -250,26 +262,3 @@ def lambda_candidates(lo, hi, mode: str = "exact") -> list[Fraction]:
             f"{MAX_LAMBDA_CANDIDATES} lambda candidates"
         )
     return [k * step for k in range(first, last + 1)]
-
-
-def enumerate_admissible_targets(
-    source,
-    lambda_range,
-    mode: str = "exact",
-    delta: float = 0.0,
-    i: int = 0,
-    Delta: float = 0.0,
-    I: int = 0,
-):
-    """All admissible MapSpecs with lambda scanned over [lo, hi].
-
-    The candidates come from lambda_candidates, so an empty grid raises;
-    inadmissible candidates are silently skipped (their reports are available
-    through solve_map_parameters).
-    """
-    specs = []
-    for lam in lambda_candidates(*lambda_range, mode=mode):
-        solved = solve_map_parameters(source, lam, mode=mode, delta=delta, i=i, Delta=Delta, I=I)
-        if isinstance(solved, MapSpec):
-            specs.append(solved)
-    return sorted(specs, key=lambda s: s.target)

@@ -35,13 +35,6 @@ def check_quantum_numbers(principal, angular):
         raise ParityError(f"N - L must be even, got N={principal} L={angular}")
 
 
-def oscillator_energy(dimension: int, principal: int) -> float:
-    """E = (2N + 2Gamma + 3)/2 in the family's dimensionless units."""
-    gamma = gamma_shift(dimension)
-    check_integer(principal, "principal number", 0)
-    return (2.0 * principal + 2.0 * gamma + 3.0) / 2.0
-
-
 class OscillatorState(GaussianLaguerreForm):
     """Oscillator-form state with N* = N - 2 Delta and L* = L + 2 shift - 2 Delta.
 
@@ -74,6 +67,7 @@ class OscillatorState(GaussianLaguerreForm):
 
     @property
     def energy(self) -> float:
+        """E = (2N* + 2Gamma + 3)/2 in the family's dimensionless units."""
         return (2.0 * self.n_star + 2.0 * self.gamma + 3.0) / 2.0
 
     def operator(self) -> susy.RadialOperator:
@@ -100,11 +94,11 @@ def partner_spectra(dimension: int, angular: int, count: int):
     check_integer(count, "count", 1)
     base = 2.0 * angular + 2.0 * g
     bosonic = tuple(
-        2.0 * oscillator_energy(dimension, angular + 2 * k) - (base + 3.0)
+        2.0 * OscillatorState(dimension, angular + 2 * k, angular).energy - (base + 3.0)
         for k in range(count)
     )
     fermionic = tuple(
-        2.0 * oscillator_energy(dimension, angular + 1 + 2 * k) - (base + 1.0)
+        2.0 * OscillatorState(dimension, angular + 1 + 2 * k, angular + 1).energy - (base + 1.0)
         for k in range(count - 1)
     )
     return bosonic, fermionic

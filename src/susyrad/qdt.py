@@ -10,9 +10,11 @@ bookkeeping constant, so the unstarred operator with the breaking potential
 added has the starred functions as eigenfunctions at the rigid bracket
 eigenvalue; the physical level shift lives in the starred decay scale.
 
-The models are tables keyed by the angular number; the starred numbers, their
-admissibility and the states themselves belong to `CoulombState` and
-`OscillatorState`, which take delta (Delta) and the shift directly.
+The models are tables keyed by the angular number, built from a config
+section (`config.ModelConfig`) or inline; the package ships no table of its
+own.  The starred numbers, their admissibility and the states themselves
+belong to `CoulombState` and `OscillatorState`, which take delta (Delta) and
+the shift directly.
 """
 
 from __future__ import annotations
@@ -145,17 +147,3 @@ def breaking_potential_oscillator(model: AnharmonicModel, principal: int, angula
     """
     state = AnharmonicState(model, principal, angular)
     return _breaking_potential(state, 2.0 * (state.principal - state.n_star), y)
-
-
-def illustrative_defect_model(dimension: int = 3) -> DefectModel:
-    """Synthetic defect table for exercising the interface.
-
-    The numbers are round placeholders shaped like an alkali series (large s
-    defect, small p defect, near-zero d defect); they are not measured
-    constants and carry no physical authority.
-    """
-    return DefectModel(
-        dimension,
-        defects={0: 0.40, 1: 0.05, 2: 0.005, (0, 2): 0.41},
-        shifts={0: 1, 1: 0, 2: 0},
-    )

@@ -234,7 +234,7 @@ def susy_pair_record(family, dimension, angular, grid_min=0.1, grid_max=12.0, po
     _check_grid(grid_min, grid_max, points)
     grid = np.linspace(grid_min, grid_max, points)
     # the ground state refuses a grid its Laguerre argument overflows on before the partners do
-    annihilation = susy.annihilation_residual(u, ground, grid)
+    annihilation = float(susy.annihilation_residuals([u], [ground], grid)[0])
     vp = pair.v_plus(grid)
     vm = pair.v_minus(grid)
     difference = vm - vp

@@ -6,6 +6,11 @@ component psi -> psi' + (U'/2) psi.  The bosonic partner annihilates
 exp(-U/2); the fermionic spectrum is the bosonic one with the zero mode
 removed.
 
+U's derivatives of every order come from `Superpotential.derivatives`; the
+one operator a pair assembles is criterion 4's H- (`minus_operator`); and the
+ground-state annihilation residual is the batch `annihilation_residuals`,
+which `susy-pair` calls with rows of one.
+
 Every function here, and every psi the operators act on, answers
 `derivatives(grid, orders)`: the listed derivatives on a grid `positive_grid`
 has checked, from one build.  A public call checks its grid once and asks for
@@ -54,12 +59,6 @@ class Superpotential:
 
     def u_prime(self, x):
         return finite_pointwise(self.derivatives, x, 1, "U'")
-
-    def u_double_prime(self, x):
-        return finite_pointwise(self.derivatives, x, 2, "U''")
-
-    def u_third_derivative(self, x):
-        return finite_pointwise(self.derivatives, x, 3, "U'''")
 
 
 def _u_derivatives(grid, orders, a, b, p):
@@ -137,17 +136,10 @@ class SusyPair:
             return 0.25 * a * a
         return a * (b - 1.0)
 
-    def plus_operator(self) -> "RadialOperator":
-        return self._operator(-1.0)
-
     def minus_operator(self) -> "RadialOperator":
-        return self._operator(+1.0)
-
-    def _operator(self, sign):
-        # sign = +1 selects V- = W^2 + U''/2; U'' carries -b/x^2, so the
-        # centrifugal piece flips sign relative to the constant piece
+        # V- = W^2 + U''/2, and U''/2 carries -b/(2 x^2), plus a for power 2
         a, b = self.superpotential.power_coeff, self.superpotential.log_coeff
-        centrifugal = 0.25 * b * b - sign * 0.5 * b
+        centrifugal = 0.25 * b * b - 0.5 * b
         if self.superpotential.power == 1:
             return RadialOperator(
                 coulomb_strength=-0.5 * a * b,
@@ -159,7 +151,7 @@ class SusyPair:
             coulomb_strength=0.0,
             oscillator_strength=a * a,
             centrifugal=centrifugal,
-            constant_shift=a * b + sign * a,
+            constant_shift=a * b + a,
         )
 
 
@@ -244,28 +236,18 @@ def apply_supercharge(superpotential: Superpotential, psi, x_grid):
     return SuperchargeImage(superpotential, psi).value(x_grid)
 
 
-def annihilation_residual(superpotential: Superpotential, ground, x_grid) -> float:
-    """max |A psi0| / max |psi0| on the grid: zero when ground is the zero mode of U."""
-    grid = positive_grid(x_grid).reshape(-1)
-    (u_prime,) = superpotential.derivatives(grid, (1,))
-    return float(_annihilation(*ground.derivatives(grid, (0, 1)), u_prime))
-
-
 def annihilation_residuals(superpotentials, grounds, grids):
-    """annihilation_residual of each (U, ground) row, on its row of grids or all on one 1-D grid.
+    """max |psi0' + (U'/2) psi0| / max |psi0| of each (U, ground) row, on its row of grids or all on one 1-D grid.
 
-    The grounds are forms of one class, built once; the superpotentials share
-    one power, and their coefficients enter as columns.
+    A row is zero when its ground is the zero mode of its U.  The grounds are
+    forms of one class, built once; the superpotentials share one power, and
+    their coefficients enter as columns.
     """
     grids = positive_grid(grids)
     (power,) = {u.power for u in superpotentials}
     a, b = columns([(u.power_coeff, u.log_coeff) for u in superpotentials])
     (u_prime,) = _u_derivatives(grids, (1,), a, b, power)
-    return _annihilation(*family_derivatives(grounds, grids, (0, 1)), u_prime)
-
-
-def _annihilation(value, slope, u_prime):
-    """max |psi0' + (U'/2) psi0| / max |psi0| along the last axis."""
+    value, slope = family_derivatives(grounds, grids, (0, 1))
     return np.abs(slope + 0.5 * u_prime * value).max(axis=-1) / np.abs(value).max(axis=-1)
 
 

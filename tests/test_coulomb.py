@@ -6,7 +6,6 @@ import pytest
 
 from susyrad.coulomb import (
     CoulombState,
-    coulomb_energy,
     eval_hydrogen_R,
     gamma_shift,
     partner_spectra,
@@ -23,19 +22,19 @@ def _eigen_residual(state, grid):
 
 class TestEnergy:
     def test_hydrogen_values(self):
-        assert coulomb_energy(3, 1) == pytest.approx(-0.5, rel=1e-15)
-        assert coulomb_energy(3, 2) == pytest.approx(-0.125, rel=1e-15)
-        assert coulomb_energy(3, 3) == pytest.approx(-1.0 / 18.0, rel=1e-15)
+        assert CoulombState(3, 1, 0).energy == pytest.approx(-0.5, rel=1e-15)
+        assert CoulombState(3, 2, 0).energy == pytest.approx(-0.125, rel=1e-15)
+        assert CoulombState(3, 3, 0).energy == pytest.approx(-1.0 / 18.0, rel=1e-15)
 
     def test_dimension_shift(self):
         # gamma folds extra dimensions into the effective principal number
-        assert coulomb_energy(5, 1) == pytest.approx(-0.125, rel=1e-15)
-        assert coulomb_energy(2, 1) == pytest.approx(-2.0, rel=1e-15)
-        assert coulomb_energy(4, 2) == pytest.approx(-1.0 / (2.0 * 2.5**2), rel=1e-15)
+        assert CoulombState(5, 1, 0).energy == pytest.approx(-0.125, rel=1e-15)
+        assert CoulombState(2, 1, 0).energy == pytest.approx(-2.0, rel=1e-15)
+        assert CoulombState(4, 2, 0).energy == pytest.approx(-1.0 / (2.0 * 2.5**2), rel=1e-15)
 
     def test_angular_independence(self):
         for l in range(4):
-            assert CoulombState(3, 5, l).energy == coulomb_energy(3, 5)
+            assert CoulombState(3, 5, l).energy == -1.0 / 50.0
 
     def test_gamma_shift(self):
         assert gamma_shift(3) == 0.0
@@ -44,9 +43,9 @@ class TestEnergy:
 
     def test_validation(self):
         with pytest.raises(AdmissibilityError):
-            coulomb_energy(1, 1)
+            CoulombState(1, 1, 0)
         with pytest.raises(AdmissibilityError):
-            coulomb_energy(3, 0)
+            CoulombState(3, 0, 0)
         with pytest.raises(AdmissibilityError):
             gamma_shift(2.5)
 

@@ -16,13 +16,12 @@ from susyrad.maps import (
     ConstraintReport,
     MapSpec,
     default_verification_grid,
-    enumerate_admissible_targets,
     lambda_candidates,
     solve_map_parameters,
     verify_map_identities,
     verify_map_identity,
 )
-from susyrad.oscillator import OscillatorState, oscillator_energy
+from susyrad.oscillator import OscillatorState
 
 
 class TestSolveExact:
@@ -86,9 +85,8 @@ class TestSolveExact:
             solved = solve_map_parameters((d, n, 0), lam)
             if not isinstance(solved, MapSpec):
                 continue
-            big_d, big_n, _ = solved.target
             gamma = (d - 3) / 2.0
-            assert oscillator_energy(big_d, big_n) == 2.0 * (n + gamma)
+            assert solved.target_state.energy == 2.0 * (n + gamma)
 
 
 class TestSolveBroken:
@@ -379,21 +377,28 @@ class TestVerifyIdentities:
         assert set(sources.ravel().tolist()) == set((nu_star * NODE_GRID[check.included] ** 2).tolist())
 
 
+def _sweep(source, lo, hi, mode="exact", **breaking):
+    """The map verb's sweep of a window: map_record over lambda_candidates(lo, hi, mode)."""
+    return reports.map_record(source, lambda_candidates(lo, hi, mode), mode, **breaking)
+
+
+def _admissible(record):
+    return [row for row in record.rows if "violations" not in row]
+
+
 class TestEnumerate:
     def test_hydrogen_ground_window(self):
-        specs = enumerate_admissible_targets((3, 1, 0), (0, 2))
-        assert [s.target for s in specs] == [(2, 1, 1), (4, 0, 0)]
-        assert [s.lam for s in specs] == [Fraction(1), Fraction(0)]
+        rows = _admissible(_sweep((3, 1, 0), 0, 2))
+        assert [(row["D"], row["N"], row["L"]) for row in rows] == [(4, 0, 0), (2, 1, 1)]
+        assert [row["lambda"] for row in rows] == [0.0, 1.0]
 
-    def test_sorted_by_target(self):
-        specs = enumerate_admissible_targets((4, 3, 1), (-2, 2))
-        targets = [s.target for s in specs]
-        assert targets == sorted(targets)
+    def test_rows_follow_the_candidate_grid(self):
+        record = _sweep((4, 3, 1), -2, 2)
+        assert [row["lambda"] for row in record.rows] == [-2.0, -1.0, 0.0, 1.0, 2.0]
 
     def test_broken_mode_scans_half_integers(self):
-        specs = enumerate_admissible_targets((3, 1, 0), (0, 1), mode="broken", Delta=0.25)
-        lams = {s.lam for s in specs}
-        assert Fraction(1, 2) in lams
+        rows = _admissible(_sweep((3, 1, 0), 0, 1, "broken", Delta=0.25))
+        assert 0.5 in [row["lambda"] for row in rows]
 
     @pytest.mark.parametrize(
         "lo, hi, mode, expected",
@@ -418,9 +423,9 @@ class TestEnumerate:
             lambda_candidates(0, Fraction(10) ** 300, mode)
 
     def test_empty_window_raises(self):
-        with pytest.raises(AdmissibilityError):
-            enumerate_admissible_targets((3, 1, 0), (0.6, 0.9))
+        with pytest.raises(AdmissibilityError, match="no candidate lambda values"):
+            lambda_candidates(0.6, 0.9)
 
     def test_every_entry_verifies(self):
-        for spec in enumerate_admissible_targets((5, 2, 1), (-1, 2)):
-            assert verify_map_identity(spec).constancy_defect < 1e-8
+        rows = _admissible(_sweep((5, 2, 1), -1, 2))
+        assert rows and all(row["constancy_defect"] < 1e-8 for row in rows)

@@ -7,7 +7,6 @@ from susyrad.errors import AdmissibilityError, DomainError, ParityError
 from susyrad.oscillator import (
     OscillatorState,
     gamma_shift,
-    oscillator_energy,
     partner_spectra,
 )
 from susyrad.specfun import inner_product
@@ -18,21 +17,21 @@ GRID = np.linspace(0.05, 7.0, 300)
 
 class TestEnergy:
     def test_three_dimensional_ladder(self):
-        assert oscillator_energy(3, 0) == pytest.approx(1.5, rel=1e-15)
-        assert oscillator_energy(3, 2) == pytest.approx(3.5, rel=1e-15)
-        assert oscillator_energy(3, 5) == pytest.approx(6.5, rel=1e-15)
+        assert OscillatorState(3, 0, 0).energy == pytest.approx(1.5, rel=1e-15)
+        assert OscillatorState(3, 2, 0).energy == pytest.approx(3.5, rel=1e-15)
+        assert OscillatorState(3, 5, 1).energy == pytest.approx(6.5, rel=1e-15)
 
     def test_planar_ground(self):
-        assert oscillator_energy(2, 0) == pytest.approx(1.0, rel=1e-15)
+        assert OscillatorState(2, 0, 0).energy == pytest.approx(1.0, rel=1e-15)
 
     def test_higher_dimension(self):
-        assert oscillator_energy(6, 1) == pytest.approx((2.0 + 3.0 + 3.0) / 2.0, rel=1e-15)
+        assert OscillatorState(6, 1, 1).energy == pytest.approx((2.0 + 3.0 + 3.0) / 2.0, rel=1e-15)
 
     def test_validation(self):
         with pytest.raises(AdmissibilityError):
-            oscillator_energy(1, 0)
+            OscillatorState(1, 0, 0)
         with pytest.raises(AdmissibilityError):
-            oscillator_energy(3, -1)
+            OscillatorState(3, -1, 0)
 
 
 class TestStateValidation:

@@ -1,0 +1,87 @@
+"""Every public name is printed by a verb, checked by a criterion, or listed here as waiting.
+
+`susyrad._EXPORTS` is the package's public surface.  This runs the `verify`
+criteria and the golden CLI corpus (`test_golden.CASES`, each case as that
+test runs it) under `sys.setprofile`, and asserts that the code of every
+exported callable ran: a function's own code, or a class's own `__init__` or
+`__post_init__`.  Exception types and constants are not code to run, so they
+are skipped.  A name that nothing runs is deleted, or it waits in UNCALLED
+with its reason; a waiting name must stay uncalled, so the entry goes when a
+verb or a criterion starts to use it.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+import susyrad
+from susyrad import verify
+from test_golden import CASES, _run
+
+_PINNED = "bound by perfbench/tracer.py; it goes when the tracer reads spans instead (ROADMAP item 3)"
+_NO_CRITERION = "a closed form no criterion checks yet (ROADMAP item 5)"
+
+# exported callables that neither a verb nor a criterion runs, each with why it stays
+UNCALLED = {
+    "Quadrature": _PINNED,
+    "QuadratureResult": _PINNED,
+    "integrate_half_line": _PINNED,
+    "inner_product": _PINNED,
+    "eval_sonine_laguerre": _PINNED,
+    "eval_sonine_laguerre_derivative": _PINNED,
+    "apply_supercharge": _PINNED,
+    "verify_map_identity": _PINNED,
+    "coulomb_partner_spectra": _NO_CRITERION,
+    "oscillator_partner_spectra": _NO_CRITERION,
+    "breaking_potential_coulomb": _NO_CRITERION,
+    "breaking_potential_oscillator": _NO_CRITERION,
+    "eval_hydrogen_R": _NO_CRITERION,
+}
+
+
+def _code(obj):
+    """The code that running obj executes: a function's, or a class's own constructor; None for the rest."""
+    if not isinstance(obj, type):
+        return getattr(obj, "__code__", None)
+    if issubclass(obj, BaseException):
+        return None
+    for name in ("__post_init__", "__init__"):
+        if name in vars(obj):
+            return vars(obj)[name].__code__
+    raise AssertionError(f"{obj.__qualname__} defines no __init__ or __post_init__ of its own")
+
+
+@pytest.fixture(scope="module")
+def ran():
+    """The code objects that run_all() and the golden corpus executed."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        verify.run_all()
+        for _, argv in CASES:
+            _run(argv)
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+SURFACE = {name: _code(getattr(susyrad, name)) for name in sorted(susyrad._EXPORTS)}
+CALLABLE = sorted(name for name, code in SURFACE.items() if code is not None)
+
+
+def test_waiting_names_are_exported_callables():
+    assert set(UNCALLED) <= set(CALLABLE)
+
+
+@pytest.mark.parametrize("name", CALLABLE)
+def test_exported_name_runs_unless_waiting(name, ran):
+    if name in UNCALLED:
+        assert SURFACE[name] not in ran, f"{name} now runs: take it off UNCALLED"
+    else:
+        assert SURFACE[name] in ran, f"no verb or criterion runs {name}: delete it, or list it in UNCALLED"

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from susyrad.coulomb import CoulombState, coulomb_energy
+from susyrad.coulomb import CoulombState
 from susyrad.errors import AdmissibilityError, DomainError, ParityError
-from susyrad.oscillator import OscillatorState, oscillator_energy
+from susyrad.oscillator import OscillatorState
 from susyrad.qdt import (
     AnharmonicModel,
     AnharmonicState,
@@ -13,7 +13,6 @@ from susyrad.qdt import (
     DefectState,
     breaking_potential_coulomb,
     breaking_potential_oscillator,
-    illustrative_defect_model,
 )
 from susyrad.specfun import inner_product
 from susyrad.susy import apply_operator
@@ -56,8 +55,9 @@ class TestDefectModel:
         with pytest.raises(AdmissibilityError):
             DefectModel(3, defects={(0, 1, 2): 0.1}, shifts={})
 
-    def test_illustrative_model_shape(self):
-        m = illustrative_defect_model()
+    def test_alkali_shaped_table(self):
+        # large s defect with an n-specific entry, small p defect, near-zero d defect
+        m = DefectModel(3, defects={0: 0.40, 1: 0.05, 2: 0.005, (0, 2): 0.41}, shifts={0: 1, 1: 0, 2: 0})
         assert m.dimension == 3
         assert m.delta(0) == 0.40
         assert m.delta(0, 2) == 0.41
@@ -76,7 +76,8 @@ class TestRydbergEnergy:
     def test_zero_defect_recovers_rigid_spectrum(self):
         m = DefectModel(4, defects={0: 0.0, 2: 0.0}, shifts={0: 0, 2: 0})
         for n in (1, 3, 6):
-            assert m.state(n, 0).energy == pytest.approx(coulomb_energy(4, n), rel=1e-15)
+            # gamma = 1/2 in four dimensions
+            assert m.state(n, 0).energy == pytest.approx(-1.0 / (2.0 * (n + 0.5) ** 2), rel=1e-15)
 
     def test_state_energy_matches_starred_closed_form(self):
         m = _model()
@@ -177,7 +178,7 @@ class TestBreakingPotentialCoulomb:
         rigid = CoulombState(3, 3, 0)
         vb = breaking_potential_coulomb(m, 3, 0, GRID)
         res = apply_operator(rigid.operator(), s, GRID) + vb * s.value(GRID) \
-            - 0.5 * coulomb_energy(3, 3) * s.value(GRID)
+            - 0.5 * rigid.energy * s.value(GRID)
         assert np.max(np.abs(res)) / np.max(np.abs(s.value(GRID))) < 1e-8
 
     def test_grid_domain(self):
@@ -245,7 +246,7 @@ class TestAnharmonicState:
         rigid = OscillatorState(3, 4, 0)
         grid = np.linspace(0.05, 7.0, 200)
         assert np.max(np.abs(s.value(grid) - rigid.value(grid))) < 1e-14
-        assert s.energy == oscillator_energy(3, 4)
+        assert s.energy == rigid.energy
 
     def test_bracket_eigenvalue(self):
         s = self._model(0.1).state(2, 0)
@@ -283,7 +284,7 @@ class TestBreakingPotentialOscillator:
         grid = np.linspace(0.05, 7.0, 220)
         vb = breaking_potential_oscillator(m, 4, 0, grid)
         res = apply_operator(rigid.operator(), s, grid) + vb * s.value(grid) \
-            - 2.0 * oscillator_energy(3, 4) * s.value(grid)
+            - 2.0 * rigid.energy * s.value(grid)
         assert np.max(np.abs(res)) / np.max(np.abs(s.value(grid))) < 1e-8
 
     def test_grid_domain(self):

@@ -837,7 +837,7 @@ class TestDerivativeOrderSelection:
 _EMPTY_GRID_STATES = {
     "coulomb": lambda: coulomb.CoulombState(3, 2, 0),
     "oscillator": lambda: oscillator.OscillatorState(3, 4, 0),
-    "defect": lambda: qdt.illustrative_defect_model().state(3, 0),
+    "defect": lambda: qdt.DefectModel(3, {0: 0.4}, {0: 1}).state(3, 0),
     "anharmonic": lambda: qdt.AnharmonicModel(2, {0: 0.1}, {0: 1}).state(4, 0),
 }
 _EMPTY_GRID_CALLS = {
@@ -929,9 +929,8 @@ class TestSharedResidualStack:
                 u = susy.coulomb_superpotential(state.l_star, state.gamma)
             else:
                 u = susy.oscillator_superpotential(state.l_star, state.gamma)
-            w, wp, wpp = (
-                0.5 * np.asarray(f(grid)) for f in (u.u_prime, u.u_double_prime, u.u_third_derivative)
-            )
+            w = 0.5 * np.asarray(u.u_prime(grid))
+            wp, wpp = (0.5 * du for du in u.derivatives(checked, (2, 3)))
             hand = (
                 p[1] + w * p[0],
                 p[2] + wp * p[0] + w * p[1],

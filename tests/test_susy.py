@@ -10,12 +10,12 @@ from susyrad.susy import (
     SuperchargeImage,
     Superpotential,
     SusyPair,
-    annihilation_residual,
     annihilation_residuals,
     apply_operator,
     apply_supercharge,
     coulomb_superpotential,
     oscillator_superpotential,
+    residual,
     shift_identity_defect,
 )
 
@@ -49,15 +49,16 @@ class TestSuperpotential:
         x = 1.7
         assert u.u(x) == pytest.approx(0.5 * x**2 - 3.0 * np.log(x), rel=1e-15)
         assert u.u_prime(x) == pytest.approx(1.0 * x - 3.0 / x, rel=1e-15)
-        assert u.u_double_prime(x) == pytest.approx(1.0 + 3.0 / x**2, rel=1e-15)
-        assert u.u_third_derivative(x) == pytest.approx(-6.0 / x**3, rel=1e-15)
+        u2, u3 = u.derivatives(np.array([x]), (2, 3))
+        assert u2[0] == pytest.approx(1.0 + 3.0 / x**2, rel=1e-15)
+        assert u3[0] == pytest.approx(-6.0 / x**3, rel=1e-15)
 
     def test_integer_coefficients_are_kept_as_floats(self):
         # an int64 coefficient used to wrap in 2*a and a*a: U'' came out -9.2e18
         u = Superpotential(np.int64(2**62 + 1), 0.0, 2)
         assert type(u.power_coeff) is float and type(u.log_coeff) is float
-        assert u.u_double_prime(1.0) == 2.0 * 2.0**62
-        assert SusyPair(u).plus_operator().oscillator_strength == 2.0**124
+        assert u.derivatives(np.array([1.0]), (2,))[0][0] == 2.0 * 2.0**62
+        assert SusyPair(u).minus_operator().oscillator_strength == 2.0**124
 
     def test_factory_coefficients(self):
         u = coulomb_superpotential(2, 0.5)
@@ -120,11 +121,12 @@ class TestPartnerPotentials:
         coeff = (diff - pair.shift_constant) * grid**2
         assert np.max(np.abs(coeff - 2.0 * (angular + gamma + 1.0))) < 1e-12
 
-    def test_partner_shift_equals_u_double_prime(self):
+    def test_partner_shift_equals_the_second_derivative_of_u(self):
         # V- - V+ = U'' up to the rounding of the partners' cancellation
         pair = SusyPair(oscillator_superpotential(2, 0.5))
         v_minus, v_plus = pair.v_minus(GRID), pair.v_plus(GRID)
-        defect = np.abs(v_minus - v_plus - pair.superpotential.u_double_prime(GRID))
+        (u2,) = pair.superpotential.derivatives(GRID, (2,))
+        defect = np.abs(v_minus - v_plus - u2)
         assert np.max(defect / np.maximum(np.abs(v_minus), np.abs(v_plus))) < 1e-15
 
     def test_shift_coefficients(self):
@@ -142,11 +144,13 @@ class TestPartnerPotentials:
         ids=["coulomb-s", "coulomb-planar", "oscillator-s", "oscillator-d6"],
     )
     def test_operators_match_pointwise_potentials(self, u):
-        # the assembled RadialOperator must agree with direct V+- evaluation
+        # the assembled RadialOperator must agree with direct V- evaluation, and less U'' with V+
         pair = SusyPair(u)
         grid = np.linspace(0.1, 20.0, 150)
-        assert np.max(np.abs(pair.plus_operator().potential(grid) - pair.v_plus(grid))) < 1e-12
-        assert np.max(np.abs(pair.minus_operator().potential(grid) - pair.v_minus(grid))) < 1e-12
+        potential = pair.minus_operator().potential(grid)
+        (u2,) = u.derivatives(grid, (2,))
+        assert np.max(np.abs(potential - pair.v_minus(grid))) < 1e-12
+        assert np.max(np.abs(potential - u2 - pair.v_plus(grid))) < 1e-12
 
     @pytest.mark.parametrize("power", [1, 2])
     def test_refuses_coefficients_whose_products_leave_float_range(self, power):
@@ -192,13 +196,14 @@ class TestPartnerPotentials:
         osc2 = SusyPair(oscillator_superpotential(1, 0.5))
         assert osc2.energy_zero_offset == pytest.approx(-(2.0 * 1 + 2.0 * 0.5 + 3.0))
 
-    def test_ground_eigenvalue_of_plus_operator_is_zero(self):
+    def test_ground_eigenvalue_of_the_bosonic_partner_is_zero(self):
         for pair, ground in [
             (SusyPair(coulomb_superpotential(0, 0.0)), coulomb.CoulombState(3, 1, 0)),
             (SusyPair(oscillator_superpotential(1, 0.0)), oscillator.OscillatorState(3, 1, 1)),
         ]:
             grid = np.linspace(0.2, 10.0, 80)
-            res = apply_operator(pair.plus_operator(), ground, grid, 0.0)
+            value, curvature = ground.derivatives(grid, (0, 2))
+            res = residual(value, curvature, pair.v_plus(grid), 0.0)
             assert np.max(np.abs(res)) / np.max(np.abs(ground.value(grid))) < 1e-12
 
 
@@ -333,13 +338,13 @@ def _criterion_four_families():
 
 
 class TestAnnihilationBatch:
-    def test_each_row_has_the_bits_of_the_one_row_residual(self):
+    def test_each_row_has_the_bits_of_the_one_row_batch(self):
         count = 0
         for cases in _criterion_four_families():
             us, grounds, grids = zip(*cases)
             batch = annihilation_residuals(us, grounds, np.array(grids))
             for (u, ground, grid), got in zip(cases, batch.tolist()):
-                alone = annihilation_residual(u, ground, grid)
+                (alone,) = annihilation_residuals([u], [ground], grid).tolist()
                 # and as the supercharge image and the ground state's value give it, built apart
                 image = np.max(np.abs(apply_supercharge(u, ground, grid)))
                 assert got.hex() == alone.hex() == float(image / np.max(np.abs(ground.value(grid)))).hex()
@@ -350,7 +355,7 @@ class TestAnnihilationBatch:
     def test_one_shared_grid_serves_every_row(self):
         us, grounds, _ = zip(*next(_criterion_four_families()))
         shared = annihilation_residuals(us, grounds, GRID)
-        assert shared.tolist() == [annihilation_residual(u, g, GRID) for u, g in zip(us, grounds)]
+        assert shared.tolist() == [annihilation_residuals([u], [g], GRID)[0] for u, g in zip(us, grounds)]
 
     def test_the_superpotentials_share_one_power(self):
         grounds = [coulomb.CoulombState(3, 1, 0), oscillator.OscillatorState(3, 0, 0)]
