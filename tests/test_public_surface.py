@@ -1,17 +1,21 @@
 """Every public name is printed by a verb, checked by a criterion, or listed here as waiting.
 
-`susyrad._EXPORTS` is the package's public surface.  This runs the `verify`
-criteria and the golden CLI corpus (`test_golden.CASES`, each case as that
-test runs it) under `sys.setprofile`, and asserts that the code of every
-exported callable ran: a function's own code, or a class's own `__init__` or
-`__post_init__`.  Exception types and constants are not code to run, so they
-are skipped.  A name that nothing runs is deleted, or it waits in UNCALLED
-with its reason; a waiting name must stay uncalled, so the entry goes when a
-verb or a criterion starts to use it.
+`susyrad._EXPORTS` is the package's public surface, together with the public
+methods and properties of its classes.  This runs the `verify` criteria and
+the golden CLI corpus (`test_golden.CASES`, each case as that test runs it)
+under `sys.setprofile`, and asserts that the code of every exported callable
+ran: a function's own code, or a class's own `__init__` or `__post_init__`.
+A method, property or cached property counts once, under the qualified name
+of the class that defines it (`_LaguerreForm.value` for every state class),
+inherited ones included.  Exception types and constants are not code to run,
+so they are skipped.  A name that nothing runs is deleted, or it waits in
+UNCALLED with its reason; a waiting name must stay uncalled, so the entry goes
+when a verb or a criterion starts to use it.
 """
 
 from __future__ import annotations
 
+import inspect
 import sys
 
 import pytest
@@ -21,6 +25,7 @@ from test_golden import CASES, _run
 
 _PINNED = "bound by perfbench/tracer.py; it goes when the tracer reads spans instead (ROADMAP item 3)"
 _NO_CRITERION = "a closed form no criterion checks yet (ROADMAP item 5)"
+_RESTATES_MODEL = "restates model(section, dimension), which the CLI calls; perfbench/workloads.py calls it"
 
 # exported callables that neither a verb nor a criterion runs, each with why it stays
 UNCALLED = {
@@ -37,6 +42,18 @@ UNCALLED = {
     "breaking_potential_coulomb": _NO_CRITERION,
     "breaking_potential_oscillator": _NO_CRITERION,
     "eval_hydrogen_R": _NO_CRITERION,
+    "_LaguerreForm.value": _PINNED,
+    "_LaguerreForm.derivative": _PINNED,
+    "_LaguerreForm.second_derivative": _PINNED,
+    "_LaguerreForm.third_derivative": _PINNED,
+    "_LaguerreForm.norm": "the normalization constant, documented beside log_norm, which every build reads",
+    "ModelConfig.defect_model": _RESTATES_MODEL,
+    "ModelConfig.anharmonic_model": _RESTATES_MODEL,
+    "Superpotential.u": "pointwise U; the verbs and criteria read U's derivatives through derivatives(grid, orders)",
+    "Superpotential.u_prime": "pointwise U'; the verbs and criteria read U' through derivatives or a batch's columns",
+    "RadialOperator.potential": "pointwise V; the residuals form V on a checked grid through _potential",
+    "SuperchargeImage.derivative": "pointwise (A psi)'; apply_operator reads the image through derivatives",
+    "SuperchargeImage.second_derivative": "pointwise (A psi)''; apply_operator reads it through derivatives",
 }
 
 
@@ -71,7 +88,25 @@ def ran():
     return seen
 
 
-SURFACE = {name: _code(getattr(susyrad, name)) for name in sorted(susyrad._EXPORTS)}
+def _methods(classes):
+    """The classes' public methods and properties, inherited ones too, as {qualified name: code}."""
+    out = {}
+    for cls in classes:
+        for name in dir(cls):
+            if name.startswith("_"):
+                continue
+            member = inspect.getattr_static(cls, name)
+            # a property's getter, a cached property's or a static method's function, or the function itself
+            for attribute in ("fget", "func", "__func__"):
+                member = getattr(member, attribute, member)
+            if hasattr(member, "__code__"):
+                out[member.__qualname__] = member.__code__
+    return out
+
+
+EXPORTED = {name: getattr(susyrad, name) for name in sorted(susyrad._EXPORTS)}
+SURFACE = {name: _code(obj) for name, obj in EXPORTED.items()}
+SURFACE.update(_methods(obj for obj in EXPORTED.values() if isinstance(obj, type)))
 CALLABLE = sorted(name for name, code in SURFACE.items() if code is not None)
 
 

@@ -798,13 +798,16 @@ class TestDerivativeOrderSelection:
 
         # the forms look the build up on _grid at each call
         monkeypatch.setattr(_grid, "_build", counted)
-        # criteria 5 and 6: every target on the shared grid, then every source on its own row
-        for check, rows in ((verify.check_exact_maps, 70), (verify.check_odd_dimension_map, 6)):
+        # criteria 5 and 6: every distinct target on the shared grid, then every distinct source on its own
+        # row; criterion 5's 70 maps are 28 distinct (source, target) pairs
+        for check, rows in ((verify.check_exact_maps, 28), (verify.check_odd_dimension_map, 6)):
             builds.clear()
             assert check().passed
             assert builds == [rows, rows], check.__name__
-        # criterion 4: one (0, 1) build of each family's ground states
-        annihilation, batch = [], susy.annihilation_residuals
+        # criterion 4: one (0, 1) build of each family's distinct ground states, and one shift defect
+        # per distinct U: its 36 (U, ground) pairs are 21 distinct
+        annihilation, batch, shifts = [], susy.annihilation_residuals, []
+        shift_identity_defect = susy.shift_identity_defect
 
         def recorded(*args):
             start = len(builds)
@@ -813,9 +816,16 @@ class TestDerivativeOrderSelection:
             return out
 
         monkeypatch.setattr(susy, "annihilation_residuals", recorded)
+
+        def shift(*args):
+            shifts.append(args)
+            return shift_identity_defect(*args)
+
+        monkeypatch.setattr(susy, "shift_identity_defect", shift)
         builds.clear()
         assert verify.check_susy_structure().passed
-        assert annihilation == [[20], [16]]
+        assert annihilation == [[11], [10]]
+        assert len(shifts) == 21
         # the rest are the intertwining's three images, each built for its residual and its value
         assert len(builds) == 2 + 3 * 2
 
@@ -891,22 +901,31 @@ def _count_calls(monkeypatch, module, name, calls):
 
 
 def _residual_states(monkeypatch):
-    """Every (state, grid) whose residual check_radial_residuals measures, in its batches."""
-    seen = []
-    original = reports._relative_residuals
+    """Every (state, grid) of check_radial_residuals: each state built, on its representative's measured row."""
+    built, seen = [], []
+    form_states, relative_residuals = verify._form_states, reports._relative_residuals
+
+    def building(family, used):
+        states = list(form_states(family, used))
+        built.extend(states)
+        return states
 
     def recording(states, grids):
         # a grid shared by the batch is every state's row
         seen.append(list(zip(states, np.broadcast_to(grids, (len(states), np.shape(grids)[-1])))))
-        return original(states, grids)
+        return relative_residuals(states, grids)
 
+    monkeypatch.setattr(verify, "_form_states", building)
     monkeypatch.setattr(reports, "_relative_residuals", recording)
     assert verify.check_radial_residuals().passed
     monkeypatch.undo()
     # batches of one form class, each a row of grids per state, none past the row budget
     assert all(len(batch) <= verify._BATCH_ROWS for batch in seen)
     assert all(len({isinstance(state, coulomb.CoulombState) for state, _ in batch}) == 1 for batch in seen)
-    return [row for batch in seen for row in batch]
+    # each distinct form is measured once
+    rows = {verify._form_key(state): grid for batch in seen for state, grid in batch}
+    assert len(rows) == sum(len(batch) for batch in seen) == 305
+    return [(state, rows[verify._form_key(state)]) for state in built]
 
 
 class TestSharedResidualStack:

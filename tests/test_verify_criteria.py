@@ -6,6 +6,8 @@ injection below therefore puts its NaN in a measurement other than the first:
 a later row, batch, family or record.  The composite criterion 4 reports 0 or
 1, so there the NaN shows in the detail of the sub-check it broke.  Criterion 3
 also fails when one state is moved off its closed form, by its norm or its power.
+A worst-of over no measurement at all is inf, so a criterion that measures
+nothing fails as well.
 """
 
 import dataclasses
@@ -143,10 +145,19 @@ def test_draws_are_private_to_the_suite():
 
 
 def test_worst_keeps_a_nan_anywhere():
-    assert verify._worst([]) == 0.0
+    # no measurement at all is no evidence: it fails its criterion
+    assert verify._worst([]) == math.inf
     assert verify._worst([np.array([1.0, 5.0]), 2.0]) == 5.0
     assert math.isnan(verify._worst([1.0, np.array([2.0, NAN]), 3.0]))
     assert math.isnan(verify._worst(iter([4.0, NAN])))
+
+
+def test_a_criterion_that_measures_nothing_fails(monkeypatch):
+    """Criterion 5 with every candidate refused measures no map, and fails instead of passing at 0."""
+    monkeypatch.setattr(maps, "solve_map_parameters", lambda *args, **kwargs: maps.ConstraintReport(("refused",)))
+    monkeypatch.setattr(geonium, "coulomb_to_geonium", lambda n, l: None)
+    result = verify.check_exact_maps()
+    assert (result.passed, result.value, result.detail) == (False, math.inf, "0 admissible exact maps verified")
 
 
 def test_registration_runtime_limit_and_crash(monkeypatch):
