@@ -2,9 +2,9 @@
 
 Only a verb that evaluates a waveform on a grid executes this module; the
 closed forms (energies, trap numbers, admissibility) never reach it.  A grid
-is checked once, on entry (`positive_grid`, `_check_argument`), and a
-pointwise method asks for the one derivative it needs (`pointwise`,
-`finite_pointwise`).
+is checked once, on entry (`positive_grid`, `_check_argument`); a pointwise
+method asks for the one derivative it needs (`pointwise`), and a value out of
+float range is refused at its first point (`refuse_non_finite`).
 
 The generalized Laguerre polynomials L_n^(a), of real order a > -1, are
 evaluated by the three-term recurrence in the degree, one batch of rows
@@ -89,15 +89,6 @@ def refuse_non_finite(out, grid, label):
     if not finite.all():
         point = float(np.broadcast_to(grid, np.shape(out))[~finite][0])
         raise DomainError(f"{label}({point!r}) is out of float range")
-
-
-def finite_pointwise(derivatives, x, order, label):
-    """pointwise, refused as out of float range where not finite; numpy warns of nothing first."""
-    grid = positive_grid(x)
-    with np.errstate(all="ignore"):
-        (out,) = derivatives(grid, (order,))
-    refuse_non_finite(out, grid, label)
-    return float(out) if np.ndim(x) == 0 else out
 
 
 def _rows(stack, j, degrees, orders, x):

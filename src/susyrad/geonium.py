@@ -38,6 +38,18 @@ PROTON = ParticlePreset("proton", ELEMENTARY_CHARGE, PROTON_MASS)
 PRESETS = {"electron": ELECTRON, "proton": PROTON}
 
 
+def _particle(trap_length, charge, mass):
+    """(trap length, charge, mass) as floats, refused unless mass and length are positive, charge nonzero and finite."""
+    trap_length, charge, mass = as_float(trap_length, "trap length"), as_float(charge, "charge"), as_float(mass, "mass")
+    if not (mass > 0.0):
+        raise AdmissibilityError(f"mass must be positive, got {mass!r}")
+    if not (trap_length > 0.0):
+        raise AdmissibilityError(f"trap length must be positive, got {trap_length!r}")
+    if charge == 0.0 or not math.isfinite(charge):
+        raise AdmissibilityError("charge must be nonzero and finite")
+    return trap_length, charge, mass
+
+
 class TrapConfig:
     __slots__ = ("magnetic_field", "electrode_voltage", "trap_length", "charge", "mass")
 
@@ -46,15 +58,7 @@ class TrapConfig:
         # kept as floats, so a string or a complex number is refused here, not at evaluation
         self.magnetic_field = as_float(magnetic_field, "magnetic field")
         self.electrode_voltage = as_float(electrode_voltage, "electrode voltage")
-        self.trap_length = as_float(trap_length, "trap length")
-        self.charge = as_float(charge, "charge")
-        self.mass = as_float(mass, "mass")
-        if not (self.mass > 0.0):
-            raise AdmissibilityError(f"mass must be positive, got {self.mass!r}")
-        if not (self.trap_length > 0.0):
-            raise AdmissibilityError(f"trap length must be positive, got {self.trap_length!r}")
-        if self.charge == 0.0 or not math.isfinite(self.charge):
-            raise AdmissibilityError("charge must be nonzero and finite")
+        self.trap_length, self.charge, self.mass = _particle(trap_length, charge, mass)
         if self.magnetic_field == 0.0 or not math.isfinite(self.magnetic_field):
             raise AdmissibilityError("magnetic field must be nonzero and finite")
         if not (self.charge * self.electrode_voltage > 0.0):
@@ -119,16 +123,10 @@ def susy_operating_point(magnetic_field: float, trap_length: float, charge: floa
     Magnitude |e| B^2 d^2 / m; the sign follows the charge so the returned
     voltage always satisfies e*V > 0.
     """
-    magnetic_field, trap_length = as_float(magnetic_field, "magnetic field"), as_float(trap_length, "trap length")
-    charge, mass = as_float(charge, "charge"), as_float(mass, "mass")
+    magnetic_field = as_float(magnetic_field, "magnetic field")
     if not (magnetic_field > 0.0):
         raise AdmissibilityError(f"magnetic field must be positive, got {magnetic_field!r}")
-    if not (trap_length > 0.0):
-        raise AdmissibilityError(f"trap length must be positive, got {trap_length!r}")
-    if not (mass > 0.0):
-        raise AdmissibilityError(f"mass must be positive, got {mass!r}")
-    if charge == 0.0 or not math.isfinite(charge):
-        raise AdmissibilityError("charge must be nonzero and finite")
+    trap_length, charge, mass = _particle(trap_length, charge, mass)
     return _in_float_range(
         "operating-point voltage e B^2 d^2 / m",
         lambda: charge * magnetic_field**2 * trap_length**2 / mass,

@@ -108,14 +108,17 @@ def _relative_residuals(states, grids):
 
 
 def _value_and_residual(state, grid, scale=1.0):
-    """Values on scale * grid and their _relative_residuals from one build; a zero state names grid's own bounds."""
+    """Values on scale * grid and their _relative_residuals from one build; a refusal names grid's own points."""
     grid = _grid.positive_grid(grid)
     points = scale * grid
     value, curvature = state.derivatives(points, (0, 2))
     peak = np.abs(value).max()
     if peak == 0.0:  # the relative residual would be 0/0
         raise AdmissibilityError(f"the state is zero at every point of its grid, {grid.min():g} to {grid.max():g}")
-    res = susy.residual(value, curvature, state.operator()._potential(points), state.operator_eigenvalue())
+    with np.errstate(all="ignore"):
+        res = susy.residual(value, curvature, state.operator()._potential(points), state.operator_eigenvalue())
+    in_range = np.isfinite(value)  # V's 1/x**2 can leave float range at a tiny x; a bad value is left to its row
+    _grid.refuse_non_finite(res[in_range], grid[in_range], "residual")
     return value, float(np.abs(res).max() / peak)
 
 
@@ -235,8 +238,7 @@ def susy_pair_record(family, dimension, angular, grid_min=0.1, grid_max=12.0, po
     grid = np.linspace(grid_min, grid_max, points)
     # the ground state refuses a grid its Laguerre argument overflows on before the partners do
     annihilation = float(susy.annihilation_residuals([u], [ground], grid)[0])
-    vp = pair.v_plus(grid)
-    vm = pair.v_minus(grid)
+    vp, vm = pair.partners(grid)
     difference = vm - vp
     rows = [
         {"x": x, "v_plus": a, "v_minus": b, "difference": diff}

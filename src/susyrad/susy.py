@@ -14,10 +14,9 @@ which `susy-pair` calls with rows of one.
 Every function here, and every psi the operators act on, answers
 `derivatives(grid, orders)`: the listed derivatives on a grid `positive_grid`
 has checked, from one build.  A public call checks its grid once and asks for
-all it needs in one call; the pointwise methods go through `_grid.pointwise`,
-and U's and the partners' refuse a value out of float range instead of
-returning it (`_grid.finite_pointwise`), as `Superpotential` refuses
-non-finite coefficients.
+all it needs in one call.  `SusyPair.partners(x)` builds V+ and V- once and
+refuses a value out of float range instead of returning it, as
+`Superpotential` refuses non-finite coefficients.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._grid import columns, family_derivatives, finite_pointwise, pointwise, positive_grid, refuse_non_finite
+from ._grid import columns, family_derivatives, pointwise, positive_grid, refuse_non_finite
 from ._np import as_float, np
 from .errors import AdmissibilityError
 
@@ -53,12 +52,6 @@ class Superpotential:
     def derivatives(self, grid, orders):
         """[d^k U/dx^k for k in orders] on a grid positive_grid has checked."""
         return _u_derivatives(grid, orders, self.power_coeff, self.log_coeff, self.power)
-
-    def u(self, x):
-        return finite_pointwise(self.derivatives, x, 0, "U")
-
-    def u_prime(self, x):
-        return finite_pointwise(self.derivatives, x, 1, "U'")
 
 
 def _u_derivatives(grid, orders, a, b, p):
@@ -105,17 +98,20 @@ class SusyPair:
             raise AdmissibilityError(f"partner coefficients of {superpotential} leave float range")
         self.superpotential = superpotential
 
-    def v_plus(self, x):
-        return finite_pointwise(self._partners, x, 0, "V+")
+    def partners(self, x):
+        """(V+, V-) at x from one grid check and one U'/U'' build, refused, V+ first, where out of float range."""
+        grid = positive_grid(x)
+        with np.errstate(all="ignore"):
+            out = self._partners(grid)
+        for v, label in zip(out, ("V+", "V-")):
+            refuse_non_finite(v, grid, label)
+        return tuple(map(float, out)) if np.ndim(x) == 0 else out
 
-    def v_minus(self, x):
-        return finite_pointwise(self._partners, x, 1, "V-")
-
-    def _partners(self, grid, which):
-        # W**2 -+ U''/2 with W = U'/2, from one U'/U'' build; 0 in which is V+, 1 is V-
+    def _partners(self, grid):
+        # (W**2 - U''/2, W**2 + U''/2) with W = U'/2, from one U'/U'' build
         u1, u2 = self.superpotential.derivatives(grid, (1, 2))
         w = 0.5 * u1
-        return [w * w + (1.0 if k else -1.0) * (0.5 * u2) for k in which]
+        return w * w - 0.5 * u2, w * w + 0.5 * u2
 
     @property
     def shift_constant(self) -> float:
@@ -177,9 +173,6 @@ class RadialOperator:
                 "exactly one of coulomb_strength and oscillator_strength must be nonzero"
             )
 
-    def potential(self, x):
-        return finite_pointwise(lambda grid, orders: [self._potential(grid)], x, 0, "V")
-
     def _coefficients(self):
         return self.coulomb_strength, self.oscillator_strength, self.centrifugal, self.constant_shift
 
@@ -205,7 +198,7 @@ def shift_identity_defect(pair: SusyPair, grid) -> float:
     """
     grid = positive_grid(grid)
     with np.errstate(all="ignore"):
-        v_plus, v_minus = pair._partners(grid, (0, 1))
+        v_plus, v_minus = pair._partners(grid)
         defect = np.abs(v_minus - v_plus - pair.shift_constant - pair.centrifugal_shift_coeff / grid / grid)
         defect /= np.maximum(np.maximum(np.abs(v_minus), np.abs(v_plus)), np.finfo(float).tiny)
     refuse_non_finite(defect, grid, "shift identity defect")
@@ -246,9 +239,9 @@ def annihilation_residuals(superpotentials, grounds, grids):
     grids = positive_grid(grids)
     (power,) = {u.power for u in superpotentials}
     a, b = columns([(u.power_coeff, u.log_coeff) for u in superpotentials])
-    (u_prime,) = _u_derivatives(grids, (1,), a, b, power)
+    (u1,) = _u_derivatives(grids, (1,), a, b, power)
     value, slope = family_derivatives(grounds, grids, (0, 1))
-    return np.abs(slope + 0.5 * u_prime * value).max(axis=-1) / np.abs(value).max(axis=-1)
+    return np.abs(slope + 0.5 * u1 * value).max(axis=-1) / np.abs(value).max(axis=-1)
 
 
 class SuperchargeImage:
@@ -279,9 +272,3 @@ class SuperchargeImage:
 
     def value(self, x):
         return pointwise(self.derivatives, x, 0)
-
-    def derivative(self, x):
-        return pointwise(self.derivatives, x, 1)
-
-    def second_derivative(self, x):
-        return pointwise(self.derivatives, x, 2)

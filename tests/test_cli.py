@@ -250,6 +250,22 @@ class TestWavefunction:
         want = "Error: the state is zero at every point of its grid, 10000 to 20000\n"
         assert _one_error_line(invoke(main, argv)) == want
 
+    @pytest.mark.parametrize(
+        ("family", "numbers", "point"),
+        [("coulomb", ("--n", 2, "--l", 1), 1e-160), ("oscillator", ("--N", 0, "--L", 0), 1e-320),
+         ("hydrogen", ("--n", 1, "--l", 0), 1e-320)],
+        ids=["coulomb-inf", "oscillator-zero-over-zero", "hydrogen-names-r"],
+    )
+    def test_residual_out_of_float_range_names_its_point(self, family, numbers, point):
+        # the potential's 1/x**2 leaves float range at the first point (inf, or 0/0 where the centrifugal
+        # term is 0), where the value is in range; the diagnostic printed inf or nan instead; hydrogen's
+        # residual is on 2r, and the message names r
+        argv = ["wavefunction", "--family", family, *map(str, numbers), "--grid-min", repr(point), "--grid-max", "1"]
+        assert _one_error_line(invoke(main, argv)) == f"Error: residual({point!r}) is out of float range\n"
+        # in the library too, refused with no numpy warning first
+        with pytest.raises(DomainError, match=rf"^residual\({point!r}\) is out of float range$"):
+            reports.wavefunction_record(family, 3, numbers[1], numbers[3], point, 1.0, 200)
+
     def test_oscillator_state(self):
         result = invoke(
             main,

@@ -18,16 +18,17 @@ from __future__ import annotations
 import inspect
 import sys
 
+import numpy as np
 import pytest
 import susyrad
-from susyrad import verify
+from susyrad import reports, verify
 from test_golden import CASES, _run
 
 _PINNED = "bound by perfbench/tracer.py; it goes when the tracer reads spans instead (ROADMAP item 3)"
 _NO_CRITERION = "a closed form no criterion checks yet (ROADMAP item 5)"
 _RESTATES_MODEL = "restates model(section, dimension), which the CLI calls; perfbench/workloads.py calls it"
 
-# exported callables that neither a verb nor a criterion runs, each with why it stays
+# exported callables that neither a verb nor a criterion runs, each with the named blocker it waits for
 UNCALLED = {
     "Quadrature": _PINNED,
     "QuadratureResult": _PINNED,
@@ -46,14 +47,8 @@ UNCALLED = {
     "_LaguerreForm.derivative": _PINNED,
     "_LaguerreForm.second_derivative": _PINNED,
     "_LaguerreForm.third_derivative": _PINNED,
-    "_LaguerreForm.norm": "the normalization constant, documented beside log_norm, which every build reads",
     "ModelConfig.defect_model": _RESTATES_MODEL,
     "ModelConfig.anharmonic_model": _RESTATES_MODEL,
-    "Superpotential.u": "pointwise U; the verbs and criteria read U's derivatives through derivatives(grid, orders)",
-    "Superpotential.u_prime": "pointwise U'; the verbs and criteria read U' through derivatives or a batch's columns",
-    "RadialOperator.potential": "pointwise V; the residuals form V on a checked grid through _potential",
-    "SuperchargeImage.derivative": "pointwise (A psi)'; apply_operator reads the image through derivatives",
-    "SuperchargeImage.second_derivative": "pointwise (A psi)''; apply_operator reads it through derivatives",
 }
 
 
@@ -112,6 +107,31 @@ CALLABLE = sorted(name for name, code in SURFACE.items() if code is not None)
 
 def test_waiting_names_are_exported_callables():
     assert set(UNCALLED) <= set(CALLABLE)
+
+
+def test_waiting_names_wait_only_for_named_blockers():
+    # a name with a reason of its own is a name nothing needs: it is deleted instead
+    others = {name: reason for name, reason in UNCALLED.items()
+              if reason not in (_PINNED, _NO_CRITERION, _RESTATES_MODEL)}
+    assert not others
+
+
+def test_susy_pair_builds_u_prime_and_u_double_prime_once_per_use(monkeypatch):
+    # partners builds V+ and V- from one U'/U'' build; susy-pair adds one for the shift defect
+    builds = []
+    derivatives = susyrad.Superpotential.derivatives
+
+    def counted(self, grid, orders):
+        builds.append(tuple(orders))
+        return derivatives(self, grid, orders)
+
+    monkeypatch.setattr(susyrad.Superpotential, "derivatives", counted)
+    pair = susyrad.SusyPair(susyrad.oscillator_superpotential(1))
+    pair.partners(np.linspace(0.1, 12.0, 120))
+    assert builds == [(1, 2)]
+    builds.clear()
+    reports.susy_pair_record("coulomb", 3, 1)
+    assert builds == [(1, 2), (1, 2)]
 
 
 @pytest.mark.parametrize("name", CALLABLE)

@@ -47,9 +47,9 @@ class TestSuperpotential:
     def test_derivative_chain_closed_forms(self):
         u = Superpotential(power_coeff=0.5, log_coeff=-3.0, power=2)
         x = 1.7
-        assert u.u(x) == pytest.approx(0.5 * x**2 - 3.0 * np.log(x), rel=1e-15)
-        assert u.u_prime(x) == pytest.approx(1.0 * x - 3.0 / x, rel=1e-15)
-        u2, u3 = u.derivatives(np.array([x]), (2, 3))
+        u0, u1, u2, u3 = u.derivatives(np.array([x]), (0, 1, 2, 3))
+        assert u0[0] == pytest.approx(0.5 * x**2 - 3.0 * np.log(x), rel=1e-15)
+        assert u1[0] == pytest.approx(1.0 * x - 3.0 / x, rel=1e-15)
         assert u2[0] == pytest.approx(1.0 + 3.0 / x**2, rel=1e-15)
         assert u3[0] == pytest.approx(-6.0 / x**3, rel=1e-15)
 
@@ -71,7 +71,8 @@ class TestSuperpotential:
         u = coulomb_superpotential(1, 0.5)
         ground = coulomb.CoulombState(4, 2, 1)
         xs = np.linspace(0.5, 20.0, 60)
-        ratio = ground.value(xs) / np.exp(-0.5 * u.u(xs))
+        (u0,) = u.derivatives(xs, (0,))
+        ratio = ground.value(xs) / np.exp(-0.5 * u0)
         assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-12
 
 
@@ -80,20 +81,23 @@ class TestPartnerPotentials:
         pair = SusyPair(coulomb_superpotential(0, 0.0))
         v_plus = 0.25 - 1.0 / GRID
         v_minus = 0.25 - 1.0 / GRID + 2.0 / GRID**2
-        assert np.max(np.abs(pair.v_plus(GRID) - v_plus)) < 1e-12
-        assert np.max(np.abs(pair.v_minus(GRID) - v_minus)) < 1e-12
+        got_plus, got_minus = pair.partners(GRID)
+        assert np.max(np.abs(got_plus - v_plus)) < 1e-12
+        assert np.max(np.abs(got_minus - v_minus)) < 1e-12
 
     def test_oscillator_closed_forms(self):
         pair = SusyPair(oscillator_superpotential(0, 0.0))
         grid = np.linspace(0.05, 6.0, 200)
-        assert np.max(np.abs(pair.v_plus(grid) - (grid**2 - 3.0))) < 1e-12
-        assert np.max(np.abs(pair.v_minus(grid) - (grid**2 - 1.0 + 2.0 / grid**2))) < 1e-12
+        v_plus, v_minus = pair.partners(grid)
+        assert np.max(np.abs(v_plus - (grid**2 - 3.0))) < 1e-12
+        assert np.max(np.abs(v_minus - (grid**2 - 1.0 + 2.0 / grid**2))) < 1e-12
 
     @pytest.mark.parametrize("angular", [0, 1, 2, 3])
     def test_flat_space_partner_difference(self, angular):
         # difference is 2(l+1)/y^2, twice the naive half-integer guess
         pair = SusyPair(coulomb_superpotential(angular, 0.0))
-        diff = pair.v_minus(GRID) - pair.v_plus(GRID)
+        v_plus, v_minus = pair.partners(GRID)
+        diff = v_minus - v_plus
         assert np.max(np.abs(diff - 2.0 * (angular + 1.0) / GRID**2)) < 1e-12
         assert np.max(np.abs(diff - (2.0 * angular + 1.0) / GRID**2)) > 1.0
 
@@ -102,7 +106,8 @@ class TestPartnerPotentials:
     def test_shifted_partner_difference(self, dimension, angular):
         gamma = coulomb.gamma_shift(dimension)
         pair = SusyPair(coulomb_superpotential(angular, gamma))
-        diff = pair.v_minus(GRID) - pair.v_plus(GRID)
+        v_plus, v_minus = pair.partners(GRID)
+        diff = v_minus - v_plus
         expected = 2.0 * (angular + gamma + 1.0) / GRID**2
         assert np.max(np.abs(diff - expected)) < 1e-12
 
@@ -114,7 +119,8 @@ class TestPartnerPotentials:
         gamma = oscillator.gamma_shift(dimension)
         pair = SusyPair(oscillator_superpotential(angular, gamma))
         grid = np.linspace(0.05, 6.0, 200)
-        diff = pair.v_minus(grid) - pair.v_plus(grid)
+        v_plus, v_minus = pair.partners(grid)
+        diff = v_minus - v_plus
         expected = 2.0 + 2.0 * (angular + gamma + 1.0) / grid**2
         assert np.max(np.abs(diff - expected)) < 1e-12
         assert pair.shift_constant == 2.0
@@ -124,10 +130,32 @@ class TestPartnerPotentials:
     def test_partner_shift_equals_the_second_derivative_of_u(self):
         # V- - V+ = U'' up to the rounding of the partners' cancellation
         pair = SusyPair(oscillator_superpotential(2, 0.5))
-        v_minus, v_plus = pair.v_minus(GRID), pair.v_plus(GRID)
+        v_plus, v_minus = pair.partners(GRID)
         (u2,) = pair.superpotential.derivatives(GRID, (2,))
         defect = np.abs(v_minus - v_plus - u2)
         assert np.max(defect / np.maximum(np.abs(v_minus), np.abs(v_plus))) < 1e-15
+
+    def test_partners_of_a_scalar_are_floats_with_the_bits_of_a_grid(self):
+        pair = SusyPair(oscillator_superpotential(1, 0.5))
+        v_plus, v_minus = pair.partners(1.7)
+        assert type(v_plus) is float and type(v_minus) is float
+        on_grid = pair.partners(np.array([1.7]))
+        assert (v_plus.hex(), v_minus.hex()) == (float(on_grid[0][0]).hex(), float(on_grid[1][0]).hex())
+
+    @pytest.mark.parametrize(
+        ("angular", "point", "label"),
+        [(0, 5e-324, r"V\+"), (1, 1.6e-154, "V-")],
+        ids=["both-out-of-range-names-v-plus", "only-v-minus-out-of-range"],
+    )
+    def test_partners_refuse_the_first_point_out_of_float_range(self, angular, point, label):
+        # at 1.6e-154, U''/2 and W**2 are finite, V+ is their difference and V- their sum, which overflows
+        pair = SusyPair(coulomb_superpotential(angular))
+        with pytest.raises(DomainError, match=rf"^{label}\({point!r}\) is out of float range$"):
+            pair.partners(np.array([1.0, point, 2.0 * point]))
+
+    def test_partners_refuse_a_nonpositive_grid(self):
+        with pytest.raises(DomainError, match="radial coordinate must be positive"):
+            SusyPair(coulomb_superpotential(0)).partners(np.array([1.0, 0.0]))
 
     def test_shift_coefficients(self):
         coul = SusyPair(coulomb_superpotential(1, 0.0))
@@ -147,10 +175,11 @@ class TestPartnerPotentials:
         # the assembled RadialOperator must agree with direct V- evaluation, and less U'' with V+
         pair = SusyPair(u)
         grid = np.linspace(0.1, 20.0, 150)
-        potential = pair.minus_operator().potential(grid)
+        potential = pair.minus_operator()._potential(grid)
         (u2,) = u.derivatives(grid, (2,))
-        assert np.max(np.abs(potential - pair.v_minus(grid))) < 1e-12
-        assert np.max(np.abs(potential - u2 - pair.v_plus(grid))) < 1e-12
+        v_plus, v_minus = pair.partners(grid)
+        assert np.max(np.abs(potential - v_minus)) < 1e-12
+        assert np.max(np.abs(potential - u2 - v_plus)) < 1e-12
 
     @pytest.mark.parametrize("power", [1, 2])
     def test_refuses_coefficients_whose_products_leave_float_range(self, power):
@@ -184,7 +213,8 @@ class TestPartnerPotentials:
     )
     def test_shift_identity_defect_of_the_verb_defaults(self, pair, grid):
         # the absolute coefficient form gave 3.2e-12 and 1.6e-12 here, past its 1e-12 tolerance
-        coeff = (pair.v_minus(grid) - pair.v_plus(grid) - pair.shift_constant) * grid**2
+        v_plus, v_minus = pair.partners(grid)
+        coeff = (v_minus - v_plus - pair.shift_constant) * grid**2
         assert np.max(np.abs(coeff - pair.centrifugal_shift_coeff)) > 1e-12
         assert shift_identity_defect(pair, grid) <= 1e-15
 
@@ -203,7 +233,8 @@ class TestPartnerPotentials:
         ]:
             grid = np.linspace(0.2, 10.0, 80)
             value, curvature = ground.derivatives(grid, (0, 2))
-            res = residual(value, curvature, pair.v_plus(grid), 0.0)
+            v_plus, _ = pair.partners(grid)
+            res = residual(value, curvature, v_plus, 0.0)
             assert np.max(np.abs(res)) / np.max(np.abs(ground.value(grid))) < 1e-12
 
 
@@ -231,22 +262,18 @@ class TestRadialOperator:
         op = RadialOperator("1", 0, 2)
         assert op == RadialOperator(1.0, 0.0, 2.0)
         assert all(type(value) is float for value in op._coefficients())
-        assert op.potential(2.0) == RadialOperator(1.0, 0.0, 2.0).potential(2.0)
+        grid = np.array([2.0])
+        assert op._potential(grid) == RadialOperator(1.0, 0.0, 2.0)._potential(grid)
 
     def test_potential_values(self):
         op = RadialOperator(coulomb_strength=1.0, oscillator_strength=0.0,
                             centrifugal=2.0, constant_shift=0.25)
-        assert op.potential(2.0) == pytest.approx(0.25 - 0.5 + 0.5)
-
-    def test_refuses_a_value_out_of_float_range(self):
-        op = RadialOperator(1.0, 0.0, 2.0)
-        with pytest.raises(DomainError, match=r"^V\(5e-324\) is out of float range$"):
-            op.potential(np.array([1.0, 5e-324]))
+        assert op._potential(np.array([2.0]))[0] == pytest.approx(0.25 - 0.5 + 0.5)
 
     def test_rejects_nonpositive_grid(self):
         op = RadialOperator(1.0, 0.0, 0.0)
         with pytest.raises(DomainError):
-            op.potential(np.array([1.0, 0.0]))
+            apply_operator(op, _Zero(), np.array([1.0, 0.0]))
         with pytest.raises(DomainError):
             apply_operator(op, _Zero(), np.array([-1.0, 2.0]))
 
@@ -324,8 +351,9 @@ class TestSupercharge:
         h = 1e-6
         fd1 = (image.value(xs + h) - image.value(xs - h)) / (2.0 * h)
         fd2 = (image.value(xs + h) - 2.0 * image.value(xs) + image.value(xs - h)) / h**2
-        assert np.max(np.abs(fd1 - image.derivative(xs))) < 1e-6
-        assert np.max(np.abs(fd2 - image.second_derivative(xs))) < 1e-4
+        first, second = image.derivatives(xs, (1, 2))
+        assert np.max(np.abs(fd1 - first)) < 1e-6
+        assert np.max(np.abs(fd2 - second)) < 1e-4
 
 
 def _criterion_four_families():
