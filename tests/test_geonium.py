@@ -144,6 +144,25 @@ class TestOperatingPoint:
         with pytest.raises(AdmissibilityError):
             susy_operating_point(5.0, 1e-2, 0.0, ELECTRON.mass)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda d, e, m: TrapConfig(5.0, -10.0, d, charge=e, mass=m), id="trap-config"),
+            pytest.param(lambda d, e, m: susy_operating_point(5.0, d, e, m), id="operating-point"),
+        ],
+    )
+    def test_particle_refused_mass_then_length_then_charge(self, build):
+        with pytest.raises(AdmissibilityError, match=r"^mass must be positive, got 0\.0$"):
+            build(0.0, 0.0, 0.0)
+        with pytest.raises(AdmissibilityError, match=r"^trap length must be positive, got -1\.0$"):
+            build(-1.0, math.inf, ELECTRON.mass)
+        with pytest.raises(AdmissibilityError, match=r"^charge must be nonzero and finite$"):
+            build(1e-2, math.inf, ELECTRON.mass)
+
+    def test_refuses_a_nonpositive_field_before_a_bad_particle(self):
+        with pytest.raises(AdmissibilityError, match=r"^magnetic field must be positive, got 0\.0$"):
+            susy_operating_point(0.0, "x", None, -1.0)
+
 
 class TestGeoniumMap:
     @pytest.mark.parametrize(
