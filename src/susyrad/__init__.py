@@ -47,7 +47,7 @@ _EXPORTS = {
             "specfun",
             "Quadrature QuadratureResult SonineLaguerre eval_sonine_laguerre"
             " eval_sonine_laguerre_derivative inner_product integrate_half_line"
-            " sonine_laguerre_direct_sum",
+            " sonine_laguerre_direct_sums",
         ),
         (
             "susy",

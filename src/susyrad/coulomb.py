@@ -95,13 +95,13 @@ class CoulombState(ExponentialLaguerreForm):
         """E = -1/(2 (n* + gamma)^2); independent of the angular number."""
         return -1.0 / (2.0 * (self.n_star + self.gamma) ** 2)
 
-    def operator(self) -> susy.RadialOperator:
+    def _operator_coefficients(self):
+        """(Coulomb strength, oscillator strength, centrifugal, constant shift) of the radial operator."""
         lg = self.l_star + self.gamma
-        return susy.RadialOperator(
-            coulomb_strength=1.0,
-            oscillator_strength=0.0,
-            centrifugal=lg * (lg + 1.0),
-        )
+        return 1.0, 0.0, lg * (lg + 1.0), 0.0
+
+    def operator(self) -> susy.RadialOperator:
+        return susy.RadialOperator(*self._operator_coefficients())
 
     def operator_eigenvalue(self) -> float:
         """The bracket equation carries E/2, not E."""

@@ -8,11 +8,13 @@ integrality constraint 2*(Delta - delta) + lambda integer.  Verification is
 numeric: the substituted source state must be a constant multiple of
 sqrt(Y) times the target state, and the constant is measured, not asserted.
 
-A sweep is `lambda_candidates` over a window, each candidate solved by
-`solve_map_parameters` and the admissible ones measured together by
-`verify_map_identities`; `reports.map_record` is that sweep, the `map` verb's
-row per candidate.  Both the grid and the solver refuse a mode other than
-'exact' and 'broken'.
+A sweep is `lambda_candidates` over a window, solved by `solve_map_sweep`
+and the admissible candidates measured together by `verify_map_identities`;
+`reports.map_record` is that sweep, the `map` verb's row per candidate.  The
+preconditions and the source state do not depend on lambda, so a sweep checks
+and builds them once and solves only each candidate's target;
+`solve_map_parameters` is the sweep of one.  Both the grid and the solver
+refuse a mode other than 'exact' and 'broken'.
 """
 
 from __future__ import annotations
@@ -90,12 +92,29 @@ def solve_map_parameters(
     Delta: float = 0.0,
     I: int = 0,
 ):
-    """Solve for the target (D, N, L) or return a ConstraintReport.
+    """Solve for the target (D, N, L) or return a ConstraintReport: `solve_map_sweep` of one lambda."""
+    return solve_map_sweep(source, [lam], mode, delta, i, Delta, I)[0]
+
+
+def solve_map_sweep(
+    source,
+    lams,
+    mode: str = "exact",
+    delta: float = 0.0,
+    i: int = 0,
+    Delta: float = 0.0,
+    I: int = 0,
+):
+    """A MapSpec or a ConstraintReport for each lambda, in order, as each solved alone.
 
     Preconditions raise (bad source triple, out-of-range breaking parameters,
     unknown mode); admissibility and integrality failures are reported, never
-    raised, so sweeps can continue.
+    raised, so sweeps can continue.  The preconditions and the source state
+    do not depend on lambda, so they run once per sweep; an empty sweep
+    solves nothing and checks nothing.
     """
+    if not len(lams):
+        return []
     d, n, l = source
     plain = CoulombState(d, n, l)
     d, n, l = int(d), int(n), int(l)
@@ -107,58 +126,61 @@ def solve_map_parameters(
     delta, Delta = float(delta), float(Delta)  # checked above, so a numeric string computes too
     if mode == "exact" and (delta != 0.0 or Delta != 0.0 or i != 0 or I != 0):
         raise AdmissibilityError("exact mode takes no breaking parameters")
-
-    lam_frac = _snap_half_integer(lam)
-    if lam_frac is None:
-        return ConstraintReport((f"lambda = {lam} is not an integer or half-integer",))
-    if mode == "exact" and lam_frac.denominator != 1:
-        return ConstraintReport((f"lambda = {lam_frac} is not an integer in exact mode",))
-
-    # exact mode is broken mode with zero breaking: the spread and the shifts add 0.0, exactly
-    violations = []
-    lam_f = float(lam_frac)
-    spread = 2.0 * (Delta - delta)
-    if not _near_integer(spread + lam_f):
-        violations.append(
-            f"2*(Delta - delta) + lambda = {spread + lam_f:g} is not an integer"
-        )
-
-    big_d = 2.0 * d - 2.0 - 2.0 * lam_f
-    big_n = 2.0 * n - 2.0 + spread + lam_f
-    big_l = 2.0 * l + spread - 2.0 * (I - i) + lam_f
-    for name, value in (("D", big_d), ("N", big_n), ("L", big_l)):
-        if not _near_integer(value):
-            violations.append(f"target {name} = {value:g} is not an integer")
-    if violations:
-        return ConstraintReport(tuple(violations))
-
-    big_d, big_n, big_l = int(round(big_d)), int(round(big_n)), int(round(big_l))
-    if big_d < 2:
-        violations.append(f"target dimension D = {big_d} is below 2")
     if delta == 0.0 and i == 0:
-        src = plain
+        src, source_refused = plain, []
     else:
-        src, refused = _admitted("source ", CoulombState, d, n, l, delta=delta, shift=i)
-        violations += refused
-    if big_d >= 2:
-        tgt, refused = _admitted(
-            "target ", OscillatorState, big_d, big_n, big_l, anharmonicity=Delta, shift=I
-        )
-        violations += refused
-    if violations:
-        return ConstraintReport(tuple(violations))
+        src, source_refused = _admitted("source ", CoulombState, d, n, l, delta=delta, shift=i)
 
-    return MapSpec(
-        lam=lam_frac,
-        delta_defect=delta,
-        anharmonicity=Delta,
-        shift_i=int(i),
-        shift_I=int(I),
-        source=(d, n, l),
-        target=(big_d, big_n, big_l),
-        source_state=src,
-        target_state=tgt,
-    )
+    def solve(lam):
+        lam_frac = _snap_half_integer(lam)
+        if lam_frac is None:
+            return ConstraintReport((f"lambda = {lam} is not an integer or half-integer",))
+        if mode == "exact" and lam_frac.denominator != 1:
+            return ConstraintReport((f"lambda = {lam_frac} is not an integer in exact mode",))
+
+        # exact mode is broken mode with zero breaking: the spread and the shifts add 0.0, exactly
+        violations = []
+        lam_f = float(lam_frac)
+        spread = 2.0 * (Delta - delta)
+        if not _near_integer(spread + lam_f):
+            violations.append(
+                f"2*(Delta - delta) + lambda = {spread + lam_f:g} is not an integer"
+            )
+
+        big_d = 2.0 * d - 2.0 - 2.0 * lam_f
+        big_n = 2.0 * n - 2.0 + spread + lam_f
+        big_l = 2.0 * l + spread - 2.0 * (I - i) + lam_f
+        for name, value in (("D", big_d), ("N", big_n), ("L", big_l)):
+            if not _near_integer(value):
+                violations.append(f"target {name} = {value:g} is not an integer")
+        if violations:
+            return ConstraintReport(tuple(violations))
+
+        big_d, big_n, big_l = int(round(big_d)), int(round(big_n)), int(round(big_l))
+        if big_d < 2:
+            violations.append(f"target dimension D = {big_d} is below 2")
+        violations += source_refused
+        if big_d >= 2:
+            tgt, refused = _admitted(
+                "target ", OscillatorState, big_d, big_n, big_l, anharmonicity=Delta, shift=I
+            )
+            violations += refused
+        if violations:
+            return ConstraintReport(tuple(violations))
+
+        return MapSpec(
+            lam=lam_frac,
+            delta_defect=delta,
+            anharmonicity=Delta,
+            shift_i=int(i),
+            shift_I=int(I),
+            source=(d, n, l),
+            target=(big_d, big_n, big_l),
+            source_state=src,
+            target_state=tgt,
+        )
+
+    return [solve(lam) for lam in lams]
 
 
 @functools.cache

@@ -70,13 +70,13 @@ class OscillatorState(GaussianLaguerreForm):
         """E = (2N* + 2Gamma + 3)/2 in the family's dimensionless units."""
         return (2.0 * self.n_star + 2.0 * self.gamma + 3.0) / 2.0
 
-    def operator(self) -> susy.RadialOperator:
+    def _operator_coefficients(self):
+        """(Coulomb strength, oscillator strength, centrifugal, constant shift) of the radial operator."""
         lg = self.l_star + self.gamma
-        return susy.RadialOperator(
-            coulomb_strength=0.0,
-            oscillator_strength=1.0,
-            centrifugal=lg * (lg + 1.0),
-        )
+        return 0.0, 1.0, lg * (lg + 1.0), 0.0
+
+    def operator(self) -> susy.RadialOperator:
+        return susy.RadialOperator(*self._operator_coefficients())
 
     def operator_eigenvalue(self) -> float:
         """The bracket equation carries 2E."""

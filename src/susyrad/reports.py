@@ -96,12 +96,12 @@ def _check_grid(grid_min, grid_max, points):
 def _relative_residuals(states, grids):
     """max |residual| / max |value| of each state, on its row of grids or all on one 1-D grid.
 
-    The states are forms of one class; each operator's coefficients and
-    eigenvalue enter as columns.
+    The states are forms of one class; each operator's coefficients, read as
+    floats without building the operator, and eigenvalue enter as columns.
     """
     grids = _grid.positive_grid(grids)
     value, curvature = _grid.family_derivatives(states, grids, (0, 2))
-    potential = susy.radial_potential(grids, *_grid.columns([s.operator()._coefficients() for s in states]))
+    potential = susy.radial_potential(grids, *_grid.columns([s._operator_coefficients() for s in states]))
     (eigenvalues,) = _grid.columns([(s.operator_eigenvalue(),) for s in states])
     res = susy.residual(value, curvature, potential, eigenvalues)
     return np.abs(res).max(axis=-1) / np.abs(value).max(axis=-1)
@@ -239,6 +239,8 @@ def susy_pair_record(family, dimension, angular, grid_min=0.1, grid_max=12.0, po
     # the ground state refuses a grid its Laguerre argument overflows on before the partners do
     annihilation = float(susy.annihilation_residuals([u], [ground], grid)[0])
     vp, vm = pair.partners(grid)
+    # the shift defect from the partners in hand: one U'/U'' build per record
+    shift_defect = float(susy._shift_defects(grid, vp, vm, pair.shift_constant, pair.centrifugal_shift_coeff))
     difference = vm - vp
     rows = [
         {"x": x, "v_plus": a, "v_minus": b, "difference": diff}
@@ -250,17 +252,16 @@ def susy_pair_record(family, dimension, angular, grid_min=0.1, grid_max=12.0, po
         columns=["x", "v_plus", "v_minus", "difference"],
         rows=rows,
         diagnostics=[
-            Diagnostic("shift_identity_defect", susy.shift_identity_defect(pair, grid), SHIFT_IDENTITY_TOL),
+            Diagnostic("shift_identity_defect", shift_defect, SHIFT_IDENTITY_TOL),
             Diagnostic("ground_annihilation_residual", annihilation, RESIDUAL_TOL),
         ],
     )
 
 
 def map_record(source, lam_values, mode="exact", delta=0.0, i=0, Delta=0.0, I=0) -> OutputRecord:
-    """One row per candidate lambda: solved target plus measured ratio data, all measured in one call."""
+    """One row per candidate lambda: solved as one sweep, and the admissible ones measured in one call."""
     delta, Delta = as_float(delta, "delta"), as_float(Delta, "Delta")
-    solved = [maps.solve_map_parameters(source, lam, mode=mode, delta=delta, i=i, Delta=Delta, I=I)
-              for lam in lam_values]
+    solved = maps.solve_map_sweep(source, lam_values, mode=mode, delta=delta, i=i, Delta=Delta, I=I)
     checks = maps.verify_map_identities([spec for spec in solved if isinstance(spec, maps.MapSpec)])
     rows, measured = [], iter(checks)
     for lam, spec in zip(lam_values, solved):

@@ -4,9 +4,10 @@ Only `verify` executes this module; the grid layer every grid verb runs is
 `_grid`.  A `SonineLaguerre` card is a polynomial L_n^(a) of real order
 a > -1; its evaluators are `_grid.laguerre_stack`'s stack of one, and no
 production code calls them.  A direct power-series evaluator in exact
-integer arithmetic is kept alongside as a reference oracle; it rounds once
-per point, but its cost grows fast with the degree, which is why the
-recurrence is the production path.
+integer arithmetic, `sonine_laguerre_direct_sums(cards, x)`, is kept
+alongside as a reference oracle: it checks and splits the points once for a
+batch of cards and rounds once per point, but its cost grows fast with the
+degree, which is why the recurrence is the production path.
 
 `gauss_laguerre(alpha, k)` is the k-point Gauss rule of the weight
 x**alpha exp(-x), which integrates that weight times any polynomial of degree
@@ -85,12 +86,13 @@ def eval_sonine_laguerre_derivative(poly: SonineLaguerre, x):
     return _card_values(poly, x, 1)
 
 
-def sonine_laguerre_direct_sum(poly: SonineLaguerre, x):
-    """Direct power-series evaluation (reference oracle), scalar or array x >= 0.
+def sonine_laguerre_direct_sums(cards, x):
+    """Direct power-series evaluation (reference oracle) of each card at scalar or array x >= 0, a row per card.
 
-    The coefficient c_p = (-1)**p (a+p+1)...(a+n) / (p! (n-p)!) of x**p is
-    rational in the binary value of the order a = A/B, B a power of two, so
-    n! B**n is a common denominator, over which c_p has the numerator
+    The points are checked and split once for every card.  The coefficient
+    c_p = (-1)**p (a+p+1)...(a+n) / (p! (n-p)!) of x**p is rational in the
+    binary value of the order a = A/B, B a power of two, so n! B**n is a
+    common denominator, over which c_p has the numerator
     N_p = (-1)**p C(n, p) B**p (A + (p+1) B)...(A + n B).  A point x = X/Y
     is summed by Horner's rule in integers, sum_p N_p X**p Y**(n-p), and
     rounded once, by one int/int true division by n! B**n Y**n, which
@@ -101,26 +103,27 @@ def sonine_laguerre_direct_sum(poly: SonineLaguerre, x):
     xs = _grid._float_array(x, "argument")
     if not np.all(np.isfinite(xs)) or np.any(xs < 0.0):
         raise DomainError("argument must be finite and non-negative")
-    n = int(poly.degree)  # a numpy degree would overflow int64 in the coefficients
-    big_a, big_b = float(poly.order).as_integer_ratio()
-    numerators = []  # N_n, N_{n-1}, ..., N_0
-    rising = 1
-    for p in range(n, -1, -1):
-        numerators.append((-1) ** p * math.comb(n, p) * big_b**p * rising)
-        rising *= big_a + p * big_b
-    denominator = math.factorial(n) * big_b**n
-    out = np.empty(xs.shape)
-    for idx, xv in np.ndenumerate(xs):
-        big_x, big_y = float(xv).as_integer_ratio()
-        total, scale = numerators[0], 1
-        for numerator in numerators[1:]:
-            scale *= big_y
-            total = total * big_x + numerator * scale
-        try:
-            out[idx] = total / (denominator * scale)
-        except OverflowError:
-            raise DomainError(f"L_{n}^({poly.order!r})({float(xv)!r}) is out of float range") from None
-    return float(out) if np.ndim(x) == 0 else out
+    points = [(idx, float(xv), *float(xv).as_integer_ratio()) for idx, xv in np.ndenumerate(xs)]
+    out = np.empty((len(cards),) + xs.shape)
+    for k, card in enumerate(cards):
+        n = int(card.degree)  # a numpy degree would overflow int64 in the coefficients
+        big_a, big_b = float(card.order).as_integer_ratio()
+        numerators = []  # N_n, N_{n-1}, ..., N_0
+        rising = 1
+        for p in range(n, -1, -1):
+            numerators.append((-1) ** p * math.comb(n, p) * big_b**p * rising)
+            rising *= big_a + p * big_b
+        denominator = math.factorial(n) * big_b**n
+        for idx, xv, big_x, big_y in points:
+            total, scale = numerators[0], 1
+            for numerator in numerators[1:]:
+                scale *= big_y
+                total = total * big_x + numerator * scale
+            try:
+                out[(k, *idx)] = total / (denominator * scale)
+            except OverflowError:
+                raise DomainError(f"L_{n}^({card.order!r})({xv!r}) is out of float range") from None
+    return out
 
 
 def laguerre_envelope_log(degrees, orders, t):

@@ -7,9 +7,12 @@ exp(-U/2); the fermionic spectrum is the bosonic one with the zero mode
 removed.
 
 U's derivatives of every order come from `Superpotential.derivatives`; the
-one operator a pair assembles is criterion 4's H- (`minus_operator`); and the
-ground-state annihilation residual is the batch `annihilation_residuals`,
-which `susy-pair` calls with rows of one.
+one operator a pair assembles is criterion 4's H- (`minus_operator`).  The
+ground-state annihilation residual and the partner-shift defect are batches,
+`annihilation_residuals` and `shift_identity_defects`, each one U'/U'' build
+with the coefficients as columns; `susy-pair` calls the first with rows of
+one and reads the shift defect off the (V+, V-) that `partners` gave it
+(`_shift_defects`), so a record builds U'/U'' once.
 
 Every function here, and every psi the operators act on, answers
 `derivatives(grid, orders)`: the listed derivatives on a grid `positive_grid`
@@ -92,10 +95,7 @@ class SusyPair:
     """Partner potentials assembled analytically from one superpotential."""
 
     def __init__(self, superpotential: Superpotential):
-        # every partner coefficient is built from a*a, a*b and b*b: refused here, not at evaluation
-        a, b = superpotential.power_coeff, superpotential.log_coeff
-        if not all(map(math.isfinite, (a * a, a * b, b * b))):
-            raise AdmissibilityError(f"partner coefficients of {superpotential} leave float range")
+        _check_partner_coefficients(superpotential)
         self.superpotential = superpotential
 
     def partners(self, x):
@@ -108,10 +108,7 @@ class SusyPair:
         return tuple(map(float, out)) if np.ndim(x) == 0 else out
 
     def _partners(self, grid):
-        # (W**2 - U''/2, W**2 + U''/2) with W = U'/2, from one U'/U'' build
-        u1, u2 = self.superpotential.derivatives(grid, (1, 2))
-        w = 0.5 * u1
-        return w * w - 0.5 * u2, w * w + 0.5 * u2
+        return _partner_potentials(*self.superpotential.derivatives(grid, (1, 2)))
 
     @property
     def shift_constant(self) -> float:
@@ -190,19 +187,48 @@ def radial_potential(arr, coulomb_strength, oscillator_strength, centrifugal, co
     )
 
 
-def shift_identity_defect(pair: SusyPair, grid) -> float:
-    """max |(V- - V+ - c) x^2 - k| / (max(|V-|, |V+|) x^2), c and k the shift's constant and 1/x^2 coefficient.
+def _check_partner_coefficients(superpotential):
+    """Refuse U unless a*a, a*b and b*b, which every partner coefficient is built from, are in float range."""
+    a, b = superpotential.power_coeff, superpotential.log_coeff
+    if not all(map(math.isfinite, (a * a, a * b, b * b))):
+        raise AdmissibilityError(f"partner coefficients of {superpotential} leave float range")
 
+
+def _partner_potentials(u1, u2):
+    """(V+, V-) = (W**2 - U''/2, W**2 + U''/2) with W = U'/2."""
+    w = 0.5 * u1
+    return w * w - 0.5 * u2, w * w + 0.5 * u2
+
+
+def _shift_defects(grid, v_plus, v_minus, constant, centrifugal):
+    """max |(V- - V+ - c) x^2 - k| / (max(|V-|, |V+|) x^2) of each row of partners.
+
+    c and k are the shift's constant and 1/x^2 coefficient, floats or columns with one row per pair.
     Relative to the partners, the rounding of their cancellation is no defect.  x^2 is divided out, partners
     that underflow count as the smallest normal float, and a defect out of float range is refused.
     """
-    grid = positive_grid(grid)
     with np.errstate(all="ignore"):
-        v_plus, v_minus = pair._partners(grid)
-        defect = np.abs(v_minus - v_plus - pair.shift_constant - pair.centrifugal_shift_coeff / grid / grid)
+        defect = np.abs(v_minus - v_plus - constant - centrifugal / grid / grid)
         defect /= np.maximum(np.maximum(np.abs(v_minus), np.abs(v_plus)), np.finfo(float).tiny)
     refuse_non_finite(defect, grid, "shift identity defect")
-    return float(np.max(defect))
+    return defect.max(axis=-1)
+
+
+def shift_identity_defects(superpotentials, grid):
+    """The shift identity defect (`_shift_defects`) of each U's pair on one 1-D grid, from one U'/U'' build.
+
+    The superpotentials share one power, and their coefficients enter as
+    columns; each row has the bits of its pair alone.
+    """
+    for u in superpotentials:
+        _check_partner_coefficients(u)
+    grid = positive_grid(grid)
+    (power,) = {u.power for u in superpotentials}
+    a, b = columns([(u.power_coeff, u.log_coeff) for u in superpotentials])
+    with np.errstate(all="ignore"):
+        v_plus, v_minus = _partner_potentials(*_u_derivatives(grid, (1, 2), a, b, power))
+    # SusyPair.shift_constant and centrifugal_shift_coeff, as columns
+    return _shift_defects(grid, v_plus, v_minus, 0.0 if power == 1 else 2.0 * a, -b)
 
 
 def apply_operator(op: RadialOperator, psi, x_grid, eigenvalue: float | None = None):

@@ -11,7 +11,8 @@ exact-rational direct polynomial sums, Gram matrices summed by Gauss-Laguerre
 rules that are exact for the forms' products (criterion 3) and, for the
 Laguerre derivative identity of criterion 9, a Richardson-extrapolated central
 difference.  Criterion 9 holds the batched recurrence (each identity's cards in
-one `laguerre_stack` call) to the integer direct sum of each card.  The states'
+one `laguerre_stack` call) to the integer direct sum of each card, all 80 cards
+in one `specfun.sonine_laguerre_direct_sums` call.  The states'
 own derivatives are never differenced; their residuals use the analytic product
 rule.  Criteria 2, 4 and 5 measure each distinct radial form once.  The radial
 equation sees d only through gamma = (d - 3)/2, so (d, n, l) and (d + 2, n - 1,
@@ -20,8 +21,13 @@ case is still built, so admissibility and the counts in the details are as
 before; the cases are grouped by `_form_key`, every float a measured row is
 computed from, and the first of each group is measured, so each case's row is
 its representative's bit for bit (464 residual rows are 305 distinct, 70 maps
-28 and 36 superpotential rows 21).  Criterion 4 measures the partner shift as
-`susy-pair` does, relative to the partners (`susy.shift_identity_defect`), and
+28 and 36 superpotential rows 21).  Criterion 2 measures each family's distinct
+forms in descending degree, _BATCH_ROWS at a time, so a batch's recurrence runs
+only to its own top degree, and reads each operator's coefficients as floats
+(`_operator_coefficients`).  Criterion 4 measures the partner shift as
+`susy-pair` does, relative to the partners, each family's superpotentials in one
+`susy.shift_identity_defects` call; criterion 5 solves each source's lambdas as
+one exact and one broken `maps.solve_map_sweep`; and
 criterion 8 reads the records that the trap verbs print.  Criteria 7 and 8
 draw their points and trap configurations from private, seeded stdlib
 `random.Random` streams, so the suite executes only numpy's core, never
@@ -186,7 +192,8 @@ def check_radial_residuals():
     residuals, count, used = [], 0, set()
     for family in _FORM_FAMILIES:
         states = list(_form_states(family, used))
-        distinct = _distinct(states, _form_key)
+        # in degree order, so a batch's recurrence runs only as far as its own top degree
+        distinct = sorted(_distinct(states, _form_key), key=lambda state: -state.degree)
         for start in range(0, len(distinct), _BATCH_ROWS):
             batch = distinct[start : start + _BATCH_ROWS]
             residuals.append(reports._relative_residuals(batch, _state_grids(batch)))
@@ -292,8 +299,8 @@ def check_susy_structure():
     shift_defects, annihilations = [], []
     for superpotential, exact, ground_gap, dims, grid in _SUSY_FAMILIES:
         us, grounds = zip(*_distinct(_susy_rows(superpotential, exact, ground_gap, dims), _susy_key))
-        shift_defects += [susy.shift_identity_defect(susy.SusyPair(u), grid) for u in us]
-        # the family's annihilation residuals from one ground-state build
+        # the family's shift defects from one U'/U'' build, its annihilation residuals from one ground-state build
+        shift_defects.append(susy.shift_identity_defects(us, grid))
         annihilations.append(susy.annihilation_residuals(us, grounds, _state_grids(grounds)))
     shift_defect, annihilation = _worst(shift_defects), _worst(annihilations)
     if not shift_defect <= reports.SHIFT_IDENTITY_TOL:
@@ -331,15 +338,14 @@ def _exact_maps():
                 if d == 3:
                     # raises unless the lambda = 1 hydrogen map gives the (2, 2n-1, 2l+1) closed form
                     geonium.coulomb_to_geonium(n, l)
-                for lam in (0, 1):
-                    solved = maps.solve_map_parameters((d, n, l), lam, mode="exact")
+                lams = (0, 1)
+                exact = maps.solve_map_sweep((d, n, l), lams, mode="exact")
+                broken = maps.solve_map_sweep((d, n, l), lams, mode="broken", delta=0.0, i=0, Delta=0.0, I=0)
+                for lam, solved, twin in zip(lams, exact, broken):
                     if isinstance(solved, maps.ConstraintReport):
                         continue
                     specs.append(solved)
-                    broken = maps.solve_map_parameters(
-                        (d, n, l), lam, mode="broken", delta=0.0, i=0, Delta=0.0, I=0
-                    )
-                    if broken != solved:
+                    if twin != solved:
                         raise AssertionError(
                             f"broken map with zero breaking differs from exact at {(d, n, l, lam)}"
                         )
@@ -463,7 +469,7 @@ def check_laguerre_oracle():
     degrees, orders = _card_rows(range(16), (-0.5, 0.0, 0.5, 1.0, 2.7))
     xs = _ORACLE_SUM_POINTS
     cards = [specfun.SonineLaguerre(n, a) for n, a in zip(degrees, orders)]
-    reference = np.array([specfun.sonine_laguerre_direct_sum(card, xs) for card in cards])
+    reference = specfun.sonine_laguerre_direct_sums(cards, xs)
     (got,) = _grid.laguerre_stack(degrees, orders, xs, 0)
     scale = np.maximum(np.abs(reference), 1.0)
     worst = float(np.max(np.abs(got - reference) / scale))

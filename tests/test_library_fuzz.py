@@ -172,7 +172,7 @@ def test_superpotentials_and_partners(a, b, power, l, gamma, x):
         _finite_or_refused(_call(pair.partners, x))
         _call(pair.minus_operator)
         _finite_or_refused(_call(lambda: pair.energy_zero_offset))
-        _finite_or_refused(_call(susy.shift_identity_defect, pair, x))
+        _finite_or_refused(_call(susy.shift_identity_defects, [u], x))
 
 
 @FUZZ
@@ -181,9 +181,9 @@ def test_sonine_laguerre(degree, order, x):
     poly = _call(susyrad.SonineLaguerre, degree, order)
     if poly is None or poly.degree > MAX_EVAL_DEGREE:
         return
-    for evaluate in (susyrad.eval_sonine_laguerre, susyrad.eval_sonine_laguerre_derivative,
-                     susyrad.sonine_laguerre_direct_sum):
+    for evaluate in (susyrad.eval_sonine_laguerre, susyrad.eval_sonine_laguerre_derivative):
         _finite_or_refused(_call(evaluate, poly, x))
+    _finite_or_refused(_call(susyrad.sonine_laguerre_direct_sums, [poly], x))
 
 
 @FUZZ
@@ -254,8 +254,8 @@ FOUND = {
         lambda: maps.lambda_candidates(0, 1, None), r"^mode must be 'exact' or 'broken', got None$"),
     "SonineLaguerre(7, inf)": (
         lambda: susyrad.SonineLaguerre(7, math.inf), "order must be finite"),
-    "sonine_laguerre_direct_sum(order 1e308)": (
-        lambda: susyrad.sonine_laguerre_direct_sum(susyrad.SonineLaguerre(3, 1e308), 1.0),
+    "sonine_laguerre_direct_sums(order 1e308)": (
+        lambda: susyrad.sonine_laguerre_direct_sums([susyrad.SonineLaguerre(3, 1e308)], 1.0),
         "out of float range"),
     "eval_sonine_laguerre(order 1e308)": (
         lambda: susyrad.eval_sonine_laguerre(susyrad.SonineLaguerre(2, 1e308), 0.5),

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from susyrad import maps, reports
@@ -18,6 +18,7 @@ from susyrad.maps import (
     default_verification_grid,
     lambda_candidates,
     solve_map_parameters,
+    solve_map_sweep,
     verify_map_identities,
     verify_map_identity,
 )
@@ -171,6 +172,75 @@ class TestSolvedMapKeepsStates:
         assert first.source_state is not second.source_state
         assert first == second
         assert "state" not in repr(first)
+
+
+    def test_a_sweep_builds_its_sources_once(self, monkeypatch):
+        calls = self._count_states(monkeypatch)
+        lams = [Fraction(k, 2) for k in range(-2, 5)]
+        solved = solve_map_sweep((4, 3, 1), lams, "broken", delta=0.25, Delta=0.5)
+        # the plain source and the defect source once, and a target per candidate that reaches it
+        admissible = [spec for spec in solved if isinstance(spec, MapSpec)]
+        assert len(admissible) == 3
+        assert calls == Counter(CoulombState=2, OscillatorState=len(admissible))
+        assert len({id(spec.source_state) for spec in admissible}) == 1
+
+
+def _starred(spec):
+    return tuple((state.n_star, state.l_star) for state in (spec.source_state, spec.target_state))
+
+
+class TestSolveSweep:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        n=st.integers(1, 5),
+        l_draw=st.integers(0, 4),
+        lo=st.integers(-4, 8),
+        width=st.integers(0, 6),
+        mode=st.sampled_from(["exact", "broken"]),
+        delta=st.integers(0, 3).map(lambda k: k / 4.0),
+        i=st.integers(0, 4),
+        Delta=st.integers(0, 6).map(lambda k: k / 4.0),
+        I=st.integers(0, 2),
+    )
+    # a defect source whose shift leaves no polynomial degree is refused in every admissible row
+    @example(d=3, n=2, l_draw=1, lo=0, width=4, mode="broken", delta=0.0, i=1, Delta=0.0, I=0)
+    def test_a_sweep_is_its_lambdas_solved_alone(self, d, n, l_draw, lo, width, mode, delta, i, Delta, I):
+        l = l_draw % n
+        lams = [Fraction(k, 2) for k in range(lo, lo + width + 1)]
+        breaking = {} if mode == "exact" else {"delta": delta, "i": i, "Delta": Delta, "I": I}
+        swept = solve_map_sweep((d, n, l), lams, mode, **breaking)
+        alone = [solve_map_parameters((d, n, l), lam, mode, **breaking) for lam in lams]
+        assert len(swept) == len(alone)
+        for got, want in zip(swept, alone):
+            assert type(got) is type(want)
+            if isinstance(want, MapSpec):
+                assert got == want and got.target == want.target
+                assert _starred(got) == _starred(want)
+            else:
+                assert got.violations == want.violations
+
+    def test_a_refused_source_is_named_where_the_target_is_reached(self):
+        solved = solve_map_sweep((3, 2, 1), [0, Fraction(1, 2), 1], "broken", i=1)
+        assert [type(spec) for spec in solved] == [ConstraintReport] * 3
+        assert solved[1].violations == ("2*(Delta - delta) + lambda = 0.5 is not an integer",
+                                        "target N = 2.5 is not an integer", "target L = 4.5 is not an integer")
+        for report in (solved[0], solved[2]):
+            assert report.violations[0] == "source polynomial degree n-l-i-1 = -1 is negative for n=2 l=1 i=1"
+            assert report.violations[1].startswith("target angular number")
+
+    def test_preconditions_raise_as_the_first_lambda_would(self):
+        for source, lams, breaking in (((1, 1, 0), [0, 1], {}), ((3, 2, 0), [0], {"delta": 1.0}),
+                                       ((3, 2, 0), [0, 1], {"mode": "fuzzy"})):
+            with pytest.raises(AdmissibilityError) as alone:
+                solve_map_parameters(source, lams[0], **breaking)
+            with pytest.raises(AdmissibilityError) as swept:
+                solve_map_sweep(source, lams, **breaking)
+            assert str(swept.value) == str(alone.value)
+
+    def test_an_empty_sweep_solves_and_checks_nothing(self):
+        assert solve_map_sweep((1, 0, 0), [], mode="fuzzy") == []
+        assert reports.map_record((1, 0, 0), []).rows == []
 
 
 class TestNonFiniteBreaking:

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 import pytest
 import susyrad
-from susyrad import reports, verify
+from susyrad import reports, susy, verify
 from test_golden import CASES, _run
 
 _PINNED = "bound by perfbench/tracer.py; it goes when the tracer reads spans instead (ROADMAP item 3)"
@@ -117,21 +117,30 @@ def test_waiting_names_wait_only_for_named_blockers():
 
 
 def test_susy_pair_builds_u_prime_and_u_double_prime_once_per_use(monkeypatch):
-    # partners builds V+ and V- from one U'/U'' build; susy-pair adds one for the shift defect
-    builds = []
-    derivatives = susyrad.Superpotential.derivatives
+    # partners builds V+ and V- from one U'/U'' build, and susy-pair reads its shift defect off them
+    builds, u_builds = [], []
+    derivatives, u_derivatives = susyrad.Superpotential.derivatives, susy._u_derivatives
 
     def counted(self, grid, orders):
         builds.append(tuple(orders))
         return derivatives(self, grid, orders)
 
+    def counted_u(grid, orders, *coefficients):
+        u_builds.append(tuple(orders))
+        return u_derivatives(grid, orders, *coefficients)
+
     monkeypatch.setattr(susyrad.Superpotential, "derivatives", counted)
+    # every U build, a batch's with its coefficients as columns too
+    monkeypatch.setattr(susy, "_u_derivatives", counted_u)
     pair = susyrad.SusyPair(susyrad.oscillator_superpotential(1))
     pair.partners(np.linspace(0.1, 12.0, 120))
-    assert builds == [(1, 2)]
+    assert builds == u_builds == [(1, 2)]
     builds.clear()
+    u_builds.clear()
     reports.susy_pair_record("coulomb", 3, 1)
-    assert builds == [(1, 2), (1, 2)]
+    assert builds == [(1, 2)]
+    # the annihilation check's U', then the partners' U'/U''
+    assert u_builds == [(1,), (1, 2)]
 
 
 @pytest.mark.parametrize("name", CALLABLE)

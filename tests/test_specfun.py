@@ -20,11 +20,17 @@ from susyrad.specfun import (
     inner_product,
     integrate_half_line,
     laguerre_envelope_log,
-    sonine_laguerre_direct_sum,
+    sonine_laguerre_direct_sums,
 )
 
 ORDER_GRID = (-0.5, 0.0, 0.5, 1.0, 2.7)
 POINT_GRID = (0.01, 1.0, 10.0, 50.0)
+
+
+def _direct_sum(poly, x):
+    """The oracle's row of one card."""
+    return sonine_laguerre_direct_sums([poly], x)[0]
+
 
 # frozen from the exact rational evaluation of the defining sum
 DIRECT_SUM_FROZEN = {
@@ -81,14 +87,14 @@ class TestSonineLaguerre:
     @pytest.mark.parametrize("x", POINT_GRID)
     def test_recurrence_matches_direct_sum(self, degree, order, x):
         poly = SonineLaguerre(degree, order)
-        reference = sonine_laguerre_direct_sum(poly, x)
+        reference = _direct_sum(poly, x)
         value = eval_sonine_laguerre(poly, x)
         assert value == pytest.approx(reference, rel=1e-10, abs=1e-10)
 
     @pytest.mark.parametrize(("key", "expected"), sorted(DIRECT_SUM_FROZEN.items()))
     def test_direct_sum_frozen_values(self, key, expected):
         degree, order, x = key
-        value = sonine_laguerre_direct_sum(SonineLaguerre(degree, order), x)
+        value = _direct_sum(SonineLaguerre(degree, order), x)
         assert value == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("degree", [0, 1, 4, 9, 15])
@@ -103,7 +109,7 @@ class TestSonineLaguerre:
         poly = SonineLaguerre(6, 1.3)
         expected = math.gamma(8.3) / (math.gamma(2.3) * math.factorial(6))
         assert eval_sonine_laguerre(poly, 0.0) == pytest.approx(expected, rel=1e-14)
-        assert sonine_laguerre_direct_sum(poly, 0.0) == pytest.approx(expected, rel=1e-14)
+        assert _direct_sum(poly, 0.0) == pytest.approx(expected, rel=1e-14)
 
     def test_array_evaluation_matches_scalar(self):
         poly = SonineLaguerre(7, -0.5)
@@ -425,7 +431,7 @@ class TestDerivativeRows:
         t = np.linspace(0.0, 4.0 * n + 2.0 * a, 301)[1:]
         stack = _grid.laguerre_stack([n], [a], t, 3)
         for j in (1, 2, 3):
-            exact = sonine_laguerre_direct_sum(SonineLaguerre(n - j, a + j), t)
+            exact = _direct_sum(SonineLaguerre(n - j, a + j), t)
             (value_path,) = _grid._recurrence([n - j], [a + j], t)
             row_error = _local_error((-1) ** j * stack[j][0], exact).max()
             value_error = _local_error(value_path[0], exact).max()
@@ -804,10 +810,10 @@ class TestDerivativeOrderSelection:
             builds.clear()
             assert check().passed
             assert builds == [rows, rows], check.__name__
-        # criterion 4: one (0, 1) build of each family's distinct ground states, and one shift defect
-        # per distinct U: its 36 (U, ground) pairs are 21 distinct
+        # criterion 4: one (0, 1) build of each family's distinct ground states, and one shift-defect
+        # build of each family's distinct U: its 36 (U, ground) pairs are 21 distinct
         annihilation, batch, shifts = [], susy.annihilation_residuals, []
-        shift_identity_defect = susy.shift_identity_defect
+        shift_identity_defects = susy.shift_identity_defects
 
         def recorded(*args):
             start = len(builds)
@@ -817,15 +823,15 @@ class TestDerivativeOrderSelection:
 
         monkeypatch.setattr(susy, "annihilation_residuals", recorded)
 
-        def shift(*args):
-            shifts.append(args)
-            return shift_identity_defect(*args)
+        def shift(us, grid):
+            shifts.append(len(us))
+            return shift_identity_defects(us, grid)
 
-        monkeypatch.setattr(susy, "shift_identity_defect", shift)
+        monkeypatch.setattr(susy, "shift_identity_defects", shift)
         builds.clear()
         assert verify.check_susy_structure().passed
         assert annihilation == [[11], [10]]
-        assert len(shifts) == 21
+        assert shifts == [11, 10]
         # the rest are the intertwining's three images, each built for its residual and its value
         assert len(builds) == 2 + 3 * 2
 
@@ -1034,6 +1040,33 @@ def _per_term_direct_sum(poly, x):
     return float(total)
 
 
+def _per_card_direct_sum(poly, x):
+    """The oracle as one call per card, before it took a batch of cards."""
+    xs = _grid._float_array(x, "argument")
+    if not np.all(np.isfinite(xs)) or np.any(xs < 0.0):
+        raise DomainError("argument must be finite and non-negative")
+    n = int(poly.degree)
+    big_a, big_b = float(poly.order).as_integer_ratio()
+    numerators = []
+    rising = 1
+    for p in range(n, -1, -1):
+        numerators.append((-1) ** p * math.comb(n, p) * big_b**p * rising)
+        rising *= big_a + p * big_b
+    denominator = math.factorial(n) * big_b**n
+    out = np.empty(xs.shape)
+    for idx, xv in np.ndenumerate(xs):
+        big_x, big_y = float(xv).as_integer_ratio()
+        total, scale = numerators[0], 1
+        for numerator in numerators[1:]:
+            scale *= big_y
+            total = total * big_x + numerator * scale
+        try:
+            out[idx] = total / (denominator * scale)
+        except OverflowError:
+            raise DomainError(f"L_{n}^({poly.order!r})({float(xv)!r}) is out of float range") from None
+    return float(out) if np.ndim(x) == 0 else out
+
+
 def _fraction_direct_sum(poly, x):
     """The oracle in Fraction arithmetic, coefficients built downward and one Horner sum per point."""
     n = int(poly.degree)
@@ -1054,9 +1087,9 @@ def _same_outcome(poly, x):
         want = _fraction_direct_sum(poly, x)
     except OverflowError:
         with pytest.raises(DomainError, match="out of float range"):
-            sonine_laguerre_direct_sum(poly, x)
+            _direct_sum(poly, x)
         return
-    assert sonine_laguerre_direct_sum(poly, x).hex() == want.hex()
+    assert _direct_sum(poly, x).hex() == want.hex()
 
 
 class TestLaguerreOracle:
@@ -1084,7 +1117,7 @@ class TestLaguerreOracle:
         # under pytest's error::RuntimeWarning a numpy overflow warning would surface instead
         poly = SonineLaguerre(3, 1e308)
         with pytest.raises(DomainError) as oracle:
-            sonine_laguerre_direct_sum(poly, 0.5)
+            _direct_sum(poly, 0.5)
         with pytest.raises(DomainError) as recurrence:
             evaluate(poly, np.array([0.0, 0.5, 1.0]))
         assert str(oracle.value) == "L_3^(1e+308)(0.5) is out of float range"
@@ -1095,7 +1128,7 @@ class TestLaguerreOracle:
         for n in range(16):
             for order in ORDER_GRID:
                 poly = SonineLaguerre(n, order)
-                got = sonine_laguerre_direct_sum(poly, verify._ORACLE_SUM_POINTS)
+                got = _direct_sum(poly, verify._ORACLE_SUM_POINTS)
                 want = [_per_term_direct_sum(poly, x) for x in verify._ORACLE_SUM_POINTS]
                 assert got.tolist() == want
                 points += len(want)
@@ -1104,10 +1137,10 @@ class TestLaguerreOracle:
     def test_scalar_and_array_sums_agree(self):
         poly = SonineLaguerre(7, 1.3)
         xs = np.array([[0.0, 0.25], [3.0, 40.0]])
-        got = sonine_laguerre_direct_sum(poly, xs)
+        got = _direct_sum(poly, xs)
         assert got.shape == xs.shape
-        assert isinstance(sonine_laguerre_direct_sum(poly, 3.0), float)
-        assert got[1, 0] == sonine_laguerre_direct_sum(poly, 3.0) == _per_term_direct_sum(poly, 3.0)
+        assert isinstance(_direct_sum(poly, 3.0), float)
+        assert got[1, 0] == _direct_sum(poly, 3.0) == _per_term_direct_sum(poly, 3.0)
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -1118,18 +1151,61 @@ class TestLaguerreOracle:
     )
     def test_sum_refuses_bad_points(self, bad, message):
         with pytest.raises(DomainError, match=message):
-            sonine_laguerre_direct_sum(SonineLaguerre(3, 0.5), bad)
+            _direct_sum(SonineLaguerre(3, 0.5), bad)
 
     def test_one_direct_sum_per_card_and_the_recurrence_in_batches(self, monkeypatch):
-        calls = Counter()
-        for name in ("eval_sonine_laguerre", "eval_sonine_laguerre_derivative",
-                     "sonine_laguerre_direct_sum"):
+        calls, batches = Counter(), []
+        for name in ("eval_sonine_laguerre", "eval_sonine_laguerre_derivative"):
             _count_calls(monkeypatch, specfun, name, calls)
+        direct_sums = specfun.sonine_laguerre_direct_sums
+
+        def recorded(cards, x):
+            batches.append(([(card.degree, card.order) for card in cards], np.array(x)))
+            return direct_sums(cards, x)
+
+        monkeypatch.setattr(specfun, "sonine_laguerre_direct_sums", recorded)
         result = verify.check_laguerre_oracle()
         assert result.passed
-        # 16 degrees x 5 orders for the sum identity; the recurrence runs as batches of
-        # cards (tests/test_verify_batches.py), not through the one-card evaluators
-        assert calls == Counter(sonine_laguerre_direct_sum=80)
+        # one oracle call of the 16 degrees x 5 orders of the sum identity, on its four points;
+        # the recurrence runs as batches of cards (tests/test_verify_batches.py), not through
+        # the one-card evaluators
+        [(cards, points)] = batches
+        assert sorted(cards) == sorted((n, a) for n in range(16) for a in ORDER_GRID)
+        assert len(cards) == 80 and tuple(points) == POINT_GRID
+        assert not calls
+
+    def test_batch_equals_the_per_card_sum_on_the_oracle_points(self):
+        cards = [SonineLaguerre(n, order) for n in range(16) for order in ORDER_GRID]
+        xs = np.array(POINT_GRID)
+        got = sonine_laguerre_direct_sums(cards, xs)
+        assert got.shape == (80, 4)
+        assert [v.hex() for v in got.ravel()] == [
+            v.hex() for card in cards for v in _per_card_direct_sum(card, xs)
+        ]
+        # a 0-d point gives one float per card, and a 2-D array keeps its shape in every row
+        for x in POINT_GRID:
+            scalar = sonine_laguerre_direct_sums(cards, np.float64(x))
+            assert scalar.shape == (80,)
+            assert [v.hex() for v in scalar] == [_per_card_direct_sum(card, x).hex() for card in cards]
+        square = xs.reshape(2, 2)
+        assert np.array_equal(sonine_laguerre_direct_sums(cards, square), got.reshape(80, 2, 2))
+        assert sonine_laguerre_direct_sums([], xs).shape == (0, 4)
+
+    @pytest.mark.parametrize(
+        "cards, x",
+        [([SonineLaguerre(3, 0.5)], -0.5), ([SonineLaguerre(3, 0.5)], [1.0, math.nan]),
+         ([SonineLaguerre(3, 0.5)], "abc"), ([SonineLaguerre(3, 0.5)], np.array([1.0 + 1j])),
+         ([SonineLaguerre(2, 0.5), SonineLaguerre(3, 1e308), SonineLaguerre(4, 1e308)], [0.25, 0.5]),
+         ([SonineLaguerre(4, 1e300), SonineLaguerre(3, 1e308)], 0.5)],
+        ids=["negative", "nan", "string", "complex", "second-card-overflows", "first-card-overflows"],
+    )
+    def test_batch_refuses_as_the_first_refusing_card(self, cards, x):
+        with pytest.raises(DomainError) as alone:
+            for card in cards:
+                _per_card_direct_sum(card, x)
+        with pytest.raises(DomainError) as batch:
+            sonine_laguerre_direct_sums(cards, x)
+        assert str(batch.value) == str(alone.value)
 
     def test_detail_equals_pointwise_oracle(self):
         worst = 0.0

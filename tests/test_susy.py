@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susyrad import coulomb, oscillator, verify
+from susyrad import coulomb, oscillator, susy, verify
 from susyrad.errors import AdmissibilityError, DomainError
 from susyrad.susy import (
     RadialOperator,
@@ -16,7 +16,7 @@ from susyrad.susy import (
     coulomb_superpotential,
     oscillator_superpotential,
     residual,
-    shift_identity_defect,
+    shift_identity_defects,
 )
 
 GRID = np.linspace(0.05, 50.0, 400)
@@ -203,7 +203,7 @@ class TestPartnerPotentials:
         factory = oscillator_superpotential if oscillator_family else coulomb_superpotential
         pair = SusyPair(factory(angular, coulomb.gamma_shift(dimension)))
         grid = np.linspace(grid_max / points, grid_max, points)
-        assert shift_identity_defect(pair, grid) <= 1e-12
+        assert shift_identity_defects([pair.superpotential], grid)[0] <= 1e-12
 
     @pytest.mark.parametrize(
         "pair, grid",
@@ -216,7 +216,7 @@ class TestPartnerPotentials:
         v_plus, v_minus = pair.partners(grid)
         coeff = (v_minus - v_plus - pair.shift_constant) * grid**2
         assert np.max(np.abs(coeff - pair.centrifugal_shift_coeff)) > 1e-12
-        assert shift_identity_defect(pair, grid) <= 1e-15
+        assert shift_identity_defects([pair.superpotential], grid)[0] <= 1e-15
 
     def test_energy_zero_offsets(self):
         coul = SusyPair(coulomb_superpotential(0, 0.0))
@@ -389,6 +389,53 @@ class TestAnnihilationBatch:
         grounds = [coulomb.CoulombState(3, 1, 0), oscillator.OscillatorState(3, 0, 0)]
         with pytest.raises(ValueError):
             annihilation_residuals([coulomb_superpotential(0), oscillator_superpotential(0)], grounds, GRID)
+
+
+def _lone_shift_defect(u, grid):
+    """The shift defect that susy-pair reads off one pair's own partners (`susy._shift_defects`)."""
+    pair = SusyPair(u)
+    with np.errstate(all="ignore"):
+        v_plus, v_minus = pair._partners(grid)
+    return float(susy._shift_defects(grid, v_plus, v_minus, pair.shift_constant, pair.centrifugal_shift_coeff))
+
+
+class TestShiftDefectBatch:
+    # criterion 4's superpotentials, a family of one power each
+    FAMILIES = [
+        [factory(l, coulomb.gamma_shift(d)) for d in (2, 3, 4, 5, 6) for l in range(4)]
+        for factory in (coulomb_superpotential, oscillator_superpotential)
+    ]
+
+    @pytest.mark.parametrize(
+        "grid", [np.linspace(0.1, 20.0, 160), np.linspace(0.1, 6.0, 160), np.geomspace(1e-3, 50.0, 300)],
+        ids=["coulomb-grid", "oscillator-grid", "geometric"],
+    )
+    def test_each_row_has_the_bits_of_its_pair_alone(self, grid):
+        for us in self.FAMILIES:
+            batch = shift_identity_defects(us, grid)
+            assert [v.hex() for v in batch.tolist()] == [_lone_shift_defect(u, grid).hex() for u in us]
+            assert batch.max() <= 1e-15
+
+    def test_a_grid_that_refuses_refuses_as_the_first_pair(self):
+        # x**2 underflows at the first point, so U'' and with it V+ and V- leave float range there
+        grid = np.array([1e-170, 1.0, 2.0])
+        for us in self.FAMILIES:
+            with pytest.raises(DomainError) as alone:
+                _lone_shift_defect(us[0], grid)
+            with pytest.raises(DomainError) as batch:
+                shift_identity_defects(us, grid)
+            assert str(batch.value) == str(alone.value) == "shift identity defect(1e-170) is out of float range"
+
+    def test_a_scalar_point_gives_a_row_each(self):
+        us = self.FAMILIES[1][:3]
+        got = shift_identity_defects(us, 2.0)
+        assert got.tolist() == [_lone_shift_defect(u, np.array([2.0])) for u in us]
+
+    def test_refuses_as_the_pair_does(self):
+        with pytest.raises(AdmissibilityError, match="partner coefficients"):
+            shift_identity_defects([Superpotential(1e200, -1.0, 2)], GRID)
+        with pytest.raises(ValueError):
+            shift_identity_defects([coulomb_superpotential(0), oscillator_superpotential(0)], GRID)
 
 
 class TestSpectrumDegeneracy:

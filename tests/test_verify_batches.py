@@ -152,6 +152,21 @@ class TestResidualBatches:
         coulomb_forms = [isinstance(forms[0], coulomb.CoulombState) for (forms, *_), _ in builds]
         assert coulomb_forms == [True] * 11 + [False] * 9
 
+    def test_batches_come_in_degree_order(self, monkeypatch):
+        built = _built_states(monkeypatch)
+        batches = _recorded(monkeypatch, reports, "_relative_residuals", verify.check_radial_residuals)
+        position = {id(state): k for k, state in enumerate(built)}
+        for coulomb_form in (True, False):
+            family = [states for (states, _), _ in batches
+                      if isinstance(states[0], coulomb.CoulombState) == coulomb_form]
+            order = [(-state.degree, position[id(state)]) for states in family for state in states]
+            # descending degree, and a stable sort: the forms of one degree in the order they were built
+            assert order == sorted(order)
+            # so only the first batch runs to the family's top degree, and the last runs no step
+            assert family[0][0].degree == max(state.degree for state in built
+                                              if isinstance(state, coulomb.CoulombState) == coulomb_form)
+            assert {state.degree for state in family[-1]} == {0}
+
 
 class TestMapRows:
     def test_every_map_is_its_spec_alone(self, monkeypatch):
@@ -171,13 +186,14 @@ class TestMapRows:
 class TestSusyRows:
     def test_every_superpotential_row_is_its_pair_alone(self, monkeypatch):
         families = _record(monkeypatch, verify, "_susy_rows")
-        shifts = _record(monkeypatch, susy, "shift_identity_defect")
+        shifts = _record(monkeypatch, susy, "shift_identity_defects")
         annihilations = _recorded(monkeypatch, susy, "annihilation_residuals", verify.check_susy_structure)
         assert [len(built) for _, built in families] == [20, 16]
         assert [len(us) for (us, _, _), _ in annihilations] == [11, 10]
-        # one shift defect per distinct U; the two families' U differ in power
-        shift_of = {pair.superpotential: (grid, defect) for (pair, grid), defect in shifts}
-        assert len(shifts) == len(shift_of) == 21
+        # one shift-defect batch per family, a row per distinct U; the two families' U differ in power
+        assert [len(us) for (us, _), _ in shifts] == [11, 10]
+        shift_of = {u: (grid, defect) for (us, grid), defects in shifts for u, defect in zip(us, defects)}
+        assert len(shift_of) == 21
         for (_, built), ((us, grounds, grids), residuals), family in zip(
             families, annihilations, verify._SUSY_FAMILIES
         ):
@@ -192,7 +208,10 @@ class TestSusyRows:
                 assert got == susy.annihilation_residuals([u], [ground], row)[0]
                 grid, defect = shift_of[u]
                 assert grid is family[-1]
-                assert defect == susy.shift_identity_defect(susy.SusyPair(u), grid)
+                pair = susy.SusyPair(u)
+                assert defect == susy._shift_defects(
+                    grid, *pair._partners(grid), pair.shift_constant, pair.centrifugal_shift_coeff
+                )
 
 
 def _coulomb_rows(rows):

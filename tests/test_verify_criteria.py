@@ -154,10 +154,28 @@ def test_worst_keeps_a_nan_anywhere():
 
 def test_a_criterion_that_measures_nothing_fails(monkeypatch):
     """Criterion 5 with every candidate refused measures no map, and fails instead of passing at 0."""
-    monkeypatch.setattr(maps, "solve_map_parameters", lambda *args, **kwargs: maps.ConstraintReport(("refused",)))
+    monkeypatch.setattr(maps, "solve_map_sweep",
+                        lambda source, lams, *args, **kwargs: [maps.ConstraintReport(("refused",)) for _ in lams])
     monkeypatch.setattr(geonium, "coulomb_to_geonium", lambda n, l: None)
     result = verify.check_exact_maps()
     assert (result.passed, result.value, result.detail) == (False, math.inf, "0 admissible exact maps verified")
+
+
+def test_exact_maps_hold_each_map_to_its_broken_twin(monkeypatch):
+    """Criterion 5 fails when a zero-breaking broken sweep gives a map other than the exact sweep's."""
+    sweep = maps.solve_map_sweep
+
+    def skewed(source, lams, mode="exact", *breaking, **named):
+        solved = sweep(source, lams, mode, *breaking, **named)
+        if mode == "exact" or source != (3, 2, 1):
+            return solved
+        return [dataclasses.replace(spec, anharmonicity=5e-324) if isinstance(spec, maps.MapSpec) else spec
+                for spec in solved]
+
+    monkeypatch.setattr(maps, "solve_map_sweep", skewed)
+    result = verify.check_exact_maps()
+    assert (result.passed, result.value) == (False, math.inf)
+    assert result.detail == repr(AssertionError("broken map with zero breaking differs from exact at (3, 2, 1, 0)"))
 
 
 def test_registration_runtime_limit_and_crash(monkeypatch):
