@@ -7,11 +7,28 @@ method asks for the one derivative it needs (`pointwise`), and a value out of
 float range is refused at its first point (`refuse_non_finite`).
 
 The generalized Laguerre polynomials L_n^(a), of real order a > -1, are
-evaluated by the three-term recurrence in the degree, one batch of rows
-(degree, order) at a time.  One recurrence pass gives every derivative row:
-`laguerre_stack` takes d^j/dt^j L_n^(a) = (-1)^j L_{n-j}^(a+j) from a pass
-that runs the values chain, then each odd chain, and sums the even rows by
-the contiguous relation L_k^(a+1) = sum_{i<=k} L_i^(a) (DLMF §18.9.13).
+evaluated by a recurrence in the degree, one batch of rows (degree, order)
+at a time.  It runs on the pair P_k = k! L_k^(a) and U_k = k! L_k^(a+1):
+
+    P_{k+1} = (k + a + 1) P_k - t U_k,    U_{k+1} = (k + 1) U_k + P_{k+1},
+
+from t L_k^(a+1) = (k + a + 1) L_k^(a) - (k + 1) L_{k+1}^(a) (DLMF §18.9.14)
+and L_k^(a+1) = sum_{i<=k} L_i^(a) (DLMF §18.9.13).  The step has no
+division: the textbook three-term step divides by k + 1, its costliest
+pass, and no reordering could drop it and keep the bits, since x / (k + 1)
+is correctly rounded and x * (1 / (k + 1)) is not.  The pair is carried as
+Q_k = 2**-E_k P_k and V_k = 2**-E_k U_k with E_k >= log2 k!, so
+|Q_k| <= |L_k^(a)| and |V_k| <= |L_k^(a+1)|; a step's scale 2**-m_k,
+m_k = E_{k+1} - E_k, enters exactly, through its coefficients and a copy
+t * 2**-m_k of the argument, and a row ending at degree d is multiplied once
+by kappa_d = 2**E_d / d! (`_scales`).  Powers of two move no bits, so E_k
+is free to serve speed: E_k = max(3 (k - 1), ceil(log2 k!)) keeps the step
+scale at 2**-3 from degree 1 to 16, one copy of the argument where
+ceil(log2 k!) alone would take four, and holds |Q_k| within 2**-5.7 of
+|L_k^(a)|; from degree 16 on, kappa_d lies in [1, 2).  One recurrence pass
+gives every derivative row: `laguerre_stack` takes d^j/dt^j L_n^(a) =
+(-1)^j L_{n-j}^(a+j) from a pass that runs the values chain, then each odd
+chain, whose U gives the even row above it.
 `_recurrence` keeps its last lone values row in a one-entry slot (a batch is
 not kept), keyed on the degrees, the orders and the argument's values,
 holding private copies of the argument and the row, at most 2**17 elements,
@@ -42,6 +59,43 @@ from .errors import DomainError
 # None, and the largest values row it keeps
 _SLOT_ELEMENTS = 2**17
 _last_values = None
+
+# `_scales`' table, replaced whole when it grows: (mantissa, shift, shifts, sigmas, kappas, sigma
+# column), the lists holding the degrees k < K and K! = mantissa * 2**shift, mantissa its leading
+# 128 bits; the column is sigmas as a (K, 1, 1) array for a batch's coefficient columns, built
+# with the first entries
+_scale_table = (1, 0, [], [], [], None)
+
+
+def _scales(top):
+    """Per degree k <= top: m_k = E_{k+1} - E_k, 2**-m_k (a list and a column) and kappa_k = 2**E_k / k!.
+
+    E_k = max(3 (k - 1), ceil(log2 k!)) and kappa_k are integer arithmetic on
+    k! kept to its leading 128 bits: exact while k! fits in them (k <= 34),
+    and from a k! low by less than k 2**-127 of itself beyond, so that
+    kappa_k, rounded once by int true division, is the correctly rounded
+    2**E_k / k! unless that lies within k 2**-127 of a midpoint of doubles.
+    The whole k! would cost time quadratic in the degree: 3.4 s for degree
+    4e4.
+    """
+    global _scale_table
+    mantissa, shift, shifts, sigmas, kappas, column = _scale_table  # read once: another thread may replace it
+    if len(shifts) <= top:
+        shifts, sigmas, kappas = shifts[:], sigmas[:], kappas[:]
+        exponent = max(3 * len(shifts) - 3, shift + (mantissa - 1).bit_length())
+        # at least doubled, so that a caller stepping up the degree copies the lists few times
+        for k in range(len(shifts), max(top + 1, 2 * len(shifts))):
+            kappas.append((1 << (exponent - shift)) / mantissa)
+            mantissa *= k + 1
+            excess = max(mantissa.bit_length() - 128, 0)
+            mantissa, shift = mantissa >> excess, shift + excess
+            following = max(3 * k, shift + (mantissa - 1).bit_length())
+            shifts.append(following - exponent)
+            sigmas.append(2.0 ** -shifts[k])
+            exponent = following
+        column = np.array(sigmas)[:, None, None]
+        _scale_table = (mantissa, shift, shifts, sigmas, kappas, column)
+    return shifts, sigmas, kappas, column
 
 
 def _float_array(x, what):
@@ -92,14 +146,14 @@ def refuse_non_finite(out, grid, label):
 
 
 def _rows(stack, j, degrees, orders, x):
-    """Fill stack[j] with L_{n-j}^(a+j) per row (n, a), and stack[j + 1] with its sums if j is odd.
+    """Fill stack[j] with L_{n-j}^(a+j) per row (n, a), and stack[j + 1] with L_{n-j-1}^(a+j+1) if j is odd.
 
-    The rows of degree n >= j take part; the rest are zero.  The running sums
-    are kept only when the stack has a row j + 1 to put them in.  The rows
-    still running at step k, those of degree > k, are a prefix of the
-    buffers, and a row is copied out when it is done.
-    Coefficient columns are formed in the one-row order of operations, so
-    each row has the bits it would have alone.
+    The rows of degree n >= j take part; the rest are zero.  The row j + 1,
+    the chain's V, is kept only when the stack has it.  The rows still
+    running at step k, those of degree > k, are a prefix of the buffers, and
+    a row is copied out when it is done.  Coefficient columns are formed in
+    the one-row order of operations, so each row has the bits it would have
+    alone.
     """
     rows, points = len(degrees), x.shape[-1]
     if j:
@@ -114,60 +168,65 @@ def _rows(stack, j, degrees, orders, x):
             m -= 1
         running.append(m)
     # rows that end before the top degree, and rows past the ones taking part, are copied
-    # out; the rest end in cur
+    # out; the rest end in q
     out = None
     if top == 0 or degrees[-1] < top or len(degrees) < rows:
         out = np.ones((rows, points))
         out[len(degrees) :] = 0.0
     total = None
     if j % 2 and j + 1 < len(stack):
-        # sum_{i<=k} L_i^(a) = L_k^(a+1) (DLMF §18.9.13), from L_0 = 1 on the rows that go on
-        total = np.ones((rows, points))
-        total[running[0] if top else 0 :] = 0.0
+        # L_{-1} = 0 on the rows of degree 0; the others are copied out
+        total = np.zeros((rows, points))
         stack[j + 1] = total
     if top == 0:
         stack[j] = out
         return
+    shifts, sigmas, kappas, column = _scales(top)
     m = running[0]
     if m == 1:
         # a lone row keeps Python floats: a (1, 1) column costs numpy broadcasting on every
         # step, which slowed records_mix by 5 % and eval_wide by 2 % in paired runs
         a = float(orders[0])
-        c_next = [2.0 * k + a + 1.0 for k in range(1, top)]
-        c_prev = [k + a for k in range(1, top)]
+        c_q = [(k + 1.0 + a) * sigmas[k] for k in range(top)]
     else:
         a = np.array(orders[:m], dtype=float)[:, None]
-        steps = np.arange(1.0, top)[:, None, None]
-        c_next, c_prev = 2.0 * steps + a + 1.0, steps + a
+        c_q = (np.arange(1.0, top + 1.0)[:, None, None] + a) * column[:top]
     x = (x[None] if x.ndim == 1 else x)[:m]  # a shared row is one row that every prefix broadcasts
-    prev = np.ones((m, points))
-    cur = np.empty_like(prev)
-    np.subtract(a + 1.0, x, out=cur)
-    nxt = np.empty_like(prev)
-    partial = None if total is None else total[:m]
+    # q = Q_k, v = V_{k-1} on entry to step k; Q_1 = a + 1 - x (m_0 = 0) and V_0 = 1
+    q = np.empty((m, points))
+    np.subtract(c_q[0], x, out=q)
+    v = np.ones_like(q)
+    tmp = np.empty_like(q)
+    # x * 2**-m_k for the step scales in use; m_k is 3 up to k = 15, then the floor or the
+    # ceiling of log2(k + 1), so there are at most two, and a new one takes the array of the
+    # one two below it
+    scaled = {}
     # in place: a fresh 2e4-point temporary is past glibc's mmap threshold, so mmapped every step
     for k in range(1, top):
         if running[k] < m:
             # the rows of degree k are done
-            out[running[k] : m] = cur[running[k] :]
+            np.multiply(q[running[k] :], kappas[k], out=out[running[k] : m])
+            if total is not None:
+                np.multiply(v[running[k] :], kappas[k - 1], out=total[running[k] : m])
             m = running[k]
-            prev, cur, nxt, c_next, c_prev = prev[:m], cur[:m], nxt[:m], c_next[:, :m], c_prev[:, :m]
-            x = x[:m]
-            if partial is not None:
-                partial = partial[:m]
-        if partial is not None:
-            partial += cur
-        # ((2k + a + 1 - x) * cur - (k + a) * prev) / (k + 1), operation by operation
-        np.subtract(c_next[k - 1], x, out=nxt)
-        nxt *= cur
-        prev *= c_prev[k - 1]
-        nxt -= prev
-        nxt /= k + 1.0
-        prev, cur, nxt = cur, nxt, prev
+            q, v, tmp, c_q, x = q[:m], v[:m], tmp[:m], c_q[:, :m], x[:m]
+            scaled = {shift: arg[:m] for shift, arg in scaled.items()}
+        arg = scaled.get(shifts[k])
+        if arg is None:
+            arg = scaled[shifts[k]] = np.multiply(x, sigmas[k], out=scaled.pop(shifts[k] - 2, None))
+        # V_k = k 2**-m_{k-1} V_{k-1} + Q_k, then Q_{k+1} = (k + 1 + a) 2**-m_k Q_k - x 2**-m_k V_k
+        v *= k * sigmas[k - 1]
+        v += q
+        np.multiply(arg, v, out=tmp)
+        q *= c_q[k]
+        q -= tmp
+    if total is not None:
+        np.multiply(v, kappas[top - 1], out=total[:m])
     if out is None:
-        stack[j] = cur
+        q *= kappas[top]
+        stack[j] = q
     else:
-        out[:m] = cur
+        np.multiply(q, kappas[top], out=out[:m])
         stack[j] = out
 
 
@@ -176,16 +235,17 @@ def _recurrence(degrees, orders, x, order=0):
 
     The rows come in order of descending degree, on one shared argument row
     x (1-D) or one row each (2-D); a row of degree < j is zero at j.  Degrees
-    that rise are a ValueError.  The three-term recurrences of the values and
-    of the rows of odd j run one after another, and the running sums of each
-    odd row give the row j + 1 (DLMF §18.9.13), so one recurrence pass gives
-    every derivative row.  The chains are independent, so the values and the
-    odd rows keep the bits of their own recurrences.  An even row is summed
-    once, from the odd row below it, because a sum carries the rounding
-    errors of all its terms: summed from the values, the rows j = 1, 2 and 3
-    at n <= 200 had up to 5, 8 and 200 times the error of their own
-    recurrences on the local scale, where the row 2 summed from the row 1
-    stays within 3 times.
+    that rise are a ValueError.  The recurrences of the values and of the
+    rows of odd j run one after another, and each odd chain's U, the running
+    sum of its rows, gives the row j + 1 (DLMF §18.9.13), so one recurrence
+    pass gives every derivative row.  The chains are independent, so the
+    values and the odd rows keep the bits of their own recurrences.  Where t
+    is small against the degree, the pair is far better conditioned than the
+    three-term recurrence, whose error there grows with the degree: at
+    n <= 200 the row 2 from U stays within 2.1 times the error of its own
+    recurrence on the local scale, where a row 2 summed from three-term
+    rows 1 came to 3.0 times with the textbook step and 4.1 times without
+    its division.
 
     The last lone values row is kept in a one-entry slot, so that a
     residual's (0, 2) pass after a value on the same grid runs only its odd
@@ -196,8 +256,10 @@ def _recurrence(degrees, orders, x, order=0):
     replaces the slot: batches are not kept and leave it as it was, since a
     batch's values are seldom asked for twice in a row and copying them
     costs more.  Every row keeps its bits: L_n^(a)(t) depends on (n, a, t)
-    alone, and x enters the chain only as c - x, where equal values give
-    equal bits, 0.0 and -0.0 included, since a coefficient c is never -0.0.
+    alone, and x enters the chain only as a + 1 - x and as the products
+    (x 2**-m_k) V_k, where equal values give equal bits.  That holds for 0.0
+    and -0.0 too: a + 1 is never -0.0, and at x = 0 each product is a zero
+    taken from (k + a + 1) 2**-m_k Q_k > 0, since L_k^(a)(0) > 0.
     A values row of more than _SLOT_ELEMENTS elements (1 MiB of floats), or
     one of top degree 0, whose chain has no step, is not kept.
     """

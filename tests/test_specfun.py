@@ -325,16 +325,39 @@ class TestGramMatrix:
         assert detail == "64 states across 11 families; Gauss-Laguerre rules of 4-8 nodes"
 
 
-def _allocating_recurrence(n, a, x):
-    """The recurrence as one expression per step, allocating its temporaries."""
-    ones = np.ones_like(x)
-    if n == 0:
-        return ones
-    prev = ones
-    cur = a + 1.0 - x
+def _textbook_terms(n, a, x):
+    """L_0^(a), ..., L_n^(a) by the textbook three-term recurrence, one expression per step."""
+    terms = [np.ones_like(x), a + 1.0 - x]
     for k in range(1, n):
-        prev, cur = cur, ((2.0 * k + a + 1.0 - x) * cur - (k + a) * prev) / (k + 1.0)
-    return cur
+        terms.append(((2.0 * k + a + 1.0 - x) * terms[-1] - (k + a) * terms[-2]) / (k + 1.0))
+    return terms[: n + 1]
+
+
+def _allocating_recurrence(n, a, x):
+    """L_n^(a) by the textbook recurrence: the accuracy baseline."""
+    return _textbook_terms(n, a, x)[n]
+
+
+def _exponent(k):
+    """E_k = max(3 (k - 1), ceil(log2 k!)), from exact integers."""
+    return max(3 * k - 3, (math.factorial(k) - 1).bit_length())
+
+
+def _allocating_pair(n, a, x):
+    """The scaled pair recurrence of `_grid._rows` as expressions allocating their temporaries.
+
+    Q_k = 2**-E_k k! L_k^(a) and V_k = 2**-E_k k! L_k^(a+1); each step is
+    V_k = k 2**-m_{k-1} V_{k-1} + Q_k, then Q_{k+1} = (k + 1 + a) 2**-m_k Q_k - (x 2**-m_k) V_k,
+    with m_k = E_{k+1} - E_k, and the row is Q_n 2**E_n / n!.
+    """
+    if n == 0:
+        return np.ones_like(x)
+    q, v = (1.0 + a) - x, np.ones_like(x)
+    for k in range(1, n):
+        scale, previous = 2.0 ** (_exponent(k) - _exponent(k + 1)), 2.0 ** (_exponent(k - 1) - _exponent(k))
+        v = k * previous * v + q
+        q = (k + 1.0 + a) * scale * q - (x * scale) * v
+    return q * ((1 << _exponent(n)) / math.factorial(n))
 
 
 def _one_row(n, a, x):
@@ -359,7 +382,7 @@ class TestInPlaceRecurrence:
     )
     def test_bitwise_equal_to_allocating_form(self, n, a, x):
         got = _one_row(n, a, x)
-        want = _allocating_recurrence(n, a, x)
+        want = _allocating_pair(n, a, x)
         assert np.shape(got) == np.shape(want)
         assert _bitwise_equal(got, want)
 
@@ -367,7 +390,7 @@ class TestInPlaceRecurrence:
         x = np.geomspace(1e-3, 1e300, 2000)
         with np.errstate(all="ignore"):
             got = _one_row(80, 150.0, x)
-            want = _allocating_recurrence(80, 150.0, x)
+            want = _allocating_pair(80, 150.0, x)
         assert not np.all(np.isfinite(want))
         assert np.array_equal(got, want, equal_nan=True)
 
@@ -387,7 +410,7 @@ class TestInPlaceRecurrence:
         with np.errstate(all="ignore"):
             (got,) = _grid._recurrence(list(degrees), list(orders), x)
             want = [
-                _allocating_recurrence(n, a, x[i] if per_row else x)
+                _allocating_pair(n, a, x[i] if per_row else x)
                 for i, (n, a) in enumerate(self.BATCH)
             ]
         assert got.shape == (len(degrees), 701)
@@ -399,7 +422,7 @@ class TestInPlaceRecurrence:
     def test_zero_dimensional_input_through_public_api(self):
         assert eval_sonine_laguerre(SonineLaguerre(1, 0.5), np.float64(2.0)) == -0.5
         assert eval_sonine_laguerre(SonineLaguerre(5, 0.5), np.array(2.0)) == float(
-            _allocating_recurrence(5, 0.5, np.array(2.0))
+            _allocating_pair(5, 0.5, np.array(2.0))
         )
 
     def test_does_not_write_to_its_argument(self):
@@ -465,6 +488,66 @@ class TestDerivativeRows:
                         # an odd row is its own recurrence's, with the sign of the derivative
                         (own,) = _grid._recurrence([n - j], [a + j], row_x)
                         assert _bitwise_equal(rows[i], -own[0]), (order, i, j)
+
+
+def _textbook_stack(n, a, t):
+    """Rows j <= 3 of L_n^(a) by the textbook recurrence: odd rows their own, the row 2 summed from the row 1."""
+    rows = [_allocating_recurrence(n, a, t)]
+    for j in (1, 2, 3):
+        if j > n:
+            rows.append(np.zeros_like(t))
+        elif j % 2:
+            rows.append(_allocating_recurrence(n - j, a + j, t))
+        else:
+            rows.append(sum(_textbook_terms(n - 2, a + 1.0, t)))
+    return rows
+
+
+# degree strata of the accuracy comparison; t <= 1000 keeps every exact value in double range
+# (|L_n^(a)(t)| <= binomial(n + a, n) e^(t/2), Szegő)
+ACCURACY_STRATA = ((0, 12), (13, 60), (61, 160), (161, 400))
+
+
+class TestAccuracy:
+    """The pair recurrence against the textbook one, both measured on the exact rational sums."""
+
+    @pytest.mark.parametrize(("low", "high"), ACCURACY_STRATA, ids=[f"{lo}-{hi}" for lo, hi in ACCURACY_STRATA])
+    @settings(derandomize=True, max_examples=2, deadline=None)
+    @given(data=st.data())
+    def test_no_worse_than_twice_the_textbook_form(self, low, high, data):
+        cases = data.draw(st.lists(st.tuples(st.integers(low, high), st.integers(-4, 200), st.randoms()),
+                                   min_size=4, max_size=4))
+        worst = np.zeros((2, 4))  # (pair, textbook) x rows j, over the stratum's cases
+        for n, eighths, rng in cases:
+            a = eighths / 8.0
+            t = np.sort([rng.uniform(0.0, min(4.0 * n + 2.0 * a + 2.0, 1000.0)) for _ in range(24)])
+            pair, textbook = _grid.laguerre_stack([n], [a], t, 3), _textbook_stack(n, a, t)
+            for j in range(min(n, 3) + 1):
+                exact = _direct_sum(SonineLaguerre(n - j, a + j), t)
+                worst[0, j] = max(worst[0, j], _local_error((-1) ** j * pair[j][0], exact).max())
+                worst[1, j] = max(worst[1, j], _local_error(textbook[j], exact).max())
+        assert np.all(worst[0] <= 2.0 * worst[1] + 1e-15), worst
+
+    def test_scales_are_those_of_the_whole_factorial(self):
+        shifts, sigmas, kappas, column = _grid._scales(5000)
+        assert np.array_equal(column[:5001, 0, 0], sigmas[:5001])
+        factorial, exponent = 1, 0
+        for k in range(5001):
+            assert kappas[k] == (1 << exponent) / factorial, k
+            factorial *= k + 1
+            following = max(3 * k, (factorial - 1).bit_length())  # E_{k+1} from the whole (k + 1)!
+            assert (shifts[k], sigmas[k]) == (following - exponent, 2.0 ** (exponent - following)), k
+            exponent = following
+
+    @pytest.mark.parametrize(("n", "a"), [(12, 0.5), (200, 7.5), (1000, 0.0), (10_000, -0.5), (10_000, 21.0)])
+    def test_finite_wherever_the_textbook_form_is(self, n, a):
+        t = np.concatenate([[0.0], np.geomspace(1e-3, 1e300, 80)])
+        with np.errstate(all="ignore"):
+            pair, textbook = _grid.laguerre_stack([n], [a], t, 3), _textbook_stack(n, a, t)
+        for j in range(4):
+            finite = np.isfinite(textbook[j])
+            assert finite.any() and not finite.all(), j
+            assert np.isfinite(pair[j][0][finite]).all(), j
 
 
 def _started_chains(monkeypatch):
