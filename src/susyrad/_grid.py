@@ -8,27 +8,31 @@ float range is refused at its first point (`refuse_non_finite`).
 
 The generalized Laguerre polynomials L_n^(a), of real order a > -1, are
 evaluated by a recurrence in the degree, one batch of rows (degree, order)
-at a time.  It runs on the pair P_k = k! L_k^(a) and U_k = k! L_k^(a+1):
+at a time.  It runs on the pair P_k = k! L_k^(a) and W_k = k! L_{k-1}^(a+1):
 
-    P_{k+1} = (k + a + 1) P_k - t U_k,    U_{k+1} = (k + 1) U_k + P_{k+1},
+    P_{k+1} = (k + a + 1 - t) P_k - t W_k,    W_{k+1} = (k + 1) (W_k + P_k),
 
-from t L_k^(a+1) = (k + a + 1) L_k^(a) - (k + 1) L_{k+1}^(a) (DLMF §18.9.14)
-and L_k^(a+1) = sum_{i<=k} L_i^(a) (DLMF §18.9.13).  The step has no
+from (k + 1) L_{k+1}^(a) = (k + a + 1) L_k^(a) - t L_k^(a+1) (DLMF §18.9.14)
+and L_k^(a+1) = L_k^(a) + L_{k-1}^(a+1) (DLMF §18.9.13).  The step has no
 division: the textbook three-term step divides by k + 1, its costliest
 pass, and no reordering could drop it and keep the bits, since x / (k + 1)
-is correctly rounded and x * (1 / (k + 1)) is not.  The pair is carried as
-Q_k = 2**-E_k P_k and V_k = 2**-E_k U_k with E_k >= log2 k!, so
-|Q_k| <= |L_k^(a)| and |V_k| <= |L_k^(a+1)|; a step's scale 2**-m_k,
+is correctly rounded and x * (1 / (k + 1)) is not.  Its first factor,
+k + a + 1 - t, is one rounding of a difference of exact numbers, as the
+textbook step's 2k + a + 1 - t is, so large orders near t = a lose nothing
+to cancellation; and where t is small against the degree the pair is far
+better conditioned than the three-term recurrence, whose error there grows
+with the degree.  The pair is carried as Q_k = 2**-E_k P_k and
+2**-E_k W_k with E_k >= ceil(log2 k!), so neither leaves double range before
+the textbook form's values would; a step's scale 2**-m_k,
 m_k = E_{k+1} - E_k, enters exactly, through its coefficients and a copy
 t * 2**-m_k of the argument, and a row ending at degree d is multiplied once
 by kappa_d = 2**E_d / d! (`_scales`).  Powers of two move no bits, so E_k
-is free to serve speed: E_k = max(3 (k - 1), ceil(log2 k!)) keeps the step
-scale at 2**-3 from degree 1 to 16, one copy of the argument where
-ceil(log2 k!) alone would take four, and holds |Q_k| within 2**-5.7 of
-|L_k^(a)|; from degree 16 on, kappa_d lies in [1, 2).  One recurrence pass
-gives every derivative row: `laguerre_stack` takes d^j/dt^j L_n^(a) =
+serves speed: m_k keeps its value until E_k would leave [ceil(log2 k!),
+ceil(log2 k!) + 16], and the copy of the argument is formed again only
+then, not at every step where log2(k + 1) rounds the other way.  A step is
+six passes and gives two rows: `laguerre_stack` takes d^j/dt^j L_n^(a) =
 (-1)^j L_{n-j}^(a+j) from a pass that runs the values chain, then each odd
-chain, whose U gives the even row above it.
+chain, whose W gives the even row above it.
 `_recurrence` keeps its last lone values row in a one-entry slot (a batch is
 not kept), keyed on the degrees, the orders and the argument's values,
 holding private copies of the argument and the row, at most 2**17 elements,
@@ -60,42 +64,43 @@ from .errors import DomainError
 _SLOT_ELEMENTS = 2**17
 _last_values = None
 
-# `_scales`' table, replaced whole when it grows: (mantissa, shift, shifts, sigmas, kappas, sigma
-# column), the lists holding the degrees k < K and K! = mantissa * 2**shift, mantissa its leading
-# 128 bits; the column is sigmas as a (K, 1, 1) array for a batch's coefficient columns, built
-# with the first entries
-_scale_table = (1, 0, [], [], [], None)
+# `_scales`' table, replaced whole when it grows: (mantissa, shift, exponent, step, sigmas,
+# kappas), the lists holding 2**-m_k and kappa_k for the degrees k < K, K! = mantissa * 2**shift
+# with mantissa its leading 128 bits, exponent E_K and step m_{K-1}; it starts at K = 1
+_scale_table = (1, 0, 0, 3, [1.0], [1.0])
+# how far E_k may run above ceil(log2 k!) before its step m_k must change
+_SLACK = 16
 
 
 def _scales(top):
-    """Per degree k <= top: m_k = E_{k+1} - E_k, 2**-m_k (a list and a column) and kappa_k = 2**E_k / k!.
+    """Per degree k <= top: 2**-m_k, m_k = E_{k+1} - E_k, and kappa_k = 2**E_k / k!, as two lists.
 
-    E_k = max(3 (k - 1), ceil(log2 k!)) and kappa_k are integer arithmetic on
-    k! kept to its leading 128 bits: exact while k! fits in them (k <= 34),
-    and from a k! low by less than k 2**-127 of itself beyond, so that
-    kappa_k, rounded once by int true division, is the correctly rounded
-    2**E_k / k! unless that lies within k 2**-127 of a midpoint of doubles.
-    The whole k! would cost time quadratic in the degree: 3.4 s for degree
-    4e4.
+    E_0 = E_1 = 0, and from degree 1 on m_k starts at 3 and keeps the value
+    of m_{k-1} unless E_{k+1} would leave [ceil(log2 (k+1)!), ceil(log2
+    (k+1)!) + _SLACK], when it moves only as far as it must; so kappa_k lies
+    in [1, 2**17).  The integer arithmetic runs on k! kept to its leading
+    128 bits: exact while k! fits in them (k <= 34), and from a k! low by
+    less than k 2**-127 of itself beyond, so that kappa_k, rounded once by
+    int true division, is the correctly rounded 2**E_k / k! unless that lies
+    within k 2**-127 of a midpoint of doubles.  The whole k! would cost time
+    quadratic in the degree: 3.4 s for degree 4e4.
     """
     global _scale_table
-    mantissa, shift, shifts, sigmas, kappas, column = _scale_table  # read once: another thread may replace it
-    if len(shifts) <= top:
-        shifts, sigmas, kappas = shifts[:], sigmas[:], kappas[:]
-        exponent = max(3 * len(shifts) - 3, shift + (mantissa - 1).bit_length())
+    mantissa, shift, exponent, step, sigmas, kappas = _scale_table  # read once: another thread may replace it
+    if len(sigmas) <= top:
+        sigmas, kappas = sigmas[:], kappas[:]
         # at least doubled, so that a caller stepping up the degree copies the lists few times
-        for k in range(len(shifts), max(top + 1, 2 * len(shifts))):
+        for k in range(len(sigmas), max(top + 1, 2 * len(sigmas))):
             kappas.append((1 << (exponent - shift)) / mantissa)
             mantissa *= k + 1
             excess = max(mantissa.bit_length() - 128, 0)
             mantissa, shift = mantissa >> excess, shift + excess
-            following = max(3 * k, shift + (mantissa - 1).bit_length())
-            shifts.append(following - exponent)
-            sigmas.append(2.0 ** -shifts[k])
-            exponent = following
-        column = np.array(sigmas)[:, None, None]
-        _scale_table = (mantissa, shift, shifts, sigmas, kappas, column)
-    return shifts, sigmas, kappas, column
+            least = shift + (mantissa - 1).bit_length()  # ceil(log2 (k + 1)!)
+            step = min(max(step, least - exponent), least + _SLACK - exponent)
+            exponent += step
+            sigmas.append(2.0**-step)
+        _scale_table = (mantissa, shift, exponent, step, sigmas, kappas)
+    return sigmas, kappas
 
 
 def _float_array(x, what):
@@ -149,7 +154,7 @@ def _rows(stack, j, degrees, orders, x):
     """Fill stack[j] with L_{n-j}^(a+j) per row (n, a), and stack[j + 1] with L_{n-j-1}^(a+j+1) if j is odd.
 
     The rows of degree n >= j take part; the rest are zero.  The row j + 1,
-    the chain's V, is kept only when the stack has it.  The rows still
+    from the chain's W, is kept only when the stack has it.  The rows still
     running at step k, those of degree > k, are a prefix of the buffers, and
     a row is copied out when it is done.  Coefficient columns are formed in
     the one-row order of operations, so each row has the bits it would have
@@ -168,20 +173,18 @@ def _rows(stack, j, degrees, orders, x):
             m -= 1
         running.append(m)
     # rows that end before the top degree, and rows past the ones taking part, are copied
-    # out; the rest end in q
-    out = None
+    # out; the rest end in q and w
+    out = total = None
     if top == 0 or degrees[-1] < top or len(degrees) < rows:
         out = np.ones((rows, points))
         out[len(degrees) :] = 0.0
-    total = None
-    if j % 2 and j + 1 < len(stack):
-        # L_{-1} = 0 on the rows of degree 0; the others are copied out
-        total = np.zeros((rows, points))
-        stack[j + 1] = total
+        if j % 2 and j + 1 < len(stack):
+            # L_{-1} = 0 on the rows of degree 0; the others are copied out
+            total = stack[j + 1] = np.zeros((rows, points))
     if top == 0:
         stack[j] = out
         return
-    shifts, sigmas, kappas, column = _scales(top)
+    sigmas, kappas = _scales(top)
     m = running[0]
     if m == 1:
         # a lone row keeps Python floats: a (1, 1) column costs numpy broadcasting on every
@@ -190,44 +193,51 @@ def _rows(stack, j, degrees, orders, x):
         c_q = [(k + 1.0 + a) * sigmas[k] for k in range(top)]
     else:
         a = np.array(orders[:m], dtype=float)[:, None]
-        c_q = (np.arange(1.0, top + 1.0)[:, None, None] + a) * column[:top]
+        c_q = (np.arange(1.0, top + 1.0)[:, None, None] + a) * np.array(sigmas[:top])[:, None, None]
     x = (x[None] if x.ndim == 1 else x)[:m]  # a shared row is one row that every prefix broadcasts
-    # q = Q_k, v = V_{k-1} on entry to step k; Q_1 = a + 1 - x (m_0 = 0) and V_0 = 1
+    # q = Q_k and w = W_k on entry to step k: Q_1 = a + 1 - x and W_1 = 1 (m_0 = 0)
     q = np.empty((m, points))
     np.subtract(c_q[0], x, out=q)
-    v = np.ones_like(q)
+    w = np.ones_like(q)
     tmp = np.empty_like(q)
-    # x * 2**-m_k for the step scales in use; m_k is 3 up to k = 15, then the floor or the
-    # ceiling of log2(k + 1), so there are at most two, and a new one takes the array of the
-    # one two below it
-    scaled = {}
+    # x 2**-m_k, formed again where the step's scale changes
+    scaled = scale = None
     # in place: a fresh 2e4-point temporary is past glibc's mmap threshold, so mmapped every step
     for k in range(1, top):
+        if sigmas[k] != scale:
+            scale = sigmas[k]
+            scaled = np.multiply(x, scale, out=scaled)
         if running[k] < m:
             # the rows of degree k are done
             np.multiply(q[running[k] :], kappas[k], out=out[running[k] : m])
             if total is not None:
-                np.multiply(v[running[k] :], kappas[k - 1], out=total[running[k] : m])
+                np.multiply(w[running[k] :], kappas[k], out=total[running[k] : m])
             m = running[k]
-            q, v, tmp, c_q, x = q[:m], v[:m], tmp[:m], c_q[:, :m], x[:m]
-            scaled = {shift: arg[:m] for shift, arg in scaled.items()}
-        arg = scaled.get(shifts[k])
-        if arg is None:
-            arg = scaled[shifts[k]] = np.multiply(x, sigmas[k], out=scaled.pop(shifts[k] - 2, None))
-        # V_k = k 2**-m_{k-1} V_{k-1} + Q_k, then Q_{k+1} = (k + 1 + a) 2**-m_k Q_k - x 2**-m_k V_k
-        v *= k * sigmas[k - 1]
-        v += q
-        np.multiply(arg, v, out=tmp)
-        q *= c_q[k]
-        q -= tmp
-    if total is not None:
-        np.multiply(v, kappas[top - 1], out=total[:m])
+            q, w, tmp, c_q, x, scaled = q[:m], w[:m], tmp[:m], c_q[:, :m], x[:m], scaled[:m]
+        # Q_{k+1} = ((k + a + 1) 2**-m_k - x 2**-m_k) Q_k - (x 2**-m_k) W_k,
+        # then W_{k+1} = (k + 1) 2**-m_k (W_k + Q_k)
+        np.subtract(c_q[k], scaled, out=tmp)
+        tmp *= q
+        q += w
+        w *= scaled
+        tmp -= w
+        q *= (k + 1.0) * sigmas[k]
+        q, w, tmp = tmp, q, w
+    kappa, keep = kappas[top], j % 2 and j + 1 < len(stack)
     if out is None:
-        q *= kappas[top]
+        # kappa_1 = 1, and a product by 1 moves no bits
+        if kappa != 1.0:
+            q *= kappa
+            if keep:
+                w *= kappa
         stack[j] = q
+        if keep:
+            stack[j + 1] = w
     else:
-        np.multiply(q, kappas[top], out=out[:m])
+        np.multiply(q, kappa, out=out[:m])
         stack[j] = out
+        if total is not None:
+            np.multiply(w, kappa, out=total[:m])
 
 
 def _recurrence(degrees, orders, x, order=0):
@@ -236,16 +246,14 @@ def _recurrence(degrees, orders, x, order=0):
     The rows come in order of descending degree, on one shared argument row
     x (1-D) or one row each (2-D); a row of degree < j is zero at j.  Degrees
     that rise are a ValueError.  The recurrences of the values and of the
-    rows of odd j run one after another, and each odd chain's U, the running
-    sum of its rows, gives the row j + 1 (DLMF §18.9.13), so one recurrence
-    pass gives every derivative row.  The chains are independent, so the
-    values and the odd rows keep the bits of their own recurrences.  Where t
-    is small against the degree, the pair is far better conditioned than the
-    three-term recurrence, whose error there grows with the degree: at
-    n <= 200 the row 2 from U stays within 2.1 times the error of its own
-    recurrence on the local scale, where a row 2 summed from three-term
-    rows 1 came to 3.0 times with the textbook step and 4.1 times without
-    its division.
+    rows of odd j run one after another, and each odd chain's W gives the
+    row j + 1, so one recurrence pass gives every derivative row.  The
+    chains are independent, so the values and the odd rows keep the bits of
+    their own recurrences.  An even row from W stays within 2.5 times the
+    error of its own recurrence on the local scale at n <= 200; a running
+    sum of three-term rows (DLMF §18.9.13) came to 3.0 times with the
+    textbook step and 4.1 times without its division, since a sum carries
+    the rounding errors of all its terms.
 
     The last lone values row is kept in a one-entry slot, so that a
     residual's (0, 2) pass after a value on the same grid runs only its odd
@@ -256,10 +264,11 @@ def _recurrence(degrees, orders, x, order=0):
     replaces the slot: batches are not kept and leave it as it was, since a
     batch's values are seldom asked for twice in a row and copying them
     costs more.  Every row keeps its bits: L_n^(a)(t) depends on (n, a, t)
-    alone, and x enters the chain only as a + 1 - x and as the products
-    (x 2**-m_k) V_k, where equal values give equal bits.  That holds for 0.0
-    and -0.0 too: a + 1 is never -0.0, and at x = 0 each product is a zero
-    taken from (k + a + 1) 2**-m_k Q_k > 0, since L_k^(a)(0) > 0.
+    alone, and x enters the chain only as a + 1 - x, as c - x 2**-m_k and
+    as the product (x 2**-m_k) W_k, where equal values give equal bits.
+    That holds for 0.0 and -0.0 too: a + 1 and c = (k + a + 1) 2**-m_k are
+    never -0.0, and at x = 0 the product is a zero taken from c Q_k > 0,
+    since L_k^(a)(0) > 0.
     A values row of more than _SLOT_ELEMENTS elements (1 MiB of floats), or
     one of top degree 0, whose chain has no step, is not kept.
     """
@@ -289,7 +298,7 @@ def laguerre_stack(degrees, orders, t, order):
 
     t is an argument `_check_argument` has passed, and the rows come in order
     of descending degree.  One recurrence pass gives every derivative row
-    (`_recurrence`, with the contiguous relation of DLMF §18.9.13), and the
+    (`_recurrence`, with the contiguous relations of DLMF §18.9), and the
     odd rows take their sign here.
     """
     stack = _recurrence(degrees, orders, t, order)

@@ -338,26 +338,32 @@ def _allocating_recurrence(n, a, x):
     return _textbook_terms(n, a, x)[n]
 
 
-def _exponent(k):
-    """E_k = max(3 (k - 1), ceil(log2 k!)), from exact integers."""
-    return max(3 * k - 3, (math.factorial(k) - 1).bit_length())
+def _exponents(top):
+    """E_0, ..., E_top from whole factorials: E_0 = E_1 = 0, then m_k = E_{k+1} - E_k starts at 3
+    and moves only to keep E_{k+1} in [ceil(log2 (k+1)!), ceil(log2 (k+1)!) + 16]."""
+    exponents, step = [0, 0], 3
+    for k in range(1, top):
+        least = (math.factorial(k + 1) - 1).bit_length()
+        step = min(max(step, least - exponents[-1]), least + 16 - exponents[-1])
+        exponents.append(exponents[-1] + step)
+    return exponents
 
 
 def _allocating_pair(n, a, x):
-    """The scaled pair recurrence of `_grid._rows` as expressions allocating their temporaries.
+    """L_n^(a) by the scaled (Q, W) recurrence of `_grid._rows`, as expressions allocating their temporaries.
 
-    Q_k = 2**-E_k k! L_k^(a) and V_k = 2**-E_k k! L_k^(a+1); each step is
-    V_k = k 2**-m_{k-1} V_{k-1} + Q_k, then Q_{k+1} = (k + 1 + a) 2**-m_k Q_k - (x 2**-m_k) V_k,
-    with m_k = E_{k+1} - E_k, and the row is Q_n 2**E_n / n!.
+    Q_k = 2**-E_k k! L_k^(a) and W_k = 2**-E_k k (k - 1)! L_{k-1}^(a+1); each step is
+    Q_{k+1} = ((k + 1 + a) 2**-m_k - x 2**-m_k) Q_k - (x 2**-m_k) W_k and
+    W_{k+1} = (k + 1) 2**-m_k (W_k + Q_k), with m_k = E_{k+1} - E_k, and the row is Q_n 2**E_n / n!.
     """
     if n == 0:
         return np.ones_like(x)
-    q, v = (1.0 + a) - x, np.ones_like(x)
+    exponents = _exponents(n)
+    scales = [2.0 ** (exponents[k] - exponents[k + 1]) for k in range(n)]
+    q, w = (1.0 + a) - x, np.ones_like(x)
     for k in range(1, n):
-        scale, previous = 2.0 ** (_exponent(k) - _exponent(k + 1)), 2.0 ** (_exponent(k - 1) - _exponent(k))
-        v = k * previous * v + q
-        q = (k + 1.0 + a) * scale * q - (x * scale) * v
-    return q * ((1 << _exponent(n)) / math.factorial(n))
+        q, w = ((k + 1.0 + a) * scales[k] - x * scales[k]) * q - (x * scales[k]) * w, (w + q) * ((k + 1.0) * scales[k])
+    return q * ((1 << exponents[n]) / math.factorial(n))
 
 
 def _one_row(n, a, x):
@@ -503,51 +509,77 @@ def _textbook_stack(n, a, t):
     return rows
 
 
-# degree strata of the accuracy comparison; t <= 1000 keeps every exact value in double range
-# (|L_n^(a)(t)| <= binomial(n + a, n) e^(t/2), Szegő)
+def _weighted_local_error(got, exact, t):
+    """The local error of e^(-t/2) L, the factor every form multiplies L by.
+
+    Over [0, 4n + 2a] |L_n^(a)| grows like e^(t/2), so a window of L's own
+    magnitudes holds the value of its largest t: the last point's window is
+    the point alone, and its error is a relative error, without bound near a
+    zero.  Under the weight the envelope is flat, and the window is local.
+    """
+    weight = np.exp(-0.5 * t)
+    return _local_error(got * weight, exact * weight)
+
+
+def _range_top(n, a):
+    """The largest t at which Szegő's |L_k^(b)(t)| <= max(binomial(k + b, k), 2) e^(t/2) keeps rows j <= 3 under 1e300."""
+    logs = [math.lgamma(n + a + 1.0) - math.lgamma(n - j + 1.0) - math.lgamma(a + j + 1.0) for j in range(min(n, 3) + 1)]
+    return 2.0 * (math.log(1e300) - max(*logs, math.log(2.0)))
+
+
+# degree strata of the accuracy comparison
 ACCURACY_STRATA = ((0, 12), (13, 60), (61, 160), (161, 400))
 
 
 class TestAccuracy:
-    """The pair recurrence against the textbook one, both measured on the exact rational sums."""
+    """The division-free recurrence against the textbook one, both measured on the exact rational sums."""
 
     @pytest.mark.parametrize(("low", "high"), ACCURACY_STRATA, ids=[f"{lo}-{hi}" for lo, hi in ACCURACY_STRATA])
     @settings(derandomize=True, max_examples=2, deadline=None)
     @given(data=st.data())
     def test_no_worse_than_twice_the_textbook_form(self, low, high, data):
+        # t on [0, 4n + 2a], the zeros' range, up to where an exact row could leave double range
         cases = data.draw(st.lists(st.tuples(st.integers(low, high), st.integers(-4, 200), st.randoms()),
-                                   min_size=4, max_size=4))
-        worst = np.zeros((2, 4))  # (pair, textbook) x rows j, over the stratum's cases
+                                   min_size=6, max_size=6))
+        worst = np.zeros((2, 4))  # (division-free, textbook) x rows j, over the stratum's cases
         for n, eighths, rng in cases:
             a = eighths / 8.0
-            t = np.sort([rng.uniform(0.0, min(4.0 * n + 2.0 * a + 2.0, 1000.0)) for _ in range(24)])
-            pair, textbook = _grid.laguerre_stack([n], [a], t, 3), _textbook_stack(n, a, t)
+            top = min(max(4.0 * n + 2.0 * a, 1.0), _range_top(n, a))
+            t = np.sort([rng.uniform(0.0, top) for _ in range(64)])
+            rows, textbook = _grid.laguerre_stack([n], [a], t, 3), _textbook_stack(n, a, t)
             for j in range(min(n, 3) + 1):
                 exact = _direct_sum(SonineLaguerre(n - j, a + j), t)
-                worst[0, j] = max(worst[0, j], _local_error((-1) ** j * pair[j][0], exact).max())
-                worst[1, j] = max(worst[1, j], _local_error(textbook[j], exact).max())
+                worst[0, j] = max(worst[0, j], _weighted_local_error((-1) ** j * rows[j][0], exact, t).max())
+                worst[1, j] = max(worst[1, j], _weighted_local_error(textbook[j], exact, t).max())
         assert np.all(worst[0] <= 2.0 * worst[1] + 1e-15), worst
 
+    @pytest.mark.parametrize(("n", "a"), [(5, 60.0), (5, 100.0), (9, 301.0), (10, 150.0)])
+    def test_large_orders_no_worse_than_twice_the_textbook_form(self, n, a):
+        # near t = k + a + 1 the step's two terms cancel; its first factor, formed from exact numbers, loses nothing
+        t = np.linspace(0.0, 4.0 * n + 2.0 * a, 301)[1:]
+        rows, textbook = _grid.laguerre_stack([n], [a], t, 3), _textbook_stack(n, a, t)
+        for j in range(4):
+            exact = _direct_sum(SonineLaguerre(n - j, a + j), t)
+            got = _weighted_local_error((-1) ** j * rows[j][0], exact, t).max()
+            want = _weighted_local_error(textbook[j], exact, t).max()
+            assert got <= 2.0 * want + 1e-15, (j, got, want)
+
     def test_scales_are_those_of_the_whole_factorial(self):
-        shifts, sigmas, kappas, column = _grid._scales(5000)
-        assert np.array_equal(column[:5001, 0, 0], sigmas[:5001])
-        factorial, exponent = 1, 0
+        sigmas, kappas = _grid._scales(5000)
+        exponents = _exponents(5001)
         for k in range(5001):
-            assert kappas[k] == (1 << exponent) / factorial, k
-            factorial *= k + 1
-            following = max(3 * k, (factorial - 1).bit_length())  # E_{k+1} from the whole (k + 1)!
-            assert (shifts[k], sigmas[k]) == (following - exponent, 2.0 ** (exponent - following)), k
-            exponent = following
+            assert kappas[k] == (1 << exponents[k]) / math.factorial(k), k
+            assert sigmas[k] == 2.0 ** (exponents[k] - exponents[k + 1]), k
 
     @pytest.mark.parametrize(("n", "a"), [(12, 0.5), (200, 7.5), (1000, 0.0), (10_000, -0.5), (10_000, 21.0)])
     def test_finite_wherever_the_textbook_form_is(self, n, a):
         t = np.concatenate([[0.0], np.geomspace(1e-3, 1e300, 80)])
         with np.errstate(all="ignore"):
-            pair, textbook = _grid.laguerre_stack([n], [a], t, 3), _textbook_stack(n, a, t)
+            rows, textbook = _grid.laguerre_stack([n], [a], t, 3), _textbook_stack(n, a, t)
         for j in range(4):
             finite = np.isfinite(textbook[j])
             assert finite.any() and not finite.all(), j
-            assert np.isfinite(pair[j][0][finite]).all(), j
+            assert np.isfinite(rows[j][0][finite]).all(), j
 
 
 def _started_chains(monkeypatch):
