@@ -17,22 +17,23 @@ and L_k^(a+1) = L_k^(a) + L_{k-1}^(a+1) (DLMF §18.9.13).  The step has no
 division: the textbook three-term step divides by k + 1, its costliest
 pass, and no reordering could drop it and keep the bits, since x / (k + 1)
 is correctly rounded and x * (1 / (k + 1)) is not.  Its first factor,
-k + a + 1 - t, is one rounding of a difference of exact numbers, as the
-textbook step's 2k + a + 1 - t is, so large orders near t = a lose nothing
-to cancellation; and where t is small against the degree the pair is far
-better conditioned than the three-term recurrence, whose error there grows
-with the degree.  The pair is carried as Q_k = 2**-E_k P_k and
-2**-E_k W_k with E_k >= ceil(log2 k!), so neither leaves double range before
-the textbook form's values would; a step's scale 2**-m_k,
-m_k = E_{k+1} - E_k, enters exactly, through its coefficients and a copy
-t * 2**-m_k of the argument, and a row ending at degree d is multiplied once
-by kappa_d = 2**E_d / d! (`_scales`).  Powers of two move no bits, so E_k
-serves speed: m_k keeps its value until E_k would leave [ceil(log2 k!),
-ceil(log2 k!) + 16], and the copy of the argument is formed again only
-then, not at every step where log2(k + 1) rounds the other way.  A step is
-six passes and gives two rows: `laguerre_stack` takes d^j/dt^j L_n^(a) =
-(-1)^j L_{n-j}^(a+j) from a pass that runs the values chain, then each odd
-chain, whose W gives the even row above it.
+k + a + 1 - t, is a difference taken before any product, as the textbook
+step's 2k + a + 1 - t is, so near t = k + a + 1, where large orders put
+the cancellation, it costs no more than there; and where t is small
+against the degree the pair is far better conditioned than the three-term
+recurrence, whose error there grows with the degree.  The pair is
+carried as Q_k = 2**-E_k P_k and 2**-E_k W_k with E_k >= ceil(log2 k!), so
+neither leaves double range before the textbook form's values would; a
+step's scale 2**-m_k, m_k = E_{k+1} - E_k, enters exactly, through its
+coefficients and a copy t * 2**-m_k of the argument, and a row ending at
+degree d is multiplied once by kappa_d = 2**E_d / d! (`_scales`).  Powers
+of two move no bits, so E_k serves speed: m_k keeps its value until E_k
+would leave [ceil(log2 k!), ceil(log2 k!) + 16], and the copy of the
+argument is formed again only then, not at every step where log2(k + 1)
+rounds the other way.  A step is six passes and gives two rows:
+`laguerre_stack` takes d^j/dt^j L_n^(a) = (-1)^j L_{n-j}^(a+j) from a pass
+that runs the values chain, then each odd chain, whose W gives the even row
+above it.
 `_recurrence` keeps its last lone values row in a one-entry slot (a batch is
 not kept), keyed on the degrees, the orders and the argument's values,
 holding private copies of the argument and the row, at most 2**17 elements,

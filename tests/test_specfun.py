@@ -352,7 +352,7 @@ def _exponents(top):
 def _allocating_pair(n, a, x):
     """L_n^(a) by the scaled (Q, W) recurrence of `_grid._rows`, as expressions allocating their temporaries.
 
-    Q_k = 2**-E_k k! L_k^(a) and W_k = 2**-E_k k (k - 1)! L_{k-1}^(a+1); each step is
+    Q_k = 2**-E_k k! L_k^(a) and W_k = 2**-E_k k! L_{k-1}^(a+1); each step is
     Q_{k+1} = ((k + 1 + a) 2**-m_k - x 2**-m_k) Q_k - (x 2**-m_k) W_k and
     W_{k+1} = (k + 1) 2**-m_k (W_k + Q_k), with m_k = E_{k+1} - E_k, and the row is Q_n 2**E_n / n!.
     """
@@ -514,8 +514,8 @@ def _weighted_local_error(got, exact, t):
 
     Over [0, 4n + 2a] |L_n^(a)| grows like e^(t/2), so a window of L's own
     magnitudes holds the value of its largest t: the last point's window is
-    the point alone, and its error is a relative error, without bound near a
-    zero.  Under the weight the envelope is flat, and the window is local.
+    in effect the point alone, and its error a relative error, without bound
+    near a zero.  Under the weight the envelope is flat, and the window is local.
     """
     weight = np.exp(-0.5 * t)
     return _local_error(got * weight, exact * weight)
